@@ -255,6 +255,12 @@ class NetworkProfile:
     def validate(self) -> None:
         if self.bandwidth_bps <= 0:
             raise ConfigurationError("bandwidth must be positive")
+        for name in ("propagation_ns", "switch_forward_ns",
+                     "header_overhead_bytes", "queue_capacity_packets"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(
+                    f"network {name} must be non-negative, got {value}")
         if self.mtu_bytes <= self.header_overhead_bytes:
             raise ConfigurationError("MTU must exceed framing overhead")
 

@@ -194,6 +194,13 @@ class Channel:
         self._fold = (folding_enabled()
                       and profile.queue_capacity_packets > 0
                       and profile.propagation_ns > 0)
+        # The profile is frozen: hold the per-frame constants directly.
+        self._propagation = profile.propagation_ns
+        self._overhead = profile.header_overhead_bytes
+        self._capacity = profile.queue_capacity_packets
+        #: ``payload_bytes -> (wire_bytes, serialize_ns)`` — a run sends
+        #: a handful of frame sizes over and over (see :meth:`_costs`).
+        self._wire_costs: dict = {}
         self.delivered = Counter(f"{name}.delivered")
         self.dropped_full = Counter(f"{name}.dropped_full")
         self.dropped_full_bytes = Counter(f"{name}.dropped_full_bytes")
@@ -249,14 +256,23 @@ class Channel:
         hops, callback = plan
         return (hops, callback, (frame, payload), None)
 
+    def _costs(self, frame: Frame) -> tuple:
+        """``(wire_bytes, serialize_ns)`` of ``frame`` on this channel,
+        on a miss of the :attr:`_wire_costs` memo."""
+        wire_bytes = frame.wire_size(self._overhead)
+        costs = (wire_bytes,
+                 transmission_delay(wire_bytes, self.profile.bandwidth_bps))
+        self._wire_costs[frame.payload_bytes] = costs
+        return costs
+
     def send(self, frame: Frame) -> None:
         """Enqueue a frame for transmission (drop-tail when full)."""
         if self._reservations:
             self.revoke_unstarted()
         serializing = self._serializing
         if serializing is not None:
-            ext = (self._serializing_res.hops - 2
-                   if self._serializing_res is not None else 0)
+            res = self._serializing_res
+            ext = res.hops - 2 if res is not None else 0
             if _remaining_hops(serializing) <= ext:
                 # The folded record has been re-sequenced past its
                 # serialize-end slot (only arrival-extension hops, if
@@ -272,9 +288,9 @@ class Channel:
         # "our seq comes later this nanosecond".  The unfolded timeline
         # would find ``_transmitting`` still True and queue this frame,
         # so the folded one must too (converting the record in place).
-        if (self._fold and not self._transmitting and not self._queue
-                and serializing is None
-                and self.sim.now >= self._busy_until
+        queue = self._queue
+        if (serializing is None and self._fold and not self._transmitting
+                and not queue and self.sim._now >= self._busy_until
                 and not self.impairments.any_enabled()):
             # Fast path: idle transmitter, empty queue, no impairments —
             # serialization + propagation fold into one delivery event.
@@ -284,24 +300,27 @@ class Channel:
             # goes straight into the :attr:`_serializing` slot (with a
             # reservation alongside when extended, so hop accounting and
             # claim release keep working on conversion).
-            wire_bytes = frame.wire_size(self.profile.header_overhead_bytes)
-            serialize = transmission_delay(wire_bytes,
-                                           self.profile.bandwidth_bps)
-            self.bytes_sent.increment(wire_bytes)
-            self.folded_sends.increment()
-            now = self.sim.now
-            hops = (self.profile.propagation_ns,)
-            callback, args, claim = self._deliver, (frame,), None
+            sim = self.sim
+            now = sim._now
+            wire_bytes, serialize = (self._wire_costs.get(frame.payload_bytes)
+                                     or self._costs(frame))
+            # Hot path: the counters are bumped in place (``wire_bytes``
+            # is never negative, so ``Counter.increment``'s guard has
+            # nothing to catch here).
+            self.bytes_sent.value += wire_bytes
+            self.folded_sends.value += 1
             extension = self._sink_extension(frame)
-            if extension is not None:
+            if extension is None:
+                self._serializing = sim.schedule_deferred(
+                    serialize, self._propagation, self._deliver, frame)
+                self._serializing_res = None
+            else:
                 extra_hops, ext_callback, ext_args, claim = extension
-                hops = hops + tuple(extra_hops)
-                callback, args = self._deliver_ext, (ext_callback, ext_args)
-            call = self.sim.schedule_deferred(
-                serialize, hops if len(hops) > 1 else hops[0],
-                callback, *args)
-            self._serializing = call
-            if extension is not None:
+                hops = (self._propagation,) + tuple(extra_hops)
+                call = sim.schedule_deferred(
+                    serialize, hops if len(hops) > 1 else hops[0],
+                    self._deliver_ext, ext_callback, ext_args)
+                self._serializing = call
                 # ``hops`` counts the serialize hop like send_in's chains
                 # (it lives in the record's surface delay here), so the
                 # started/free arithmetic stays uniform.
@@ -310,17 +329,15 @@ class Channel:
                     len(hops) + 1, claim)
                 if claim is not None:
                     claim.attach(call, self)
-            else:
-                self._serializing_res = None
             self._busy_until = now + serialize
             return
-        if len(self._queue) >= self.profile.queue_capacity_packets:
+        if len(queue) >= self._capacity:
             self.dropped_full.increment()
             self.dropped_full_bytes.increment(
-                frame.wire_size(self.profile.header_overhead_bytes))
+                frame.wire_size(self._overhead))
             return
-        self._queue.append(frame)
-        self.queue_depth_highwater.update(len(self._queue))
+        queue.append(frame)
+        self.queue_depth_highwater.update(len(queue))
         if not self._transmitting:
             if serializing is not None:
                 # A *folded* frame still owns the transmitter (either
@@ -330,7 +347,7 @@ class Channel:
                 # record into the unfolded `_serialized` callback at its
                 # exact heap slot.
                 self._unfold_inflight()
-            elif self.sim.now >= self._busy_until:
+            elif self.sim._now >= self._busy_until:
                 self._transmit_next()
             else:
                 raise SimulationError(
@@ -372,17 +389,18 @@ class Channel:
         bare re-:meth:`send` — correct only for senders that can never
         fail mid-run (bare channels in tests).
         """
-        if not (self._fold and not self._transmitting and not self._queue
-                and self.sim.now + pre_delay_ns >= self._busy_until
-                and not self.impairments.any_enabled()):
+        start = self.sim._now + pre_delay_ns
+        if (not self._fold or self._transmitting or self._queue
+                or start < self._busy_until
+                or self.impairments.any_enabled()):
             return False
-        self._pop_started()
-        wire_bytes = frame.wire_size(self.profile.header_overhead_bytes)
-        serialize = transmission_delay(wire_bytes, self.profile.bandwidth_bps)
-        self.bytes_sent.increment(wire_bytes)
-        self.folded_sends.increment()
-        start = self.sim.now + pre_delay_ns
-        hops = (serialize, self.profile.propagation_ns)
+        if self._reservations:
+            self._pop_started()
+        wire_bytes, serialize = (self._wire_costs.get(frame.payload_bytes)
+                                 or self._costs(frame))
+        self.bytes_sent.value += wire_bytes
+        self.folded_sends.value += 1
+        hops = (serialize, self._propagation)
         callback, args, claim = self._deliver, (frame,), None
         extension = self._sink_extension(frame)
         if extension is not None:
@@ -405,7 +423,7 @@ class Channel:
         """Barrier slot of an extension-carrying chain: count the wire
         delivery (the chain subsumed the ``_deliver`` hop) and run the
         receiving node's barrier callback."""
-        self.delivered.increment()
+        self.delivered.value += 1
         callback(*args)
 
     def _pop_started(self) -> None:
@@ -419,10 +437,17 @@ class Channel:
         may convert.
         """
         res = self._reservations
-        while res and _remaining_hops(res[0].call) < res[0].hops:
-            started = res.popleft()
-            self._serializing = started.call
-            self._serializing_res = started
+        while res:
+            head = res[0]
+            defer = head.call.defer_ns
+            # ``_remaining_hops`` inlined: this runs on every send_in.
+            remaining = (len(defer) if type(defer) is tuple
+                         else 1 if defer else 0)
+            if remaining >= head.hops:
+                return
+            res.popleft()
+            self._serializing = head.call
+            self._serializing_res = head
 
     def revoke_unstarted(self) -> None:
         """Fall every not-yet-started reservation back to the unfolded
@@ -564,14 +589,15 @@ class Channel:
         self._serializing_res = None
 
     def _transmit_next(self) -> None:
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
-        frame = self._queue.popleft()
-        self.queue_depth_highwater.update(len(self._queue))
-        wire_bytes = frame.wire_size(self.profile.header_overhead_bytes)
-        serialize = transmission_delay(wire_bytes, self.profile.bandwidth_bps)
-        self.bytes_sent.increment(wire_bytes)
-        self._busy_until = self.sim.now + serialize
+        frame = queue.popleft()
+        self.queue_depth_highwater.update(len(queue))
+        wire_bytes, serialize = (self._wire_costs.get(frame.payload_bytes)
+                                 or self._costs(frame))
+        self.bytes_sent.value += wire_bytes
+        self._busy_until = self.sim._now + serialize
         self._transmitting = True
         # The transmitter is busy for the serialization time, then the
         # frame flies for the propagation delay while the next one starts.
@@ -598,13 +624,12 @@ class Channel:
             if extension is not None:
                 extra_hops, ext_callback, ext_args, claim = extension
                 call = self.sim.schedule_deferred(
-                    self.profile.propagation_ns, tuple(extra_hops),
+                    self._propagation, tuple(extra_hops),
                     self._deliver_ext, ext_callback, ext_args)
                 if claim is not None:
                     claim.attach(call, self)
                 return
-            self.sim.schedule(self.profile.propagation_ns,
-                              self._deliver, frame)
+            self.sim.schedule(self._propagation, self._deliver, frame)
             return
         # Draw order per frame: loss(original), duplicate, then per
         # surviving copy a reorder draw and — for the duplicate — its
@@ -629,13 +654,13 @@ class Channel:
         if lost:
             self.dropped_loss.increment()
             return
-        delay = self.profile.propagation_ns
+        delay = self._propagation
         if rng.random() < imp.reorder_probability:
             delay += imp.reorder_extra_ns
         self.sim.schedule(delay, self._deliver, frame)
 
     def _deliver(self, frame: Frame) -> None:
-        self.delivered.increment()
+        self.delivered.value += 1
         self.sink.node.receive(frame, self.sink)
 
     @property

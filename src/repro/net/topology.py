@@ -47,12 +47,17 @@ class Topology:
 
         ``profile`` overrides the topology-wide network profile for this
         one link — a NIC-attached device sits on a short board trace,
-        and spine uplinks cross longer fiber than rack-local links.
+        and spine uplinks cross longer fiber than rack-local links.  An
+        override is validated here (raising
+        :class:`~repro.errors.ConfigurationError`), so a bad one fails
+        at construction rather than on the first frame it carries.
         """
         for node in (a, b):
             if node.name not in self.nodes:
                 raise NetworkError(
                     f"node {node.name!r} must be added before connecting")
+        if profile is not None:
+            profile.validate()
         link = Link(self.sim, profile if profile is not None else self.profile,
                     a.add_port(), b.add_port(),
                     impairments_ab, impairments_ba)

@@ -158,12 +158,16 @@ class Simulator:
         ``queue.push``.  These closures repeat the push body inline
         (record construction via direct slot stores, tier routing for
         the tiered backend) with the queue structures captured as
-        closure cells.  Semantics are identical to the class methods
-        they shadow — the causality guard, the returned handle, and the
-        exact routing mirror ``HeapEventQueue.push`` /
-        ``TieredEventQueue.push``; any change there must be repeated
-        here (and in ``repro.sim.compiled``, which generates the same
-        closures with the horizon constant-folded).
+        closure cells.  The tiered backend (the default) also gets a
+        ``schedule_deferred`` closure, called once per folded wire hop;
+        the heap backend keeps the generic method.  Semantics are
+        identical to the class methods they shadow — the causality
+        guards, the returned handle, and the exact routing mirror
+        ``HeapEventQueue.push`` / ``TieredEventQueue.push`` /
+        ``TieredEventQueue.push_deferred``; any change there must be
+        repeated here (and in ``repro.sim.compiled``, which generates
+        the same ``schedule``/``call_soon`` closures with the horizon
+        constant-folded).
         """
         q = self._queue
         new = ScheduledCall.__new__
@@ -278,6 +282,44 @@ class Simulator:
                     else:
                         heappush(far, (time, seq, call))
                 return call
+
+            def schedule_deferred(delay, defer_ns, callback, *args):
+                if isinstance(defer_ns, tuple):
+                    bad = not defer_ns or min(defer_ns) < 0
+                else:
+                    bad = defer_ns < 0
+                if bad or delay < 0:
+                    raise SimulationError(
+                        f"cannot schedule {delay}+{defer_ns}ns into the past")
+                time = self._now + delay
+                seq = q._seq
+                q._seq = seq + 1
+                call = new(record_cls)
+                call.time = time
+                call.seq = seq
+                call.callback = callback
+                call.args = args
+                call.cancelled = False
+                call.defer_ns = defer_ns
+                call.owner = q
+                q._size += 1
+                delta = time - q._qnow
+                if delta == 0:
+                    lane.append(call)
+                elif delta < horizon:
+                    bucket = buckets.get(time)
+                    if bucket is None:
+                        buckets[time] = call
+                        heappush(times, time)
+                    elif type(bucket) is list:
+                        bucket.append(call)
+                    else:
+                        buckets[time] = [bucket, call]
+                else:
+                    heappush(far, (time, seq, call))
+                return call
+
+            self.schedule_deferred = schedule_deferred
 
         self.schedule = schedule
         self.call_soon = call_soon
@@ -484,8 +526,9 @@ class Simulator:
         buckets = q._buckets
         times = q._times
         far = q._far
+        horizon = q._horizon
         heappop = heapq.heappop
-        resequence = q.resequence
+        heappush = heapq.heappush
         profiler = self._profiler
         check_until = until is not None
         budget = -1 if max_events is None else max_events
@@ -598,10 +641,38 @@ class Simulator:
                 if call.cancelled:
                     q._drop_cancelled()
                     continue
-                if call.defer_ns:
-                    # Latency-folded record: move it to its final slot
-                    # (fresh seq, no callback) — not an executed event.
-                    resequence(call)
+                defer = call.defer_ns
+                if defer:
+                    # Latency-folded record: move it one hop along its
+                    # chain (fresh seq, no callback) — not an executed
+                    # event.  ``TieredEventQueue.resequence`` inlined,
+                    # routing by distance from the drain instant.
+                    seq = q._seq
+                    q._seq = seq + 1
+                    if type(defer) is tuple:
+                        delay = defer[0]
+                        call.defer_ns = (defer[1] if len(defer) == 2
+                                         else defer[1:])
+                    else:
+                        delay = defer
+                        call.defer_ns = 0
+                    time += delay
+                    call.time = time
+                    call.seq = seq
+                    delta = time - qnow
+                    if delta == 0:
+                        lane.append(call)
+                    elif delta < horizon:
+                        bucket = buckets.get(time)
+                        if bucket is None:
+                            buckets[time] = call
+                            heappush(times, time)
+                        elif type(bucket) is list:
+                            bucket.append(call)
+                        else:
+                            buckets[time] = [bucket, call]
+                    else:
+                        heappush(far, (time, seq, call))
                     reseqs += 1
                     continue
                 call.owner = None

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.deploy import (
+    DeploymentSpec,
+    build,
     build_client_server,
     build_pmnet_nic,
     build_pmnet_switch,
 )
+from repro.host.handler import IdealHandler
 from repro.experiments.driver import RunStats, run_closed_loop, run_sessions
 from repro.host.client import Completion
 from repro.workloads.kv import OpKind, Operation, Result
@@ -45,6 +48,21 @@ class TestDeployments:
             link for link in deployment.topology.links
             if link.forward.name == "pmnet-nic->server")
         assert nic_to_server.forward.profile.propagation_ns == 20
+
+    def test_negative_nic_wire_rejected_at_build(self):
+        # The NIC board trace is a per-link profile override: it must be
+        # rejected while wiring, not when the first frame crosses it.
+        with pytest.raises(ConfigurationError, match="propagation_ns"):
+            build(DeploymentSpec(placement="nic", nic_wire_ns=-3),
+                  SystemConfig().with_clients(1))
+
+    def test_negative_spine_propagation_rejected_at_build(self):
+        spec = DeploymentSpec(racks=2, devices_per_rack=1, chain_length=2,
+                              clients_per_rack=1, placement="switch",
+                              spine_propagation_ns=-5)
+        with pytest.raises(ConfigurationError, match="propagation_ns"):
+            build(spec, SystemConfig().with_clients(1),
+                  handler_factory=lambda _server: IdealHandler())
 
     def test_every_node_reachable_from_clients(self):
         deployment = build_pmnet_switch(SystemConfig().with_clients(3),

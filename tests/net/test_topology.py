@@ -1,9 +1,11 @@
 """Unit tests for topology wiring and BFS routing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import NetworkProfile
-from repro.errors import NetworkError, RoutingError
+from repro.errors import ConfigurationError, NetworkError, RoutingError
 from repro.net.device import Node, Port
 from repro.net.packet import Frame
 from repro.net.switch import Switch
@@ -101,6 +103,21 @@ class TestValidation:
         b = topo.add(_Host(sim, "b"))
         with pytest.raises(NetworkError):
             topo.connect(a, b)
+
+    @pytest.mark.parametrize("field", ["propagation_ns",
+                                       "header_overhead_bytes",
+                                       "queue_capacity_packets"])
+    def test_bad_per_link_profile_rejected_at_connect(self, field):
+        # A per-link override is validated when the link is built, not
+        # left to fail on the first frame it carries.
+        sim = Simulator()
+        topo = Topology(sim, NetworkProfile())
+        a = topo.add(_Host(sim, "a"))
+        b = topo.add(_Host(sim, "b"))
+        with pytest.raises(ConfigurationError, match=field):
+            topo.connect(a, b, profile=replace(NetworkProfile(),
+                                               **{field: -1}))
+        assert topo.links == []
 
     def test_unknown_path_endpoint_rejected(self):
         sim = Simulator()

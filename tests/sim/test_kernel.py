@@ -6,6 +6,13 @@ from repro.errors import SimulationError
 from repro.sim import Simulator
 
 
+#: ``schedule_deferred`` arguments every backend must refuse.
+_BAD_DEFERRED = [(-1, 5), (5, -1), (0, ()), (5, (3, -1)), (-1, (3, 4)),
+                 (0, (-2,))]
+#: ``(defer_ns, landing time)`` for a chain surfacing at t=5.
+_DEFERRED_CHAINS = [(0, 5), (7, 12), ((0, 0), 5), ((2, 3), 10)]
+
+
 class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
@@ -37,17 +44,14 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
 
-    @pytest.mark.parametrize("delay, defer", [
-        (-1, 5), (5, -1), (0, ()), (5, (3, -1)), (-1, (3, 4)), (0, (-2,)),
-    ])
+    @pytest.mark.parametrize("delay, defer", _BAD_DEFERRED)
     def test_deferred_into_the_past_rejected(self, delay, defer):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_deferred(delay, defer, lambda: None)
         assert sim.pending_events() == 0
 
-    @pytest.mark.parametrize("defer, expected", [(0, 5), (7, 12),
-                                                 ((0, 0), 5), ((2, 3), 10)])
+    @pytest.mark.parametrize("defer, expected", _DEFERRED_CHAINS)
     def test_deferred_chain_lands_at_total_delay(self, defer, expected):
         sim = Simulator()
         seen = []
@@ -91,6 +95,35 @@ class TestScheduling:
         sim.schedule(3, outer)
         sim.run()
         assert times == [3, 10]
+
+
+class TestDeferredPerBackend:
+    """The deferred-scheduling guards and landing times on every backend.
+
+    The tiered backend installs its own ``schedule_deferred`` closure,
+    which shadows the generic :meth:`Simulator.schedule_deferred`, and
+    each backend drains deferred hops in its own loop — so each one's
+    guard and chain arithmetic is pinned separately.
+    """
+
+    @pytest.mark.parametrize("kernel", ["heap", "tiered", "compiled"])
+    @pytest.mark.parametrize("delay, defer", _BAD_DEFERRED)
+    def test_deferred_into_the_past_rejected(self, delay, defer, kernel):
+        sim = Simulator(kernel=kernel)
+        with pytest.raises(SimulationError):
+            sim.schedule_deferred(delay, defer, lambda: None)
+        assert sim.pending_events() == 0
+
+    @pytest.mark.parametrize("kernel", ["heap", "tiered", "compiled"])
+    @pytest.mark.parametrize("defer, expected", _DEFERRED_CHAINS)
+    def test_deferred_chain_lands_at_total_delay(self, defer, expected,
+                                                 kernel):
+        sim = Simulator(kernel=kernel)
+        seen = []
+        sim.schedule_deferred(5, defer, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [expected]
+        assert sim.executed_events == 1
 
 
 class TestRunControls:

@@ -41,6 +41,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             NetworkProfile(mtu_bytes=40).validate()
 
+    @pytest.mark.parametrize("field", ["propagation_ns", "switch_forward_ns",
+                                       "header_overhead_bytes",
+                                       "queue_capacity_packets"])
+    def test_negative_network_field_rejected_by_name(self, field):
+        bad = replace(NetworkProfile(), **{field: -1})
+        with pytest.raises(ConfigurationError, match=field):
+            bad.validate()
+        with pytest.raises(ConfigurationError, match=field):
+            replace(SystemConfig(), network=bad).validate()
+
+    def test_zero_network_fields_stay_valid(self):
+        # Zero-delay wires and switches and zero-capacity queues are
+        # legitimate test fixtures; only negatives are rejected.
+        NetworkProfile(propagation_ns=0, switch_forward_ns=0,
+                       header_overhead_bytes=0,
+                       queue_capacity_packets=0).validate()
+
     def test_log_must_fit_in_device_pm(self):
         huge_log = LogConfig(entry_bytes=1 << 20, num_entries=1 << 16)
         config = replace(SystemConfig(), log=huge_log)
