@@ -130,6 +130,14 @@ class PMNetDevice(Node):
                     self.config.pipeline.pm_stage_ns,
                     self._log_update, frame, pmnet_packet(frame))
                 return
+            if action is MATAction.CHAIN_LOG_AND_FORWARD:
+                # The same walk for a chain member's copy.
+                self.folded_stages.increment()
+                self.sim.schedule_deferred(
+                    self.config.pipeline.ingress_ns,
+                    self.config.pipeline.pm_stage_ns,
+                    self._log_chain_update, frame, pmnet_packet(frame))
+                return
             if action is MATAction.FORWARD_ACK:
                 # ingress -> egress: a pass-through ACK touches nothing
                 # until the forwarding lookup in `_forward_frame`, so
@@ -159,11 +167,14 @@ class PMNetDevice(Node):
 
         Classification is pure (it reads only the frame), so it can run
         at reservation time just as the stage-folded path runs it at
-        arrival time.  Two actions extend — their interior hops mutate
+        arrival time.  Three actions extend — their interior hops mutate
         nothing, every side effect lives in the barrier:
 
         * **LOG_AND_FORWARD** rides ingress + PM-access and lands in
           :meth:`_express_ingest` at the exact ``_log_update`` instant;
+        * **CHAIN_LOG_AND_FORWARD** rides the same two stages and lands
+          in :meth:`_express_chain_ingest` at the ``_log_chain_update``
+          instant;
         * **INVALIDATE_AND_FORWARD** rides ingress and lands in
           :meth:`_express_server_ack` at the ``_after_ingress`` instant.
 
@@ -181,6 +192,11 @@ class PMNetDevice(Node):
             return ((self.config.pipeline.ingress_ns,
                      self.config.pipeline.pm_stage_ns),
                     self._express_ingest, (frame, pmnet_packet(frame)), None)
+        if action is MATAction.CHAIN_LOG_AND_FORWARD:
+            return ((self.config.pipeline.ingress_ns,
+                     self.config.pipeline.pm_stage_ns),
+                    self._express_chain_ingest,
+                    (frame, pmnet_packet(frame)), None)
         if action is MATAction.INVALIDATE_AND_FORWARD:
             return ((self.config.pipeline.ingress_ns,),
                     self._express_server_ack,
@@ -196,6 +212,16 @@ class PMNetDevice(Node):
         frame.hops += 1
         self.folded_stages.increment()
         self._log_update(frame, packet)
+
+    def _express_chain_ingest(self, frame: Frame,
+                              packet: PMNetPacket) -> None:
+        """Barrier of an extended chain-update chain: the
+        ``_log_chain_update`` instant."""
+        if self.failed:
+            return
+        frame.hops += 1
+        self.folded_stages.increment()
+        self._log_chain_update(frame, packet)
 
     def _express_server_ack(self, frame: Frame, packet: PMNetPacket) -> None:
         """Barrier of an extended server-ACK chain: the
@@ -289,8 +315,9 @@ class PMNetDevice(Node):
     # and-forward: each member persists its copy before handing the
     # write to the next member; only the tail ACKs the client (the
     # paper's Sec IV-B1 "ACK from another PMNet", generalized across
-    # switches).  Chain packets ride the generic per-stage path in all
-    # fold modes, so fold/backend identity holds by construction.
+    # switches).  A chain member's ingress -> PM-access walk folds like
+    # an update's: one deferred event at stage level, an arrival
+    # extension ending in `_express_chain_ingest` at whole level.
     # ------------------------------------------------------------------
     def _handle_chain_update(self, frame: Frame, packet: PMNetPacket) -> None:
         self.sim.schedule(self.config.pipeline.pm_stage_ns,
@@ -308,8 +335,9 @@ class PMNetDevice(Node):
             # downstream may still be missing its copy).  A durable
             # entry continues the walk immediately; a still-volatile
             # one advances through its original persist continuation.
-            self.tracer.emit(self.sim.now, self.name, "chain_duplicate",
-                             req=packet.request_id, seq=packet.seq_num)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "chain_duplicate",
+                                 req=packet.request_id, seq=packet.seq_num)
             if existing.durable:
                 self._advance_chain(packet)
             return
@@ -320,8 +348,9 @@ class PMNetDevice(Node):
             if (self.cache is not None and op is not None
                     and packet.frag_count == 1 and op.is_cacheable_set):
                 self.cache.on_update_logged(op.key, op.value)
-            self.tracer.emit(self.sim.now, self.name, "update_logged",
-                             req=packet.request_id, seq=packet.seq_num)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "update_logged",
+                                 req=packet.request_id, seq=packet.seq_num)
             return
         # Log full / queue saturated: this member cannot hold a copy.
         # Pass the write along with the chain marked broken — the tail
@@ -331,8 +360,9 @@ class PMNetDevice(Node):
         if (self.cache is not None and op is not None and op.is_update
                 and op.key is not None and packet.frag_count == 1):
             self.cache.on_update_bypassed(op.key)
-        self.tracer.emit(self.sim.now, self.name, "update_bypassed",
-                         req=packet.request_id, seq=packet.seq_num)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "update_bypassed",
+                             req=packet.request_id, seq=packet.seq_num)
         self._advance_chain(replace(packet, chain_broken=True))
 
     def _on_chain_persisted(self, entry: LogEntry) -> None:
@@ -354,9 +384,10 @@ class PMNetDevice(Node):
         cost = (self.config.pipeline.egress_ns
                 + round(packet.wire_bytes * self.config.pipeline.per_byte_ns))
         if index + 1 < len(chain):
-            self.tracer.emit(self.sim.now, self.name, "chain_forward",
-                             req=packet.request_id, seq=packet.seq_num,
-                             to=chain[index + 1])
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "chain_forward",
+                                 req=packet.request_id, seq=packet.seq_num,
+                                 to=chain[index + 1])
             self._delayed_transmit(cost, packet, chain[index + 1])
             return
         # Tail: every member upstream holds a durable copy unless one
@@ -369,8 +400,9 @@ class PMNetDevice(Node):
                 self._spans.record(packet.request_id, spans.PMNET_ACK,
                                    self.sim.now)
             self.acks_sent.increment()
-            self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
-                             req=packet.request_id, seq=packet.seq_num)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
+                                 req=packet.request_id, seq=packet.seq_num)
             self._delayed_transmit(self.config.pipeline.ack_generation_ns,
                                    ack, packet.client)
         self._delayed_transmit(cost, packet, packet.server)
@@ -386,9 +418,10 @@ class PMNetDevice(Node):
         index = packet.chain.index(self.name)
         if index == 0:
             return
-        self.tracer.emit(self.sim.now, self.name, "chain_invalidate",
-                         req=packet.request_id, seq=packet.seq_num,
-                         to=packet.chain[index - 1])
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "chain_invalidate",
+                             req=packet.request_id, seq=packet.seq_num,
+                             to=packet.chain[index - 1])
         self._delayed_transmit(self.config.pipeline.egress_ns,
                                packet, packet.chain[index - 1])
 

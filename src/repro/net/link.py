@@ -186,6 +186,13 @@ class Channel:
         #: :meth:`revoke_unstarted`), so reservations can never overtake
         #: a frame that reached the channel earlier.
         self._reservations: Deque[_Reservation] = deque()
+        #: Latest start of a send this channel knows will arrive
+        #: *unfolded*: one :meth:`send_in` declined (its caller sends at
+        #: that instant) or a reservation :meth:`revoke_unstarted`
+        #: turned back into its fire-time callback.  That send would
+        #: revoke any reservation not started by then, so none is taken
+        #: until the instant has passed.
+        self._unfolded_send_at = -1
         #: Construction-time half of the fold gate; impairments are
         #: re-checked per send because experiments swap them mid-run
         #: (e.g. a timed loss window).  ``propagation_ns > 0`` keeps the
@@ -388,14 +395,31 @@ class Channel:
         ``on_revoke``.  Without one, the revoked slot falls back to a
         bare re-:meth:`send` — correct only for senders that can never
         fail mid-run (bare channels in tests).
+
+        Two more refusals keep admission exact and waste-free:
+
+        * a start at exactly the serialize end of a reservation that
+          has not started yet.  Unfolded, this send's callback (seq
+          allocated now) runs before that frame's ``_serialized`` (seq
+          allocated at its later start), finds the transmitter busy and
+          queues; folded, it would draw its serialize-end seq at its
+          own slot instead of inside ``_serialized``;
+        * any reservation while a known unfolded send has not yet run
+          (see :attr:`_unfolded_send_at`): that send would revoke it.
+          Declining is exact either way — the caller's unfolded
+          callback takes the slot a revocation would have given it.
         """
-        start = self.sim._now + pre_delay_ns
+        now = self.sim._now
+        start = now + pre_delay_ns
         if (not self._fold or self._transmitting or self._queue
                 or start < self._busy_until
+                or now <= self._unfolded_send_at
                 or self.impairments.any_enabled()):
-            return False
+            return self._decline(start)
         if self._reservations:
             self._pop_started()
+            if self._reservations and start == self._busy_until:
+                return self._decline(start)
         wire_bytes, serialize = (self._wire_costs.get(frame.payload_bytes)
                                  or self._costs(frame))
         self.bytes_sent.value += wire_bytes
@@ -418,6 +442,12 @@ class Channel:
         self._reservations.append(reservation)
         self._busy_until = start + serialize
         return True
+
+    def _decline(self, start: int) -> bool:
+        """Refuse a reservation: its caller sends unfolded at ``start``."""
+        if start > self._unfolded_send_at:
+            self._unfolded_send_at = start
+        return False
 
     def _deliver_ext(self, callback, args) -> None:
         """Barrier slot of an extension-carrying chain: count the wire
@@ -482,6 +512,8 @@ class Channel:
             call.callback = (self._revoked_send if entry.on_revoke is None
                              else entry.on_revoke)
             call.args = (entry.frame,)
+            if entry.start > self._unfolded_send_at:
+                self._unfolded_send_at = entry.start
 
     def strip_extension(self, call, frame: Frame) -> None:
         """Convert an extended in-flight record back to the stage-folded

@@ -16,10 +16,14 @@ queue decision, or an RNG draw.  This file holds that claim to account:
 * impaired channels must never fold, deterministically;
 * mid-run crashes — a switch failing inside its forwarding window, a
   PMNet device power-cut at swept instants across the request's
-  pipeline windows (the Fig 12 scenarios), a client host dying with a
+  pipeline windows (the Fig 12 scenarios), a chain member power-cut
+  inside its ingress and PM-stage windows, a client host dying with a
   folded send in flight — must leave every observable identical,
   because folded sends committed before a crash are revoked back to
-  their unfolded fire-time checks; and
+  their unfolded fire-time checks;
+* a loaded cross-rack chain fabric must produce the same sample digest
+  and trace at every fold level (same-nanosecond reservation
+  admission); and
 * a full experiment (including the impaired fig07 loss scenarios) must
   format byte-identically in both modes.
 """
@@ -33,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NetworkProfile, SystemConfig
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build, build_pmnet_switch
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.driver import run_closed_loop
 from repro.failure.injector import FailureInjector
@@ -48,6 +52,7 @@ from repro.sim.clock import microseconds
 from repro.sim.trace import Tracer
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
+from repro.workloads.loadgen import LoadGenConfig, run_loadgen
 from repro.workloads.pmdk.hashmap import PMHashmap
 from repro.workloads.ycsb import YCSBConfig, make_op_maker
 
@@ -300,6 +305,81 @@ def _device_crash_run(crash_offset_ns, no_fold):
             sim.now)
 
 
+#: 2 racks x 2 devices, chain of 3: every chain crosses the spine and
+#: has a head, a middle and a tail.
+CHAIN_FABRIC = DeploymentSpec(racks=2, devices_per_rack=2,
+                              servers_per_rack=1, chain_length=3,
+                              clients_per_rack=1, placement="switch")
+
+
+def _chain_crash_run(level, member, crash_offset_ns):
+    """Chain updates with one member power-cut mid-pipeline.
+
+    The crash lands ``crash_offset_ns`` after the instant the member
+    receives the first CHAIN_UPDATE of the run (found by an unfolded
+    probe run), so offsets sweep its ingress and PM-stage windows.
+    Returns every observable a fold could plausibly disturb.
+    """
+    from repro.protocol.packet import reset_request_ids
+    from repro.protocol.types import PacketType
+
+    def run(level, crash_at):
+        reset_request_ids()
+        with _fold_level(level):
+            config = SystemConfig(seed=3)
+            handlers = []
+
+            def handler_factory():
+                handlers.append(StructureHandler(PMHashmap()))
+                return handlers[-1]
+
+            deployment = build(CHAIN_FABRIC, config,
+                               handler_factory=handler_factory)
+        sim = deployment.sim
+        name = deployment.chains[deployment.server.host.name][member]
+        victim = next(device for device in deployment.devices
+                      if device.name == name)
+        arrivals = []
+        if crash_at is None:
+            handle_frame = victim.handle_frame
+
+            def probe(frame, in_port):
+                if (getattr(frame.payload, "packet_type", None)
+                        is PacketType.CHAIN_UPDATE):
+                    arrivals.append(sim.now)
+                handle_frame(frame, in_port)
+
+            victim.handle_frame = probe
+        else:
+            injector = FailureInjector(sim)
+            record = injector.crash_device_at(victim, crash_at)
+            injector.recover_device_at(
+                victim, crash_at + microseconds(400), record)
+        timeline = []
+
+        def client_proc(index, client):
+            for i in range(4):
+                completion = yield client.send_update(
+                    Operation(OpKind.SET, key=(index, i), value=i))
+                timeline.append((sim.now, index, i, completion.result.ok,
+                                 completion.via))
+                yield config.client.think_time_ns
+
+        deployment.open_all_sessions()
+        processes = [sim.spawn(client_proc(i, client), f"c{i}")
+                     for i, client in enumerate(deployment.clients)]
+        sim.run()
+        assert all(not process.alive for process in processes)
+        state = sorted((key, value) for handler in handlers
+                       for key, value in handler.structure.items())
+        return arrivals, (tuple(timeline), tuple(state),
+                          int(victim.acks_sent), sim.now)
+
+    arrivals, _ = run("none", None)
+    assert arrivals, f"chain member {member} never saw a CHAIN_UPDATE"
+    return run(level, arrivals[0] + crash_offset_ns)[1]
+
+
 class TestCrashIdentity:
     """Fold on == fold off even when nodes die with folds in flight."""
 
@@ -332,6 +412,20 @@ class TestCrashIdentity:
         folded = _device_crash_run(crash_offset_ns, no_fold=False)
         unfolded = _device_crash_run(crash_offset_ns, no_fold=True)
         assert folded == unfolded
+
+    @pytest.mark.parametrize("member", [0, 1])
+    @pytest.mark.parametrize("crash_offset_ns", [
+        0,       # the wire-arrival instant
+        100,     # inside ingress
+        250,     # exactly at the ingress -> PM-stage boundary
+        330,     # inside the PM stage
+        400,     # exactly at the log instant
+    ])
+    def test_chain_member_crash_timing_sweep(self, member, crash_offset_ns):
+        runs = {level: _chain_crash_run(level, member, crash_offset_ns)
+                for level in FOLD_LEVELS}
+        assert runs["stage"] == runs["none"]
+        assert runs["whole"] == runs["none"]
 
     def test_client_crash_scenario_identical(self):
         with _fold_mode(no_fold=False):
@@ -437,6 +531,44 @@ class TestWholeRequestFoldProperty:
                 for level in FOLD_LEVELS}
         assert runs["stage"] == runs["none"]
         assert runs["whole"] == runs["none"]
+
+
+class TestFabricChainLoadIdentity:
+    """A loaded chain fabric (the benchmark's fabric-chain shape) gives
+    one sample digest and one trace at every fold level.
+
+    Seeds 2 and 5 once diverged: a reservation whose start equalled an
+    unstarted reservation's serialize end was admitted, so its
+    serialize-end seq was drawn at its own slot instead of inside the
+    earlier frame's ``_serialized``, and same-nanosecond ties further
+    downstream broke differently.
+    """
+
+    SPEC = DeploymentSpec(racks=2, spines=1, devices_per_rack=2,
+                          servers_per_rack=2, chain_length=3,
+                          clients_per_rack=2, placement="switch")
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_fold_levels_give_one_digest(self, seed):
+        from repro.protocol.packet import reset_request_ids
+
+        runs = {}
+        for level in FOLD_LEVELS:
+            reset_request_ids()
+            tracer = Tracer(enabled=True)
+            with _fold_level(level):
+                deployment = build(self.SPEC, SystemConfig(seed=seed),
+                                   tracer=tracer)
+            result = run_loadgen(deployment, LoadGenConfig(
+                mode="closed", users=12_000, window=16,
+                total_requests=600))
+            runs[level] = (result.digest(),
+                           [str(record) for record in tracer.records])
+        assert runs["stage"] == runs["none"]
+        assert runs["whole"] == runs["none"]
+        assert {"update_logged", "chain_forward", "pmnet_ack",
+                "chain_invalidate"} <= {record.event
+                                        for record in tracer.records}
 
 
 class TestExperimentIdentity:

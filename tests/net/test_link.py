@@ -381,6 +381,116 @@ class TestReservations:
         assert folded == unfolded
 
 
+class TestExactAdmission:
+    """Reservations ``send_in`` must refuse to stay exact and waste-free.
+
+    Every scenario's caller follows the ``send_in`` contract: on refusal
+    it schedules a plain send at the reservation's start.  With folding
+    off every ``send_in`` refuses, so the same code yields the reference
+    timeline.
+    """
+
+    @staticmethod
+    def _reserve_or_send(sim, channel, lead, frame):
+        if not channel.send_in(lead, frame):
+            sim.schedule(lead, channel.send, frame)
+
+    @staticmethod
+    def _two_into_one(sim):
+        """Sources ``a`` and ``c`` each wired to sink ``b``."""
+        profile = _fast_profile()
+        a, b, c = _Sink(sim, "a"), _Sink(sim, "b"), _Sink(sim, "c")
+        Link(sim, profile, a.add_port(), b.add_port())
+        Link(sim, profile, c.add_port(), b.add_port())
+        return a.ports[0].channel, c.ports[0].channel, b
+
+    def test_start_at_unstarted_serialize_end_is_refused(self,
+                                                         monkeypatch):
+        # X is reserved for [500, 1500).  R asks for a start at exactly
+        # 1500 while X has not started: unfolded, R's send (seq taken at
+        # t=0) runs before X's `_serialized` (seq taken at 500), queues,
+        # and takes its serialize-end seq inside `_serialized`.  C, sent
+        # at 1500 on a second channel, lands on the sink in the same
+        # nanosecond as R, so the two seqs decide the arrival order.
+        def scenario(sim):
+            ab, cb, b = self._two_into_one(sim)
+            refused = []
+            for payload, lead in (("X", 500), ("R", 1_500)):
+                frame = Frame("a", "b", payload, 1250)
+                if not ab.send_in(lead, frame):
+                    refused.append(payload)
+                    sim.schedule(lead, ab.send, frame)
+            sim.schedule(1_500, cb.send, Frame("c", "b", "C", 1250))
+            sim.run()
+            return refused, [(t, f.payload) for t, f in b.arrivals]
+
+        refused, folded = scenario(Simulator())
+        assert refused == ["R"]
+        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        _refused, unfolded = scenario(Simulator())
+        assert folded == unfolded
+        assert folded == [(1600, "X"), (2600, "C"), (2600, "R")]
+
+    def test_no_reservation_before_a_declined_start(self, monkeypatch):
+        # Y is declined (its start, 200, falls inside X's busy window),
+        # so its plain send at 200 will revoke anything not started by
+        # then: Z, asked for at t=100, is refused instead of reserved
+        # and revoked.
+        def scenario(sim):
+            a, b, _link = _pair(sim, _fast_profile())
+            channel = a.ports[0].channel
+            self._reserve_or_send(sim, channel, 500,
+                                  Frame("a", "b", "X", 1250))
+            assert channel.send_in(200, Frame("a", "b", "Y", 1250)) is False
+            sim.schedule(200, channel.send, Frame("a", "b", "Y", 1250))
+            z_reserved = []
+
+            def attempt_z():
+                frame = Frame("a", "b", "Z", 1250)
+                z_reserved.append(channel.send_in(3_000, frame))
+                if not z_reserved[-1]:
+                    sim.schedule(3_000, channel.send, frame)
+
+            sim.schedule(100, attempt_z)
+            sim.run()
+            return z_reserved, [(t, f.payload) for t, f in b.arrivals]
+
+        z_reserved, folded = scenario(Simulator())
+        assert z_reserved == [False]
+        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        _z, unfolded = scenario(Simulator())
+        assert folded == unfolded
+        assert folded == [(1300, "Y"), (2300, "X"), (4200, "Z")]
+
+    def test_no_reservation_before_a_revoked_start(self, monkeypatch):
+        # A plain send at t=100 revokes X (start 500); X's unfolded send
+        # at 500 would revoke Z too, so Z, asked for at t=300, is refused.
+        def scenario(sim):
+            a, b, _link = _pair(sim, _fast_profile())
+            channel = a.ports[0].channel
+            self._reserve_or_send(sim, channel, 500,
+                                  Frame("a", "b", "X", 1250))
+            sim.schedule(100, channel.send, Frame("a", "b", "P", 1250))
+            z_reserved = []
+
+            def attempt_z():
+                frame = Frame("a", "b", "Z", 1250)
+                z_reserved.append(channel.send_in(2_000, frame))
+                if not z_reserved[-1]:
+                    sim.schedule(2_000, channel.send, frame)
+
+            sim.schedule(300, attempt_z)
+            sim.run()
+            return z_reserved, [(t, f.payload) for t, f in b.arrivals]
+
+        z_reserved, folded = scenario(Simulator())
+        assert z_reserved == [False]
+        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        _z, unfolded = scenario(Simulator())
+        assert folded == unfolded
+        assert folded == [(1200, "P"), (2200, "X"), (3400, "Z")]
+
+
 class TestRevocationLiveness:
     def test_revoked_reservation_routes_through_on_revoke(self):
         # The revoked heap slot must run the owner's fire-time callback,
