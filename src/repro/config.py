@@ -171,6 +171,12 @@ class StackProfile:
         if not 0.0 <= self.hiccup_probability <= 1.0:
             raise ConfigurationError(
                 f"hiccup probability out of range in {self.name}")
+        for name in ("copy_ns_per_byte", "hiccup_ns", "jitter_sigma"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(
+                    f"stack {name} must be non-negative in {self.name}, "
+                    f"got {value}")
 
 
 #: Kernel UDP/TCP stack on a client machine (Haswell, Table II).

@@ -65,6 +65,7 @@ class _ExpressClaim:
     def release(self) -> None:
         """Channel-side revocation: the record is being rewritten anyway,
         so only the host-side state (claim slot, jitter draw) rewinds."""
+        self.call = self.channel = None
         host = self.host
         if host._claim is self:
             host._claim = None
@@ -164,6 +165,10 @@ class HostNode(Node):
         """Barrier of an express arrival: the unfolded ``_deliver``
         semantics (liveness check, counters, endpoint dispatch) at the
         same virtual instant and heap slot."""
+        # The record's args hold the claim and the claim holds the
+        # record: break the cycle so both die with this callback
+        # instead of waiting for the cyclic collector.
+        claim.call = claim.channel = None
         if self._claim is claim:
             self._claim = None
         if self.failed or claim.epoch != self.epoch:

@@ -9,7 +9,7 @@ the paper's Fig 20 CDFs measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.config import TCP_EXTRA_PER_SIDE_NS, StackProfile
 from repro.sim.rand import LatencyJitter
@@ -36,21 +36,36 @@ class HostStack:
         self._jitter = LatencyJitter(sim.random.stream(f"stack:{name}"),
                                      profile.jitter_sigma)
         self._hiccup_rng = sim.random.stream(f"hiccup:{name}")
+        #: payload size -> base send / receive cost.  Each is a pure
+        #: function of the frozen profile and the transport, so it is
+        #: computed once per size rather than once per packet.
+        self._send_bases: Dict[int, int] = {}
+        self._recv_bases: Dict[int, int] = {}
 
     def _tcp_extra(self) -> int:
         return TCP_EXTRA_PER_SIDE_NS if self.transport == TCP else 0
 
+    def _send_base(self, payload_bytes: int) -> int:
+        base = self._send_bases.get(payload_bytes)
+        if base is None:
+            base = self._send_bases[payload_bytes] = (
+                self.profile.send_ns
+                + round(payload_bytes * self.profile.copy_ns_per_byte)
+                + self._tcp_extra())
+        return base
+
     def send_cost(self, payload_bytes: int) -> int:
         """Cost of pushing one packet down the stack onto the NIC."""
-        base = (self.profile.send_ns
-                + round(payload_bytes * self.profile.copy_ns_per_byte)
-                + self._tcp_extra())
-        return self._jitter.sample(base)
+        return self._jitter.sample(self._send_base(payload_bytes))
 
     def _recv_base(self, payload_bytes: int) -> int:
-        return (self.profile.recv_ns
+        base = self._recv_bases.get(payload_bytes)
+        if base is None:
+            base = self._recv_bases[payload_bytes] = (
+                self.profile.recv_ns
                 + round(payload_bytes * self.profile.copy_ns_per_byte)
                 + self._tcp_extra())
+        return base
 
     def recv_cost(self, payload_bytes: int) -> int:
         """Cost of raising one packet from the NIC into the stack."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from math import exp as _exp, log as _log
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -37,6 +38,11 @@ class RandomStreams:
         return name in self._streams
 
 
+#: ``random.NV_MAGICCONST``, the Kinderman-Monahan constant
+#: ``normalvariate`` uses.
+_NV_MAGICCONST = random.NV_MAGICCONST
+
+
 class LatencyJitter:
     """Lognormal jitter around a base latency.
 
@@ -53,6 +59,9 @@ class LatencyJitter:
         if sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {sigma}")
         self._rng = rng
+        #: Bound once: the draw below calls it in a loop, exactly as
+        #: ``normalvariate`` calls ``self.random``.
+        self._random = rng.random
         self.sigma = sigma
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); pick mu so the
         # mean multiplier is exactly 1.0.
@@ -61,9 +70,30 @@ class LatencyJitter:
         #: instead of advancing the stream.
         self._unread: Optional[float] = None
 
+    # Both draw sites below inline ``rng.lognormvariate(mu, sigma)``:
+    # the stdlib's Kinderman-Monahan loop from ``normalvariate`` with
+    # the same floating-point operations in the same order, so every
+    # factor and every stream position equal the library call's
+    # (pinned draw for draw by tests/sim/test_rand.py).  Inlining saves
+    # the two nested method calls per draw that dominated this class.
+
     def sample(self, base_ns: int) -> int:
         """One jittered sample around ``base_ns`` (mean-preserving)."""
-        return self.sample_revocable(base_ns)[0]
+        if base_ns <= 0 or self.sigma == 0.0:
+            return max(base_ns, 0)
+        factor = self._unread
+        if factor is None:
+            random = self._random
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            factor = _exp(self._mu + z * self.sigma)
+        else:
+            self._unread = None
+        return max(base_ns // 2, round(base_ns * factor))
 
     def sample_revocable(self, base_ns: int) -> Tuple[int, Optional[float]]:
         """:meth:`sample`, plus the token :meth:`unread` needs to take the
@@ -72,7 +102,14 @@ class LatencyJitter:
             return max(base_ns, 0), None
         factor = self._unread
         if factor is None:
-            factor = self._rng.lognormvariate(self._mu, self.sigma)
+            random = self._random
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            factor = _exp(self._mu + z * self.sigma)
         else:
             self._unread = None
         return max(base_ns // 2, round(base_ns * factor)), factor
@@ -81,11 +118,11 @@ class LatencyJitter:
         """Take back the most recent draw in O(1).
 
         Every draw is ``lognormvariate(mu, sigma)`` with this jitter's
-        fixed parameters, and ``normalvariate`` keeps no state between
-        calls, so the factor alone is what the draw consumed: handing it
-        to the next draw yields exactly the value (and leaves exactly the
-        stream position) that rewinding the generator to its pre-draw
-        state would.  This holds only while the jitter is its
+        fixed parameters, and its Kinderman-Monahan loop keeps no state
+        between calls, so the factor alone is what the draw consumed:
+        handing it to the next draw yields exactly the value (and leaves
+        exactly the stream position) that rewinding the generator to its
+        pre-draw state would.  This holds only while the jitter is its
         generator's sole consumer (a host stack owns its stream).  Only
         the most recent draw may be taken back, so at most one factor is
         ever held.
@@ -98,19 +135,22 @@ class LatencyJitter:
         self._unread = factor
 
 
-def zipfian_ranks(rng: random.Random, population: int, theta: float,
-                  count: int) -> list[int]:
-    """Draw ``count`` ranks in ``[0, population)`` from a Zipf distribution.
+def zipfian_sampler(population: int,
+                    theta: float) -> Callable[[random.Random], int]:
+    """A Zipf rank sampler over ``[0, population)``: ``rng -> rank``.
 
     Uses the standard YCSB rejection-free inverse-CDF construction with
-    exponent ``theta`` (0 = uniform, 0.99 = YCSB default skew).
+    exponent ``theta`` (0 = uniform, 0.99 = YCSB default skew).  The
+    constants (``zetan``, ``eta``, ``alpha``) are computed here, once;
+    each draw takes one ``rng.random()`` (``rng.randrange`` when
+    uniform).
     """
     if population <= 0:
         raise ValueError(f"population must be positive, got {population}")
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"theta must be in [0, 1), got {theta}")
     if theta == 0.0:
-        return [rng.randrange(population) for _ in range(count)]
+        return lambda rng: rng.randrange(population)
     zetan = _zeta(population, theta)
     zeta2 = _zeta(2, theta)
     alpha = 1.0 / (1.0 - theta)
@@ -122,23 +162,31 @@ def zipfian_ranks(rng: random.Random, population: int, theta: float,
         eta = 0.0
     else:
         eta = (1.0 - (2.0 / population) ** (1.0 - theta)) / denominator
-    ranks = []
-    for _ in range(count):
+    second = 1.0 + 0.5 ** theta
+    last = population - 1
+
+    def draw(rng: random.Random) -> int:
         u = rng.random()
         uz = u * zetan
         if uz < 1.0:
-            ranks.append(0)
-        elif uz < 1.0 + 0.5 ** theta:
-            ranks.append(1)
-        else:
-            ranks.append(min(population - 1,
-                             int(population * (eta * u - eta + 1.0) ** alpha)))
-    return ranks
+            return 0
+        if uz < second:
+            return 1
+        return min(last, int(population * (eta * u - eta + 1.0) ** alpha))
+
+    return draw
 
 
-#: Memoized Zipf normalizers.  ``_zeta`` is O(n) and the YCSB generator
-#: needs the same ``(population, theta)`` constant for *every* operation,
-#: so recomputing it per draw used to dominate whole experiment runs.
+def zipfian_ranks(rng: random.Random, population: int, theta: float,
+                  count: int) -> list[int]:
+    """Draw ``count`` ranks from :func:`zipfian_sampler`."""
+    draw = zipfian_sampler(population, theta)
+    return [draw(rng) for _ in range(count)]
+
+
+#: Memoized Zipf normalizers.  ``_zeta`` is O(n), and every generator
+#: and every :func:`zipfian_ranks` call over the same
+#: ``(population, theta)`` needs the same constant.
 _ZETA_CACHE: Dict[tuple[int, float], float] = {}
 
 

@@ -38,7 +38,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError, ExperimentError
 from repro.sim.monitor import Counter, LatencyRecorder, ThroughputMeter
 from repro.sim.rand import exponential_delay
-from repro.workloads.ycsb import YCSBConfig, YCSBGenerator
+from repro.workloads.ycsb import YCSBConfig, YCSBGenerator, check_zipf_theta
 
 #: The two arrival processes.
 MODES = ("closed", "open")
@@ -89,6 +89,18 @@ class LoadGenConfig:
             raise ConfigurationError("think time must be non-negative")
         if self.population <= 0:
             raise ConfigurationError("population must be positive")
+        if not 0.0 <= self.update_ratio <= 1.0:
+            raise ConfigurationError(
+                f"update_ratio must be in [0, 1], got {self.update_ratio}")
+        if self.payload_bytes < 0:
+            raise ConfigurationError(
+                f"payload_bytes must be non-negative, "
+                f"got {self.payload_bytes}")
+        if self.warmup_requests < 0:
+            raise ConfigurationError(
+                f"warmup_requests must be non-negative, "
+                f"got {self.warmup_requests}")
+        check_zipf_theta(self.zipf_theta)
 
     def to_params(self) -> Dict[str, object]:
         """A JSON-safe dict for :class:`~repro.experiments.jobs.JobSpec`."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.rand import zipfian_ranks
+from repro.sim.rand import zipfian_sampler
 from repro.workloads.kv import OpKind, Operation
 
 
@@ -31,6 +31,15 @@ class YCSBConfig:
                 f"update ratio must be in [0, 1], got {self.update_ratio}")
         if self.population <= 0:
             raise ConfigurationError("population must be positive")
+        check_zipf_theta(self.zipf_theta)
+
+
+def check_zipf_theta(theta: float) -> None:
+    """Reject a Zipf skew outside ``[0, 1)`` (0 = uniform), naming the
+    ``zipf_theta`` field."""
+    if not 0.0 <= theta < 1.0:
+        raise ConfigurationError(
+            f"zipf_theta must be in [0, 1), got {theta}")
 
 
 class YCSBGenerator:
@@ -38,6 +47,8 @@ class YCSBGenerator:
 
     def __init__(self, config: YCSBConfig) -> None:
         self.config = config
+        self._pick_key = zipfian_sampler(config.population,
+                                         config.zipf_theta)
 
     def make_op(self, client_index: int, request_index: int,
                 rng) -> Tuple[Operation, int]:
@@ -49,12 +60,6 @@ class YCSBGenerator:
         else:
             op = Operation(OpKind.GET, key=key)
         return op, self.config.payload_bytes
-
-    def _pick_key(self, rng) -> int:
-        if self.config.zipf_theta <= 0.0:
-            return rng.randrange(self.config.population)
-        return zipfian_ranks(rng, self.config.population,
-                             self.config.zipf_theta, 1)[0]
 
 
 def make_op_maker(config: YCSBConfig):

@@ -1,5 +1,9 @@
 """Unit tests for PMNetPacket and its derived packets."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.protocol.header import HEADER_BYTES, make_request_header
@@ -102,6 +106,110 @@ class TestDerivedPackets:
         resent = packet.as_resent()
         assert resent.resent and not packet.resent
         assert resent.header == packet.header
+
+
+#: The packet fields stored from the header and payload size.
+_STORED = ("packet_type", "session_id", "seq_num", "hash_val", "wire_bytes")
+
+
+def _assert_stored_fields_match(packet):
+    header = packet.header
+    assert packet.packet_type is header.packet_type
+    assert packet.session_id == header.session_id
+    assert packet.seq_num == header.seq_num
+    assert packet.hash_val == header.hash_val
+    assert packet.wire_bytes == HEADER_BYTES + packet.payload_bytes
+
+
+class TestStoredHeaderFields:
+    """Header fields are stored once, at construction, on every path
+    that builds a packet."""
+
+    def test_construction(self):
+        _assert_stored_fields_match(_packet())
+        _assert_stored_fields_match(_packet(payload_bytes=0))
+
+    @pytest.mark.parametrize("ack_type", [PacketType.PMNET_ACK,
+                                          PacketType.SERVER_ACK])
+    def test_make_ack(self, ack_type):
+        _assert_stored_fields_match(_packet().make_ack(ack_type, "d"))
+
+    @pytest.mark.parametrize("from_cache", [False, True])
+    def test_make_response(self, from_cache):
+        _assert_stored_fields_match(
+            _packet().make_response("v", 64, from_cache=from_cache))
+
+    @pytest.mark.parametrize("ptype", [PacketType.UPDATE_REQ,
+                                       PacketType.CHAIN_UPDATE])
+    def test_as_resent(self, ptype):
+        packet = _packet(header=make_request_header(ptype, 2, 3),
+                         chain=("a", "b"), chain_broken=True)
+        resent = packet.as_resent()
+        assert resent.packet_type is PacketType.UPDATE_REQ
+        _assert_stored_fields_match(resent)
+
+    def test_replace_chain_broken(self):
+        packet = _packet(header=make_request_header(
+            PacketType.CHAIN_UPDATE, 2, 3), chain=("a", "b"))
+        broken = dataclasses.replace(packet, chain_broken=True)
+        assert broken.chain_broken
+        _assert_stored_fields_match(broken)
+
+    def test_stored_fields_cannot_be_replaced(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(_packet(), seq_num=1)
+
+    def test_equality_and_repr_ignore_stored_fields(self):
+        by_name = {f.name: f for f in dataclasses.fields(PMNetPacket)}
+        for name in _STORED:
+            assert not by_name[name].compare and not by_name[name].repr
+        packet = _packet()
+        twin = dataclasses.replace(packet)
+        assert twin == packet and repr(twin) == repr(packet)
+        assert repr(packet) == (f"<PMNetPacket UPDATE_REQ "
+                                f"req={packet.request_id} sess=4 seq=9 "
+                                f"frag=0/1>")
+
+    def test_nothing_assigns_header_after_construction(self):
+        """The stored fields are only right while ``header`` and
+        ``payload_bytes`` keep their constructed values: no source line
+        may assign either, or a stored field, on an existing object."""
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        watched = {"header", "payload_bytes", *_STORED}
+
+        def assigned(target):
+            if isinstance(target, (ast.Tuple, ast.List)):
+                for element in target.elts:
+                    yield from assigned(element)
+            elif isinstance(target, ast.Starred):
+                yield from assigned(target.value)
+            else:
+                yield target
+
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "setattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)
+                      and node.args[1].value in watched):
+                    offenders.append(f"{path}:{node.lineno}")
+                    continue
+                else:
+                    continue
+                for target in targets:
+                    for leaf in assigned(target):
+                        if (isinstance(leaf, ast.Attribute)
+                                and leaf.attr in watched
+                                and not (isinstance(leaf.value, ast.Name)
+                                         and leaf.value.id == "self")):
+                            offenders.append(f"{path}:{node.lineno}")
+        assert offenders == []
 
 
 class TestTypeSets:

@@ -12,6 +12,7 @@ from repro.sim.rand import (
     choose_weighted,
     exponential_delay,
     zipfian_ranks,
+    zipfian_sampler,
 )
 
 
@@ -102,6 +103,53 @@ class TestJitterUnread:
             jitter.unread(first)
 
 
+class TestInlinedDrawExactness:
+    """The inlined draw is ``random.lognormvariate``, bit for bit.
+
+    Each jitter factor must equal the library call on a twin generator
+    and leave the stream where the library call leaves it, including
+    across revocable draws that are taken back.
+    """
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.10, 0.14, 1.5])
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 + 5])
+    def test_draws_equal_stdlib_lognormvariate(self, sigma, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        jitter = LatencyJitter(rng, sigma)
+        mu = -sigma * sigma / 2.0
+        program = random.Random(seed + 1)
+        draws = 0
+
+        def expected(base):
+            factor = twin.lognormvariate(mu, sigma)
+            return max(base // 2, round(base * factor)), factor
+
+        while draws < 850:  # 12 cases: over 10,000 checked draws in all
+            # 2**53 * factor is exact, so that base shows every bit of
+            # the factor ``sample`` drew.
+            base = program.choice((-3, 0, 1, 99, 9_600, 13_000, 1 << 53,
+                                   program.randrange(1, 200_000)))
+            kind = program.randrange(3)
+            if base <= 0:
+                assert jitter.sample(base) == max(base, 0)
+                assert jitter.sample_revocable(base) == (max(base, 0), None)
+                continue
+            draws += 1
+            if kind == 0:
+                assert jitter.sample(base) == expected(base)[0]
+            elif kind == 1:
+                assert jitter.sample_revocable(base) == expected(base)
+            else:
+                state = twin.getstate()
+                cost, token = jitter.sample_revocable(base)
+                assert (cost, token) == expected(base)
+                jitter.unread(token)
+                twin.setstate(state)
+        # Consume a factor still held back, then compare positions.
+        assert jitter.sample(5_000) == expected(5_000)[0]
+        assert rng.getstate() == twin.getstate()
+
+
 class TestZipfian:
     def test_ranks_in_range(self):
         rng = random.Random(3)
@@ -134,6 +182,35 @@ class TestZipfian:
         rng = random.Random(1)
         ranks = zipfian_ranks(rng, population, theta, 50)
         assert all(0 <= r < population for r in ranks)
+
+
+class TestZipfianSampler:
+    """The sampler built once equals the per-call construction."""
+
+    @pytest.mark.parametrize("population,theta", [
+        (1, 0.5), (2, 0.9), (3, 0.99), (100, 0.0), (10_000, 0.9),
+        (10_000, 0.99), (777, 0.3)])
+    def test_sampler_equals_ranks_draw_for_draw(self, population, theta):
+        draw = zipfian_sampler(population, theta)
+        rng, twin = random.Random(11), random.Random(11)
+        for _ in range(2_000):
+            assert draw(rng) == zipfian_ranks(twin, population, theta, 1)[0]
+            assert rng.getstate() == twin.getstate()
+
+    def test_one_uniform_draw_per_rank(self):
+        rng, twin = random.Random(4), random.Random(4)
+        zipfian_sampler(10_000, 0.9)(rng)
+        twin.random()
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("theta", [-0.1, 1.0, 1.5, float("nan")])
+    def test_invalid_theta_rejected_when_built(self, theta):
+        with pytest.raises(ValueError):
+            zipfian_sampler(10, theta)
+
+    def test_invalid_population_rejected_when_built(self):
+        with pytest.raises(ValueError):
+            zipfian_sampler(0, 0.5)
 
 
 class TestHelpers:

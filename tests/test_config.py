@@ -37,6 +37,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             bad.validate()
 
+    @pytest.mark.parametrize("field", ["copy_ns_per_byte", "hiccup_ns",
+                                       "jitter_sigma"])
+    def test_negative_stack_field_rejected_by_name(self, field):
+        bad = replace(DEFAULT_CONFIG.client_stack, **{field: -1})
+        with pytest.raises(ConfigurationError, match=field):
+            bad.validate()
+        with pytest.raises(ConfigurationError, match=field):
+            replace(SystemConfig(), server_stack=bad).validate()
+
+    def test_zero_stack_fields_stay_valid(self):
+        # A jitter-free, copy-free, hiccup-free stack is a legitimate
+        # fixture; only negatives are rejected.
+        replace(DEFAULT_CONFIG.client_stack, copy_ns_per_byte=0.0,
+                hiccup_ns=0, jitter_sigma=0.0).validate()
+
     def test_mtu_must_exceed_framing(self):
         with pytest.raises(ConfigurationError):
             NetworkProfile(mtu_bytes=40).validate()

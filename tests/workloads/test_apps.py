@@ -207,3 +207,29 @@ class TestYCSB:
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             YCSBConfig(update_ratio=1.5)
+
+    @pytest.mark.parametrize("theta", [-0.1, 1.0, 1.5, float("nan")])
+    def test_invalid_zipf_theta_rejected_at_construction(self, theta):
+        from repro.errors import ConfigurationError
+        with pytest.raises(ConfigurationError, match="zipf_theta"):
+            YCSBConfig(zipf_theta=theta)
+
+    def test_zero_zipf_theta_stays_uniform(self):
+        generator = YCSBGenerator(YCSBConfig(zipf_theta=0.0,
+                                             population=100))
+        rng, twin = random.Random(5), random.Random(5)
+        for i in range(500):
+            key = generator.make_op(0, i, rng)[0].key
+            assert key == twin.randrange(100)
+            twin.random()  # the update-ratio draw
+
+    def test_generator_keys_follow_the_sampler(self):
+        from repro.sim.rand import zipfian_ranks
+        config = YCSBConfig(zipf_theta=0.9, population=1000,
+                            update_ratio=0.5)
+        generator = YCSBGenerator(config)
+        rng, twin = random.Random(6), random.Random(6)
+        for i in range(500):
+            key = generator.make_op(0, i, rng)[0].key
+            assert key == zipfian_ranks(twin, 1000, 0.9, 1)[0]
+            twin.random()

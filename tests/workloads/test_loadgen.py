@@ -89,6 +89,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             LoadGenConfig(think_time_ns=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("zipf_theta", -0.1), ("zipf_theta", 1.0), ("zipf_theta", 1.5),
+        ("zipf_theta", float("nan")), ("update_ratio", -0.1),
+        ("update_ratio", 1.01), ("payload_bytes", -1),
+        ("warmup_requests", -1)])
+    def test_rejects_out_of_range_field_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            LoadGenConfig(**{field: value})
+        params = {**SMALL_CLOSED.to_params(), field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            LoadGenConfig.from_params(params)
+
+    def test_range_edges_stay_valid(self):
+        LoadGenConfig(zipf_theta=0.0, update_ratio=0.0, payload_bytes=0,
+                      warmup_requests=0)
+        LoadGenConfig(zipf_theta=0.99, update_ratio=1.0)
+
     def test_params_roundtrip(self):
         for config in (SMALL_CLOSED, SMALL_OPEN):
             assert LoadGenConfig.from_params(config.to_params()) == config
