@@ -4,10 +4,10 @@ Runs the Fig 16 stress shape at every fold level and holds the folded
 paths to their contract:
 
 * **floor guard** — the whole-request fold must need at most 70 % of
-  the unfolded run's events per request, and at least 20 % fewer than
-  the stage fold (the margin the whole-request extension was built
-  for).  Event counts are deterministic, so these never trip on
-  machine noise; they trip when someone un-folds a path.
+  the unfolded run's events per request.  Event counts are
+  deterministic, so this never trips on machine noise; it trips when
+  someone un-folds a path.  The exact counts behind it are pinned in
+  tier 1 (``tests/experiments/test_pipeline_bench.py``).
 * **identity** — every per-request latency must match across levels.
 * **loadgen floor** — the flow-level generator leg models >= 10^4
   closed-loop users and the whole fold holds its per-request event
@@ -27,11 +27,6 @@ from repro.experiments.pipeline_bench import (LOADGEN_MIN_USERS,
 #: fold tiers were built to beat.
 MAX_EVENT_RATIO = 0.70
 
-#: Whole-request events/request over stage-folded: the whole-request
-#: extension must remove at least a fifth of the stage fold's events
-#: (measured: ~23 % on the reference container).
-MIN_WHOLE_VS_STAGE_REDUCTION = 0.20
-
 #: Events/request ceiling for the >= 10^4-user loadgen leg (measured:
 #: ~24 on the reference container).
 MAX_LOADGEN_EVENTS_PER_REQUEST = 30.0
@@ -41,15 +36,10 @@ def _assert_contract(result):
     assert result["latencies_identical"], (
         "fold levels produced different request latencies")
     whole = result["fold"]["events_per_request"]
-    stage = result["stage"]["events_per_request"]
     off = result["no_fold"]["events_per_request"]
     assert whole <= MAX_EVENT_RATIO * off, (
         f"whole fold spends {whole:.2f} events/request vs {off:.2f} "
         f"unfolded — ratio {whole / off:.2f} exceeds {MAX_EVENT_RATIO}")
-    assert result["whole_vs_stage_reduction"] >= MIN_WHOLE_VS_STAGE_REDUCTION, (
-        f"whole fold spends {whole:.2f} events/request vs {stage:.2f} "
-        f"stage-folded — only {result['whole_vs_stage_reduction']:.1%} "
-        f"fewer, needs >= {MIN_WHOLE_VS_STAGE_REDUCTION:.0%}")
     loadgen = result["loadgen"]
     assert loadgen["modeled_users"] >= LOADGEN_MIN_USERS
     assert loadgen["completed"] > loadgen["modeled_users"]

@@ -29,34 +29,59 @@ from repro.sim.clock import microseconds, nanoseconds
 
 #: ``PMNET_FOLD`` spellings accepted per fold level.
 _FOLD_LEVELS = {"none": 0, "off": 0, "0": 0,
-                "stage": 1, "1": 1,
                 "whole": 2, "2": 2}
+
+#: Environment knobs that no longer exist, and what replaced each.
+#: Setting one fails loudly instead of being silently ignored.
+_RETIRED_KNOBS = {
+    "PMNET_KERNEL": "the tiered scheduler is the only one",
+    "PMNET_KERNEL_HORIZON": "the calendar horizon is the constant "
+                            "repro.sim.event.DEFAULT_KERNEL_HORIZON_NS",
+    "PMNET_NO_FOLD": "use PMNET_FOLD=none",
+}
+
+#: Retired ``PMNET_FOLD`` spellings: the ``stage`` level is gone.
+_RETIRED_FOLD_LEVELS = ("stage", "1")
+
+
+def reject_retired_knobs() -> None:
+    """Raise :class:`ConfigurationError` if a retired knob is set.
+
+    Called where a knob used to be read (simulator and component
+    construction), so a stale environment fails at the boundary.
+    """
+    for knob, replacement in _RETIRED_KNOBS.items():
+        if knob in os.environ:
+            raise ConfigurationError(
+                f"{knob} was retired ({replacement}); unset it")
 
 
 def fold_level() -> int:
-    """The active folding level (0, 1, or 2).
+    """The active folding level (0 or 2).
 
-    * **0** — every stage is its own scheduled event (``PMNET_NO_FOLD=1``
-      or ``PMNET_FOLD=none``).
-    * **1** — stage folding: unimpaired channels and the PMNet MAT
-      pipeline fold consecutive deterministic delays into single
-      scheduled events (``PMNET_FOLD=stage``).
-    * **2** — whole-request folding (the default): on top of stage
-      folding, uncontended request legs extend across component
-      boundaries — channel arrival chains run straight into the device
-      pipeline or the client's receive stack, elided timeout timers,
-      and inline completion dispatch (``PMNET_FOLD=whole``).
+    * **0** — every stage is its own scheduled event (``PMNET_FOLD=none``):
+      the reference timeline.
+    * **2** — whole-request folding (the default, ``PMNET_FOLD=whole``):
+      unimpaired channels and the PMNet MAT pipeline fold consecutive
+      deterministic delays into single scheduled events, and
+      uncontended request legs extend across component boundaries —
+      channel arrival chains run straight into the device pipeline or
+      the client's receive stack, elided timeout timers, and inline
+      completion dispatch.
 
-    Every level produces byte-identical results (same virtual times,
+    Both levels produce byte-identical results (same virtual times,
     same RNG draws, same tie-breaks); only the executed-event count
     changes.  ``tests/integration/test_fold_identity`` holds that claim
     to account.  Read at component construction time: toggling the
-    variables affects deployments built afterwards, not ones already
+    variable affects deployments built afterwards, not ones already
     wired.
     """
-    if os.environ.get("PMNET_NO_FOLD", "0") not in ("", "0"):
-        return 0
+    reject_retired_knobs()
     name = os.environ.get("PMNET_FOLD", "whole").strip().lower()
+    if name in _RETIRED_FOLD_LEVELS:
+        raise ConfigurationError(
+            f"PMNET_FOLD={name} was retired with the stage fold level; "
+            "use none or whole")
     try:
         return _FOLD_LEVELS[name]
     except KeyError:
@@ -66,76 +91,8 @@ def fold_level() -> int:
 
 
 def folding_enabled() -> bool:
-    """Whether the stage-level latency-folded fast paths are active."""
-    return fold_level() >= 1
-
-
-def whole_request_folding_enabled() -> bool:
-    """Whether the cross-component whole-request folds are active."""
-    return fold_level() >= 2
-
-
-#: ``PMNET_KERNEL`` spellings accepted per scheduler backend.
-_KERNEL_BACKENDS = ("heap", "tiered", "compiled")
-
-
-def kernel_backend() -> str:
-    """The active event-scheduler backend (``heap`` or ``tiered``).
-
-    * ``heap`` — the single binary heap of ``(time, seq, call)`` tuples
-      (the pre-tiered scheduler, kept as the reference implementation).
-    * ``tiered`` (the default) — the tiered scheduler: a FIFO "now lane"
-      for same-instant events, a calendar of per-nanosecond buckets for
-      timers within the near horizon, and the binary heap as the far
-      tier.  Executes byte-identically to ``heap`` (same ``(time, seq)``
-      total order, same ``executed_events``); only wall-clock changes.
-    * ``compiled`` — hook point for a compiled (mypyc/Cython) backend:
-      resolves to ``repro.sim.compiled`` when that module is available
-      and falls back to ``tiered`` with a warning otherwise, so the
-      knob is always safe to set.
-
-    Read at :class:`~repro.sim.kernel.Simulator` construction time:
-    toggling the variable affects simulators built afterwards, not ones
-    already running.  ``tests/sim/test_scheduler_equivalence.py`` and
-    the CI backend-identity job hold the identical-execution claim to
-    account.
-    """
-    name = os.environ.get("PMNET_KERNEL", "tiered").strip().lower()
-    if name not in _KERNEL_BACKENDS:
-        raise ConfigurationError(
-            f"PMNET_KERNEL must be one of {sorted(_KERNEL_BACKENDS)}, "
-            f"got {name!r}")
-    return name
-
-
-#: Near-horizon width of the tiered scheduler's calendar, in ns.  Sized
-#: to the deployment's short deterministic delays — link propagation
-#: (100 ns), MTU serialization at 10 Gbps (~1.2 us), pipeline stages
-#: (150-250 ns), client think time (600 ns) all land inside it — while
-#: retransmission timeouts (1 ms), redo scrubbing (1.5 ms), and chaos
-#: fault windows fall through to the far tier.
-DEFAULT_KERNEL_HORIZON_NS = 4096
-
-
-def kernel_horizon_ns() -> int:
-    """Calendar width of the tiered backend (``PMNET_KERNEL_HORIZON``).
-
-    Must be positive; values are rounded up by the queue to keep bucket
-    arithmetic exact.  Purely a performance knob: any horizon executes
-    the same event order.
-    """
-    raw = os.environ.get("PMNET_KERNEL_HORIZON", "").strip()
-    if not raw:
-        return DEFAULT_KERNEL_HORIZON_NS
-    try:
-        horizon = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"PMNET_KERNEL_HORIZON must be an integer, got {raw!r}") from None
-    if horizon <= 0:
-        raise ConfigurationError(
-            f"PMNET_KERNEL_HORIZON must be positive, got {horizon}")
-    return horizon
+    """Whether the latency-folded fast paths are active (fold level 2)."""
+    return fold_level() == 2
 
 # ---------------------------------------------------------------------------
 # Host network stacks

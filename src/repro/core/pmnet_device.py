@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.config import folding_enabled, whole_request_folding_enabled
+from repro.config import folding_enabled
 from repro.core.cache import ReadCache
 from repro.core.mat import MATAction, classify, pmnet_packet
 from repro.core.recovery import ResendEngine
@@ -83,7 +83,6 @@ class PMNetDevice(Node):
         self.redo_resends = Counter(f"{name}.redo_resends")
         self.folded_stages = Counter(f"{name}.folded_stages")
         self._fold = folding_enabled()
-        self._whole = whole_request_folding_enabled()
         self._scrub_armed = False
         register_with_sim(sim, self)
 
@@ -185,7 +184,7 @@ class PMNetDevice(Node):
         interior checks; a crash inside the window drops the frame on
         both timelines.
         """
-        if not self._whole:
+        if not self._fold:
             return None
         action = classify(frame)
         if action is MATAction.LOG_AND_FORWARD:

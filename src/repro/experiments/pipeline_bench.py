@@ -1,12 +1,12 @@
 """End-to-end pipeline benchmark: events/request across fold levels.
 
 Runs the Fig 16 stress shape (many closed-loop clients hammering the
-PMNet-switch deployment with 1000 B updates) three times in one process
-— once per fold level (``none``, ``stage``, ``whole``) — with an
+PMNet-switch deployment with 1000 B updates) twice in one process —
+once per fold level (``none``, ``whole``) — with an
 :class:`~repro.sim.profiler.EventProfiler` attached to each run.  The
 result captures the whole point of the folded paths in a few numbers:
 
-* **events/request** at each level (each fold removes scheduled hops),
+* **events/request** at each level (folding removes scheduled hops),
 * **requests/sec of wall clock** at each level (fewer events -> faster),
 * **latencies_identical** — every per-request latency sample must be
   byte-identical across all levels, the folding correctness bar, and
@@ -15,16 +15,17 @@ result captures the whole point of the folded paths in a few numbers:
 
 Two entry points use this module: ``pmnet-repro bench-pipeline``
 (writes ``BENCH_pipeline.json``) and
-``benchmarks/test_pipeline_events.py`` (guards the reduction floors).
+``benchmarks/test_pipeline_events.py`` (guards the reduction floor).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, fold_level
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.sim.profiler import EventProfiler
@@ -35,18 +36,33 @@ BENCH_RESULT_FILE = "BENCH_pipeline.json"
 
 PAYLOAD = 1000
 
-#: The three fold levels, in ascending order of aggressiveness.
-FOLD_MODES = ("none", "stage", "whole")
+#: The two fold levels: the reference timeline and the default.
+FOLD_MODES = ("none", "whole")
 
 #: The loadgen leg must model at least this many users in one run.
 LOADGEN_MIN_USERS = 10_000
 
 
+@contextmanager
+def _fold_env(fold: str) -> Iterator[None]:
+    """Set ``PMNET_FOLD`` — the switch users have, read at deployment
+    construction time — for the duration of the block.  The level it
+    replaces is validated first, so a stale setting fails loudly."""
+    fold_level()
+    previous = os.environ.get("PMNET_FOLD")
+    os.environ["PMNET_FOLD"] = fold
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("PMNET_FOLD", None)
+        else:
+            os.environ["PMNET_FOLD"] = previous
+
+
 def _run_mode(fold: str, clients: int, requests_per_client: int,
               seed: int, spans: bool = False) -> Dict[str, object]:
-    """One measured run at fold level ``fold`` ("none"/"stage"/"whole");
-    the level is toggled via the same ``PMNET_FOLD`` environment switch
-    users have (read at deployment construction time).
+    """One measured run at fold level ``fold`` ("none"/"whole").
 
     ``spans=True`` attaches an :class:`~repro.obs.context.Observability`
     with the span recorder enabled — the overhead-guarantee benchmark
@@ -56,23 +72,12 @@ def _run_mode(fold: str, clients: int, requests_per_client: int,
 
     if fold not in FOLD_MODES:
         raise ValueError(f"fold must be one of {FOLD_MODES}, got {fold!r}")
-    previous = os.environ.get("PMNET_FOLD")
-    previous_no_fold = os.environ.get("PMNET_NO_FOLD")
-    try:
-        os.environ.pop("PMNET_NO_FOLD", None)
-        os.environ["PMNET_FOLD"] = fold
+    with _fold_env(fold):
         config = SystemConfig(seed=seed).with_clients(clients).with_payload(
             PAYLOAD)
         obs = Observability(spans=True) if spans else None
         deployment = build(DeploymentSpec(placement="switch"), config,
                            obs=obs)
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
 
     profiler = EventProfiler()
     deployment.sim.attach_profiler(profiler)
@@ -121,20 +126,9 @@ def _run_loadgen_floor(seed: int) -> Dict[str, object]:
     flow-level generator, profiled under whole-request folding."""
     from repro.workloads.loadgen import LoadGenConfig, run_loadgen
 
-    previous = os.environ.get("PMNET_FOLD")
-    previous_no_fold = os.environ.get("PMNET_NO_FOLD")
-    try:
-        os.environ.pop("PMNET_NO_FOLD", None)
-        os.environ["PMNET_FOLD"] = "whole"
+    with _fold_env("whole"):
         config = SystemConfig(seed=seed).with_payload(PAYLOAD)
         deployment = build(DeploymentSpec(placement="switch"), config)
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
 
     profiler = EventProfiler()
     deployment.sim.attach_profiler(profiler)
@@ -168,7 +162,6 @@ def run_pipeline_benchmark(clients: int = 32, requests_per_client: int = 20,
     samples = [mode.pop("latency_samples") for mode in by_mode.values()]
     identical = all(current == samples[0] for current in samples[1:])
     off = by_mode["none"]["events_per_request"]
-    stage = by_mode["stage"]["events_per_request"]
     whole = by_mode["whole"]["events_per_request"]
     return {
         "benchmark": "pipeline_events",
@@ -177,14 +170,11 @@ def run_pipeline_benchmark(clients: int = 32, requests_per_client: int = 20,
         "seed": seed,
         "repeats": repeats,
         "spans": spans,
-        # Historical key names: "fold" is the default (most aggressive)
-        # level, "no_fold" the fully unfolded baseline.
+        # Historical key names: "fold" is the default level, "no_fold"
+        # the fully unfolded reference.
         "fold": by_mode["whole"],
-        "stage": by_mode["stage"],
         "no_fold": by_mode["none"],
         "events_per_request_reduction": (off - whole) / off if off else 0.0,
-        "whole_vs_stage_reduction": ((stage - whole) / stage
-                                     if stage else 0.0),
         "latencies_identical": identical,
         "loadgen": _run_loadgen_floor(seed),
     }
@@ -201,19 +191,15 @@ def write_result(result: Dict[str, object],
 
 def format_result(result: Dict[str, object]) -> str:
     fold = result["fold"]
-    stage = result["stage"]
     no_fold = result["no_fold"]
     reduction = result["events_per_request_reduction"]
-    whole_vs_stage = result["whole_vs_stage_reduction"]
     loadgen = result["loadgen"]
     identical = ("identical" if result["latencies_identical"]
                  else "DIVERGED (bug!)")
     return "\n".join([
         f"pipeline events/request: {fold['events_per_request']:.2f} whole "
-        f"vs {stage['events_per_request']:.2f} stage "
         f"vs {no_fold['events_per_request']:.2f} unfolded "
-        f"({reduction:.1%} fewer than unfolded, "
-        f"{whole_vs_stage:.1%} fewer than stage)",
+        f"({reduction:.1%} fewer)",
         f"wall-clock requests/sec: {fold['requests_per_second']:,.0f} whole "
         f"vs {no_fold['requests_per_second']:,.0f} unfolded",
         f"per-request latencies: {identical} across modes "

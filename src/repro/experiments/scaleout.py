@@ -18,7 +18,7 @@ client host is a shard multiplexing thousands of virtual users, so the
 quick sweep already models >= 10^4 users per point.  Reported latencies
 are p50/p99 over the canonical sample table, whose digest is the
 byte-identity surface the determinism suite compares across fold
-levels, kernel backends, and worker counts.
+levels and worker counts.
 """
 
 from __future__ import annotations

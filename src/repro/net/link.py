@@ -14,7 +14,7 @@ The common case — no impairments, transmitter idle, output queue empty —
 takes a **latency-folded fast path**: serialization and propagation are
 summed into one scheduled delivery event instead of a ``_serialized``
 hop followed by a ``_deliver`` hop.  Delivery times are bit-identical to
-the unfolded path (``PMNET_NO_FOLD=1`` keeps it testable); only the
+the unfolded path (``PMNET_FOLD=none`` keeps it testable); only the
 event count changes.  Folding requires ``propagation_ns > 0``: with a
 zero-delay wire the deferred chain would execute delivery on the seq
 allocated at send time instead of the fresh seq the unfolded ``_launch``
@@ -28,12 +28,12 @@ is exactly where the unfolded record would sit, so the queue restarts
 with bit-identical tie-breaking and the transmission finishes on the
 unfolded code path.  In-place rewrites and revocations only ever touch
 a record's callback, args, and deferred chain — never its ``(time,
-seq)`` — which is what keeps them legal under every scheduler backend:
-the record keeps its slot whether it lives in the heap, the now lane,
-a calendar bucket, or the far tier (``PMNET_KERNEL``; see
-``docs/simulator.md``), and deferred hops re-sequence through the
-owning queue so each hop draws its fresh seq at the exact virtual
-instant the unfolded path would have.  Impaired channels never fold — their per-frame
+seq)`` — which is what keeps them legal in the tiered scheduler: the
+record keeps its slot whether it lives in the now lane, a calendar
+bucket, or the far tier (see ``docs/simulator.md``), and deferred hops
+re-sequence through the owning queue so each hop draws its fresh seq at
+the exact virtual instant the unfolded path would have.  Impaired
+channels never fold — their per-frame
 random draws and the loss/duplicate/reorder branching stay on the
 original path, preserving RNG stream positions draw for draw.
 
@@ -47,16 +47,18 @@ started serializing — converting each back into that callback at its
 original queue slot, where the owner's ``failed`` check drops the frame
 exactly as the unfolded run would.
 
-**Whole-request folding** (fold level 2) extends a reservation's chain
+**Whole-request folding** extends a reservation's chain
 *through the receiving node*: at reservation time the channel asks the
 sink node for an :meth:`~repro.net.device.Node.arrival_extension` —
 extra deterministic hops (a PMNet device's ingress/PM stages, a client
 host's pre-drawn stack receive cost) appended to the serialize +
 propagation chain, ending in the node's own barrier callback instead of
 :meth:`_deliver`.  Each extra hop re-sequences at exactly the instant
-the stage-folded path would have allocated the corresponding event, so
-tie-breaking is unchanged; the barrier re-checks the receiver's
-liveness just as the stage-folded interior callbacks would.  Extended
+the *stage-folded* path — each component folding only its own delays,
+the shape an unextended record has — would have allocated the
+corresponding event, so tie-breaking is unchanged; the barrier
+re-checks the receiver's liveness just as the stage-folded interior
+callbacks would.  Extended
 records revoke in place like base ones — a queueing frame, a competing
 send, a node failure, or (for claims) any competing RNG draw at the
 receiving host converts the record back to the exact stage-folded (or

@@ -30,15 +30,8 @@ from repro.sim.clock import (
     to_seconds,
     transmission_delay,
 )
-from repro.sim.event import (
-    EventQueue,
-    HeapEventQueue,
-    ScheduledCall,
-    SimEvent,
-    TieredEventQueue,
-    make_event_queue,
-)
-from repro.sim.kernel import Simulator, resolve_kernel_backend
+from repro.sim.event import ScheduledCall, SimEvent, TieredEventQueue
+from repro.sim.kernel import Simulator
 from repro.sim.monitor import (
     Counter,
     Gauge,
@@ -76,9 +69,7 @@ __all__ = [
     "nanoseconds", "microseconds", "milliseconds", "seconds",
     "to_microseconds", "to_milliseconds", "to_seconds",
     "format_time", "transmission_delay",
-    "EventQueue", "HeapEventQueue", "TieredEventQueue", "make_event_queue",
-    "ScheduledCall", "SimEvent",
-    "Simulator", "resolve_kernel_backend",
+    "TieredEventQueue", "ScheduledCall", "SimEvent", "Simulator",
     "Process", "AllOf", "AnyOf", "Interrupted",
     "Counter", "Gauge", "LatencyRecorder", "ThroughputMeter", "TimeSeries",
     "component_summary", "instruments_summary", "EventProfiler",

@@ -8,50 +8,44 @@ Two kinds of "event" exist and are deliberately distinct:
   simpy events or asyncio futures): processes wait on it; someone succeeds
   or fails it exactly once, waking all waiters with a value or an error.
 
-The queue is the hottest data structure in the simulator, so two
-interchangeable backends exist behind one contract (select with
-``PMNET_KERNEL``; see :func:`repro.config.kernel_backend`):
+The queue is the hottest data structure in the simulator.
+:class:`TieredEventQueue` is the only scheduler: a FIFO *now lane* for
+same-instant events (``call_soon`` wakeups, span hooks, inline
+dispatch), a *calendar* of per-nanosecond buckets for timers within a
+near horizon (link propagation, serialization, pipeline stages), and a
+binary heap of ``(time, seq, call)`` tuples as the *far tier*
+(retransmission timers, think time, chaos fault windows).  Lane and
+calendar inserts are plain list appends — no sifting, no wrapper-tuple
+allocation.  The differential suite (``tests/sim``) checks it against a
+plain ``(time, seq)`` heap kept there as the oracle.
 
-* :class:`HeapEventQueue` — a single binary heap of ``(time, seq, call)``
-  tuples.  Every sift comparison is a C-level tuple compare; ``seq`` is
-  unique, so the ``call`` field never participates in a comparison and
-  FIFO order among same-time events is preserved.  This is the reference
-  implementation the differential suites compare against.
-* :class:`TieredEventQueue` — the default: a FIFO *now lane* for
-  same-instant events (``call_soon`` wakeups, span hooks, inline
-  dispatch), a *calendar* of per-nanosecond buckets for timers within a
-  near horizon (link propagation, serialization, pipeline stages), and
-  the binary heap as the *far tier* (retransmission timers, think time,
-  chaos fault windows).  Lane and calendar inserts are plain list
-  appends — no sifting, no wrapper-tuple allocation.
-
-**The ordering contract** (shared by both backends, and what every
-fold-identity and determinism suite ultimately rests on):
+**The ordering contract** (what every fold-identity and determinism
+suite ultimately rests on):
 
 1. every push allocates a monotonically increasing ``seq``, so the
    execution order is the exact total order by ``(time, seq)``;
 2. records are mutated in place but never physically moved by
    revocation (``net/link.py`` rewrites a folded record's callback at
-   its existing queue slot) — both backends keep a record's slot
-   identity stable between push and pop;
+   its existing queue slot) — a record's slot identity is stable
+   between push and pop, whichever tier holds it;
 3. cancelled records never execute and never count;
 4. a *deferred* record re-sequences (fresh seq at its surfacing
    instant) instead of executing — see :meth:`ScheduledCall` below.
 
-Why the tiered order matches the heap order without any cross-tier seq
-comparison: let ``Q`` be the time of the most recently popped record
-(monotone).  A push at time ``T`` routes by its distance ``T - Q`` —
-``== 0`` to the lane, ``< horizon`` to the calendar, else to the far
-tier.  Since ``Q`` only grows, for a fixed ``T`` all far-tier pushes
-(distance >= horizon) happen strictly before all calendar pushes
-(distance in (0, horizon)), which happen strictly before all lane
-pushes (distance 0); seqs are allocated chronologically, so at equal
-time the drain priority is far tier, then calendar bucket, then lane —
-by construction, with no seq inspected.  Within a bucket and within the
-lane, appends happen in seq order, so plain FIFO consumption is exact.
-The tiered backend therefore requires pushes not to precede ``Q``
-(scheduling into the past); the kernel's causality guards enforce this
-for all simulator-mediated scheduling.
+Why the tiered order is the ``(time, seq)`` order without any
+cross-tier seq comparison: let ``Q`` be the time of the most recently
+popped record (monotone).  A push at time ``T`` routes by its distance
+``T - Q`` — ``== 0`` to the lane, ``< horizon`` to the calendar, else
+to the far tier.  Since ``Q`` only grows, for a fixed ``T`` all
+far-tier pushes (distance >= horizon) happen strictly before all
+calendar pushes (distance in (0, horizon)), which happen strictly
+before all lane pushes (distance 0); seqs are allocated
+chronologically, so at equal time the drain priority is far tier, then
+calendar bucket, then lane — by construction, with no seq inspected.
+Within a bucket and within the lane, appends happen in seq order, so
+plain FIFO consumption is exact.  The queue therefore requires pushes
+not to precede ``Q`` (scheduling into the past); the kernel's causality
+guards enforce this for all simulator-mediated scheduling.
 """
 
 from __future__ import annotations
@@ -60,6 +54,15 @@ import heapq
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 from repro.errors import SimulationError
+
+#: Near-horizon width of the calendar, in ns.  Sized to the deployment's
+#: short deterministic delays — link propagation (100 ns), MTU
+#: serialization at 10 Gbps (~1.2 us), pipeline stages (150-250 ns),
+#: client think time (600 ns) all land inside it — while retransmission
+#: timeouts (1 ms), redo scrubbing (1.5 ms), and chaos fault windows fall
+#: through to the far tier.  Purely a performance constant: any horizon
+#: executes the same event order.
+DEFAULT_KERNEL_HORIZON_NS = 4096
 
 #: Compaction trigger (the cancelled-entry purge): compact when more
 #: cancelled records than live ones linger in the structures *and* the
@@ -101,7 +104,7 @@ class ScheduledCall:
 
     def __init__(self, time: int, seq: int, callback: Callable[..., None],
                  args: Tuple[Any, ...] = (), defer_ns: int = 0,
-                 owner: Optional["HeapEventQueue"] = None) -> None:
+                 owner: Optional["TieredEventQueue"] = None) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -126,207 +129,8 @@ class ScheduledCall:
         return f"<ScheduledCall t={self.time} seq={self.seq} {state}>"
 
 
-class HeapEventQueue:
-    """Min-heap of :class:`ScheduledCall` records ordered by time.
-
-    The reference scheduler backend (``PMNET_KERNEL=heap``): one binary
-    heap of ``(time, seq, call)`` tuples.
-    """
-
-    backend = "heap"
-
-    __slots__ = ("_heap", "_seq", "_size", "_cancelled", "compactions",
-                 "lane_pops", "near_pops", "far_pops", "resequences")
-
-    def __init__(self, initial: Optional[Iterable[Tuple[int, Callable[..., None],
-                                                        Tuple[Any, ...]]]] = None
-                 ) -> None:
-        self._heap: list[Tuple[int, int, ScheduledCall]] = []
-        self._seq = 0
-        #: Live (non-cancelled) records currently queued — kept exact on
-        #: every push/pop/cancel so ``len()`` is O(1).
-        self._size = 0
-        #: Cancelled records still physically present (purged by
-        #: :meth:`compact`).
-        self._cancelled = 0
-        self.compactions = 0
-        # Pop-site accounting, written back by the kernel's run loop
-        # (the heap backend pops everything from the far tier).
-        self.lane_pops = 0
-        self.near_pops = 0
-        self.far_pops = 0
-        self.resequences = 0
-        if initial:
-            # Bulk load: one O(n) heapify instead of n O(log n) pushes.
-            for time, callback, args in initial:
-                call = ScheduledCall(time, self._seq, callback, args, 0, self)
-                self._heap.append((time, self._seq, call))
-                self._seq += 1
-                self._size += 1
-            heapq.heapify(self._heap)
-
-    def push(self, time: int, callback: Callable[..., None],
-             args: Tuple[Any, ...] = ()) -> ScheduledCall:
-        """Enqueue ``callback(*args)`` to run at ``time``; returns a
-        cancellable handle."""
-        seq = self._seq
-        self._seq = seq + 1
-        # Hot path: build the record with direct slot stores — skipping
-        # the __init__ frame is worth ~40% of construction cost, and one
-        # record is built per event.
-        call = ScheduledCall.__new__(ScheduledCall)
-        call.time = time
-        call.seq = seq
-        call.callback = callback
-        call.args = args
-        call.cancelled = False
-        call.defer_ns = 0
-        call.owner = self
-        heapq.heappush(self._heap, (time, seq, call))
-        self._size += 1
-        return call
-
-    def push_deferred(self, time: int, defer_ns,
-                      callback: Callable[..., None],
-                      args: Tuple[Any, ...] = ()) -> ScheduledCall:
-        """Enqueue a latency-folded call: surfaces at ``time``, runs
-        after the ``defer_ns`` hop (or chain of hops, when a tuple) —
-        see :class:`ScheduledCall`."""
-        seq = self._seq
-        self._seq = seq + 1
-        call = ScheduledCall(time, seq, callback, args, defer_ns, self)
-        heapq.heappush(self._heap, (time, seq, call))
-        self._size += 1
-        return call
-
-    def resequence(self, call: ScheduledCall) -> None:
-        """Move a just-popped deferred call one hop along its chain.
-
-        Allocates a fresh seq *now* — the same instant the unfolded
-        intermediate callback would have scheduled the next one — so
-        FIFO tie-breaking at each hop time is unchanged by folding.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        defer = call.defer_ns
-        if type(defer) is tuple:
-            delay = defer[0]
-            call.defer_ns = defer[1] if len(defer) == 2 else defer[1:]
-        else:
-            delay = defer
-            call.defer_ns = 0
-        time = call.time + delay
-        call.time = time
-        call.seq = seq
-        heapq.heappush(self._heap, (time, seq, call))
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping and compaction
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """A queued record was cancelled: keep ``len()`` exact and purge
-        when dead records dominate.
-
-        The dominance test compares against the *physical* heap length,
-        not ``_size``: the run loop batches its ``_size`` writeback, so
-        mid-run ``_size`` is inflated by the events executed so far,
-        while ``len(heap)`` shrinks with every pop.  Physical length is
-        also the honest amortisation base — a sweep costs ``O(len)``.
-        """
-        self._size -= 1
-        cancelled = self._cancelled + 1
-        self._cancelled = cancelled
-        if cancelled > COMPACT_MIN_CANCELLED and cancelled * 2 > len(self._heap):
-            self.compact()
-
-    def _drop_cancelled(self) -> None:
-        """One cancelled record left the structures by being popped."""
-        if self._cancelled > 0:
-            self._cancelled -= 1
-
-    def compact(self) -> None:
-        """Purge cancelled records (in place, so the kernel's hoisted
-        aliases stay valid).  Removes only records that would never have
-        executed; the surviving ``(time, seq)`` order is untouched."""
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._cancelled = 0
-        self.compactions += 1
-
-    # ------------------------------------------------------------------
-    # Consumption
-    # ------------------------------------------------------------------
-    def _pop_any(self) -> Optional[ScheduledCall]:
-        """Remove and return the earliest record of any state, or
-        ``None`` when empty (backend-internal; no counter updates)."""
-        heap = self._heap
-        if heap:
-            return heapq.heappop(heap)[2]
-        return None
-
-    def _pop_live(self) -> Optional[ScheduledCall]:
-        """Remove and return the earliest runnable call, or ``None``.
-
-        Skips cancelled records and re-sequences deferred ones exactly
-        as the kernel's run loop does, so stepping and running drain
-        identically.
-        """
-        heap = self._heap
-        while heap:
-            call = heapq.heappop(heap)[2]
-            if call.cancelled:
-                self._drop_cancelled()
-                continue
-            if call.defer_ns:
-                self.resequence(call)
-                continue
-            call.owner = None
-            self._size -= 1
-            return call
-        return None
-
-    def pop(self) -> ScheduledCall:
-        """Remove and return the earliest non-cancelled call.
-
-        Raises :class:`IndexError` if the queue is empty (after dropping
-        cancelled entries).
-        """
-        call = self._pop_live()
-        if call is None:
-            raise IndexError("pop from empty EventQueue")
-        return call
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the earliest pending call, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._drop_cancelled()
-        return heap[0][0] if heap else None
-
-    def tier_stats(self) -> dict:
-        """Scheduler-internal accounting (see :meth:`Simulator.kernel_stats`)."""
-        return {
-            "backend": self.backend,
-            "pending": self._size,
-            "cancelled_pending": self._cancelled,
-            "compactions": self.compactions,
-            "lane_pops": self.lane_pops,
-            "near_pops": self.near_pops,
-            "far_pops": self.far_pops,
-            "resequences": self.resequences,
-        }
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-
 class TieredEventQueue:
-    """The tiered scheduler backend (``PMNET_KERNEL=tiered``, the default).
+    """The event scheduler.
 
     Three tiers, drained in exact ``(time, seq)`` order (see the module
     docstring for why no cross-tier seq comparison is needed):
@@ -355,8 +159,6 @@ class TieredEventQueue:
     place.
     """
 
-    backend = "tiered"
-
     __slots__ = ("_seq", "_qnow", "_lane", "_lane_pos", "_buckets", "_times",
                  "_cur", "_cur_pos", "_far", "_horizon", "_size", "_cancelled",
                  "compactions", "lane_pops", "near_pops", "far_pops",
@@ -364,10 +166,7 @@ class TieredEventQueue:
 
     def __init__(self, initial: Optional[Iterable[Tuple[int, Callable[..., None],
                                                         Tuple[Any, ...]]]] = None,
-                 horizon: Optional[int] = None) -> None:
-        if horizon is None:
-            from repro.config import kernel_horizon_ns
-            horizon = kernel_horizon_ns()
+                 horizon: int = DEFAULT_KERNEL_HORIZON_NS) -> None:
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
         self._seq = 0
@@ -423,7 +222,9 @@ class TieredEventQueue:
         cancellable handle."""
         seq = self._seq
         self._seq = seq + 1
-        # Hot path: direct slot stores, as in HeapEventQueue.push.
+        # Hot path: build the record with direct slot stores — skipping
+        # the __init__ frame is worth ~40% of construction cost, and one
+        # record is built per event.
         call = ScheduledCall.__new__(ScheduledCall)
         call.time = time
         call.seq = seq
@@ -566,7 +367,7 @@ class TieredEventQueue:
 
     def _pop_any(self) -> Optional[ScheduledCall]:
         """Remove and return the earliest record of any state, or
-        ``None`` when empty (backend-internal; no counter updates).
+        ``None`` when empty (queue-internal; no counter updates).
 
         Drain priority at equal head time is far tier, then calendar
         bucket, then lane — by the routing chronology argument in the
@@ -644,14 +445,14 @@ class TieredEventQueue:
         """
         call = self._pop_live()
         if call is None:
-            raise IndexError("pop from empty EventQueue")
+            raise IndexError("pop from an empty event queue")
         return call
 
     def peek_time(self) -> Optional[int]:
         """Time of the earliest pending call, or ``None`` if empty."""
         # Prune cancelled heads per tier, then take the minimum head
         # time.  Mutating (cancelled records are discarded) but
-        # order-neutral, mirroring the heap backend's behaviour.
+        # order-neutral.
         cur, pos = self._cur, self._cur_pos
         while pos < len(cur) and cur[pos].cancelled:
             pos += 1
@@ -699,7 +500,6 @@ class TieredEventQueue:
     def tier_stats(self) -> dict:
         """Scheduler-internal accounting (see :meth:`Simulator.kernel_stats`)."""
         return {
-            "backend": self.backend,
             "pending": self._size,
             "cancelled_pending": self._cancelled,
             "compactions": self.compactions,
@@ -714,29 +514,6 @@ class TieredEventQueue:
 
     def __bool__(self) -> bool:
         return self._size > 0
-
-
-#: Backwards-compatible name: the reference backend.  Use
-#: :func:`make_event_queue` (or ``Simulator``) to honour ``PMNET_KERNEL``.
-EventQueue = HeapEventQueue
-
-#: The selectable scheduler backends (the ``compiled`` hook point
-#: resolves through :func:`repro.sim.kernel.resolve_kernel_backend`).
-QUEUE_BACKENDS = {
-    "heap": HeapEventQueue,
-    "tiered": TieredEventQueue,
-}
-
-
-def make_event_queue(backend: str, initial=None):
-    """Instantiate the scheduler backend named ``backend``."""
-    try:
-        queue_class = QUEUE_BACKENDS[backend]
-    except KeyError:
-        raise SimulationError(
-            f"unknown scheduler backend {backend!r}; "
-            f"choose from {sorted(QUEUE_BACKENDS)}") from None
-    return queue_class(initial)
 
 
 class SimEvent:

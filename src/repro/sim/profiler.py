@@ -52,16 +52,13 @@ def owner_name(callback: Callable[..., Any]) -> str:
 def format_kernel_stats(stats: Dict[str, object]) -> str:
     """One-line scheduler digest for profile reports.
 
-    ``stats`` is :meth:`Simulator.kernel_stats` output: the backend
-    name, per-tier pop counters (all zero on backends without that
-    tier), resequences, and compaction sweeps.  Complements the
+    ``stats`` is :meth:`Simulator.kernel_stats` output: the scheduler
+    name, per-tier pop counters, resequences, and compaction sweeps.  Complements the
     per-call-site table: the table says *who* spent the events, this
     line says *which tier of the scheduler* served them.
     """
-    tiers = " ".join(
-        f"{tier}={stats[f'{tier}_pops']}"
-        for tier in ("lane", "near", "far")
-        if f"{tier}_pops" in stats)
+    tiers = " ".join(f"{tier}={stats[f'{tier}_pops']}"
+                     for tier in ("lane", "near", "far"))
     return (f"scheduler: kernel={stats.get('kernel', '?')} {tiers} "
             f"resequences={stats.get('resequences', 0)} "
             f"compactions={stats.get('compactions', 0)}")

@@ -1,4 +1,4 @@
-"""Suite-wide fixtures: the per-test wall-clock guard.
+"""Suite-wide fixtures (the per-test wall-clock guard) and helpers.
 
 A discrete-event simulator's favourite failure mode is the silent
 infinite loop (an event that reschedules itself forever, a driver
@@ -13,14 +13,44 @@ Knobs (environment variables):
   disables the guard entirely).
 * Tests marked ``slow`` get 5x the budget: they run whole Hypothesis
   crash sweeps and full-scale experiments by design.
+
+Helpers for test modules: :data:`FOLD_LEVELS` and :func:`fold`, which
+builds components at one fold level (``from tests.conftest import
+fold``).
 """
 
 from __future__ import annotations
 
 import os
 import signal
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import pytest
+
+#: The fold levels every identity suite compares: the unfolded
+#: reference timeline, then the default whole-request fold.
+FOLD_LEVELS = ("none", "whole")
+
+
+@contextmanager
+def fold(level: Optional[str]) -> Iterator[None]:
+    """Build components at fold ``level`` (``"none"``/``"whole"``).
+
+    Sets ``PMNET_FOLD`` for the block and restores it after; components
+    read it at construction, so build inside the block and run after.
+    ``None`` leaves the environment's level in force.
+    """
+    previous = os.environ.get("PMNET_FOLD")
+    try:
+        if level is not None:
+            os.environ["PMNET_FOLD"] = level
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("PMNET_FOLD", None)
+        else:
+            os.environ["PMNET_FOLD"] = previous
 
 _DEFAULT_TIMEOUT_S = 120
 _SLOW_MULTIPLIER = 5

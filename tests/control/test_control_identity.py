@@ -5,9 +5,8 @@ A control plane that takes no action must be *invisible*: attaching it
 starting an idle balancer (no policies, no heartbeat monitors) may only
 add its own tick callbacks — no frames, no RNG draws, no trace records
 — so the run's observables stay byte-identical to a run with no control
-plane at all.  That must hold under every scheduler backend and every
-fold level, which is what licenses wiring the control plane into
-deployments by default.
+plane at all.  That must hold at every fold level, which is what
+licenses wiring the control plane into deployments by default.
 
 Heartbeat monitors put real frames on shared channels and are exempt by
 design (they are strictly opt-in); a sanity check pins that they do
@@ -17,8 +16,6 @@ perturb the digest, so nobody "optimizes" them onto the default path.
 from __future__ import annotations
 
 import hashlib
-import os
-from contextlib import contextmanager
 
 import pytest
 
@@ -28,8 +25,7 @@ from repro.sim.clock import microseconds
 from repro.sim.trace import Tracer
 from repro.workloads.loadgen import LoadGenConfig, run_loadgen
 
-BACKENDS = ("heap", "tiered", "compiled")
-FOLD_LEVELS = ("none", "stage", "whole")
+from tests.conftest import FOLD_LEVELS, fold
 
 SPEC = DeploymentSpec(racks=2, devices_per_rack=2, servers_per_rack=2,
                       chain_length=2, clients_per_rack=1,
@@ -37,19 +33,6 @@ SPEC = DeploymentSpec(racks=2, devices_per_rack=2, servers_per_rack=2,
 
 LOADGEN = LoadGenConfig(mode="closed", users=2_000, total_requests=400,
                         window=16, warmup_requests=4)
-
-
-@contextmanager
-def _env(name: str, value: str):
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
 
 
 def _observables(attach: str, heartbeats: bool = False) -> dict:
@@ -79,37 +62,33 @@ def _observables(attach: str, heartbeats: bool = False) -> dict:
 
 
 class TestControlIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_action_plane_is_invisible_per_backend(self, backend):
-        with _env("PMNET_KERNEL", backend):
-            bare = _observables("none")
-            unstarted = _observables("unstarted")
-            idle = _observables("idle")
+    def test_zero_action_plane_is_invisible(self):
+        bare = _observables("none")
+        unstarted = _observables("unstarted")
+        idle = _observables("idle")
         assert unstarted["samples"] == bare["samples"]
         assert unstarted["trace"] == bare["trace"]
         assert idle["samples"] == bare["samples"]
         assert idle["trace"] == bare["trace"]
         assert idle["completed"] == bare["completed"]
 
-    @pytest.mark.parametrize("fold", FOLD_LEVELS)
-    def test_zero_action_plane_is_invisible_per_fold_level(self, fold):
-        with _env("PMNET_FOLD", fold):
+    @pytest.mark.parametrize("level", FOLD_LEVELS)
+    def test_zero_action_plane_is_invisible_per_fold_level(self, level):
+        with fold(level):
             bare = _observables("none")
             idle = _observables("idle")
         assert idle["samples"] == bare["samples"]
         assert idle["trace"] == bare["trace"]
 
     def test_identity_holds_across_the_matrix(self):
-        """The bare-run digest itself must agree across every backend x
-        fold level, with and without the idle plane — one equality
-        class for the whole matrix."""
+        """The bare-run digest itself must agree across every fold level,
+        with and without the idle plane — one equality class for the
+        whole matrix."""
         digests = set()
-        for backend in BACKENDS:
-            for fold in FOLD_LEVELS:
-                with _env("PMNET_KERNEL", backend), \
-                        _env("PMNET_FOLD", fold):
-                    digests.add(_observables("none")["samples"])
-                    digests.add(_observables("idle")["samples"])
+        for level in FOLD_LEVELS:
+            with fold(level):
+                digests.add(_observables("none")["samples"])
+                digests.add(_observables("idle")["samples"])
         assert len(digests) == 1
 
     def test_spec_wired_plane_matches_explicit_attach(self):

@@ -3,8 +3,8 @@
 The four historical builders survive only as deprecation shims over
 ``build(spec)``.  That is safe exactly when a shim-built system and its
 spec-built equivalent are indistinguishable — same trace digests, same
-instrument summaries, same latency samples, same final clock — under
-every fold level and every kernel backend.  This file holds that line,
+instrument summaries, same latency samples, same final clock — at
+every fold level.  This file holds that line,
 plus the spec's own contract: validation of impossible shapes and a
 lossless JSON round trip (experiment jobs and the chaos engine ship
 specs across process boundaries).
@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
-from contextlib import contextmanager
 
 import pytest
 
@@ -37,21 +35,7 @@ from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
 
-BACKENDS = ("heap", "tiered", "compiled")
-FOLD_LEVELS = ("none", "stage", "whole")
-
-
-@contextmanager
-def _env(name: str, value: str):
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
+from tests.conftest import FOLD_LEVELS, fold
 
 
 # ----------------------------------------------------------------------
@@ -214,19 +198,10 @@ def _observables(construct) -> dict:
 
 class TestShimEquivalence:
     @pytest.mark.parametrize("name", sorted(PAIRS))
-    @pytest.mark.parametrize("fold", FOLD_LEVELS)
-    def test_byte_identical_across_fold_levels(self, name, fold):
+    @pytest.mark.parametrize("level", FOLD_LEVELS)
+    def test_byte_identical_across_fold_levels(self, name, level):
         shim, spec = PAIRS[name]
-        with _env("PMNET_FOLD", fold):
+        with fold(level):
             via_shim, via_spec = _observables(shim), _observables(spec)
         assert via_shim == via_spec, (
-            f"{name} shim diverged from its spec at fold level {fold}")
-
-    @pytest.mark.parametrize("name", sorted(PAIRS))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_byte_identical_across_backends(self, name, backend):
-        shim, spec = PAIRS[name]
-        with _env("PMNET_KERNEL", backend):
-            via_shim, via_spec = _observables(shim), _observables(spec)
-        assert via_shim == via_spec, (
-            f"{name} shim diverged from its spec on the {backend} backend")
+            f"{name} shim diverged from its spec at fold level {level}")

@@ -1,26 +1,11 @@
 """Tests for the scale-out experiment (fabric tail latency sweep)."""
 
 import json
-import os
-from contextlib import contextmanager
 
 from repro.experiments import scaleout
 from repro.experiments.deploy import DeploymentSpec
 
-BACKENDS = ("heap", "tiered", "compiled")
-
-
-@contextmanager
-def _kernel(name):
-    previous = os.environ.get("PMNET_KERNEL")
-    os.environ["PMNET_KERNEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL", None)
-        else:
-            os.environ["PMNET_KERNEL"] = previous
+from tests.conftest import FOLD_LEVELS, fold
 
 
 class TestSweepDefinition:
@@ -51,20 +36,19 @@ class TestSweepDefinition:
 
 
 class TestRunPoint:
-    def test_pivot_point_is_backend_identical(self):
+    def test_pivot_point_is_fold_identical(self):
         spec = next(job for job in scaleout.jobs()
                     if job.point == "shards=4/chain=3")
         summaries = {}
-        for backend in BACKENDS:
-            with _kernel(backend):
-                summaries[backend] = scaleout.run_point(spec)
-        assert summaries["heap"]["modeled_users"] >= 10_000
-        assert summaries["heap"]["completed"] > 0
-        assert summaries["heap"]["errors"] == 0
-        assert summaries["heap"]["p99_us"] >= summaries["heap"]["p50_us"]
-        for backend in BACKENDS[1:]:
-            assert summaries[backend] == summaries["heap"], (
-                f"scale-out point diverged between heap and {backend}")
+        for level in FOLD_LEVELS:
+            with fold(level):
+                summaries[level] = scaleout.run_point(spec)
+        assert summaries["none"]["modeled_users"] >= 10_000
+        assert summaries["none"]["completed"] > 0
+        assert summaries["none"]["errors"] == 0
+        assert summaries["none"]["p99_us"] >= summaries["none"]["p50_us"]
+        assert summaries["whole"] == summaries["none"], (
+            "scale-out point diverged between fold levels")
 
 
 class TestAssembly:

@@ -62,7 +62,7 @@ class TestDeterministicReplay:
     def test_fold_identity(self, monkeypatch):
         plan = chaos.generate_plan(7)
         folded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = chaos.run_plan(plan)
         assert unfolded.trace_digest == folded.trace_digest
         assert unfolded.violations == folded.violations
@@ -97,10 +97,8 @@ class TestWholeFoldReplay:
 
     @staticmethod
     def _assert_fold_invisible(plan, monkeypatch):
-        monkeypatch.delenv("PMNET_FOLD", raising=False)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = chaos.run_plan(plan)
-        monkeypatch.delenv("PMNET_NO_FOLD")
         monkeypatch.setenv("PMNET_FOLD", "whole")
         whole = chaos.run_plan(plan)
         monkeypatch.delenv("PMNET_FOLD")

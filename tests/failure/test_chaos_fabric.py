@@ -82,7 +82,7 @@ class TestFabricReplay:
     def test_fold_identity(self, monkeypatch):
         plan = chaos.generate_fabric_plan(0)
         folded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = chaos.run_plan(plan)
         assert unfolded.trace_digest == folded.trace_digest
         assert unfolded.violations == folded.violations

@@ -24,7 +24,6 @@ from repro.workloads.pmdk import PMBTree
 
 @pytest.fixture
 def whole_fold(monkeypatch):
-    monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
     monkeypatch.setenv("PMNET_FOLD", "whole")
 
 

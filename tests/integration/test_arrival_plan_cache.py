@@ -14,8 +14,7 @@ These tests pin the cache's contract:
 * host nodes, whose extensions pre-draw RNG state, are never cached.
 
 End-to-end identity of impaired-window runs across fold levels stays in
-``test_whole_fold_boundaries``; identity across scheduler backends in
-``test_kernel_backend_identity``.  This file watches the cache itself.
+``test_whole_fold_boundaries``.  This file watches the cache itself.
 """
 
 from __future__ import annotations

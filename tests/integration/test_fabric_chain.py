@@ -11,13 +11,10 @@ guarantees on a real 2-rack fabric:
   member's log drains once the run quiesces;
 * an acknowledged write survives a power-cut of the head, a middle
   member, the tail, or the shard server itself (the durability oracle);
-* all of the above is byte-identical across the three kernel backends.
+* crash recovery is byte-identical at both fold levels.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
@@ -29,7 +26,7 @@ from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
 
-BACKENDS = ("heap", "tiered", "compiled")
+from tests.conftest import FOLD_LEVELS, fold
 
 #: 2 racks x 2 devices, one shard server per rack, chain of 3: every
 #: chain crosses the spine and has a head, a middle, and a tail.
@@ -38,19 +35,6 @@ FABRIC = DeploymentSpec(racks=2, devices_per_rack=2, servers_per_rack=1,
                         placement="switch")
 
 REQUESTS_PER_CLIENT = 20
-
-
-@contextmanager
-def _kernel(name: str):
-    previous = os.environ.get("PMNET_KERNEL")
-    os.environ["PMNET_KERNEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL", None)
-        else:
-            os.environ["PMNET_KERNEL"] = previous
 
 
 def _run_fabric(crash: str = "none", seed: int = 7) -> dict:
@@ -172,20 +156,18 @@ class TestChainDurability:
                 f"ACKed write {key} lost across {crash} power cut")
 
     @pytest.mark.parametrize("crash", ["head", "mid", "tail", "server"])
-    def test_crash_recovery_is_backend_identical(self, crash):
+    def test_crash_recovery_is_fold_identical(self, crash):
         observables = {}
-        for backend in BACKENDS:
-            with _kernel(backend):
+        for level in FOLD_LEVELS:
+            with fold(level):
                 outcome = _run_fabric(crash=crash)
-            observables[backend] = {
+            observables[level] = {
                 "acknowledged": outcome["acknowledged"],
                 "state": outcome["state"],
                 "final_now": outcome["final_now"],
-                "executed_events": outcome["executed_events"],
             }
-        for backend in BACKENDS[1:]:
-            assert observables[backend] == observables["heap"], (
-                f"{crash} scenario diverged between heap and {backend}")
+        assert observables["whole"] == observables["none"], (
+            f"{crash} scenario diverged between fold levels")
 
 
 class TestDeviceReplacement:

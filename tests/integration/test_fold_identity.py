@@ -8,8 +8,8 @@ queue decision, or an RNG draw.  This file holds that claim to account:
 * a hypothesis property over random star topologies — random frame
   sizes, send times, and sources, driven through a real ``Switch`` so
   reservations, revocations, queueing, and mid-fold conversions all
-  trigger — must produce identical arrival logs with ``PMNET_NO_FOLD``
-  set and unset;
+  trigger — must produce identical arrival logs with ``PMNET_FOLD``
+  at ``none`` and ``whole``;
 * a second property with frame sizes and send times quantized so that
   sends collide with serialization boundaries on the same nanosecond,
   stressing the tie-break claim of the in-place fold conversion;
@@ -29,8 +29,6 @@ queue decision, or an RNG draw.  This file holds that claim to account:
 """
 
 import hashlib
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -56,43 +54,7 @@ from repro.workloads.loadgen import LoadGenConfig, run_loadgen
 from repro.workloads.pmdk.hashmap import PMHashmap
 from repro.workloads.ycsb import YCSBConfig, make_op_maker
 
-#: Every fold level the identity bar covers, least to most aggressive.
-FOLD_LEVELS = ("none", "stage", "whole")
-
-
-@contextmanager
-def _fold_mode(no_fold):
-    """Build components with folding forced off (or explicitly on)."""
-    previous = os.environ.get("PMNET_NO_FOLD")
-    try:
-        if no_fold:
-            os.environ["PMNET_NO_FOLD"] = "1"
-        else:
-            os.environ.pop("PMNET_NO_FOLD", None)
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_NO_FOLD", None)
-        else:
-            os.environ["PMNET_NO_FOLD"] = previous
-
-
-@contextmanager
-def _fold_level(level):
-    """Build components at an explicit fold level (none/stage/whole)."""
-    previous_no_fold = os.environ.pop("PMNET_NO_FOLD", None)
-    previous = os.environ.get("PMNET_FOLD")
-    try:
-        os.environ["PMNET_FOLD"] = level
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
-
+from tests.conftest import FOLD_LEVELS, fold
 
 def _set_impairments(channel, impairments):
     """Swap a channel's impairments mid-run, as the chaos engine does."""
@@ -121,7 +83,7 @@ def _run_star(num_hosts, sends, no_fold, loss_seed=None, profile=None,
     the revocation path in one mode and the fire-time ``failed`` check
     in the other.
     """
-    with _fold_mode(no_fold):
+    with fold("none" if no_fold else "whole"):
         sim = Simulator(seed=loss_seed or 0)
         profile = profile if profile is not None else NetworkProfile()
         topo = Topology(sim, profile)
@@ -240,8 +202,7 @@ class TestImpairedNeverFolds:
         sends = [(i * 5_000, 0, 1, 100) for i in range(10)]
         sim_arrivals, _ = _run_star(2, sends, no_fold=False, loss_seed=7)
         # Build again to inspect the channel counters directly.
-        previous = os.environ.pop("PMNET_NO_FOLD", None)
-        try:
+        with fold("whole"):
             sim = Simulator(seed=7)
             profile = NetworkProfile()
             topo = Topology(sim, profile)
@@ -252,15 +213,12 @@ class TestImpairedNeverFolds:
                          impairments_ab=Impairments(loss_probability=0.5))
             topo.connect(dst, switch)
             topo.compute_routes()
-            for i in range(10):
-                sim.schedule(i * 5_000, src.ports[0].transmit,
-                             Frame("h0", "h1", i, 100))
-            sim.run()
-            assert int(src.ports[0].channel.folded_sends) == 0
-            assert int(src.ports[0].channel.dropped_loss) > 0
-        finally:
-            if previous is not None:
-                os.environ["PMNET_NO_FOLD"] = previous
+        for i in range(10):
+            sim.schedule(i * 5_000, src.ports[0].transmit,
+                         Frame("h0", "h1", i, 100))
+        sim.run()
+        assert int(src.ports[0].channel.folded_sends) == 0
+        assert int(src.ports[0].channel.dropped_loss) > 0
 
 
 def _device_crash_run(crash_offset_ns, no_fold):
@@ -272,7 +230,7 @@ def _device_crash_run(crash_offset_ns, no_fold):
     ingress/PM/egress/ACK windows, and after the ACK departs.  Returns
     every observable a fold could plausibly disturb.
     """
-    with _fold_mode(no_fold):
+    with fold("none" if no_fold else "whole"):
         cfg = SystemConfig().with_clients(1)
         handler = StructureHandler(PMHashmap())
         deployment = build_pmnet_switch(cfg, handler=handler)
@@ -325,7 +283,7 @@ def _chain_crash_run(level, member, crash_offset_ns):
 
     def run(level, crash_at):
         reset_request_ids()
-        with _fold_level(level):
+        with fold(level):
             config = SystemConfig(seed=3)
             handlers = []
 
@@ -424,13 +382,12 @@ class TestCrashIdentity:
     def test_chain_member_crash_timing_sweep(self, member, crash_offset_ns):
         runs = {level: _chain_crash_run(level, member, crash_offset_ns)
                 for level in FOLD_LEVELS}
-        assert runs["stage"] == runs["none"]
         assert runs["whole"] == runs["none"]
 
     def test_client_crash_scenario_identical(self):
-        with _fold_mode(no_fold=False):
+        with fold("whole"):
             folded = client_failure_mid_run()
-        with _fold_mode(no_fold=True):
+        with fold("none"):
             unfolded = client_failure_mid_run()
         for outcome in (folded, unfolded):
             assert outcome.durable
@@ -455,7 +412,7 @@ def _whole_request_run(level, clients, replication, cache, update_ratio,
     # Request ids are process-global; reset so the traces of the runs
     # being compared are identical line for line, not just in shape.
     reset_request_ids()
-    with _fold_level(level):
+    with fold(level):
         cfg = SystemConfig(seed=seed).with_clients(clients)
         tracer = Tracer(enabled=True)
         handler = StructureHandler(PMHashmap())
@@ -516,8 +473,7 @@ class TestWholeRequestFoldProperty:
     Random star deployments — client count, replication depth, cache
     on/off — crossed with YCSB mixes and impairment/fault windows must
     produce byte-identical per-request latencies and trace digests at
-    every fold level: fully unfolded, stage-folded, and whole-request
-    folded.
+    both fold levels: fully unfolded and whole-request folded.
     """
 
     @settings(max_examples=15, deadline=None)
@@ -529,7 +485,6 @@ class TestWholeRequestFoldProperty:
                                           cache, update_ratio, seed,
                                           impair_window, crash_at)
                 for level in FOLD_LEVELS}
-        assert runs["stage"] == runs["none"]
         assert runs["whole"] == runs["none"]
 
 
@@ -556,7 +511,7 @@ class TestFabricChainLoadIdentity:
         for level in FOLD_LEVELS:
             reset_request_ids()
             tracer = Tracer(enabled=True)
-            with _fold_level(level):
+            with fold(level):
                 deployment = build(self.SPEC, SystemConfig(seed=seed),
                                    tracer=tracer)
             result = run_loadgen(deployment, LoadGenConfig(
@@ -564,7 +519,6 @@ class TestFabricChainLoadIdentity:
                 total_requests=600))
             runs[level] = (result.digest(),
                            [str(record) for record in tracer.records])
-        assert runs["stage"] == runs["none"]
         assert runs["whole"] == runs["none"]
         assert {"update_logged", "chain_forward", "pmnet_ack",
                 "chain_invalidate"} <= {record.event
@@ -579,9 +533,9 @@ class TestExperimentIdentity:
         # retransmission storms — the hardest case for fold identity.
         from repro.experiments import fig07_ordering
 
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+        monkeypatch.setenv("PMNET_FOLD", "whole")
         folded = fig07_ordering.run(quick=True).format()
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = fig07_ordering.run(quick=True).format()
         assert folded == unfolded
 
@@ -594,9 +548,7 @@ class TestExperimentIdentity:
         entry = EXPERIMENTS[experiment_id]
         reports = {}
         for level in FOLD_LEVELS:
-            monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
             monkeypatch.setenv("PMNET_FOLD", level)
             reports[level] = entry.run(quick=True)
         monkeypatch.delenv("PMNET_FOLD")
-        assert reports["stage"] == reports["none"], experiment_id
         assert reports["whole"] == reports["none"], experiment_id

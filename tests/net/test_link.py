@@ -229,7 +229,7 @@ class TestFoldedFastPath:
             return [t for t, _f in b.arrivals]
 
         folded = burst(Simulator())
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = burst(Simulator())
         assert folded == unfolded
         assert folded == [1100, 2100, 3100, 4100, 5100]
@@ -341,7 +341,7 @@ class TestReservations:
             return [(t, f.payload) for t, f in b.arrivals]
 
         folded = scenario(Simulator())
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = scenario(Simulator())
         assert folded == unfolded
         assert folded == [(1100, "A"), (2100, "B"), (3100, "C")]
@@ -376,7 +376,7 @@ class TestReservations:
             return [(t, f.payload) for t, f in b.arrivals]
 
         folded = scenario(Simulator(), fold=True)
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         unfolded = scenario(Simulator(), fold=False)
         assert folded == unfolded
 
@@ -426,7 +426,7 @@ class TestExactAdmission:
 
         refused, folded = scenario(Simulator())
         assert refused == ["R"]
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         _refused, unfolded = scenario(Simulator())
         assert folded == unfolded
         assert folded == [(1600, "X"), (2600, "C"), (2600, "R")]
@@ -457,7 +457,7 @@ class TestExactAdmission:
 
         z_reserved, folded = scenario(Simulator())
         assert z_reserved == [False]
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         _z, unfolded = scenario(Simulator())
         assert folded == unfolded
         assert folded == [(1300, "Y"), (2300, "X"), (4200, "Z")]
@@ -485,7 +485,7 @@ class TestExactAdmission:
 
         z_reserved, folded = scenario(Simulator())
         assert z_reserved == [False]
-        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        monkeypatch.setenv("PMNET_FOLD", "none")
         _z, unfolded = scenario(Simulator())
         assert folded == unfolded
         assert folded == [(1200, "P"), (2200, "X"), (3400, "Z")]

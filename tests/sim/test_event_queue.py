@@ -1,31 +1,18 @@
-"""Unit tests for the raw event queues (ordering, cancellation, tiers).
+"""Unit tests for the raw event queue (ordering, cancellation, tiers).
 
-Every contract test runs against all scheduler backends — the single
-binary heap, the tiered lane/calendar/far queue, and the compiled
-queue (which inherits the tiered structures but is drained by a
-generated loop) — because they must be observably interchangeable.
-Tiered-only structure tests (routing, compaction of each tier) live in
-their own class.
+The contract tests come first; structure tests (routing, compaction of
+each tier) live in their own class.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.compiled import CompiledEventQueue
-from repro.sim.event import (
-    COMPACT_MIN_CANCELLED,
-    EventQueue,
-    HeapEventQueue,
-    TieredEventQueue,
-    make_event_queue,
-)
-
-BACKENDS = [HeapEventQueue, TieredEventQueue, CompiledEventQueue]
+from repro.sim.event import COMPACT_MIN_CANCELLED, TieredEventQueue
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda cls: cls.backend)
-def queue(request):
-    return request.param()
+@pytest.fixture
+def queue():
+    return TieredEventQueue()
 
 
 class TestEventQueue:
@@ -183,18 +170,3 @@ class TestTieredRouting:
     def test_invalid_horizon_rejected(self):
         with pytest.raises(SimulationError):
             TieredEventQueue(horizon=0)
-
-
-class TestBackendSelection:
-    def test_default_alias_is_heap(self):
-        assert EventQueue is HeapEventQueue
-
-    def test_factory_builds_each_backend(self):
-        assert make_event_queue("heap").backend == "heap"
-        assert make_event_queue("tiered").backend == "tiered"
-        # "compiled" registers itself on first import (done above).
-        assert make_event_queue("compiled").backend == "compiled"
-
-    def test_factory_rejects_unknown_backend(self):
-        with pytest.raises(SimulationError):
-            make_event_queue("quantum")

@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.event import DEFAULT_KERNEL_HORIZON_NS
 
 
-#: ``schedule_deferred`` arguments every backend must refuse.
+#: ``schedule_deferred`` arguments the kernel must refuse.
 _BAD_DEFERRED = [(-1, 5), (5, -1), (0, ()), (5, (3, -1)), (-1, (3, 4)),
                  (0, (-2,))]
 #: ``(defer_ns, landing time)`` for a chain surfacing at t=5.
@@ -58,6 +59,7 @@ class TestScheduling:
         sim.schedule_deferred(5, defer, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [expected]
+        assert sim.executed_events == 1
 
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
@@ -95,35 +97,6 @@ class TestScheduling:
         sim.schedule(3, outer)
         sim.run()
         assert times == [3, 10]
-
-
-class TestDeferredPerBackend:
-    """The deferred-scheduling guards and landing times on every backend.
-
-    The tiered backend installs its own ``schedule_deferred`` closure,
-    which shadows the generic :meth:`Simulator.schedule_deferred`, and
-    each backend drains deferred hops in its own loop — so each one's
-    guard and chain arithmetic is pinned separately.
-    """
-
-    @pytest.mark.parametrize("kernel", ["heap", "tiered", "compiled"])
-    @pytest.mark.parametrize("delay, defer", _BAD_DEFERRED)
-    def test_deferred_into_the_past_rejected(self, delay, defer, kernel):
-        sim = Simulator(kernel=kernel)
-        with pytest.raises(SimulationError):
-            sim.schedule_deferred(delay, defer, lambda: None)
-        assert sim.pending_events() == 0
-
-    @pytest.mark.parametrize("kernel", ["heap", "tiered", "compiled"])
-    @pytest.mark.parametrize("defer, expected", _DEFERRED_CHAINS)
-    def test_deferred_chain_lands_at_total_delay(self, defer, expected,
-                                                 kernel):
-        sim = Simulator(kernel=kernel)
-        seen = []
-        sim.schedule_deferred(5, defer, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [expected]
-        assert sim.executed_events == 1
 
 
 class TestRunControls:
@@ -258,79 +231,22 @@ class TestFastPath:
         assert not live.cancelled
 
 
-class TestKernelBackends:
-    """Backend selection and the tier instrumentation on the run loop."""
+class TestTieredKernel:
+    """Tier routing and the tier instrumentation on the run loop."""
 
-    @pytest.mark.parametrize("kernel", ["heap", "tiered"])
-    def test_explicit_backend_runs_in_order(self, kernel):
-        sim = Simulator(kernel=kernel)
+    def test_every_tier_runs_in_order(self):
+        sim = Simulator()
         order = []
         sim.schedule(30, order.append, "c")
         sim.schedule(10, order.append, "a")
         sim.schedule(10_000, order.append, "far")
         sim.schedule(10, lambda: sim.call_soon(order.append, "soon"))
         sim.run()
-        assert sim.kernel == kernel
+        assert sim.kernel == "tiered"
         assert order == ["a", "soon", "c", "far"]
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("PMNET_KERNEL", "heap")
-        assert Simulator().kernel == "heap"
-        monkeypatch.setenv("PMNET_KERNEL", "tiered")
-        assert Simulator().kernel == "tiered"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(SimulationError):
-            Simulator(kernel="quantum")
-        monkeypatch.setenv("PMNET_KERNEL", "quantum")
-        with pytest.raises(ConfigurationError):
-            Simulator()
-
-    def test_compiled_backend_resolves_natively(self):
-        # repro.sim.compiled ships now: no fallback, no warning.
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim = Simulator(kernel="compiled")
-        assert sim.kernel == "compiled"
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-
-    def test_compiled_backend_falls_back_with_warning_exactly_once(
-            self, monkeypatch):
-        # With the module unavailable (simulated via a poisoned
-        # sys.modules entry, which makes its import raise ImportError),
-        # PMNET_KERNEL=compiled must degrade to tiered and warn exactly
-        # once per process; the reset hook re-arms the latch for tests.
-        import sys
-        import warnings
-
-        from repro.sim.kernel import reset_compiled_fallback_warning
-
-        monkeypatch.setitem(sys.modules, "repro.sim.compiled", None)
-        monkeypatch.setenv("PMNET_KERNEL", "compiled")
-        reset_compiled_fallback_warning()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = Simulator()
-                second = Simulator()
-            assert first.kernel == "tiered"
-            assert second.kernel == "tiered"
-            fallbacks = [w for w in caught
-                         if issubclass(w.category, RuntimeWarning)
-                         and "falling back" in str(w.message)]
-            assert len(fallbacks) == 1
-        finally:
-            # Leave the latch armed-off for the rest of the process: the
-            # module is importable again once the monkeypatch unwinds.
-            reset_compiled_fallback_warning()
-
     def test_kernel_stats_attribute_pops_to_tiers(self):
-        sim = Simulator(kernel="tiered")
+        sim = Simulator()
         sim.schedule(10, lambda: sim.call_soon(lambda: None))  # near + lane
         sim.schedule(100_000, lambda: None)                    # far
         sim.run()
@@ -341,26 +257,17 @@ class TestKernelBackends:
         assert stats["far_pops"] == 1
         assert sim.executed_events == 3
 
-    def test_horizon_env_controls_routing(self, monkeypatch):
-        monkeypatch.setenv("PMNET_KERNEL_HORIZON", "8")
-        sim = Simulator(kernel="tiered")
-        sim.schedule(7, lambda: None)    # < 8  -> calendar
-        sim.schedule(9, lambda: None)    # >= 8 -> far
+    def test_horizon_is_the_fixed_constant(self):
+        sim = Simulator()
+        sim.schedule(DEFAULT_KERNEL_HORIZON_NS - 1, lambda: None)  # calendar
+        sim.schedule(DEFAULT_KERNEL_HORIZON_NS, lambda: None)      # far
         sim.run()
         stats = sim.kernel_stats()
         assert stats["near_pops"] == 1
         assert stats["far_pops"] == 1
 
-    def test_invalid_horizon_env_rejected(self, monkeypatch):
-        from repro.errors import ConfigurationError
-
-        monkeypatch.setenv("PMNET_KERNEL_HORIZON", "0")
-        with pytest.raises(ConfigurationError):
-            Simulator(kernel="tiered")
-
-    @pytest.mark.parametrize("kernel", ["heap", "tiered"])
-    def test_step_matches_run_semantics(self, kernel):
-        sim = Simulator(kernel=kernel)
+    def test_step_matches_run_semantics(self):
+        sim = Simulator()
         order = []
         sim.schedule(5, order.append, "a")
         sim.schedule(5, lambda: sim.call_soon(order.append, "b"))

@@ -173,7 +173,7 @@ class TestKernelStatsLine:
     def test_format_covers_tiers_and_sweeps(self):
         from repro.sim.profiler import format_kernel_stats
 
-        sim = Simulator(kernel="tiered")
+        sim = Simulator()
         comp = _Component(sim)
         sim.schedule(10, comp.tick)
         sim.schedule(100_000, comp.tick)
@@ -182,14 +182,3 @@ class TestKernelStatsLine:
         assert line.startswith("scheduler: kernel=tiered")
         assert "near=1" in line and "far=1" in line
         assert "compactions=" in line
-
-    def test_heap_backend_reports_far_only(self):
-        from repro.sim.profiler import format_kernel_stats
-
-        sim = Simulator(kernel="heap")
-        comp = _Component(sim)
-        sim.schedule(10, comp.tick)
-        sim.run()
-        line = format_kernel_stats(sim.kernel_stats())
-        assert "kernel=heap" in line
-        assert "far=1" in line

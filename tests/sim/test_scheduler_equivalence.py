@@ -1,23 +1,23 @@
-"""Differential property tests: every scheduler backend, one behaviour.
+"""Differential property tests: the tiered scheduler against a heap oracle.
 
 The tiered queue earns its speed only if it is *observably identical*
-to the reference heap: same callbacks, same order, same timestamps,
-same counters, under any interleaving of ``schedule`` /
-``schedule_at`` / ``call_soon`` / ``cancel`` / ``schedule_deferred``
-(including tuple re-sequencing chains) issued from inside running
-callbacks.  Hypothesis generates random scheduling programs; an
-interpreter executes each program once per backend and the traces must
-match exactly.
+to the plain ``(time, seq)`` heap in ``heap_oracle.py``: same callbacks,
+same order, same timestamps, same counters, under any interleaving of
+``schedule`` / ``schedule_at`` / ``call_soon`` / ``cancel`` /
+``schedule_deferred`` (including tuple re-sequencing chains) issued from
+inside running callbacks.  Hypothesis generates random scheduling
+programs; an interpreter executes each program on both and the traces
+must match exactly.
 
-The far/near boundary is the riskiest code, so the property also draws
-the calendar horizon from a set that forces traffic through every
-tier (horizon 1 pushes nearly everything far; 1 << 30 keeps
-everything in the calendar).
+The far/near boundary is the riskiest code, so delays are drawn both
+well inside the calendar horizon and straddling it, and the run asserts
+that the lane, the calendar and the far tier each served pops.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
+from collections import Counter
 
 import pytest
 
@@ -26,13 +26,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from repro.sim.event import DEFAULT_KERNEL_HORIZON_NS
 
-BACKENDS = ("heap", "tiered", "compiled")
+from tests.sim.heap_oracle import HeapOracle
 
-#: Calendar widths the tiered backend is exercised at: degenerate
-#: (everything far), narrow (constant tier crossings), default, and
-#: effectively infinite (everything near).
-HORIZONS = (1, 16, 4096, 1 << 30)
+#: Delays that land in the now lane or the calendar, and delays that
+#: straddle the calendar horizon (calendar on one side, far tier on the
+#: other, depending on the drain instant they are pushed from).
+_NEAR = st.integers(min_value=0, max_value=40)
+_STRADDLE = st.integers(min_value=DEFAULT_KERNEL_HORIZON_NS - 40,
+                        max_value=DEFAULT_KERNEL_HORIZON_NS + 40)
+DELAYS = st.one_of(_NEAR, _NEAR, _STRADDLE)
+
+#: ``until`` strides of the segmented drive: short ones stop inside
+#: busy instants, long ones cross the horizon-sized gaps in a few calls.
+STRIDES = (17, 600)
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +51,13 @@ HORIZONS = (1, 16, 4096, 1 << 30)
 # ---------------------------------------------------------------------------
 
 def _actions(num_nodes: int):
-    delay = st.integers(min_value=0, max_value=40)
     target = st.integers(min_value=0, max_value=num_nodes - 1)
-    chain = st.lists(st.integers(min_value=1, max_value=30),
-                     min_size=1, max_size=3)
+    chain = st.lists(DELAYS.filter(bool), min_size=1, max_size=3)
     return st.one_of(
-        st.tuples(st.just("schedule"), delay, target),
-        st.tuples(st.just("schedule_at"), delay, target),
+        st.tuples(st.just("schedule"), DELAYS, target),
+        st.tuples(st.just("schedule_at"), DELAYS, target),
         st.tuples(st.just("call_soon"), target),
-        st.tuples(st.just("deferred"), delay, chain, target),
+        st.tuples(st.just("deferred"), DELAYS, chain, target),
         st.tuples(st.just("cancel"), target),
     )
 
@@ -60,7 +66,7 @@ def _programs():
     def build(num_nodes):
         node = st.lists(_actions(num_nodes), max_size=4)
         roots = st.lists(
-            st.tuples(st.integers(min_value=0, max_value=30),
+            st.tuples(DELAYS,
                       st.integers(min_value=0, max_value=num_nodes - 1)),
             min_size=1, max_size=6)
         return st.tuples(st.lists(node, min_size=num_nodes,
@@ -69,19 +75,10 @@ def _programs():
     return st.integers(min_value=2, max_value=10).flatmap(build)
 
 
-def _interpret(program, kernel: str, horizon: int, drive: str):
-    """Run ``program`` on a fresh simulator; return its observables."""
+def _interpret(program, sim, drive: str):
+    """Run ``program`` on ``sim`` (a simulator or the oracle); return
+    its observables."""
     nodes, roots = program
-    previous = os.environ.get("PMNET_KERNEL_HORIZON")
-    os.environ["PMNET_KERNEL_HORIZON"] = str(horizon)
-    try:
-        sim = Simulator(seed=0, kernel=kernel)
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_KERNEL_HORIZON", None)
-        else:
-            os.environ["PMNET_KERNEL_HORIZON"] = previous
-
     trace = []
     handles = {}
     fired = [0]
@@ -116,8 +113,9 @@ def _interpret(program, kernel: str, horizon: int, drive: str):
         sim.run()
     elif drive == "segments":
         bound = 0
+        strides = itertools.cycle(STRIDES)
         while sim.pending_events():
-            bound += 17
+            bound += next(strides)
             sim.run(until=bound)
     elif drive == "budget":
         while sim.pending_events():
@@ -134,29 +132,33 @@ def _interpret(program, kernel: str, horizon: int, drive: str):
 
 
 class TestSchedulerEquivalence:
-    @given(program=_programs(),
-           horizon=st.sampled_from(HORIZONS),
-           drive=st.sampled_from(("run", "segments", "budget", "step")))
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_backends_execute_identically(self, program, horizon, drive):
-        results = {kernel: _interpret(program, kernel, horizon, drive)
-                   for kernel in BACKENDS}
-        baseline = results[BACKENDS[0]]
-        diverged = [kernel for kernel, result in results.items()
-                    if result != baseline]
-        assert not diverged, (
-            f"backends diverged from heap: {diverged} "
-            f"(horizon={horizon}, drive={drive})")
+    def test_tiered_matches_heap_oracle(self):
+        pops = Counter()
 
-    @given(program=_programs(), horizon=st.sampled_from(HORIZONS))
+        @given(program=_programs(),
+               drive=st.sampled_from(("run", "segments", "budget", "step")))
+        @settings(max_examples=60, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def check(program, drive):
+            sim = Simulator(seed=0)
+            result = _interpret(program, sim, drive)
+            expected = _interpret(program, HeapOracle(), drive)
+            assert result == expected, f"diverged from the oracle ({drive})"
+            pops.update({tier: sim.kernel_stats()[tier]
+                         for tier in ("lane_pops", "near_pops", "far_pops")})
+
+        check()
+        assert all(pops[tier] > 0
+                   for tier in ("lane_pops", "near_pops", "far_pops")), pops
+
+    @given(program=_programs())
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_driving_mode_is_invisible(self, program, horizon):
-        # run / until-segments / budget loops / step must drain one
-        # backend identically — the loop liberties documented on the
+    def test_driving_mode_is_invisible(self, program):
+        # run / until-segments / budget loops / step must drain the
+        # queue identically — the loop liberties documented on the
         # kernel must stay unobservable.
-        results = {drive: _interpret(program, "tiered", horizon, drive)
+        results = {drive: _interpret(program, Simulator(seed=0), drive)
                    for drive in ("run", "segments", "budget", "step")}
         baseline = results["run"]
         assert all(result == baseline for result in results.values())

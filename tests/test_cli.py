@@ -110,28 +110,8 @@ class TestBenchExperiments:
         assert "fig99" in capsys.readouterr().err
 
 
-class TestBenchKernel:
-    def test_writes_result_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_kernel.json"
-        assert main(["bench-kernel", "--events", "5000", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "kernel events/sec" in printed
-        report = json.loads(out.read_text())
-        assert report["schema"] == "pmnet-repro-bench/1"
-        assert report["id"] == "kernel"
-        result = report["payload"]
-        assert result["benchmark"] == "kernel_events"
-        assert result["num_events"] == 5000
-        assert result["events_per_second"] > 0
-
-    def test_rejects_nonpositive_events(self, capsys):
-        assert main(["bench-kernel", "--events", "0"]) == 2
-
-
 class TestBenchPipeline:
-    def test_writes_result_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+    def test_writes_result_json(self, tmp_path, capsys):
         out = tmp_path / "BENCH_pipeline.json"
         assert main(["bench-pipeline", "--clients", "4", "--requests", "5",
                      "--output", str(out)]) == 0
@@ -152,16 +132,14 @@ class TestBenchPipeline:
 
 
 class TestProfile:
-    def test_prints_call_site_table(self, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+    def test_prints_call_site_table(self, capsys):
         assert main(["profile", "--clients", "2", "--requests", "5"]) == 0
         out = capsys.readouterr().out
         assert "fold level 'whole'" in out
         assert "Channel._deliver" in out
         assert "TOTAL" in out
 
-    def test_json_writes_enveloped_report(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+    def test_json_writes_enveloped_report(self, tmp_path):
         out = tmp_path / "profile.json"
         assert main(["profile", "--clients", "2", "--requests", "5",
                      "--json", str(out)]) == 0
@@ -172,21 +150,36 @@ class TestProfile:
         assert report["payload"]["executed_events"] > 0
         assert "latency_samples" not in report["payload"]
 
-    def test_no_fold_flag_profiles_unfolded_paths(self, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+    def test_no_fold_flag_profiles_unfolded_paths(self, capsys):
         assert main(["profile", "--clients", "2", "--requests", "5",
-                     "--no-fold"]) == 0
+                     "--fold", "none"]) == 0
         out = capsys.readouterr().out
         assert "fold level 'none'" in out
         # The per-stage hops only execute on the unfolded paths.
         assert "Channel._launch" in out or "Switch._forward" in out
 
-    def test_fold_flag_selects_the_level(self, capsys, monkeypatch):
-        monkeypatch.delenv("PMNET_NO_FOLD", raising=False)
+    def test_fold_flag_selects_the_level(self, capsys):
         assert main(["profile", "--clients", "2", "--requests", "5",
-                     "--fold", "stage"]) == 0
+                     "--fold", "whole"]) == 0
         out = capsys.readouterr().out
-        assert "fold level 'stage'" in out
+        assert "fold level 'whole'" in out
+        # Uncontended requests fold end to end, so no per-stage hop runs.
+        assert "Switch._forward" not in out
+
+    @pytest.mark.parametrize("argv", [["--no-fold"], ["--fold", "stage"]])
+    def test_retired_fold_spellings_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "--clients", "2", "--requests", "5", *argv])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("knob, value", [("PMNET_FOLD", "stage"),
+                                             ("PMNET_NO_FOLD", "1"),
+                                             ("PMNET_KERNEL", "heap")])
+    def test_retired_env_knob_fails_loudly(self, knob, value, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv(knob, value)
+        assert main(["profile", "--clients", "2", "--requests", "5"]) == 1
+        assert knob in capsys.readouterr().err
 
 
 class TestMetrics:

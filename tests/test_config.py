@@ -15,9 +15,11 @@ from repro.config import (
     StackProfile,
     SystemConfig,
     baseline_rtt_estimate,
+    fold_level,
     pmnet_rtt_estimate,
 )
 from repro.errors import ConfigurationError
+from repro.sim import Simulator
 
 
 class TestValidation:
@@ -175,3 +177,43 @@ class TestCalibration:
 
     def test_log_queue_is_4kb(self):
         assert LogConfig().write_queue_bytes == 4096  # Sec V-A
+
+
+class TestFoldKnob:
+    @pytest.mark.parametrize("spelling, level", [
+        ("none", 0), ("off", 0), ("0", 0), ("whole", 2), ("2", 2),
+        (" Whole ", 2)])
+    def test_fold_levels(self, monkeypatch, spelling, level):
+        monkeypatch.setenv("PMNET_FOLD", spelling)
+        assert fold_level() == level
+
+    def test_default_is_whole(self, monkeypatch):
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
+        assert fold_level() == 2
+
+    @pytest.mark.parametrize("spelling", ["stage", "1", "STAGE"])
+    def test_retired_stage_level_fails_loudly(self, monkeypatch, spelling):
+        monkeypatch.setenv("PMNET_FOLD", spelling)
+        with pytest.raises(ConfigurationError, match="PMNET_FOLD=stage|"
+                                                     "PMNET_FOLD=1"):
+            fold_level()
+
+    def test_unknown_level_rejected(self, monkeypatch):
+        monkeypatch.setenv("PMNET_FOLD", "most")
+        with pytest.raises(ConfigurationError, match="PMNET_FOLD"):
+            fold_level()
+
+    @pytest.mark.parametrize("knob, value", [
+        ("PMNET_KERNEL", "heap"), ("PMNET_KERNEL", "tiered"),
+        ("PMNET_NO_FOLD", "1"), ("PMNET_NO_FOLD", "0"),
+        ("PMNET_KERNEL_HORIZON", "4096")])
+    def test_retired_knobs_fail_loudly(self, monkeypatch, knob, value):
+        # Set to any value — even the old default — a retired knob
+        # names itself instead of being silently ignored, both where
+        # components read the fold level and where a simulator is built.
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
+        monkeypatch.setenv(knob, value)
+        with pytest.raises(ConfigurationError, match=knob):
+            fold_level()
+        with pytest.raises(ConfigurationError, match=knob):
+            Simulator()

@@ -8,9 +8,7 @@ contract, plus the closed/open arrival semantics and the config
 validation surface.
 """
 
-import os
 import time
-from contextlib import contextmanager
 
 import pytest
 
@@ -28,6 +26,8 @@ from repro.workloads.loadgen import (
     run_loadgen,
 )
 
+from tests.conftest import FOLD_LEVELS, fold
+
 #: Small shapes so the determinism matrix stays fast.
 SMALL_CLOSED = LoadGenConfig(mode="closed", users=300, total_requests=600,
                              window=32, warmup_requests=4)
@@ -35,29 +35,9 @@ SMALL_OPEN = LoadGenConfig(mode="open", total_requests=500,
                            mean_interarrival_ns=2_000, window=32,
                            warmup_requests=4)
 
-FOLD_LEVELS = ("none", "stage", "whole")
-
-
-@contextmanager
-def _fold_level(level):
-    previous_no_fold = os.environ.pop("PMNET_NO_FOLD", None)
-    previous = os.environ.get("PMNET_FOLD")
-    try:
-        if level is not None:
-            os.environ["PMNET_FOLD"] = level
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-        if previous_no_fold is not None:
-            os.environ["PMNET_NO_FOLD"] = previous_no_fold
-
-
-def _run(config, seed=0, clients=4, fold=None):
+def _run(config, seed=0, clients=4, level=None):
     reset_request_ids()
-    with _fold_level(fold):
+    with fold(level):
         deployment = build_pmnet_switch(
             SystemConfig(seed=seed).with_clients(clients).with_payload(
                 config.payload_bytes))
@@ -124,12 +104,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("config", [SMALL_CLOSED, SMALL_OPEN],
                              ids=["closed", "open"])
     def test_fold_levels_are_invisible(self, config):
-        runs = {level: _run(config, fold=level) for level in FOLD_LEVELS}
-        baseline = runs["none"]
-        for level in ("stage", "whole"):
-            assert runs[level].sample_table() == baseline.sample_table()
-            assert runs[level].duration_ns == baseline.duration_ns
-            assert runs[level].errors == baseline.errors
+        runs = {level: _run(config, level=level) for level in FOLD_LEVELS}
+        baseline, whole = runs["none"], runs["whole"]
+        assert whole.sample_table() == baseline.sample_table()
+        assert whole.duration_ns == baseline.duration_ns
+        assert whole.errors == baseline.errors
 
     def test_run_order_is_invisible(self):
         baseline = _run(SMALL_OPEN)
