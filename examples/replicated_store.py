@@ -10,7 +10,6 @@ Run:  python examples/replicated_store.py
 """
 
 from repro import DeploymentSpec, SystemConfig, build
-from repro.baselines import build_server_replication
 from repro.experiments.driver import run_closed_loop
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
@@ -31,9 +30,8 @@ def main() -> None:
          build(DeploymentSpec(placement="switch", chain_length=3), config,
                handler=StructureHandler(PMHashmap()))),
         ("Server-side x3 replication",
-         build_server_replication(config,
-                                  handler=StructureHandler(PMHashmap()),
-                                  replicas=3)),
+         build(DeploymentSpec(placement="server-replication", chain_length=3),
+               config, handler=StructureHandler(PMHashmap()))),
     ]
     latencies = {}
     for name, deployment in points:

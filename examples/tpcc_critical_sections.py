@@ -12,14 +12,13 @@ Run:  python examples/tpcc_critical_sections.py
 
 from repro import DeploymentSpec, SystemConfig, build
 from repro.experiments.driver import run_sessions
+from repro.host.stackmodel import TCP
 from repro.workloads import tpcc
 
 
 def drive(name: str, spec: DeploymentSpec, config: SystemConfig):
     handler = tpcc.TPCCHandler(warehouses=2)
-    deployment = build(
-        spec, config, handler=handler,
-        transport="tcp" if name == "Client-Server" else "udp")
+    deployment = build(spec, config, handler=handler)
 
     def session(index, api, rng):
         return tpcc.session(index, api, rng, transactions=120,
@@ -49,7 +48,8 @@ def main() -> None:
     config = SystemConfig(seed=23).with_clients(8)
     print("TPC-C: 8 terminals, 2 warehouses; ~8% of transactions enter "
           "the stock critical section\n")
-    base = drive("Client-Server", DeploymentSpec(placement="none"), config)
+    base = drive("Client-Server",
+                 DeploymentSpec(placement="none", transport=TCP), config)
     pmnet = drive("PMNet-Switch", DeploymentSpec(placement="switch"), config)
     print(f"\nPMNet throughput speedup: "
           f"{pmnet.ops_per_second() / base.ops_per_second():.2f}x")

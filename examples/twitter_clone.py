@@ -11,15 +11,14 @@ Run:  python examples/twitter_clone.py
 
 from repro import DeploymentSpec, SystemConfig, build
 from repro.experiments.driver import run_sessions
+from repro.host.stackmodel import TCP
 from repro.workloads import twitter
 from repro.workloads.twitter import TwitterHandler
 
 
 def drive(name: str, spec: DeploymentSpec, config: SystemConfig) -> None:
     handler = TwitterHandler()
-    deployment = build(spec, config, handler=handler,
-                       transport="tcp" if name == "Client-Server"
-                       else "udp")
+    deployment = build(spec, config, handler=handler)
 
     def session(index, api, rng):
         return twitter.session(index, api, rng, requests=150,
@@ -40,7 +39,8 @@ def main() -> None:
     config = SystemConfig(seed=11).with_clients(8)
     print("Retwis workload: 8 clients, 80% updates "
           "(posts/follows), 20% timeline reads\n")
-    drive("Client-Server", DeploymentSpec(placement="none"), config)
+    drive("Client-Server", DeploymentSpec(placement="none", transport=TCP),
+          config)
     drive("PMNet-Switch", DeploymentSpec(placement="switch"), config)
     print("\nNote: every client got a distinct UID from the shared "
           "lastUID counter\nwithout any cross-client ordering — the "

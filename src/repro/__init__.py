@@ -5,7 +5,11 @@ The public API re-exports the pieces a downstream user needs:
 * :class:`~repro.config.SystemConfig` — every calibration constant;
 * the declarative :class:`~repro.experiments.deploy.DeploymentSpec`
   and its :func:`~repro.experiments.deploy.build` entry point
-  (baseline, PMNet switch/NIC, sharded, multi-rack fabric);
+  — the one way to stand up a system: the client-server baseline,
+  PMNet at the switch or NIC, the client-/server-side logging and
+  server-side replication alternatives (``placement="client-log"``,
+  ``"server-log"``, ``"server-replication"``), the sharded store and
+  the multi-rack fabric;
 * the Table I client/server libraries;
 * workloads (PMDK stores, PM-Redis, Twitter, TPC-C, YCSB);
 * the failure injector and recovery scenarios;
@@ -13,7 +17,7 @@ The public API re-exports the pieces a downstream user needs:
 
 Quickstart::
 
-    from repro import DeploymentSpec, SystemConfig, build
+    from repro import DeploymentSpec, SystemConfig, build, run_closed_loop
     from repro.workloads import YCSBConfig, make_op_maker
 
     spec = DeploymentSpec(placement="switch")
@@ -42,9 +46,6 @@ from repro.experiments import (
     Deployment,
     DeploymentSpec,
     build,
-    build_client_server,
-    build_pmnet_nic,
-    build_pmnet_switch,
     run_closed_loop,
     run_sessions,
 )
@@ -62,7 +63,6 @@ __all__ = [
     "NO_PMNET",
     "PMNetClient", "PMNetServer", "RequestHandler", "IdealHandler",
     "Deployment", "DeploymentSpec", "build",
-    "build_client_server", "build_pmnet_switch", "build_pmnet_nic",
     "run_closed_loop", "run_sessions",
     "ReproError",
 ]

@@ -1,18 +1,16 @@
-"""Alternative designs the paper compares against (Figs 17, 18, 21)."""
+"""Alternative designs the paper compares against (Figs 17, 18, 21).
+
+Build them with ``build(DeploymentSpec(placement=...))`` using the
+``"client-log"``, ``"server-log"`` or ``"server-replication"``
+placements; these are the host classes those placements install.
+"""
 
 from repro.baselines.client_logging import ClientLoggingClient
 from repro.baselines.common import ReplicaLogger
-from repro.baselines.deploy import (
-    build_client_logging,
-    build_server_logging,
-    build_server_replication,
-)
 from repro.baselines.replication import ReplicatingServer
 from repro.baselines.server_logging import ServerLoggingServer
 
 __all__ = [
     "ClientLoggingClient", "ServerLoggingServer", "ReplicatingServer",
     "ReplicaLogger",
-    "build_client_logging", "build_server_logging",
-    "build_server_replication",
 ]

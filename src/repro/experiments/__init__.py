@@ -4,10 +4,6 @@ from repro.experiments.deploy import (
     Deployment,
     DeploymentSpec,
     build,
-    build_client_server,
-    build_pmnet_nic,
-    build_pmnet_switch,
-    build_sharded,
 )
 from repro.experiments.driver import (
     ClientAPI,
@@ -19,9 +15,7 @@ from repro.experiments.multirack import build_two_rack
 from repro.experiments.summary import format_summary, health_check, summarize
 
 __all__ = [
-    "Deployment", "DeploymentSpec", "build",
-    "build_client_server", "build_pmnet_switch", "build_pmnet_nic",
-    "build_two_rack", "build_sharded",
+    "Deployment", "DeploymentSpec", "build", "build_two_rack",
     "summarize", "health_check", "format_summary",
     "RunStats", "ClientAPI", "run_closed_loop", "run_sessions",
 ]

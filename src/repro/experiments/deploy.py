@@ -3,18 +3,13 @@
 A :class:`DeploymentSpec` names *what* to stand up — racks, device
 placement, chain length, shards, cache, per-tier network profiles — and
 :func:`build` wires it: the paper's three single-rack design points
-(Sec VI-A4), the sharded single-ToR store, and the multi-rack
-spine/leaf fabric with cross-switch chain replication
+(Sec VI-A4), the alternative logging and replication designs PMNet is
+compared against (Figs 17, 18, 21), the sharded single-ToR store, and
+the multi-rack spine/leaf fabric with cross-switch chain replication
 (:mod:`repro.net.fabric`).  The spec is frozen and JSON-round-trippable
 (:meth:`DeploymentSpec.to_params`), so experiment jobs and the chaos
 engine can ship deployments across process boundaries; live objects
 (handlers, tracers, observability) stay arguments of :func:`build`.
-
-The four historical builders — ``build_client_server``,
-``build_pmnet_switch``, ``build_pmnet_nic``, ``build_sharded`` — remain
-as shims that construct the equivalent spec (with a DeprecationWarning);
-their wiring is reproduced exactly, so traces and tables are
-byte-identical.
 
 Every build returns a :class:`Deployment` holding the simulator and
 every component, so experiments and tests can drive and inspect the
@@ -23,9 +18,9 @@ system uniformly.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.pmnet_device import PMNetDevice
@@ -38,7 +33,7 @@ from repro.host.client import PMNetClient
 from repro.host.handler import IdealHandler, RequestHandler
 from repro.host.node import HostNode
 from repro.host.server import PMNetServer
-from repro.host.stackmodel import UDP, HostStack
+from repro.host.stackmodel import TCP, UDP, HostStack
 from repro.net.switch import Switch
 from repro.net.topology import Topology
 from repro.obs.context import Observability
@@ -47,16 +42,36 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
 #: Valid values of :attr:`DeploymentSpec.placement`.
-PLACEMENTS = ("none", "switch", "nic")
+PLACEMENTS = ("none", "switch", "nic",
+              "client-log", "server-log", "server-replication")
+
+#: Valid values of :attr:`DeploymentSpec.transport`.
+TRANSPORTS = (UDP, TCP)
+
+
+def _check_field_type(name: str, annotation: str, value: object) -> None:
+    """Reject a field value of the wrong type, naming the field.
+
+    ``annotation`` is the field's (string) annotation.  ``bool`` is not
+    an ``int`` here, and a non-``bool`` is not a ``bool``: ``"no"``
+    must not silently enable a feature.
+    """
+    if value is None and annotation.startswith("Optional["):
+        return
+    expected = {"bool": bool, "str": str}.get(annotation, int)
+    if (isinstance(value, bool) != (expected is bool)
+            or not isinstance(value, expected)):
+        raise ValueError(f"{name} must be {expected.__name__}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
 class DeploymentSpec:
     """A declarative description of one simulated system.
 
-    Single-rack shapes (``racks == 1``) reproduce the legacy builders;
-    ``racks > 1`` stands up the spine/leaf fabric with consistent-hash
-    sharding and cross-rack chain replication.
+    Single-rack shapes (``racks == 1``) are the paper's design points and
+    its baselines; ``racks > 1`` stands up the spine/leaf fabric with
+    consistent-hash sharding and cross-rack chain replication.
     """
 
     #: Number of racks.  1 = the classic one-ToR star shapes.
@@ -65,11 +80,16 @@ class DeploymentSpec:
     spines: int = 1
     #: Where the PMNet device sits: ``"none"`` (baseline client-server),
     #: ``"switch"`` (ToR position), or ``"nic"`` (bump-in-the-wire at
-    #: the server; single-rack only).
+    #: the server; single-rack only).  The device-free alternative
+    #: designs PMNet is compared against (Figs 17, 18, 21) place the
+    #: log instead: ``"client-log"``, ``"server-log"`` and
+    #: ``"server-replication"`` (single-rack only).
     placement: str = "switch"
     #: Replication strength.  Single-rack: devices in series under one
     #: ToR (Fig 9a), clients wait for all their ACKs.  Fabric: the
     #: cross-rack chain length; the tail's single ACK completes.
+    #: Baselines: total log copies (local plus peer clients for
+    #: ``"client-log"``; server plus replica servers otherwise).
     chain_length: int = 1
     #: PMNet devices per rack (fabric only): the primary sits between
     #: leaf and servers; extras hang off the leaf as chain members.
@@ -98,26 +118,30 @@ class DeploymentSpec:
     control_period_ns: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for spec_field in fields(self):
+            _check_field_type(spec_field.name, spec_field.type,
+                              getattr(self, spec_field.name))
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, "
                 f"got {self.placement!r}")
-        if self.racks < 1 or self.spines < 1:
-            raise ValueError("racks and spines must be >= 1")
-        if (self.chain_length < 1 or self.devices_per_rack < 1
-                or self.servers_per_rack < 1):
-            raise ValueError("chain_length, devices_per_rack and "
-                             "servers_per_rack must be >= 1")
-        if self.clients_per_rack is not None and self.clients_per_rack < 1:
-            raise ValueError("clients_per_rack must be >= 1")
-        if self.ring_replicas < 1:
-            raise ValueError("ring_replicas must be >= 1")
-        if self.control_period_ns is not None:
-            if self.control_period_ns <= 0:
-                raise ValueError("control_period_ns must be positive")
-            if self.racks == 1:
-                raise ValueError("the control plane runs over the "
-                                 "multi-rack fabric (racks > 1)")
+        if self.transport not in TRANSPORTS:
+            raise ValueError(
+                f"transport must be one of {TRANSPORTS}, "
+                f"got {self.transport!r}")
+        for name in ("racks", "spines", "chain_length", "devices_per_rack",
+                     "servers_per_rack", "clients_per_rack", "ring_replicas",
+                     "control_period_ns"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("nic_wire_ns", "spine_propagation_ns"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.control_period_ns is not None and self.racks == 1:
+            raise ValueError("the control plane runs over the "
+                             "multi-rack fabric (racks > 1)")
         if self.racks > 1:
             if self.placement != "switch":
                 raise ValueError(
@@ -129,11 +153,13 @@ class DeploymentSpec:
                     f"chain length {self.chain_length} exceeds the "
                     f"{total_devices} devices in the fabric")
         else:
-            if self.placement == "none" and (self.chain_length > 1
-                                             or self.enable_cache):
+            if self.placement not in ("switch", "nic") and self.enable_cache:
                 raise ValueError(
-                    "the baseline has no PMNet device to replicate or "
-                    "cache on")
+                    f"placement {self.placement!r} has no PMNet device "
+                    "to cache on")
+            if self.placement == "none" and self.chain_length > 1:
+                raise ValueError(
+                    "the baseline has no PMNet device to replicate on")
             if self.placement == "nic" and self.chain_length > 1:
                 raise ValueError("NIC placement holds a single device")
             if self.servers_per_rack > 1 and self.placement != "switch":
@@ -166,6 +192,10 @@ class DeploymentSpec:
 
     @classmethod
     def from_params(cls, params: Dict[str, object]) -> "DeploymentSpec":
+        unknown = sorted(set(params) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown DeploymentSpec field(s): "
+                             f"{', '.join(unknown)}")
         return cls(**params)  # type: ignore[arg-type]
 
 
@@ -231,19 +261,26 @@ class Deployment:
 # ----------------------------------------------------------------------
 def _make_server(sim: Simulator, topology: Topology, config: SystemConfig,
                  handler: Optional[RequestHandler], transport: str,
-                 tracer: Optional[Tracer]) -> PMNetServer:
+                 tracer: Optional[Tracer],
+                 server_class: Callable[..., PMNetServer] = PMNetServer
+                 ) -> PMNetServer:
     stack = HostStack(sim, "server", config.server_stack, transport)
     host = HostNode(sim, "server", stack)
     topology.add(host)
     if handler is None:
         handler = IdealHandler(config.server.ideal_handler_ns)
-    return PMNetServer(sim, host, handler, config, tracer=tracer)
+    return server_class(sim, host, handler, config, tracer=tracer)
 
 
 def _make_clients(sim: Simulator, topology: Topology, config: SystemConfig,
                   attach_to: object, policy: ReplicationPolicy,
-                  transport: str, tracer: Optional[Tracer]
-                  ) -> List[PMNetClient]:
+                  transport: str, tracer: Optional[Tracer],
+                  new_client: Optional[Callable] = None) -> list:
+    """One client host per ``config.num_clients``, linked to ``attach_to``.
+
+    Each gets a :class:`PMNetClient` under ``policy``, unless
+    ``new_client(index, host, allocator)`` builds another client class.
+    """
     allocator = SessionAllocator()
     clients = []
     for index in range(config.num_clients):
@@ -252,8 +289,12 @@ def _make_clients(sim: Simulator, topology: Topology, config: SystemConfig,
         host = HostNode(sim, name, stack)
         topology.add(host)
         topology.connect(host, attach_to)  # type: ignore[arg-type]
-        clients.append(PMNetClient(sim, host, config, "server", allocator,
-                                   policy=policy, tracer=tracer))
+        if new_client is not None:
+            clients.append(new_client(index, host, allocator))
+        else:
+            clients.append(PMNetClient(sim, host, config, "server",
+                                       allocator, policy=policy,
+                                       tracer=tracer))
     return clients
 
 
@@ -263,20 +304,15 @@ def _make_clients(sim: Simulator, topology: Topology, config: SystemConfig,
 def build(spec: DeploymentSpec, config: SystemConfig,
           handler: Optional[RequestHandler] = None,
           handler_factory=None,
-          transport: Optional[str] = None,
           tracer: Optional[Tracer] = None,
           obs: Optional[Observability] = None) -> Deployment:
     """Wire the system a :class:`DeploymentSpec` describes.
 
     ``handler`` serves single-server shapes; multi-server shapes take a
-    ``handler_factory`` (each shard gets its own instance).  ``transport``
-    overrides ``spec.transport`` when given (convenience for callers
-    holding only a transport constant).
+    ``handler_factory`` (each shard gets its own instance).
     """
     if handler is not None and handler_factory is not None:
         raise ValueError("pass handler or handler_factory, not both")
-    if transport is not None and transport != spec.transport:
-        spec = replace(spec, transport=transport)
     if spec.racks > 1:
         from repro.net.fabric import build_fabric
 
@@ -294,27 +330,66 @@ def build(spec: DeploymentSpec, config: SystemConfig,
                                           handler, tracer, obs)
     if handler is None and handler_factory is not None:
         handler = handler_factory()
-    if spec.placement == "none":
-        return _build_baseline(spec, config, handler, tracer, obs)
     if spec.placement == "nic":
         return _build_nic(spec, config, handler, tracer, obs)
-    return _build_tor_chain(spec, config, handler, tracer, obs)
+    if spec.placement == "switch":
+        return _build_tor_chain(spec, config, handler, tracer, obs)
+    return _build_baseline(spec, config, handler, tracer, obs)
 
 
 def _build_baseline(spec: DeploymentSpec, config: SystemConfig,
                     handler: Optional[RequestHandler],
                     tracer: Optional[Tracer],
                     obs: Optional[Observability]) -> Deployment:
-    """The baseline Client-Server system: clients - switch - server."""
+    """The device-free designs: clients - ToR - server.
+
+    ``"none"`` is the paper's Client-Server baseline.  The alternative
+    designs keep ``chain_length`` log copies: ``"client-log"`` logs at
+    each client plus its next ``chain_length - 1`` peer clients (Fig
+    17a); ``"server-log"`` acknowledges from the server's early write
+    log (Fig 17b) and ``"server-replication"`` after commit (Fig 21),
+    each waiting on ``chain_length - 1`` replica servers on the ToR.
+    """
+    copies = spec.chain_length
+    if spec.placement == "client-log" and copies > config.num_clients:
+        raise ValueError(
+            f"chain_length {copies} needs more log copies than the "
+            f"{config.num_clients} clients can hold")
     sim = Simulator(seed=config.seed, obs=obs)
     topology = Topology(sim, config.network)
     switch = Switch(sim, "tor", config.network)
     topology.add(switch)
+    server_class: Callable[..., PMNetServer] = PMNetServer
+    replica_hosts: List[str] = []
+    if spec.placement in ("server-log", "server-replication"):
+        from repro.baselines.common import ReplicaLogger
+        from repro.baselines.replication import ReplicatingServer
+        from repro.baselines.server_logging import ServerLoggingServer
+
+        replica_hosts = [f"replica{index}" for index in range(1, copies)]
+        server_class = partial(
+            ServerLoggingServer if spec.placement == "server-log"
+            else ReplicatingServer, replica_hosts=replica_hosts)
     server = _make_server(sim, topology, config, handler, spec.transport,
-                          tracer)
+                          tracer, server_class)
     topology.connect(switch, server.host)
+    for name in replica_hosts:
+        stack = HostStack(sim, name, config.server_stack, spec.transport)
+        host = HostNode(sim, name, stack)
+        topology.add(host)
+        topology.connect(host, switch)
+        ReplicaLogger(sim, host)
+    new_client = None
+    if spec.placement == "client-log":
+        from repro.baselines.client_logging import ClientLoggingClient
+
+        def new_client(index, host, allocator):
+            peers = [f"client{(index + offset) % config.num_clients}"
+                     for offset in range(1, copies)]
+            return ClientLoggingClient(sim, host, config, "server",
+                                       allocator, peers=peers)
     clients = _make_clients(sim, topology, config, switch, NO_PMNET,
-                            spec.transport, tracer)
+                            spec.transport, tracer, new_client)
     topology.compute_routes()
     return Deployment(sim=sim, config=config, topology=topology,
                       clients=clients, server=server, switches=[switch],
@@ -429,64 +504,3 @@ def _build_single_rack_sharded(spec: DeploymentSpec, config: SystemConfig,
                       clients=clients, server=servers[0],
                       devices=[device], switches=[merge], tracer=tracer,
                       obs=obs, extra_servers=servers[1:], spec=spec)
-
-
-# ----------------------------------------------------------------------
-# Deprecated builder shims (byte-identical to their spec equivalents)
-# ----------------------------------------------------------------------
-def _warn_legacy(name: str, spec: DeploymentSpec) -> None:
-    warnings.warn(
-        f"{name}() is deprecated: call build(DeploymentSpec("
-        f"placement={spec.placement!r}, ...), config) instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def build_client_server(config: SystemConfig,
-                        handler: Optional[RequestHandler] = None,
-                        transport: str = UDP,
-                        tracer: Optional[Tracer] = None,
-                        obs: Optional[Observability] = None) -> Deployment:
-    """Deprecated shim for the baseline spec (placement ``"none"``)."""
-    spec = DeploymentSpec(placement="none", transport=transport)
-    _warn_legacy("build_client_server", spec)
-    return build(spec, config, handler=handler, tracer=tracer, obs=obs)
-
-
-def build_pmnet_switch(config: SystemConfig,
-                       handler: Optional[RequestHandler] = None,
-                       replication: int = 1,
-                       enable_cache: bool = False,
-                       transport: str = UDP,
-                       tracer: Optional[Tracer] = None,
-                       obs: Optional[Observability] = None) -> Deployment:
-    """Deprecated shim for the ToR spec (placement ``"switch"``)."""
-    spec = DeploymentSpec(placement="switch", chain_length=replication,
-                          enable_cache=enable_cache, transport=transport)
-    _warn_legacy("build_pmnet_switch", spec)
-    return build(spec, config, handler=handler, tracer=tracer, obs=obs)
-
-
-def build_pmnet_nic(config: SystemConfig,
-                    handler: Optional[RequestHandler] = None,
-                    enable_cache: bool = False,
-                    transport: str = UDP,
-                    tracer: Optional[Tracer] = None,
-                    obs: Optional[Observability] = None) -> Deployment:
-    """Deprecated shim for the NIC spec (placement ``"nic"``)."""
-    spec = DeploymentSpec(placement="nic", enable_cache=enable_cache,
-                          transport=transport)
-    _warn_legacy("build_pmnet_nic", spec)
-    return build(spec, config, handler=handler, tracer=tracer, obs=obs)
-
-
-def build_sharded(config: SystemConfig, num_servers: int,
-                  handler_factory=None,
-                  transport: str = UDP,
-                  tracer: Optional[Tracer] = None,
-                  obs: Optional[Observability] = None) -> Deployment:
-    """Deprecated shim for the single-ToR sharded spec."""
-    spec = DeploymentSpec(placement="switch", servers_per_rack=num_servers,
-                          transport=transport)
-    _warn_legacy("build_sharded", spec)
-    return build(spec, config, handler_factory=handler_factory,
-                 tracer=tracer, obs=obs)

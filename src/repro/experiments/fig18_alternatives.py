@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.report import format_table
-from repro.baselines.deploy import build_client_logging, build_server_logging
 from repro.config import SystemConfig
 from repro.experiments.common import Scale
 from repro.experiments.deploy import DeploymentSpec, build
@@ -57,16 +56,9 @@ class Fig18Result:
 POINTS = (("client-log", 1), ("client-log", 3), ("pmnet", 1), ("pmnet", 3),
           ("server-log", 1), ("server-log", 3))
 
-def _build_pmnet(config, replication=1):
-    return build(DeploymentSpec(placement="switch",
-                                chain_length=replication), config)
-
-
-_BUILDERS = {
-    "client-log": build_client_logging,
-    "pmnet": _build_pmnet,
-    "server-log": build_server_logging,
-}
+#: design -> the DeploymentSpec placement that builds it.
+PLACEMENT = {"client-log": "client-log", "pmnet": "switch",
+             "server-log": "server-log"}
 
 
 def jobs(config: SystemConfig = None,  # type: ignore[assignment]
@@ -92,10 +84,9 @@ def run_point(spec: JobSpec) -> float:
         return (Operation(OpKind.SET, key=(ci, ri), value=b"x"),
                 cfg.payload_bytes)
 
-    builder = _BUILDERS[spec.params["design"]]
-    replication = spec.params["replication"]
-    deployment = builder(cfg) if replication == 1 else builder(
-        cfg, replication=replication)
+    deployment = build(
+        DeploymentSpec(placement=PLACEMENT[spec.params["design"]],
+                       chain_length=spec.params["replication"]), cfg)
     stats = run_closed_loop(deployment, op_maker,
                             requests_per_client=requests,
                             warmup_requests=10)

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import geometric_mean
-from repro.baselines.deploy import build_server_replication
 from repro.config import SystemConfig
 from repro.experiments.common import Scale
 from repro.experiments.deploy import DeploymentSpec, build
@@ -73,7 +72,14 @@ class Fig21Result:
                 f"{self.average_speedup():.2f}x  (paper: 5.88x)")
 
 
-DESIGNS = ("pmnet-1x", "pmnet-3x", "server-replication-3x")
+#: design -> the deployment that builds it.
+DESIGN_SPECS = {
+    "pmnet-1x": DeploymentSpec(placement="switch"),
+    "pmnet-3x": DeploymentSpec(placement="switch", chain_length=3),
+    "server-replication-3x": DeploymentSpec(placement="server-replication",
+                                            chain_length=3),
+}
+DESIGNS = tuple(DESIGN_SPECS)
 
 
 def jobs(config: SystemConfig = None, quick: bool = True,  # type: ignore[assignment]
@@ -95,16 +101,8 @@ def run_point(spec: JobSpec) -> float:
     scale = Scale.exact(spec.quick)
     make_handler = WORKLOAD_HANDLERS[spec.params["workload"]]
     sized = cfg.with_clients(scale.clients)
-    design = spec.params["design"]
-    if design == "pmnet-1x":
-        deployment = build(DeploymentSpec(placement="switch"), sized,
-                           handler=make_handler(cfg))
-    elif design == "pmnet-3x":
-        deployment = build(DeploymentSpec(placement="switch", chain_length=3),
-                           sized, handler=make_handler(cfg))
-    else:
-        deployment = build_server_replication(
-            sized, handler=make_handler(cfg), replicas=3)
+    deployment = build(DESIGN_SPECS[spec.params["design"]], sized,
+                       handler=make_handler(cfg))
     op_maker = make_op_maker(YCSBConfig(update_ratio=1.0,
                                         payload_bytes=cfg.payload_bytes))
     stats = run_closed_loop(deployment, op_maker,

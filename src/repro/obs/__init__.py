@@ -1,10 +1,7 @@
 """Unified observability: metrics registry, lifecycle spans, exporters.
 
-See ``docs/observability.md`` for the full API tour.  The package
-replaces three disjoint mechanisms — reflection-scanned counters
-(:func:`repro.sim.monitor.component_summary`), the mutable
-``GLOBAL_TRACER`` module global, and ad-hoc benchmark JSON shapes —
-with one explicit, injected surface:
+See ``docs/observability.md`` for the full API tour.  The package is
+one explicit, injected surface:
 
 * :class:`MetricsRegistry` — components register typed instruments
   (``Counter``, ``Gauge``, :class:`Histogram`) via the

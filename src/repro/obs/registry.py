@@ -1,10 +1,9 @@
 """The metrics registry: explicit instrument registration.
 
-Components used to be *scanned* for instruments (the reflection walk in
-:func:`repro.sim.monitor.component_summary`); now each instrumented
-component declares what it measures through an ``instruments()``
-protocol method and registers into one :class:`MetricsRegistry` per
-deployment when observability is attached.  The registry owns nothing
+Each instrumented component declares what it measures through an
+``instruments()`` protocol method and registers into one
+:class:`MetricsRegistry` per deployment when observability is
+attached.  The registry owns nothing
 but references — instruments stay live on their components, so the hot
 paths keep their direct ``counter.increment()`` calls and the registry
 adds zero per-event cost.

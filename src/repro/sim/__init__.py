@@ -38,7 +38,6 @@ from repro.sim.monitor import (
     LatencyRecorder,
     ThroughputMeter,
     TimeSeries,
-    component_summary,
     instruments_summary,
 )
 from repro.sim.process import AllOf, AnyOf, Interrupted, Process
@@ -53,17 +52,6 @@ from repro.sim.rand import (
 from repro.sim.trace import TraceRecord, Tracer
 
 
-def __getattr__(name: str):
-    # Deprecated: GLOBAL_TRACER survives as a lazy re-export so old
-    # imports keep working (with a DeprecationWarning) for one release
-    # without the warning firing at package-import time.
-    if name == "GLOBAL_TRACER":
-        from repro.sim import trace
-
-        return trace.GLOBAL_TRACER
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "NANOSECOND", "MICROSECOND", "MILLISECOND", "SECOND",
     "nanoseconds", "microseconds", "milliseconds", "seconds",
@@ -72,7 +60,7 @@ __all__ = [
     "TieredEventQueue", "ScheduledCall", "SimEvent", "Simulator",
     "Process", "AllOf", "AnyOf", "Interrupted",
     "Counter", "Gauge", "LatencyRecorder", "ThroughputMeter", "TimeSeries",
-    "component_summary", "instruments_summary", "EventProfiler",
+    "instruments_summary", "EventProfiler",
     "RandomStreams", "LatencyJitter", "zipfian_ranks",
     "exponential_delay", "choose_weighted",
     "Tracer", "TraceRecord",

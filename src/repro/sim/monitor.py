@@ -8,7 +8,6 @@ out) so the analysis layer can also use them on non-simulated data.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Sentinel for "no default supplied" (``None`` is a legitimate default).
@@ -104,37 +103,6 @@ def instruments_summary(instruments: Iterable[object]) -> Dict[str, int]:
             summary[f"{short}_highwater"] = instrument.highwater
         elif isinstance(instrument, Counter):
             summary[short] = instrument.value
-    return summary
-
-
-def component_summary(component: object) -> Dict[str, int]:
-    """Deprecated: use the ``instruments()`` protocol instead.
-
-    Instrumented components now declare their counters/gauges explicitly
-    through ``instruments()`` (see :mod:`repro.obs.registry`); this shim
-    delegates to it when present and only falls back to the historical
-    attribute-scanning reflection for components that predate the
-    protocol.  It will be removed next release.
-    """
-    warnings.warn(
-        "component_summary() is deprecated: call the component's "
-        "instruments() protocol (repro.obs) instead",
-        DeprecationWarning, stacklevel=2)
-    instruments = getattr(component, "instruments", None)
-    if callable(instruments):
-        return instruments_summary(instruments())
-    attributes = getattr(component, "__dict__", None)
-    if attributes is None:  # slotted components
-        attributes = {name: getattr(component, name, None)
-                      for cls in type(component).__mro__
-                      for name in getattr(cls, "__slots__", ())}
-    summary: Dict[str, int] = {}
-    for attribute, instrument in attributes.items():
-        if isinstance(instrument, Counter):
-            summary[attribute] = instrument.value
-        elif isinstance(instrument, Gauge):
-            summary[attribute] = instrument.value
-            summary[f"{attribute}_highwater"] = instrument.highwater
     return summary
 
 

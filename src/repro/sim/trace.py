@@ -67,23 +67,3 @@ class Tracer:
         """All records as one newline-joined string."""
         return "\n".join(str(record) for record in self.records)
 
-
-#: Deprecated process-wide fallback tracer, kept importable for one
-#: release.  Components now inherit their simulator's injected tracer
-#: (``Simulator(obs=Observability(trace=True))``) instead of mutating a
-#: module global; accessing ``GLOBAL_TRACER`` warns and returns this
-#: always-disabled instance.
-_DEPRECATED_GLOBAL_TRACER = Tracer(enabled=False)
-
-
-def __getattr__(name: str):  # pragma: no cover - exercised via import
-    if name == "GLOBAL_TRACER":
-        import warnings
-
-        warnings.warn(
-            "GLOBAL_TRACER is deprecated: inject a Tracer via "
-            "Simulator(obs=Observability(trace=True)) or a component's "
-            "tracer= argument instead",
-            DeprecationWarning, stacklevel=2)
-        return _DEPRECATED_GLOBAL_TRACER
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

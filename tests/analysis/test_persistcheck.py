@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.persistcheck import PersistenceChecker, Violation
 from repro.config import SystemConfig
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.failure.injector import FailureInjector
 from repro.sim.clock import microseconds, milliseconds
 from repro.sim.trace import Tracer
@@ -16,8 +16,8 @@ from repro.workloads.pmdk.hashmap import PMHashmap
 def _traced_run(clients=2, requests=20, crash=False, seed=1):
     tracer = Tracer(enabled=True)
     config = SystemConfig(seed=seed).with_clients(clients)
-    deployment = build_pmnet_switch(
-        config, handler=StructureHandler(PMHashmap()), tracer=tracer)
+    deployment = build(DeploymentSpec(placement="switch"), config,
+                       handler=StructureHandler(PMHashmap()), tracer=tracer)
     sim = deployment.sim
 
     def client_proc(index, client):

@@ -9,15 +9,15 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.mat import MATAction, classify
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.net.packet import Frame, RawPayload
 from repro.protocol.types import PacketType
 from repro.workloads.kv import OpKind, Operation
 
 
-def _one_client_deployment(**kwargs):
-    config = SystemConfig().with_clients(1)
-    return build_pmnet_switch(config, **kwargs)
+def _one_client_deployment():
+    return build(DeploymentSpec(placement="switch"),
+                 SystemConfig().with_clients(1))
 
 
 def _run_update(deployment, key="k", value="v"):
@@ -147,8 +147,8 @@ class TestModes:
             PMNetDevice(Simulator(), "x", SystemConfig(), mode="router")
 
     def test_nic_mode_builds_and_serves(self):
-        from repro.experiments.deploy import build_pmnet_nic
-        deployment = build_pmnet_nic(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="nic"),
+                           SystemConfig().with_clients(1))
         completion = _run_update(deployment)
         assert completion.via == "pmnet"
         assert deployment.devices[0].mode == "nic"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SystemConfig
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.net.link import Impairments
 from repro.sim.clock import microseconds, milliseconds
 from repro.workloads.handlers import StructureHandler
@@ -22,7 +22,8 @@ def _loaded_deployment(requests=15, clients=2):
     config = replace(base, log=replace(base.log,
                                        redo_timeout_ns=10_000_000_000))
     handler = StructureHandler(PMHashmap())
-    deployment = build_pmnet_switch(config, handler=handler)
+    deployment = build(DeploymentSpec(placement="switch"), config,
+                       handler=handler)
     deployment.server.crash()
     acknowledged = []
 
@@ -187,7 +188,8 @@ class TestRedoScrubber:
         redo timer can get it to the server."""
         config = SystemConfig(seed=2).with_clients(1)
         handler = StructureHandler(PMHashmap())
-        deployment = build_pmnet_switch(config, handler=handler)
+        deployment = build(DeploymentSpec(placement="switch"), config,
+                           handler=handler)
         # Drop everything the device forwards for the first 300 us.
         link = next(l for l in deployment.topology.links
                     if l.forward.name == "pmnet1->server")
@@ -216,7 +218,7 @@ class TestRedoScrubber:
         """No periodic events linger after the log drains (the sim's
         event queue must go quiet)."""
         config = SystemConfig().with_clients(1)
-        deployment = build_pmnet_switch(config)
+        deployment = build(DeploymentSpec(placement="switch"), config)
         client = deployment.clients[0]
 
         def proc():

@@ -1,36 +1,28 @@
-"""The DeploymentSpec API bar: shims are warnings plus *byte identity*.
+"""The DeploymentSpec contract: loud validation, a lossless JSON round
+trip, and the alternative designs pinned to their hand-wired numbers.
 
-The four historical builders survive only as deprecation shims over
-``build(spec)``.  That is safe exactly when a shim-built system and its
-spec-built equivalent are indistinguishable — same trace digests, same
-instrument summaries, same latency samples, same final clock — at
-every fold level.  This file holds that line,
-plus the spec's own contract: validation of impossible shapes and a
-lossless JSON round trip (experiment jobs and the chaos engine ship
-specs across process boundaries).
+Experiment jobs and the chaos engine ship specs across process
+boundaries, so a bad value must fail at the spec, naming its field,
+not deep inside the build.  The client-/server-side logging and
+server-side replication baselines (Figs 17, 18, 21) are ``placement``
+values of :func:`build`; their trace digests, latency samples, final
+clocks and event counts are pinned to the values the former hand-wired
+builders produced, at every fold level.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.experiments.deploy import (
-    DeploymentSpec,
-    build,
-    build_client_server,
-    build_pmnet_nic,
-    build_pmnet_switch,
-    build_sharded,
-)
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.host.stackmodel import TCP
-from repro.obs.context import Observability
 from repro.protocol.packet import reset_request_ids
+from repro.sim.trace import Tracer
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
@@ -64,6 +56,11 @@ class TestSpecValidation:
         dict(racks=2, placement="nic"),
         # Chain longer than the fabric has devices.
         dict(racks=2, devices_per_rack=1, chain_length=3),
+        # The alternative designs have no device to cache on, serve one
+        # server and live in one rack.
+        dict(placement="client-log", enable_cache=True),
+        dict(placement="server-log", servers_per_rack=2),
+        dict(racks=2, placement="server-replication"),
     ])
     def test_impossible_shapes_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -77,6 +74,7 @@ class TestSpecValidation:
         DeploymentSpec(racks=3, spines=2, devices_per_rack=2,
                        servers_per_rack=2, chain_length=3,
                        clients_per_rack=2, spine_propagation_ns=2_000),
+        DeploymentSpec(placement="server-log", chain_length=3),
     ])
     def test_params_round_trip_losslessly(self, spec):
         params = spec.to_params()
@@ -84,35 +82,34 @@ class TestSpecValidation:
         assert json.loads(json.dumps(params)) == params
         assert DeploymentSpec.from_params(params) == spec
 
-    def test_transport_override_replaces_spec_transport(self):
-        deployment = build(DeploymentSpec(placement="none"),
-                           SystemConfig().quick_scale(), transport=TCP)
-        assert deployment.spec.transport == TCP
-
-
-# ----------------------------------------------------------------------
-# Deprecation surface
-# ----------------------------------------------------------------------
-class TestShimsWarn:
-    @pytest.mark.parametrize("shim,kwargs", [
-        (build_client_server, {}),
-        (build_pmnet_switch, {}),
-        (build_pmnet_nic, {}),
-        (build_sharded, dict(num_servers=2)),
+    @pytest.mark.parametrize("params,field", [
+        pytest.param(dict(racks=2.5), "racks", id="float-racks"),
+        pytest.param(dict(chain_length=1.5), "chain_length",
+                     id="float-chain"),
+        pytest.param(dict(racks=True), "racks", id="bool-racks"),
+        pytest.param(dict(clients_per_rack=False), "clients_per_rack",
+                     id="bool-optional-int"),
+        pytest.param(dict(enable_cache="no"), "enable_cache",
+                     id="str-cache-flag"),
+        pytest.param(dict(placement=1), "placement", id="int-placement"),
+        pytest.param(dict(transport="carrier-pigeon"), "transport",
+                     id="unknown-transport"),
+        pytest.param(dict(nic_wire_ns=-1), "nic_wire_ns",
+                     id="negative-nic-wire"),
+        pytest.param(dict(racks=2, spine_propagation_ns=-5),
+                     "spine_propagation_ns", id="negative-spine"),
+        pytest.param(dict(racks=1, replicas=3), "replicas",
+                     id="unknown-key"),
     ])
-    def test_every_legacy_builder_warns(self, shim, kwargs):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            shim(SystemConfig().quick_scale(), **kwargs)
-
-    def test_build_itself_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build(DeploymentSpec(placement="switch"),
-                  SystemConfig().quick_scale())
+    def test_bad_input_fails_loudly_naming_the_field(self, params, field):
+        # Every JSON-shipped spec enters through from_params, which
+        # constructs the spec: both boundaries reject here.
+        with pytest.raises(ValueError, match=field):
+            DeploymentSpec.from_params(params)
 
 
 # ----------------------------------------------------------------------
-# Byte identity: shim-built == spec-built
+# The alternative designs, pinned to their hand-wired values
 # ----------------------------------------------------------------------
 def _op_maker(index, request_index, rng):
     key = rng.randrange(32)
@@ -121,87 +118,78 @@ def _op_maker(index, request_index, rng):
     return Operation(OpKind.GET, key=key), 100
 
 
-#: name -> (shim invocation, equivalent spec invocation).  Each entry
-#: is a builder taking (config, obs) and returning (deployment,
-#: handlers) with every shard handler listed.
-def _single(builder, spec=None, **kwargs):
-    def construct(config, obs):
-        handler = StructureHandler(PMHashmap())
-        if spec is not None:
-            deployment = build(spec, config, handler=handler, obs=obs)
-        else:
-            deployment = builder(config, handler=handler, obs=obs, **kwargs)
-        return deployment, [handler]
-    return construct
-
-
-def _multi(builder, spec=None, **kwargs):
-    def construct(config, obs):
-        handlers = []
-
-        def factory():
-            handler = StructureHandler(PMHashmap())
-            handlers.append(handler)
-            return handler
-
-        if spec is not None:
-            deployment = build(spec, config, handler_factory=factory,
-                               obs=obs)
-        else:
-            deployment = builder(config, handler_factory=factory, obs=obs,
-                                 **kwargs)
-        return deployment, handlers
-    return construct
-
-
-PAIRS = {
-    "client-server": (
-        _single(build_client_server),
-        _single(build, spec=DeploymentSpec(placement="none"))),
-    "pmnet-switch": (
-        _single(build_pmnet_switch, replication=2),
-        _single(build, spec=DeploymentSpec(placement="switch",
-                                           chain_length=2))),
-    "pmnet-nic": (
-        _single(build_pmnet_nic, enable_cache=True),
-        _single(build, spec=DeploymentSpec(placement="nic",
-                                           enable_cache=True))),
-    "sharded": (
-        _multi(build_sharded, num_servers=2),
-        _multi(build, spec=DeploymentSpec(placement="switch",
-                                          servers_per_rack=2))),
-}
-
-
-def _observables(construct) -> dict:
-    """Every byte-comparison surface of one constructed system."""
+def _observables(spec: DeploymentSpec) -> dict:
+    """The byte-comparison surfaces of one traced baseline run."""
     reset_request_ids()  # ids land in traces; depend on the seed alone
-    config = SystemConfig(seed=9).quick_scale().with_clients(2)
-    obs = Observability(spans=False, trace=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        deployment, handlers = construct(config, obs)
+    config = SystemConfig(seed=9).quick_scale().with_clients(3)
+    tracer = Tracer(enabled=True)
+    deployment = build(spec, config, handler=StructureHandler(PMHashmap()),
+                       tracer=tracer)
     stats = run_closed_loop(deployment, _op_maker,
                             requests_per_client=12, warmup_requests=2)
-    trace = obs.tracer.dump()
+    samples = json.dumps(stats.all_latencies.samples)
     return {
-        "trace_digest": hashlib.sha256(trace.encode()).hexdigest(),
-        "instrument_summaries": obs.registry.summaries(),
-        "latency_samples": stats.all_latencies.samples,
-        "requests": stats.requests,
-        "errors": stats.errors,
+        "trace_digest": hashlib.sha256(tracer.dump().encode()).hexdigest(),
+        "samples_digest": hashlib.sha256(samples.encode()).hexdigest(),
         "final_now": deployment.sim.now,
         "executed_events": deployment.sim.executed_events,
-        "state_digests": [handler.digest() for handler in handlers],
     }
 
 
-class TestShimEquivalence:
-    @pytest.mark.parametrize("name", sorted(PAIRS))
+#: (placement, log copies) -> observables measured on the hand-wired
+#: builders these placements replaced.  Trace, samples and final clock
+#: are fold-independent; the event count is per fold level.
+BASELINE_PINS = {
+    ("client-log", 1): {
+        "trace_digest":
+            "e9b1b003663483c0817a2eb0ff07455b06dd9025f0b5409a006a80b5945b7a58",
+        "samples_digest":
+            "a86c79f61bf9a80371d0cf5fa0f414bc83c57c3cf2ce655f8aa7071c6af0428b",
+        "final_now": 696572,
+        "executed_events": {"none": 834, "whole": 559},
+    },
+    ("client-log", 3): {
+        "trace_digest":
+            "b89b444306b3672890eae66293ec83765347ec58203ac870068668b605687c03",
+        "samples_digest":
+            "463410186a203b2ff3ce712fd059322986d569608af24e16c777bdbb56a2a51c",
+        "final_now": 784366,
+        "executed_events": {"none": 1224, "whole": 793},
+    },
+    ("server-log", 1): {
+        "trace_digest":
+            "ab0f593bcb5fd690bd4efbd8da274e80949bf2f096210a9022a915deef27826e",
+        "samples_digest":
+            "ea3b1457c9cf5d1ea43eb3ac2146b615b7ea1db32b376f37520ae9dc30186df6",
+        "final_now": 1739617,
+        "executed_events": {"none": 918, "whole": 466},
+    },
+    ("server-log", 3): {
+        "trace_digest":
+            "2f3d64fc41a96049c4862a57e2127768a1fcb96d34a38de68cab00aa3c5a4ae4",
+        "samples_digest":
+            "bf824c9a36daba299b22f5f0809ae9d6eb0233a5a67b1b8a204408f882701a85",
+        "final_now": 1999598,
+        "executed_events": {"none": 1308, "whole": 690},
+    },
+    ("server-replication", 3): {
+        "trace_digest":
+            "71b7f8c2e6f499979cd19aec8d43e1c5e8f7b676b2a662b0265db57845adf415",
+        "samples_digest":
+            "a369b650e72d6f298c69fcf5efddba4eda3da48bdf6379c88f962e8742b9fa91",
+        "final_now": 2389390,
+        "executed_events": {"none": 1295, "whole": 677},
+    },
+}
+
+
+class TestBaselinePlacements:
     @pytest.mark.parametrize("level", FOLD_LEVELS)
-    def test_byte_identical_across_fold_levels(self, name, level):
-        shim, spec = PAIRS[name]
+    @pytest.mark.parametrize("placement,copies", sorted(BASELINE_PINS))
+    def test_pinned_at_every_fold_level(self, placement, copies, level):
+        pin = BASELINE_PINS[(placement, copies)]
         with fold(level):
-            via_shim, via_spec = _observables(shim), _observables(spec)
-        assert via_shim == via_spec, (
-            f"{name} shim diverged from its spec at fold level {level}")
+            observed = _observables(DeploymentSpec(placement=placement,
+                                                   chain_length=copies))
+        assert observed == {**pin,
+                            "executed_events": pin["executed_events"][level]}

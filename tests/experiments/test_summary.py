@@ -1,7 +1,7 @@
 """Tests for the deployment summary/health reporting."""
 
 from repro.config import SystemConfig
-from repro.experiments.deploy import build_client_server, build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.experiments.summary import format_summary, health_check, summarize
 from repro.workloads.kv import OpKind, Operation
@@ -13,8 +13,9 @@ def _op_maker(ci, ri, rng):
 
 class TestSummarize:
     def test_structure_after_clean_run(self):
-        deployment = build_pmnet_switch(SystemConfig().with_clients(2),
-                                        enable_cache=True)
+        deployment = build(DeploymentSpec(placement="switch",
+                                          enable_cache=True),
+                           SystemConfig().with_clients(2))
         run_closed_loop(deployment, _op_maker, 20, 2)
         summary = summarize(deployment)
         assert summary["config"]["clients"] == 2
@@ -29,20 +30,23 @@ class TestSummarize:
         assert total_pmnet == 44
 
     def test_baseline_has_no_device_section_entries(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         run_closed_loop(deployment, _op_maker, 10, 0)
         assert summarize(deployment)["devices"] == {}
 
 
 class TestHealthCheck:
     def test_clean_run_passes_all_checks(self):
-        deployment = build_pmnet_switch(SystemConfig().with_clients(2))
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(2))
         run_closed_loop(deployment, _op_maker, 20, 2)
         checks = health_check(deployment)
         assert all(checks.values()), checks
 
     def test_undrained_log_detected(self):
-        deployment = build_pmnet_switch(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(1))
         deployment.server.crash()  # entries will never be invalidated
         client = deployment.clients[0]
 
@@ -58,7 +62,8 @@ class TestHealthCheck:
 
 class TestFormat:
     def test_report_renders_all_sections(self):
-        deployment = build_pmnet_switch(SystemConfig().with_clients(2))
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(2))
         run_closed_loop(deployment, _op_maker, 15, 1)
         report = format_summary(deployment)
         assert "Clients" in report

@@ -1,7 +1,7 @@
 """Tests for heartbeat-driven automatic recovery."""
 
 from repro.config import SystemConfig
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.failure.autorecover import attach_recovery_manager
 from repro.sim.clock import microseconds, milliseconds
 from repro.workloads.handlers import StructureHandler
@@ -12,7 +12,8 @@ from repro.workloads.pmdk.hashmap import PMHashmap
 def _run_auto_recovery(outage_us=1_200):
     config = SystemConfig(seed=4).with_clients(2)
     handler = StructureHandler(PMHashmap())
-    deployment = build_pmnet_switch(config, handler=handler)
+    deployment = build(DeploymentSpec(placement="switch"), config,
+                       handler=handler)
     manager = attach_recovery_manager(deployment,
                                       period_ns=microseconds(100))
     sim = deployment.sim
@@ -65,7 +66,7 @@ class TestAutomaticRecovery:
 
     def test_healthy_run_triggers_nothing(self):
         config = SystemConfig(seed=4).with_clients(1)
-        deployment = build_pmnet_switch(config)
+        deployment = build(DeploymentSpec(placement="switch"), config)
         manager = attach_recovery_manager(deployment)
         manager.start()
         deployment.sim.run(until=milliseconds(2))
@@ -87,7 +88,8 @@ class TestFlappingSchedule:
     def _deployment(self):
         config = SystemConfig(seed=4).with_clients(2)
         handler = StructureHandler(PMHashmap())
-        deployment = build_pmnet_switch(config, handler=handler)
+        deployment = build(DeploymentSpec(placement="switch"), config,
+                           handler=handler)
         manager = attach_recovery_manager(deployment,
                                           period_ns=microseconds(100))
         acknowledged = {}

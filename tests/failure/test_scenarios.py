@@ -62,8 +62,9 @@ class TestDeviceFailures:
 
 class TestInjectorBookkeeping:
     def test_failure_records(self):
-        from repro.experiments.deploy import build_pmnet_switch
-        deployment = build_pmnet_switch(SystemConfig().with_clients(1))
+        from repro.experiments.deploy import DeploymentSpec, build
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(1))
         injector = FailureInjector(deployment.sim)
         record = injector.crash_server_at(deployment.server,
                                           microseconds(10))
@@ -79,12 +80,13 @@ class TestReplacementKeepsInstrumentIdentity:
         # Regression: replace_device_at used to swap in a fresh
         # ReadCache whose new counters were never registered, so every
         # post-replacement hit was invisible to the metrics registry.
-        from repro.experiments.deploy import build_pmnet_switch
+        from repro.experiments.deploy import DeploymentSpec, build
         from repro.obs.context import Observability
 
         obs = Observability(spans=False)
-        deployment = build_pmnet_switch(
-            SystemConfig().with_clients(1), enable_cache=True, obs=obs)
+        deployment = build(DeploymentSpec(placement="switch",
+                                          enable_cache=True),
+                           SystemConfig().with_clients(1), obs=obs)
         device = deployment.devices[0]
         cache = device.cache
         cache.on_update_logged("k", "v")

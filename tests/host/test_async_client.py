@@ -4,14 +4,14 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.replication import NO_PMNET, SINGLE_LOG
-from repro.experiments.deploy import build_client_server, build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.host.async_client import AsyncPMNetClient
 from repro.workloads.kv import OpKind, Operation
 
 
-def _async_deployment(builder, window=8, policy=None):
+def _async_deployment(placement, window=8, policy=None):
     config = SystemConfig().with_clients(1)
-    deployment = builder(config)
+    deployment = build(DeploymentSpec(placement=placement), config)
     base = deployment.clients[0]
     base.host.endpoint = None
     client = AsyncPMNetClient(
@@ -33,15 +33,14 @@ def _producer(client, count, config):
 
 class TestAsyncClient:
     def test_all_submissions_complete(self):
-        deployment, client = _async_deployment(build_client_server)
+        deployment, client = _async_deployment("none")
         deployment.sim.spawn(_producer(client, 50, deployment.config))
         deployment.sim.run()
         assert int(client.async_completions) == 50
         assert int(deployment.server.processed) == 50
 
     def test_window_bounds_in_flight(self):
-        deployment, client = _async_deployment(build_client_server,
-                                               window=4)
+        deployment, client = _async_deployment("none", window=4)
         peak = {"value": 0}
         original = client._pump
 
@@ -56,8 +55,7 @@ class TestAsyncClient:
         assert peak["value"] <= 4
 
     def test_async_beats_sync_throughput_on_baseline(self):
-        deployment, client = _async_deployment(build_client_server,
-                                               window=8)
+        deployment, client = _async_deployment("none", window=8)
         deployment.sim.spawn(_producer(client, 100, deployment.config))
         deployment.sim.run()
         async_ops = client.throughput.ops_per_second()
@@ -65,22 +63,21 @@ class TestAsyncClient:
         assert async_ops > 40_000
 
     def test_works_over_pmnet_too(self):
-        deployment, client = _async_deployment(build_pmnet_switch,
-                                               window=8)
+        deployment, client = _async_deployment("switch", window=8)
         deployment.sim.spawn(_producer(client, 60, deployment.config))
         deployment.sim.run()
         assert int(client.async_completions) == 60
         assert int(deployment.devices[0].log.logged) >= 60
 
     def test_drain_on_idle_client_fires_immediately(self):
-        deployment, client = _async_deployment(build_client_server)
+        deployment, client = _async_deployment("none")
         client.start_session()
         done = client.drain()
         assert done.triggered
 
     def test_invalid_window_rejected(self):
         config = SystemConfig().with_clients(1)
-        deployment = build_client_server(config)
+        deployment = build(DeploymentSpec(placement="none"), config)
         base = deployment.clients[0]
         base.host.endpoint = None
         with pytest.raises(ValueError):
@@ -89,8 +86,7 @@ class TestAsyncClient:
 
     def test_latencies_include_queueing(self):
         """With a deep backlog, completion latency exceeds the raw RTT."""
-        deployment, client = _async_deployment(build_client_server,
-                                               window=2)
+        deployment, client = _async_deployment("none", window=2)
         deployment.sim.spawn(_producer(client, 30, deployment.config))
         deployment.sim.run()
         # Window 2 against a ~90 us RTT: later submissions queue behind

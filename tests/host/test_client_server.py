@@ -5,7 +5,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.replication import NO_PMNET, ReplicationPolicy
 from repro.errors import SessionError
-from repro.experiments.deploy import build_client_server, build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.net.link import Impairments
 from repro.workloads.kv import OpKind, Operation
 
@@ -29,20 +29,23 @@ def _drive_one(deployment, op, bypass=False):
 
 class TestSessions:
     def test_send_without_session_rejected(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         client = deployment.clients[0]
         with pytest.raises(SessionError):
             client.send_update(Operation(OpKind.SET, key=1, value=2))
 
     def test_double_start_rejected(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         client = deployment.clients[0]
         client.start_session()
         with pytest.raises(SessionError):
             client.start_session()
 
     def test_end_session_allows_restart(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         client = deployment.clients[0]
         client.start_session()
         client.end_session()
@@ -51,14 +54,16 @@ class TestSessions:
 
 class TestBaselineCompletion:
     def test_update_completes_via_server(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         completion = _drive_one(deployment,
                                 Operation(OpKind.SET, key="k", value="v"))
         assert completion.result.ok
         assert completion.via == "server"
 
     def test_read_gets_value_back(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         client = deployment.clients[0]
         results = []
 
@@ -78,7 +83,7 @@ class TestBaselineCompletion:
 class TestLossRecovery:
     def _lossy_deployment(self, loss=0.2, seed=3):
         config = SystemConfig(seed=seed).with_clients(1)
-        deployment = build_pmnet_switch(config)
+        deployment = build(DeploymentSpec(placement="switch"), config)
         # Impair the device->server hop: requests vanish after logging.
         for link in deployment.topology.links:
             if (link.forward.name == "pmnet1->server"):
@@ -132,7 +137,8 @@ class TestReplicationPolicy:
             ReplicationPolicy(acks_required=-1)
 
     def test_no_pmnet_waits_for_server(self):
-        deployment = build_pmnet_switch(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(1))
         # Force the baseline policy even though a device is present.
         deployment.clients[0].policy = NO_PMNET
         completion = _drive_one(deployment,
@@ -141,7 +147,8 @@ class TestReplicationPolicy:
 
     def test_two_way_requires_both_acks(self):
         config = SystemConfig().with_clients(1)
-        deployment = build_pmnet_switch(config, replication=2)
+        deployment = build(DeploymentSpec(placement="switch", chain_length=2),
+                           config)
         completion = _drive_one(deployment,
                                 Operation(OpKind.SET, key="k", value="v"))
         assert completion.via == "pmnet"
@@ -151,7 +158,8 @@ class TestReplicationPolicy:
 
     def test_dead_second_device_falls_back_to_server(self):
         config = SystemConfig().with_clients(1)
-        deployment = build_pmnet_switch(config, replication=2)
+        deployment = build(DeploymentSpec(placement="switch", chain_length=2),
+                           config)
         # The second device never logs (fail its PM write queue by
         # wiping capacity): simulate with a zero-size... simpler: mark
         # its log full by shrinking entries to 0 via monkeypatch of the
@@ -166,7 +174,8 @@ class TestReplicationPolicy:
 
 class TestFragmentedRequests:
     def test_large_update_completes_on_all_fragment_acks(self):
-        deployment = build_pmnet_switch(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(1))
         client = deployment.clients[0]
         results = []
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import SessionError
-from repro.experiments.deploy import build_sharded
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.failure.injector import FailureInjector
 from repro.sim.clock import microseconds, milliseconds
 from repro.workloads.handlers import StructureHandler
@@ -21,7 +21,9 @@ def _sharded(num_servers=3, clients=2):
         handlers.append(handler)
         return handler
 
-    deployment = build_sharded(config, num_servers, handler_factory=factory)
+    deployment = build(DeploymentSpec(placement="switch",
+                                      servers_per_rack=num_servers), config,
+                       handler_factory=factory)
     return deployment, handlers
 
 
@@ -90,7 +92,8 @@ class TestSharding:
 
     def test_zero_servers_rejected(self):
         with pytest.raises(ValueError):
-            build_sharded(SystemConfig(), num_servers=0)
+            build(DeploymentSpec(placement="switch", servers_per_rack=0),
+                  SystemConfig())
 
 
 class TestRingClientIndex:

@@ -8,7 +8,7 @@ from repro.config import (
     SystemConfig,
     VMA_CLIENT_STACK,
 )
-from repro.experiments.deploy import build_client_server
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.host.heartbeat import HeartbeatMonitor, MonitorEndpoint
 from repro.host.node import HostNode
 from repro.host.stackmodel import TCP, UDP, HostStack
@@ -54,7 +54,8 @@ class TestHostStack:
 
 class TestHeartbeat:
     def _deployment_with_monitor(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         sim = deployment.sim
         stack = HostStack(sim, "monitor", KERNEL_CLIENT_STACK)
         host = HostNode(sim, "monitor", stack)
@@ -121,7 +122,8 @@ class TestDetectionLatency:
     dies mid-run alike."""
 
     def _monitored(self):
-        deployment = build_client_server(SystemConfig().with_clients(1))
+        deployment = build(DeploymentSpec(placement="none"),
+                           SystemConfig().with_clients(1))
         sim = deployment.sim
         stack = HostStack(sim, "monitor", KERNEL_CLIENT_STACK)
         host = HostNode(sim, "monitor", stack)

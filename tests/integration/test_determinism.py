@@ -9,7 +9,7 @@ in with the allocation-lean queue refactor.
 
 from repro.config import SystemConfig
 from repro.experiments import fig15_payload_latency
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.experiments.parallel import run_jobs
 from repro.workloads.handlers import StructureHandler
@@ -27,7 +27,8 @@ def _op_maker(index, request_index, rng):
 def _run(seed):
     config = SystemConfig(seed=seed).quick_scale().with_clients(4)
     handler = StructureHandler(PMHashmap())
-    deployment = build_pmnet_switch(config, handler=handler)
+    deployment = build(DeploymentSpec(placement="switch"), config,
+                       handler=handler)
     stats = run_closed_loop(deployment, _op_maker,
                             requests_per_client=40, warmup_requests=4)
     sim = deployment.sim

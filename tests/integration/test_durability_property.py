@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.failure.injector import FailureInjector
 from repro.net.link import Impairments
 from repro.sim.clock import microseconds, milliseconds
@@ -28,7 +28,8 @@ def _run_crash_scenario(seed: int, crash_us: int, clients: int,
                         loss: float) -> dict:
     config = SystemConfig(seed=seed).with_clients(clients)
     handler = StructureHandler(PMHashmap())
-    deployment = build_pmnet_switch(config, handler=handler)
+    deployment = build(DeploymentSpec(placement="switch"), config,
+                       handler=handler)
     if loss > 0:
         for link in deployment.topology.links:
             if link.forward.name == "pmnet1->server":

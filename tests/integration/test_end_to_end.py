@@ -3,11 +3,7 @@
 import pytest
 
 from repro.config import SystemConfig, baseline_rtt_estimate, pmnet_rtt_estimate
-from repro.experiments.deploy import (
-    build_client_server,
-    build_pmnet_nic,
-    build_pmnet_switch,
-)
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop, run_sessions
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
@@ -23,8 +19,12 @@ def _set_maker(ci, ri, rng):
 class TestHeadlineLatency:
     def test_pmnet_beats_baseline_by_2x_or_more(self):
         config = SystemConfig().with_clients(2)
-        base = run_closed_loop(build_client_server(config), _set_maker, 60, 6)
-        pmnet = run_closed_loop(build_pmnet_switch(config), _set_maker, 60, 6)
+        base = run_closed_loop(
+            build(DeploymentSpec(placement="none"), config),
+            _set_maker, 60, 6)
+        pmnet = run_closed_loop(
+            build(DeploymentSpec(placement="switch"), config),
+            _set_maker, 60, 6)
         ratio = base.update_latencies.mean() / pmnet.update_latencies.mean()
         assert ratio > 2.0
 
@@ -32,21 +32,26 @@ class TestHeadlineLatency:
         """The simulator and the closed-form stage model must agree to
         within jitter (a few percent)."""
         config = SystemConfig().with_clients(1)
-        base = run_closed_loop(build_client_server(config), _set_maker,
-                               150, 15)
+        base = run_closed_loop(
+            build(DeploymentSpec(placement="none"), config),
+            _set_maker, 150, 15)
         predicted = baseline_rtt_estimate(config)
         assert base.update_latencies.mean() == pytest.approx(
             predicted, rel=0.10)
-        pmnet = run_closed_loop(build_pmnet_switch(config), _set_maker,
-                                150, 15)
+        pmnet = run_closed_loop(
+            build(DeploymentSpec(placement="switch"), config),
+            _set_maker, 150, 15)
         assert pmnet.update_latencies.mean() == pytest.approx(
             pmnet_rtt_estimate(config), rel=0.10)
 
     def test_switch_and_nic_within_a_microsecond(self):
         config = SystemConfig().with_clients(1)
-        switch = run_closed_loop(build_pmnet_switch(config), _set_maker,
-                                 100, 10)
-        nic = run_closed_loop(build_pmnet_nic(config), _set_maker, 100, 10)
+        switch = run_closed_loop(
+            build(DeploymentSpec(placement="switch"), config),
+            _set_maker, 100, 10)
+        nic = run_closed_loop(
+            build(DeploymentSpec(placement="nic"), config),
+            _set_maker, 100, 10)
         gap = abs(switch.update_latencies.mean()
                   - nic.update_latencies.mean())
         assert gap < 1_000  # < 1 us (Sec VI-B1)
@@ -56,7 +61,8 @@ class TestRealWorkloadIntegration:
     def test_btree_store_consistent_after_run(self):
         config = SystemConfig().with_clients(4)
         handler = StructureHandler(PMBTree())
-        deployment = build_pmnet_switch(config, handler=handler)
+        deployment = build(DeploymentSpec(placement="switch"), config,
+                           handler=handler)
         op_maker = make_op_maker(YCSBConfig(update_ratio=0.7,
                                             population=200))
         stats = run_closed_loop(deployment, op_maker, 50, 5)
@@ -67,7 +73,8 @@ class TestRealWorkloadIntegration:
     def test_tpcc_locks_enforce_mutual_exclusion(self):
         config = SystemConfig().with_clients(4)
         handler = tpcc.TPCCHandler(warehouses=1)
-        deployment = build_pmnet_switch(config, handler=handler)
+        deployment = build(DeploymentSpec(placement="switch"), config,
+                           handler=handler)
 
         def session(index, api, rng):
             return tpcc.session(index, api, rng, transactions=30,
@@ -83,8 +90,8 @@ class TestRealWorkloadIntegration:
 
     def test_lock_requests_bypass_the_log(self):
         config = SystemConfig().with_clients(2)
-        deployment = build_pmnet_switch(config,
-                                        handler=tpcc.TPCCHandler(warehouses=1))
+        deployment = build(DeploymentSpec(placement="switch"), config,
+                           handler=tpcc.TPCCHandler(warehouses=1))
 
         def session(index, api, rng):
             return tpcc.session(index, api, rng, transactions=40,
@@ -104,16 +111,18 @@ class TestRealWorkloadIntegration:
 class TestStress:
     def test_many_clients_all_complete(self):
         config = SystemConfig().with_clients(32)
-        deployment = build_pmnet_switch(config)
+        deployment = build(DeploymentSpec(placement="switch"), config)
         stats = run_closed_loop(deployment, _set_maker, 30, 3)
         assert stats.requests == 32 * 30
         assert stats.errors == 0
 
     def test_throughput_scales_with_clients(self):
         small = run_closed_loop(
-            build_pmnet_switch(SystemConfig().with_clients(2)),
+            build(DeploymentSpec(placement="switch"),
+                  SystemConfig().with_clients(2)),
             _set_maker, 60, 6)
         large = run_closed_loop(
-            build_pmnet_switch(SystemConfig().with_clients(16)),
+            build(DeploymentSpec(placement="switch"),
+                  SystemConfig().with_clients(16)),
             _set_maker, 60, 6)
         assert large.ops_per_second() > 4 * small.ops_per_second()

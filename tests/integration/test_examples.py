@@ -1,19 +1,20 @@
 """Smoke tests: every example script must run cleanly.
 
-The fast examples run inline; the slower ones are importable and expose
-``main`` (their full runs are exercised manually / in CI nightlies).
+Every example runs inline (each takes about a second) with
+``DeprecationWarning`` raised as an error, so an example left on a
+removed API fails here.
 """
 
 import importlib.util
 import pathlib
 import sys
+import warnings
 
 import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 ALL_EXAMPLES = sorted(p.stem for p in EXAMPLES_DIR.glob("*.py"))
-FAST_EXAMPLES = ["failure_recovery", "custom_workload"]
 
 
 def _load(name: str):
@@ -37,10 +38,12 @@ class TestExamples:
         module = _load(name)
         assert callable(getattr(module, "main", None)), name
 
-    @pytest.mark.parametrize("name", FAST_EXAMPLES)
+    @pytest.mark.parametrize("name", ALL_EXAMPLES)
     def test_fast_example_runs(self, name, capsys):
         module = _load(name)
-        module.main()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            module.main()
         out = capsys.readouterr().out
         assert out.strip(), f"{name} printed nothing"
         assert "Traceback" not in out

@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NetworkProfile, SystemConfig
-from repro.experiments.deploy import DeploymentSpec, build, build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.driver import run_closed_loop
 from repro.failure.injector import FailureInjector
@@ -233,7 +233,8 @@ def _device_crash_run(crash_offset_ns, no_fold):
     with fold("none" if no_fold else "whole"):
         cfg = SystemConfig().with_clients(1)
         handler = StructureHandler(PMHashmap())
-        deployment = build_pmnet_switch(cfg, handler=handler)
+        deployment = build(DeploymentSpec(placement="switch"), cfg,
+                           handler=handler)
     sim = deployment.sim
     injector = FailureInjector(sim)
     device = deployment.devices[0]
@@ -416,9 +417,10 @@ def _whole_request_run(level, clients, replication, cache, update_ratio,
         cfg = SystemConfig(seed=seed).with_clients(clients)
         tracer = Tracer(enabled=True)
         handler = StructureHandler(PMHashmap())
-        deployment = build_pmnet_switch(cfg, handler=handler,
-                                        replication=replication,
-                                        enable_cache=cache, tracer=tracer)
+        deployment = build(DeploymentSpec(placement="switch",
+                                          chain_length=replication,
+                                          enable_cache=cache), cfg,
+                           handler=handler, tracer=tracer)
     sim = deployment.sim
     if impair_window is not None:
         start, duration = impair_window

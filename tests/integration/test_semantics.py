@@ -9,7 +9,7 @@ sub-RTT updates (docs/protocol.md).  These tests pin both sides:
 """
 
 from repro.config import SystemConfig
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
@@ -18,8 +18,9 @@ from repro.workloads.pmdk.hashmap import PMHashmap
 def _single_client(enable_cache):
     config = SystemConfig().with_clients(1)
     handler = StructureHandler(PMHashmap())
-    deployment = build_pmnet_switch(config, handler=handler,
-                                    enable_cache=enable_cache)
+    deployment = build(DeploymentSpec(placement="switch",
+                                      enable_cache=enable_cache), config,
+                       handler=handler)
     deployment.open_all_sessions()
     return deployment, handler, deployment.clients[0]
 

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from repro.config import SystemConfig
 from repro.core.mat import MATAction, classify
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.net.link import Impairments
 from repro.protocol.packet import reset_request_ids
 from repro.sim.clock import transmission_delay
@@ -49,8 +49,9 @@ def _build(level, clients, enable_cache=False, seed=3):
     with fold(level):
         cfg = _jitterless(SystemConfig(seed=seed).with_clients(clients))
         handler = StructureHandler(PMHashmap())
-        deployment = build_pmnet_switch(cfg, handler=handler,
-                                        enable_cache=enable_cache)
+        deployment = build(DeploymentSpec(placement="switch",
+                                          enable_cache=enable_cache), cfg,
+                           handler=handler)
     return deployment, handler
 
 

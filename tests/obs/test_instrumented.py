@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.experiments.instrumented import (
     SCENARIOS,
@@ -64,7 +64,8 @@ class TestCacheInstrumentsExported:
         # embedded ReadCache, so exports silently lacked cache stats.
         obs = Observability(spans=False)
         config = SystemConfig(seed=3).with_clients(2).with_payload(128)
-        deployment = build_pmnet_switch(config, enable_cache=True, obs=obs)
+        deployment = build(DeploymentSpec(placement="switch",
+                                          enable_cache=True), config, obs=obs)
         names = obs.registry.names()
         device = deployment.devices[0].name
         for metric in ("hits", "misses", "evictions", "pinned_overflow"):
@@ -76,14 +77,15 @@ class TestCacheInstrumentsExported:
     def test_no_cache_no_cache_instruments(self):
         obs = Observability(spans=False)
         config = SystemConfig(seed=3).with_clients(2).with_payload(128)
-        build_pmnet_switch(config, enable_cache=False, obs=obs)
+        build(DeploymentSpec(placement="switch", enable_cache=False), config,
+              obs=obs)
         assert not [n for n in obs.registry.names() if ".cache." in n]
 
 
 class TestResultNeutrality:
-    def _run(self, obs):
+    def _run(self, obs, spec=DeploymentSpec(placement="switch")):
         config = SystemConfig(seed=3).with_clients(4).with_payload(256)
-        deployment = build_pmnet_switch(config, obs=obs)
+        deployment = build(spec, config, obs=obs)
 
         def op_maker(ci, ri, _rng):
             return Operation(OpKind.SET, key=(ci, ri), value=b"v"), 256
@@ -100,4 +102,15 @@ class TestResultNeutrality:
         assert observed_events == plain_events
         # And the run actually recorded something.
         assert len(obs.spans) > 0
+        assert len(obs.registry) > 0
+
+    @pytest.mark.parametrize("placement", [
+        "client-log", "server-log", "server-replication"])
+    def test_baseline_placements_accept_observability(self, placement):
+        # The alternative designs are build() placements, so they take
+        # obs= like every other shape, without moving a number.
+        spec = DeploymentSpec(placement=placement, chain_length=3)
+        plain = self._run(obs=None, spec=spec)
+        obs = Observability(spans=True, trace=True)
+        assert self._run(obs=obs, spec=spec) == plain
         assert len(obs.registry) > 0

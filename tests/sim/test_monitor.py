@@ -9,7 +9,6 @@ from repro.sim.monitor import (
     LatencyRecorder,
     ThroughputMeter,
     TimeSeries,
-    component_summary,
     instruments_summary,
 )
 
@@ -143,22 +142,6 @@ class TestInstrumentsSummary:
     def test_flattens_to_short_names(self):
         summary = instruments_summary(self._component().instruments())
         assert summary == {"hits": 3, "depth": 1, "depth_highwater": 2}
-
-    def test_component_summary_shim_warns_and_delegates(self):
-        component = self._component()
-        with pytest.warns(DeprecationWarning, match="instruments"):
-            summary = component_summary(component)
-        assert summary == {"hits": 3, "depth": 1, "depth_highwater": 2}
-
-    def test_component_summary_reflection_fallback(self):
-        class Legacy:  # predates the instruments() protocol
-            def __init__(self):
-                self.sent = Counter("sent")
-                self.sent.increment(4)
-
-        with pytest.warns(DeprecationWarning):
-            summary = component_summary(Legacy())
-        assert summary == {"sent": 4}
 
 
 class TestTimeSeries:

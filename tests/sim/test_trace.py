@@ -1,7 +1,5 @@
 """Unit tests for the trace log."""
 
-import pytest
-
 from repro.sim.trace import Tracer
 
 
@@ -41,23 +39,6 @@ class TestTracer:
         tracer.clear()
         assert tracer.records == [] and tracer.dropped == 0
 
-
-class TestGlobalTracerDeprecation:
-    def test_module_attribute_warns(self):
-        import repro.sim.trace as trace_module
-
-        with pytest.warns(DeprecationWarning, match="GLOBAL_TRACER"):
-            tracer = trace_module.GLOBAL_TRACER
-        assert isinstance(tracer, Tracer)
-        assert tracer.enabled is False
-
-    def test_package_reexport_warns(self):
-        import repro.sim as sim_package
-
-        with pytest.warns(DeprecationWarning, match="GLOBAL_TRACER"):
-            tracer = sim_package.GLOBAL_TRACER
-        assert isinstance(tracer, Tracer)
-
     def test_simulator_carries_injected_tracer(self):
         from repro.obs.context import Observability
         from repro.sim.kernel import Simulator
@@ -73,12 +54,12 @@ class TestGlobalTracerDeprecation:
 class TestTracedDeployment:
     def test_device_emits_causal_sequence(self):
         from repro.config import SystemConfig
-        from repro.experiments.deploy import build_pmnet_switch
+        from repro.experiments.deploy import DeploymentSpec, build
         from repro.workloads.kv import OpKind, Operation
 
         tracer = Tracer(enabled=True)
-        deployment = build_pmnet_switch(SystemConfig().with_clients(1),
-                                        tracer=tracer)
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(1), tracer=tracer)
         client = deployment.clients[0]
 
         def proc():

@@ -16,7 +16,7 @@ from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.experiments import loadgen as loadgen_experiment
 from repro.experiments import registry
-from repro.experiments.deploy import build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.jobs import JobSpec
 from repro.experiments.parallel import run_jobs
 from repro.protocol.packet import reset_request_ids
@@ -38,7 +38,8 @@ SMALL_OPEN = LoadGenConfig(mode="open", total_requests=500,
 def _run(config, seed=0, clients=4, level=None):
     reset_request_ids()
     with fold(level):
-        deployment = build_pmnet_switch(
+        deployment = build(
+            DeploymentSpec(placement="switch"),
             SystemConfig(seed=seed).with_clients(clients).with_payload(
                 config.payload_bytes))
     return run_loadgen(deployment, config)
@@ -125,7 +126,8 @@ class TestDeterminism:
         """The simulated timeline must never consult the host clock."""
         baseline = _run(SMALL_OPEN)
         reset_request_ids()
-        deployment = build_pmnet_switch(
+        deployment = build(
+            DeploymentSpec(placement="switch"),
             SystemConfig(seed=0).with_clients(4).with_payload(
                 SMALL_OPEN.payload_bytes))
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
-from repro.experiments.deploy import build_client_server, build_pmnet_switch
+from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.workloads.kv import OpKind
 from repro.workloads.traces import TracedOp, WorkloadTrace
@@ -98,9 +98,10 @@ class TestFairComparison:
         baseline and PMNet."""
         config = SystemConfig().with_clients(2)
         trace = _small_trace(clients=2, requests=30, update_ratio=1.0)
-        base = run_closed_loop(build_client_server(config),
+        base = run_closed_loop(build(DeploymentSpec(placement="none"), config),
                                trace.op_maker(), 30)
-        pmnet = run_closed_loop(build_pmnet_switch(config),
+        pmnet = run_closed_loop(build(DeploymentSpec(placement="switch"),
+                                      config),
                                 trace.op_maker(), 30)
         assert base.requests == pmnet.requests == 60
         assert (pmnet.update_latencies.mean()
