@@ -123,7 +123,7 @@ class PMNetDevice(Node):
             if action is MATAction.LOG_AND_FORWARD:
                 # ingress -> PM-access: `_log_update` performs all side
                 # effects itself; the intermediate hop only dispatched.
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 self.sim.schedule_deferred(
                     self.config.pipeline.ingress_ns,
                     self.config.pipeline.pm_stage_ns,
@@ -131,7 +131,7 @@ class PMNetDevice(Node):
                 return
             if action is MATAction.CHAIN_LOG_AND_FORWARD:
                 # The same walk for a chain member's copy.
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 self.sim.schedule_deferred(
                     self.config.pipeline.ingress_ns,
                     self.config.pipeline.pm_stage_ns,
@@ -145,10 +145,12 @@ class PMNetDevice(Node):
                 # delivery event.  A crash inside the window is safe:
                 # `fail()` revokes the reservation and `_unfold_forward`
                 # re-runs the unfolded fire-time check at its slot.
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 pipeline_ns = (self.config.pipeline.ingress_ns
                                + self.config.pipeline.egress_ns)
-                channel = self.table.lookup(frame.dst).channel
+                table = self.table
+                channel = (table.bound.get(frame.dst)
+                           or table.egress(frame.dst))
                 if channel is not None and channel.send_in(
                         pipeline_ns, frame, self._unfold_forward):
                     return
@@ -209,7 +211,7 @@ class PMNetDevice(Node):
         if self.failed:
             return
         frame.hops += 1
-        self.folded_stages.increment()
+        self.folded_stages.value += 1
         self._log_update(frame, packet)
 
     def _express_chain_ingest(self, frame: Frame,
@@ -219,7 +221,7 @@ class PMNetDevice(Node):
         if self.failed:
             return
         frame.hops += 1
-        self.folded_stages.increment()
+        self.folded_stages.value += 1
         self._log_chain_update(frame, packet)
 
     def _express_server_ack(self, frame: Frame, packet: PMNetPacket) -> None:
@@ -228,7 +230,7 @@ class PMNetDevice(Node):
         if self.failed:
             return
         frame.hops += 1
-        self.folded_stages.increment()
+        self.folded_stages.value += 1
         self._handle_server_ack(frame, packet)
 
     def _after_ingress(self, frame: Frame) -> None:
@@ -593,10 +595,11 @@ class PMNetDevice(Node):
         if payload_cost:
             cost += round(frame.payload_bytes * self.config.pipeline.per_byte_ns)
         if self._fold:
-            channel = self.table.lookup(frame.dst).channel
+            table = self.table
+            channel = table.bound.get(frame.dst) or table.egress(frame.dst)
             if channel is not None and channel.send_in(cost, frame,
                                                        self._unfold_forward):
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 return
         self.sim.schedule(cost, self._forward_frame, frame)
 
@@ -611,7 +614,7 @@ class PMNetDevice(Node):
     def _forward_frame(self, frame: Frame) -> None:
         if self.failed:
             return
-        self.table.lookup(frame.dst).transmit(frame)
+        self.table.transmit(frame.dst, frame)
 
     def _delayed_transmit(self, cost: int, packet: PMNetPacket,
                           destination: str) -> None:
@@ -622,10 +625,12 @@ class PMNetDevice(Node):
         semantics (failed check, lookup, transmit) are identical."""
         if self._fold:
             frame = self._make_frame(packet, destination)
-            channel = self.table.lookup(destination).channel
+            table = self.table
+            channel = (table.bound.get(destination)
+                       or table.egress(destination))
             if channel is not None and channel.send_in(cost, frame,
                                                        self._unfold_forward):
-                self.folded_stages.increment()
+                self.folded_stages.value += 1
                 return
         self.sim.schedule(cost, self._transmit_packet, packet, destination)
 
@@ -638,8 +643,8 @@ class PMNetDevice(Node):
         """Wrap a device-generated packet in a frame and send it."""
         if self.failed:
             return
-        self.table.lookup(destination).transmit(self._make_frame(packet,
-                                                                 destination))
+        self.table.transmit(destination,
+                            self._make_frame(packet, destination))
 
     # ------------------------------------------------------------------
     # Failure semantics

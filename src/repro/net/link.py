@@ -17,7 +17,7 @@ hop followed by a ``_deliver`` hop.  Delivery times are bit-identical to
 the unfolded path (``PMNET_FOLD=none`` keeps it testable); only the
 event count changes.  Folding requires ``propagation_ns > 0``: with a
 zero-delay wire the deferred chain would execute delivery on the seq
-allocated at send time instead of the fresh seq the unfolded ``_launch``
+allocated at send time instead of the fresh seq the unfolded ``_serialized``
 allocates at the serialize instant, perturbing same-nanosecond
 tie-breaking.  Transmitter occupancy is tracked as an absolute
 ``_busy_until`` time so back-to-back sends still serialize exactly: a
@@ -96,6 +96,20 @@ class Impairments:
     #: successors.
     reorder_extra_ns: int = 5_000
 
+    def __post_init__(self) -> None:
+        # A negative probability would silently disable its impairment,
+        # and a negative extra delay would surface only at the first
+        # reordered frame, as a scheduling error.
+        for name in ("loss_probability", "duplicate_probability",
+                     "reorder_probability"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"Impairments.{name} must be in [0, 1], "
+                                 f"got {value!r}")
+        if self.reorder_extra_ns < 0:
+            raise ValueError(f"Impairments.reorder_extra_ns must be >= 0, "
+                             f"got {self.reorder_extra_ns!r}")
+
     def any_enabled(self) -> bool:
         return (self.loss_probability > 0.0
                 or self.duplicate_probability > 0.0
@@ -153,6 +167,9 @@ class Channel:
         self.name = name
         self.profile = profile
         self.sink = sink
+        #: ``Port.node`` is never reassigned, so deliveries and plan
+        #: lookups skip the port dereference.
+        self._sink_node = sink.node
         self.impairments = impairments or Impairments()
         self._rng = sim.random.stream(f"channel:{name}")
         self._queue: Deque[Frame] = deque()
@@ -237,7 +254,7 @@ class Channel:
         dropped by ``Node.invalidate_arrival_plans`` on failure,
         recovery, impairment change, and device replacement.
         """
-        node = self.sink.node
+        node = self._sink_node
         plans = node._arrival_plans
         if plans is None:
             return node.arrival_extension(frame)
@@ -282,7 +299,10 @@ class Channel:
         if serializing is not None:
             res = self._serializing_res
             ext = res.hops - 2 if res is not None else 0
-            if _remaining_hops(serializing) <= ext:
+            # ``_remaining_hops`` inlined: this runs on most sends.
+            defer = serializing.defer_ns
+            if (len(defer) if type(defer) is tuple
+                    else 1 if defer else 0) <= ext:
                 # The folded record has been re-sequenced past its
                 # serialize-end slot (only arrival-extension hops, if
                 # any, remain): the instant the unfolded ``_serialized``
@@ -346,7 +366,13 @@ class Channel:
                 frame.wire_size(self._overhead))
             return
         queue.append(frame)
-        self.queue_depth_highwater.update(len(queue))
+        # The queue-depth gauge, bumped in place (a length is never
+        # negative, so ``Gauge.update``'s guard has nothing to catch).
+        depth = len(queue)
+        gauge = self.queue_depth_highwater
+        gauge.value = depth
+        if depth > gauge.highwater:
+            gauge.highwater = depth
         if not self._transmitting:
             if serializing is not None:
                 # A *folded* frame still owns the transmitter (either
@@ -413,29 +439,59 @@ class Channel:
         """
         now = self.sim._now
         start = now + pre_delay_ns
-        if (not self._fold or self._transmitting or self._queue
-                or start < self._busy_until
-                or now <= self._unfolded_send_at
-                or self.impairments.any_enabled()):
-            return self._decline(start)
-        if self._reservations:
-            self._pop_started()
-            if self._reservations and start == self._busy_until:
-                return self._decline(start)
+        refused = (not self._fold or self._transmitting or self._queue
+                   or start < self._busy_until
+                   or now <= self._unfolded_send_at
+                   or self.impairments.any_enabled())
+        reservations = self._reservations
+        if reservations and not refused:
+            # ``_pop_started`` inlined: this runs on every send_in.
+            while reservations:
+                head = reservations[0]
+                defer = head.call.defer_ns
+                remaining = (len(defer) if type(defer) is tuple
+                             else 1 if defer else 0)
+                if remaining >= head.hops:
+                    break
+                reservations.popleft()
+                self._serializing = head.call
+                self._serializing_res = head
+            if reservations and start == self._busy_until:
+                refused = True
+        if refused:
+            # The caller sends unfolded at ``start``.
+            if start > self._unfolded_send_at:
+                self._unfolded_send_at = start
+            return False
         wire_bytes, serialize = (self._wire_costs.get(frame.payload_bytes)
                                  or self._costs(frame))
         self.bytes_sent.value += wire_bytes
         self.folded_sends.value += 1
         hops = (serialize, self._propagation)
         callback, args, claim = self._deliver, (frame,), None
-        extension = self._sink_extension(frame)
-        if extension is not None:
-            # Whole-request folding: the receiving node extends the
-            # chain through its own deterministic pipeline head, ending
-            # in a barrier callback that re-checks its liveness.
-            extra_hops, ext_callback, ext_args, claim = extension
-            hops = hops + tuple(extra_hops)
-            callback, args = self._deliver_ext, (ext_callback, ext_args)
+        # Whole-request folding: the receiving node may extend the chain
+        # through its own deterministic pipeline head, ending in a
+        # barrier callback that re-checks its liveness.  A plan-cache
+        # hit is served here, exactly as ``_sink_extension`` serves it;
+        # a miss (or a node without a cache) goes through it.
+        payload = frame.payload
+        plans = self._sink_node._arrival_plans
+        plan = _NO_PLAN
+        if plans is not None:
+            if (PMNET_UDP_PORT_MIN <= frame.udp_port <= PMNET_UDP_PORT_MAX
+                    and isinstance(payload, PMNetPacket)):
+                plan = plans.get(payload.packet_type, _NO_PLAN)
+            else:
+                plan = plans.get(_PLAIN_KIND, _NO_PLAN)
+        if plan is _NO_PLAN:
+            extension = self._sink_extension(frame)
+            if extension is not None:
+                extra_hops, ext_callback, ext_args, claim = extension
+                hops = hops + tuple(extra_hops)
+                callback, args = self._deliver_ext, (ext_callback, ext_args)
+        elif plan is not None:
+            hops = hops + plan[0]
+            callback, args = self._deliver_ext, (plan[1], (frame, payload))
         call = self.sim.schedule_deferred(pre_delay_ns, hops, callback, *args)
         reservation = _Reservation(call, frame, start, self._busy_until,
                                    wire_bytes, on_revoke, len(hops), claim)
@@ -444,12 +500,6 @@ class Channel:
         self._reservations.append(reservation)
         self._busy_until = start + serialize
         return True
-
-    def _decline(self, start: int) -> bool:
-        """Refuse a reservation: its caller sends unfolded at ``start``."""
-        if start > self._unfolded_send_at:
-            self._unfolded_send_at = start
-        return False
 
     def _deliver_ext(self, callback, args) -> None:
         """Barrier slot of an extension-carrying chain: count the wire
@@ -535,9 +585,9 @@ class Channel:
             elif len(defer) == 2:
                 call.defer_ns = defer[0]
             elif defer:
-                # A post-serialization extension (``_launch``): the sole
-                # remaining hop IS the claim's — the record already sits
-                # at the wire-arrival slot.
+                # A post-serialization extension (``_serialized``): the
+                # sole remaining hop IS the claim's — the record already
+                # sits at the wire-arrival slot.
                 call.defer_ns = 0
             else:
                 return
@@ -566,7 +616,7 @@ class Channel:
         *after* this instant must be converted back: reservations still
         in their pre-delay gap revoke wholesale, and a record
         mid-serialization is rewritten in place into ``_serialized`` at
-        its serialize-end slot, where ``_launch`` re-checks impairments
+        its serialize-end slot, where it re-checks impairments
         and draws exactly as the unfolded run does.  Records already
         past serialize-end committed before the swap on both timelines
         and stay folded.
@@ -576,7 +626,7 @@ class Channel:
         that feeds it (the send paths also stop querying extensions
         entirely while impairments are enabled).
         """
-        self.sink.node.invalidate_arrival_plans()
+        self._sink_node.invalidate_arrival_plans()
         if self._reservations:
             self.revoke_unstarted()
         call = self._serializing
@@ -605,7 +655,7 @@ class Channel:
         that callback.  From here the transmission is bit-for-bit the
         unfolded one: ``_serialized`` launches the frame, allocating the
         delivery seq at the serialize instant exactly as the unfolded
-        ``_launch`` does, and restarts the queue.
+        path does, and restarts the queue.
         """
         call = self._serializing
         res = self._serializing_res
@@ -623,11 +673,12 @@ class Channel:
         self._serializing_res = None
 
     def _transmit_next(self) -> None:
+        """Start serializing the head of the queue, if any."""
         queue = self._queue
         if not queue:
             return
         frame = queue.popleft()
-        self.queue_depth_highwater.update(len(queue))
+        self.queue_depth_highwater.value = len(queue)
         wire_bytes, serialize = (self._wire_costs.get(frame.payload_bytes)
                                  or self._costs(frame))
         self.bytes_sent.value += wire_bytes
@@ -638,11 +689,9 @@ class Channel:
         self.sim.schedule(serialize, self._serialized, frame)
 
     def _serialized(self, frame: Frame) -> None:
+        """Serialization of ``frame`` ended: put it on the wire, then
+        restart the queue."""
         self._transmitting = False
-        self._launch(frame)
-        self._transmit_next()
-
-    def _launch(self, frame: Frame) -> None:
         if not self.impairments.any_enabled():
             # Even an *unfolded* transmission (queued behind contention)
             # can extend its delivery through the receiving node: the
@@ -662,25 +711,39 @@ class Channel:
                     self._deliver_ext, ext_callback, ext_args)
                 if claim is not None:
                     claim.attach(call, self)
-                return
-            self.sim.schedule(self._propagation, self._deliver, frame)
-            return
-        # Draw order per frame: loss(original), duplicate, then per
-        # surviving copy a reorder draw and — for the duplicate — its
-        # own loss draw.  Each copy is an independent wire traversal,
-        # so each gets independent loss and reorder draws (sharing the
-        # original's draws made duplicate+loss and duplicate+reorder
-        # unreachable); duplication is decided once per frame, so a
-        # duplicate cannot spawn further duplicates.  All draws come
-        # from the channel's dedicated stream, keeping runs seeded.
-        imp = self.impairments
-        rng = self._rng
-        lost = rng.random() < imp.loss_probability
-        duplicated = rng.random() < imp.duplicate_probability
-        self._launch_copy(frame, lost, imp, rng)
-        if duplicated:
-            self._launch_copy(frame, rng.random() < imp.loss_probability,
-                              imp, rng)
+            else:
+                self.sim.schedule(self._propagation, self._deliver, frame)
+        else:
+            # Draw order per frame: loss(original), duplicate, then per
+            # surviving copy a reorder draw and — for the duplicate —
+            # its own loss draw.  Each copy is an independent wire
+            # traversal, so each gets independent loss and reorder
+            # draws (sharing the original's draws made duplicate+loss
+            # and duplicate+reorder unreachable); duplication is decided
+            # once per frame, so a duplicate cannot spawn further
+            # duplicates.  All draws come from the channel's dedicated
+            # stream, keeping runs seeded.
+            imp = self.impairments
+            rng = self._rng
+            lost = rng.random() < imp.loss_probability
+            duplicated = rng.random() < imp.duplicate_probability
+            self._launch_copy(frame, lost, imp, rng)
+            if duplicated:
+                self._launch_copy(frame, rng.random() < imp.loss_probability,
+                                  imp, rng)
+        # Restart the queue: ``_transmit_next`` inlined, since most
+        # queued frames have a successor waiting.
+        queue = self._queue
+        if queue:
+            head = queue.popleft()
+            self.queue_depth_highwater.value = len(queue)
+            wire_bytes, serialize = (
+                self._wire_costs.get(head.payload_bytes)
+                or self._costs(head))
+            self.bytes_sent.value += wire_bytes
+            self._busy_until = self.sim._now + serialize
+            self._transmitting = True
+            self.sim.schedule(serialize, self._serialized, head)
 
     def _launch_copy(self, frame: Frame, lost: bool,
                      imp: Impairments, rng) -> None:
@@ -695,7 +758,7 @@ class Channel:
 
     def _deliver(self, frame: Frame) -> None:
         self.delivered.value += 1
-        self.sink.node.receive(frame, self.sink)
+        self._sink_node.receive(frame, self.sink)
 
     @property
     def queue_depth(self) -> int:

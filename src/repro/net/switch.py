@@ -15,6 +15,14 @@ unfolded send lands inside a later reservation's pre-delay gap, the
 channel revokes the reservation — running ``_unfold_forward`` at the
 slot ``_forward`` would have occupied — so arrival order is preserved.
 
+A hop is one call: :meth:`Switch.receive` overrides ``Node.receive``
+and does the failed check, the hop count, the span milestone and the
+forwarding decision itself (:meth:`Switch.handle_frame` runs the same
+code for direct callers, without counting a hop).  The output channel
+comes from the forwarding table's bound ``destination -> Channel`` map
+(:meth:`ForwardingTable.egress`), filled on first use and cleared by
+every route change.
+
 Folding caveats: the routing lookup and the ``forwarded`` increment
 happen at *arrival* time on the folded path, not at the end of the
 forwarding delay, so mid-run snapshots of ``forwarded`` may lead the
@@ -69,6 +77,7 @@ class Switch(Node):
                  profile: "NetworkProfile") -> None:
         super().__init__(sim, name)
         self.profile = profile
+        self._forward_ns = profile.switch_forward_ns
         self.table = ForwardingTable()
         self.forwarded = Counter(f"{name}.forwarded")
         self._spans = spans.spans_for(sim)
@@ -78,7 +87,13 @@ class Switch(Node):
         """This switch's typed instruments (explicit registration)."""
         return (self.forwarded,)
 
-    def handle_frame(self, frame: Frame, in_port: Port) -> None:
+    def receive(self, frame: Frame, in_port: Port, hop: int = 1) -> None:
+        """One switch hop in one call: ``Node.receive`` and the forwarding
+        decision fused (see the module docstring).  ``hop`` is what the
+        frame's hop count gains — 0 for a direct :meth:`handle_frame`."""
+        if self.failed:
+            return  # a dead switch is a black hole
+        frame.hops += hop
         if self._spans is not None:
             # Arrival executes at the same instant in the folded and
             # unfolded timelines, so this milestone is fold-neutral.
@@ -86,15 +101,19 @@ class Switch(Node):
             stage = _SPAN_STAGES.get(getattr(packet, "packet_type", None))
             if stage is not None:
                 self._spans.record(packet.request_id, stage, self.sim.now)
-        out_port = self.table.lookup(frame.dst)
-        channel = out_port.channel
-        if channel is not None:
-            if channel.send_in(self.profile.switch_forward_ns, frame,
-                               self._unfold_forward):
-                self.forwarded.increment()
-                return
-        self.sim.schedule(self.profile.switch_forward_ns,
-                          self._forward, frame)
+        table = self.table
+        channel = table.bound.get(frame.dst) or table.egress(frame.dst)
+        if channel is not None and channel.send_in(
+                self._forward_ns, frame, self._unfold_forward):
+            # Hot path: bumped in place (an increment of 1 cannot fail).
+            self.forwarded.value += 1
+            return
+        self.sim.schedule(self._forward_ns, self._forward, frame)
+
+    def handle_frame(self, frame: Frame, in_port: Port) -> None:
+        """Forward ``frame`` exactly as a channel delivery would, without
+        counting a hop; a failed switch drops it."""
+        self.receive(frame, in_port, 0)
 
     def _unfold_forward(self, frame: Frame) -> None:
         """The reservation was revoked: roll back the fold-time
@@ -106,5 +125,5 @@ class Switch(Node):
     def _forward(self, frame: Frame) -> None:
         if self.failed:
             return
-        self.forwarded.increment()
-        self.table.lookup(frame.dst).transmit(frame)
+        self.forwarded.value += 1
+        self.table.transmit(frame.dst, frame)

@@ -210,7 +210,7 @@ class Simulator:
             observable side effect.
             """
             # Validated in place: no wrapping tuple or generator per call.
-            if isinstance(defer_ns, tuple):
+            if type(defer_ns) is tuple:
                 bad = not defer_ns or min(defer_ns) < 0
             else:
                 bad = defer_ns < 0
@@ -354,6 +354,10 @@ class Simulator:
         executed = 0
         lane_pops = near_pops = far_pops = reseqs = 0
         cur = q._cur
+        # A claimed bucket cannot grow (same-instant pushes go to the
+        # lane, ``compact`` skips it), so its length is read once per
+        # claim rather than once per pop.
+        cur_len = len(cur)
         cur_pos = q._cur_pos
         lane_pos = q._lane_pos
         qnow = q._qnow
@@ -362,12 +366,12 @@ class Simulator:
         # re-derived from scratch at every time advance.
         lane_checked = False
         try:
-            while not self._stopped:
+            while True:
                 # Select and consume the earliest record (far ≺ bucket ≺
                 # lane at equal time; see the event-module ordering
                 # proof).  ``until``/budget are checked per branch, before
                 # anything is consumed or the queue clock moves.
-                if cur_pos < len(cur):
+                if cur_pos < cur_len:
                     # Draining a claimed bucket.  No far-tier check: far
                     # pushes land at least a horizon beyond the drain
                     # instant, so nothing can join this time.
@@ -381,7 +385,9 @@ class Simulator:
                     cur_pos += 1
                     near_pops += 1
                     time = qnow
-                elif lane_pos < len(lane):
+                elif lane and lane_pos < len(lane):
+                    # (The lane is empty at most time advances: the
+                    # truth test spares the ``len`` call.)
                     if check_until and qnow > until:
                         if q._size - executed > 0:
                             self._now = until
@@ -408,6 +414,7 @@ class Simulator:
                         bucket = buckets.pop(qnow)
                         if type(bucket) is list:
                             cur = q._cur = bucket
+                            cur_len = len(bucket)
                             cur_pos = 1
                             call = bucket[0]
                         else:
@@ -451,6 +458,7 @@ class Simulator:
                         bucket = buckets.pop(time)
                         if type(bucket) is list:
                             cur = q._cur = bucket
+                            cur_len = len(bucket)
                             cur_pos = 1
                             call = bucket[0]
                         else:
@@ -500,6 +508,10 @@ class Simulator:
                 if profiler is not None:
                     profiler.record(call.callback)
                 call.callback(*call.args)
+                # Only a callback can call ``stop()`` (``run`` clears the
+                # flag on entry), so the flag is read after each one.
+                if self._stopped:
+                    break
         finally:
             q._cur_pos = cur_pos
             q._lane_pos = lane_pos

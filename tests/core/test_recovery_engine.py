@@ -126,19 +126,19 @@ class TestLossRepair:
 
         def recover():
             nonlocal recovery
-            # The folded fast path skips _launch entirely; force the
-            # unfolded path so the drop hook sees every frame.
+            # Reservations bypass ``send``; force the unfolded path so
+            # the drop hook sees every frame the device sends.
             channel._fold = False
-            original_launch = channel._launch
+            original_send = channel.send
             sent = iter(range(10_000))
 
-            def launch_with_drops(frame):
+            def send_with_drops(frame):
                 if next(sent) in drop:
                     channel.dropped_loss.increment()
                     return
-                original_launch(frame)
+                original_send(frame)
 
-            channel._launch = launch_with_drops
+            channel.send = send_with_drops
             recovery = deployment.server.recover(deployment.pmnet_names)
 
         deployment.sim.schedule_at(milliseconds(1.5), recover)

@@ -217,6 +217,23 @@ def _fast_profile():
                           header_overhead_bytes=0)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("loss_probability", 1.5),
+        ("loss_probability", -0.1),
+        ("duplicate_probability", -0.1),
+        ("duplicate_probability", 1.01),
+        ("reorder_probability", 2.0),
+        ("reorder_probability", float("nan")),
+        ("reorder_extra_ns", -5),
+    ])
+    def test_out_of_range_input_rejected_at_construction(self, field, value):
+        # A negative probability used to switch its impairment off
+        # silently; a negative extra delay failed only at the first
+        # reordered frame.
+        with pytest.raises(ValueError, match=field):
+            Impairments(**{field: value})
+
+
 class TestFoldedFastPath:
     def test_fast_path_times_match_unfolded(self, monkeypatch):
         def burst(sim):

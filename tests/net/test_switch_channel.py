@@ -1,6 +1,7 @@
 """Additional substrate tests: switch behaviour and channel counters."""
 
-from repro.config import NetworkProfile
+from repro.config import NetworkProfile, SystemConfig
+from repro.core.pmnet_device import PMNetDevice
 from repro.net.device import ForwardingTable, Node, Port
 from repro.net.packet import Frame
 from repro.net.switch import Switch
@@ -9,7 +10,8 @@ from repro.sim import Simulator
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, RoutingError
+from tests.conftest import FOLD_LEVELS, fold
 
 
 class _Host(Node):
@@ -86,6 +88,87 @@ class TestSwitch:
         assert len(b.arrivals) == 1
 
 
+    @pytest.mark.parametrize("level", FOLD_LEVELS)
+    def test_handle_frame_forwards_like_a_channel_delivery(self, level):
+        # ``receive`` (a channel delivery) and a direct ``handle_frame``
+        # share one forwarding path: the same reservation or ``_forward``
+        # slot, the same arrival and the same count.  Only the hop count
+        # differs — a direct call is not a wire hop.
+        def forward(entry):
+            with fold(level):
+                sim = Simulator()
+                _topo, _a, b, sw, link_a, link_b = _wired(sim)
+            frame = Frame("a", "b", None, 100)
+            sim.schedule_at(1_000, getattr(sw, entry), frame,
+                            link_a.port_b)
+            sim.run()
+            return (b.arrivals[0][0], int(sw.forwarded),
+                    int(link_b.forward.folded_sends), sim.executed_events,
+                    frame.hops)
+
+        delivered = forward("receive")
+        direct = forward("handle_frame")
+        assert direct[:4] == delivered[:4]
+        assert delivered[2] == (1 if level == "whole" else 0)
+        assert (delivered[4], direct[4]) == (2, 1)
+
+    @pytest.mark.parametrize("level", FOLD_LEVELS)
+    def test_failed_switch_drops_a_direct_handle_frame(self, level):
+        with fold(level):
+            sim = Simulator()
+            _topo, _a, b, sw, link_a, _lb = _wired(sim)
+        sw.fail()
+        sw.handle_frame(Frame("a", "b", None, 10), link_a.port_b)
+        sim.run()
+        assert b.arrivals == []
+        assert int(sw.forwarded) == 0
+
+
+class TestEgressBinding:
+    """``ForwardingTable`` binds each destination's channel on first use;
+    a route change must unbind it on every forwarding node."""
+
+    @staticmethod
+    def _fabric(level):
+        # a -- sw -- dev -- b, with c reachable from both sw and dev.
+        with fold(level):
+            sim = Simulator()
+            config = SystemConfig()
+            topo = Topology(sim, config.network)
+            a = topo.add(_Host(sim, "a"))
+            b = topo.add(_Host(sim, "b"))
+            c = topo.add(_Host(sim, "c"))
+            sw = topo.add(Switch(sim, "sw", config.network))
+            dev = topo.add(PMNetDevice(sim, "dev", config))
+            topo.connect(a, sw)
+            topo.connect(sw, dev)
+            dev_b = topo.connect(dev, b)
+            sw_c = topo.connect(sw, c)
+            dev_c = topo.connect(dev, c)
+            topo.compute_routes()
+        return sim, a, b, c, sw, dev, dev_b, sw_c, dev_c
+
+    @pytest.mark.parametrize("level", FOLD_LEVELS)
+    @pytest.mark.parametrize("repoint", ["sw", "dev"])
+    def test_set_route_repoints_a_bound_destination(self, level, repoint):
+        sim, a, b, c, sw, dev, dev_b, sw_c, dev_c = self._fabric(level)
+        a.ports[0].transmit(Frame("a", "b", None, 100))
+        sim.run()
+        assert len(b.arrivals) == 1
+        assert sw.table.bound["b"] is sw.table.lookup("b").channel
+        assert dev.table.bound["b"] is dev_b.forward
+        node, port = ((sw, sw_c.port_a) if repoint == "sw"
+                      else (dev, dev_c.port_a))
+        node.table.set_route("b", port)
+        assert "b" not in node.table.bound
+        a.ports[0].transmit(Frame("a", "b", None, 100))
+        sim.run()
+        # The second frame leaves by the new port and reaches c.
+        assert len(b.arrivals) == 1
+        assert [frame.dst for _time, frame in c.arrivals] == ["b"]
+        assert node.table.bound["b"] is port.channel
+
+
 class TestChannelCounters:
     def test_bytes_and_delivered(self):
         sim = Simulator()
@@ -117,6 +200,31 @@ class TestForwardingTable:
         table = ForwardingTable()
         with pytest.raises(NetworkError):
             table.lookup("nowhere")
+
+    def test_missing_route_raises_routing_error(self):
+        # Both the lookup and the bound egress path, on first use.
+        table = ForwardingTable()
+        with pytest.raises(RoutingError, match="nowhere"):
+            table.lookup("nowhere")
+        with pytest.raises(RoutingError, match="nowhere"):
+            table.egress("nowhere")
+        assert table.bound == {}
+
+    def test_switch_without_a_route_raises_routing_error(self):
+        sim = Simulator()
+        _topo, a, _b, _sw, _la, _lb = _wired(sim)
+        a.ports[0].transmit(Frame("a", "nowhere", None, 10))
+        with pytest.raises(RoutingError, match="nowhere"):
+            sim.run()
+
+    def test_new_default_unbinds(self):
+        sim = Simulator()
+        _topo, _a, _b, sw, _la, link_b = _wired(sim)
+        table = sw.table
+        assert table.egress("b") is link_b.forward
+        assert "b" in table.bound
+        table.default = table.lookup("a")
+        assert table.bound == {}
 
     def test_destinations_listing(self):
         sim = Simulator()

@@ -156,7 +156,7 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "fold level 'none'" in out
         # The per-stage hops only execute on the unfolded paths.
-        assert "Channel._launch" in out or "Switch._forward" in out
+        assert "Channel._serialized" in out or "Switch._forward" in out
 
     def test_fold_flag_selects_the_level(self, capsys):
         assert main(["profile", "--clients", "2", "--requests", "5",
