@@ -15,6 +15,10 @@ The public API re-exports the pieces a downstream user needs:
 * the failure injector and recovery scenarios;
 * the experiment registry regenerating every figure/table.
 
+Every package re-exports its names lazily (:mod:`repro._lazy`): a
+name's defining module is imported on first use, so importing one
+module does not load the rest of the package.
+
 Quickstart::
 
     from repro import DeploymentSpec, SystemConfig, build, run_closed_loop
@@ -28,29 +32,23 @@ Quickstart::
     print(stats.mean_latency_us(), "us mean update latency")
 """
 
-from repro.config import (
-    DEFAULT_CONFIG,
-    SystemConfig,
-    baseline_rtt_estimate,
-    pmnet_rtt_estimate,
-)
-from repro.core import (
-    NO_PMNET,
-    SINGLE_LOG,
-    PMNetDevice,
-    ReadCache,
-    ReplicationPolicy,
-)
-from repro.errors import ReproError
-from repro.experiments import (
-    Deployment,
-    DeploymentSpec,
-    build,
-    run_closed_loop,
-    run_sessions,
-)
-from repro.host import IdealHandler, PMNetClient, PMNetServer, RequestHandler
-from repro.sim import Simulator
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config": ("DEFAULT_CONFIG", "SystemConfig",
+                     "baseline_rtt_estimate", "pmnet_rtt_estimate"),
+    "repro.core.pmnet_device": ("PMNetDevice",),
+    "repro.core.cache": ("ReadCache",),
+    "repro.core.replication": ("NO_PMNET", "SINGLE_LOG",
+                               "ReplicationPolicy"),
+    "repro.errors": ("ReproError",),
+    "repro.experiments.deploy": ("Deployment", "DeploymentSpec", "build"),
+    "repro.experiments.driver": ("run_closed_loop", "run_sessions"),
+    "repro.host.handler": ("IdealHandler", "RequestHandler"),
+    "repro.host.client": ("PMNetClient",),
+    "repro.host.server": ("PMNetServer",),
+    "repro.sim.kernel": ("Simulator",),
+})
 
 __version__ = "1.0.0"
 

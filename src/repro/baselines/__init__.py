@@ -5,10 +5,14 @@ Build them with ``build(DeploymentSpec(placement=...))`` using the
 placements; these are the host classes those placements install.
 """
 
-from repro.baselines.client_logging import ClientLoggingClient
-from repro.baselines.common import ReplicaLogger
-from repro.baselines.replication import ReplicatingServer
-from repro.baselines.server_logging import ServerLoggingServer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.client_logging": ("ClientLoggingClient",),
+    "repro.baselines.common": ("ReplicaLogger",),
+    "repro.baselines.replication": ("ReplicatingServer",),
+    "repro.baselines.server_logging": ("ServerLoggingServer",),
+})
 
 __all__ = [
     "ClientLoggingClient", "ServerLoggingServer", "ReplicatingServer",

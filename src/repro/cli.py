@@ -40,10 +40,34 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, get
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for a count flag: an integer >= ``minimum``.
+
+    A bad value exits 2 with argparse's ``argument --flag:`` prefix, so
+    the message names the flag.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+#: ``--jobs``, ``--runs``, ``--top``, ``--clients``, ``--requests``.
+_positive_int = _int_at_least(1)
 
 
 def _cmd_list() -> int:
@@ -435,7 +459,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="experiment ids (or 'all')")
     run_parser.add_argument("--full", action="store_true",
                             help="testbed-scale sizes (64 clients; slow)")
-    run_parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    run_parser.add_argument("--jobs", type=_positive_int,
+                            default=None, metavar="N",
                             help="worker processes for sweep points "
                                  "(default: all cores; 1 = serial)")
     run_parser.add_argument("--json", default=None, metavar="PATH",
@@ -454,7 +479,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                            metavar="ID",
                            help="experiment ids to benchmark (default: a "
                                 "representative subset)")
-    bench_exp.add_argument("--jobs", type=int, default=None, metavar="N",
+    bench_exp.add_argument("--jobs", type=_positive_int,
+                           default=None, metavar="N",
                            help="worker processes for the parallel pass "
                                 "(default: all cores)")
     bench_exp.add_argument("--json", "--output", default=None,
@@ -476,15 +502,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "profile",
         help="attribute executed events to call sites on the stress "
              "workload")
-    profile_parser.add_argument("--clients", type=int, default=32,
+    profile_parser.add_argument("--clients", type=_positive_int, default=32,
                                 help="closed-loop clients (default 32)")
-    profile_parser.add_argument("--requests", type=int, default=20,
+    profile_parser.add_argument("--requests", type=_positive_int, default=20,
                                 help="requests per client (default 20)")
     profile_parser.add_argument("--fold", default="whole",
                                 choices=("none", "whole"),
                                 help="fold level to profile "
                                      "(default: whole)")
-    profile_parser.add_argument("--top", type=int, default=15,
+    profile_parser.add_argument("--top", type=_positive_int, default=15,
                                 help="call sites to show (default 15)")
     profile_parser.add_argument("--json", "--output", default=None,
                                 dest="output", metavar="PATH",
@@ -513,7 +539,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace_parser.add_argument("--experiment", default="fig02",
                               metavar="ID", dest="scenario",
                               help="scenario id (default fig02)")
-    trace_parser.add_argument("--limit", type=int, default=100,
+    trace_parser.add_argument("--limit", type=_int_at_least(0), default=100,
                               help="records to print (default 100; 0 = all)")
     trace_parser.add_argument("--component", default=None,
                               help="only records from this component")
@@ -538,9 +564,10 @@ def main(argv: Optional[List[str]] = None) -> int:
              "checked against R1-R6 and the durability oracle")
     chaos_parser.add_argument("--seed", type=int, default=0,
                               help="first chaos seed (default 0)")
-    chaos_parser.add_argument("--runs", type=int, default=1,
+    chaos_parser.add_argument("--runs", type=_positive_int, default=1,
                               help="consecutive seeds to run (default 1)")
-    chaos_parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    chaos_parser.add_argument("--jobs", type=_positive_int,
+                              default=None, metavar="N",
                               help="worker processes for the sweep "
                                    "(default: all cores; 1 = serial)")
     chaos_parser.add_argument("--json", default=None, metavar="PATH",

@@ -20,8 +20,8 @@ them with :func:`dataclasses.replace` rather than mutating shared state.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, Type
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import microseconds, nanoseconds
@@ -93,6 +93,32 @@ def fold_level() -> int:
 def folding_enabled() -> bool:
     """Whether the latency-folded fast paths are active (fold level 2)."""
     return fold_level() == 2
+
+
+#: Runtime type of each checked (string) dataclass field annotation.
+_FIELD_TYPES = {"int": int, "Optional[int]": int, "bool": bool, "str": str}
+
+
+def check_field_types(instance: object,
+                      error: Type[Exception] = ValueError) -> None:
+    """Reject a dataclass field value of the wrong type, naming the field.
+
+    Fields annotated ``int``, ``Optional[int]``, ``bool`` or ``str`` are
+    checked; others are left to the caller's range checks.  ``bool`` is
+    not an ``int`` here, and a non-``bool`` is not a ``bool``: ``"no"``
+    must not silently enable a feature.
+    """
+    for checked in fields(instance):
+        expected = _FIELD_TYPES.get(checked.type)
+        value = getattr(instance, checked.name)
+        if expected is None or (value is None
+                                and checked.type.startswith("Optional[")):
+            continue
+        if (isinstance(value, bool) != (expected is bool)
+                or not isinstance(value, expected)):
+            raise error(f"{checked.name} must be {expected.__name__}, "
+                        f"got {value!r}")
+
 
 # ---------------------------------------------------------------------------
 # Host network stacks

@@ -18,18 +18,16 @@ Three cooperating pieces, analogous to a P4 load balancer's controller:
 See ``docs/controlplane.md`` for the protocol and its invariants.
 """
 
-from repro.control.placement import PlacementView
-from repro.control.migrator import MigrationStats, SessionMigrator
-from repro.control.balancer import (
-    ControlPlane,
-    ControlView,
-    DrainRackPolicy,
-    FailoverPolicy,
-    HotShardPolicy,
-    LoadBalancer,
-    MigrateAction,
-    attach_control_plane,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.control.placement": ("PlacementView",),
+    "repro.control.migrator": ("MigrationStats", "SessionMigrator"),
+    "repro.control.balancer": ("ControlPlane", "ControlView",
+                               "DrainRackPolicy", "FailoverPolicy",
+                               "HotShardPolicy", "LoadBalancer",
+                               "MigrateAction", "attach_control_plane"),
+})
 
 __all__ = [
     "ControlPlane",

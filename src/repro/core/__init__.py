@@ -1,15 +1,15 @@
 """PMNet core: the device, its MAT pipeline, cache, replication, recovery."""
 
-from repro.core.cache import CacheLine, CacheState, ReadCache
-from repro.core.mat import MATAction, classify, pmnet_packet
-from repro.core.pmnet_device import PMNetDevice
-from repro.core.recovery import ResendEngine
-from repro.core.replication import (
-    NO_PMNET,
-    SINGLE_LOG,
-    ReplicationPolicy,
-    build_pmnet_chain,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.cache": ("CacheLine", "CacheState", "ReadCache"),
+    "repro.core.mat": ("MATAction", "classify", "pmnet_packet"),
+    "repro.core.pmnet_device": ("PMNetDevice",),
+    "repro.core.recovery": ("ResendEngine",),
+    "repro.core.replication": ("NO_PMNET", "SINGLE_LOG",
+                               "ReplicationPolicy", "build_pmnet_chain"),
+})
 
 __all__ = [
     "PMNetDevice",

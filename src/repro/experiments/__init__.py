@@ -1,18 +1,15 @@
 """Experiment harness: deployments, drivers, one module per figure."""
 
-from repro.experiments.deploy import (
-    Deployment,
-    DeploymentSpec,
-    build,
-)
-from repro.experiments.driver import (
-    ClientAPI,
-    RunStats,
-    run_closed_loop,
-    run_sessions,
-)
-from repro.experiments.multirack import build_two_rack
-from repro.experiments.summary import format_summary, health_check, summarize
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.deploy": ("Deployment", "DeploymentSpec", "build"),
+    "repro.experiments.driver": ("ClientAPI", "RunStats", "run_closed_loop",
+                                 "run_sessions"),
+    "repro.experiments.multirack": ("build_two_rack",),
+    "repro.experiments.summary": ("format_summary", "health_check",
+                                  "summarize"),
+})
 
 __all__ = [
     "Deployment", "DeploymentSpec", "build", "build_two_rack",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, check_field_types
 from repro.core.pmnet_device import PMNetDevice
 from repro.core.replication import (
     NO_PMNET,
@@ -47,22 +47,6 @@ PLACEMENTS = ("none", "switch", "nic",
 
 #: Valid values of :attr:`DeploymentSpec.transport`.
 TRANSPORTS = (UDP, TCP)
-
-
-def _check_field_type(name: str, annotation: str, value: object) -> None:
-    """Reject a field value of the wrong type, naming the field.
-
-    ``annotation`` is the field's (string) annotation.  ``bool`` is not
-    an ``int`` here, and a non-``bool`` is not a ``bool``: ``"no"``
-    must not silently enable a feature.
-    """
-    if value is None and annotation.startswith("Optional["):
-        return
-    expected = {"bool": bool, "str": str}.get(annotation, int)
-    if (isinstance(value, bool) != (expected is bool)
-            or not isinstance(value, expected)):
-        raise ValueError(f"{name} must be {expected.__name__}, "
-                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +102,7 @@ class DeploymentSpec:
     control_period_ns: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for spec_field in fields(self):
-            _check_field_type(spec_field.name, spec_field.type,
-                              getattr(self, spec_field.name))
+        check_field_types(self)
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, "
@@ -309,8 +291,10 @@ def build(spec: DeploymentSpec, config: SystemConfig,
     """Wire the system a :class:`DeploymentSpec` describes.
 
     ``handler`` serves single-server shapes; multi-server shapes take a
-    ``handler_factory`` (each shard gets its own instance).
+    ``handler_factory`` (each shard gets its own instance).  An
+    inconsistent ``config`` raises :class:`ConfigurationError`.
     """
+    config.validate()
     if handler is not None and handler_factory is not None:
         raise ValueError("pass handler or handler_factory, not both")
     if spec.racks > 1:

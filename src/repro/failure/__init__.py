@@ -1,26 +1,21 @@
 """Failure injection, the Fig 12/13 recovery scenarios, chaos sweeps."""
 
-from repro.failure.autorecover import RecoveryManager, attach_recovery_manager
-from repro.failure.chaos import (
-    ChaosPlan,
-    ChaosRunResult,
-    Fault,
-    append_to_corpus,
-    generate_plan,
-    load_corpus,
-    repro_line,
-    run_plan,
-    shrink,
-)
-from repro.failure.injector import FailureInjector, FailureRecord
-from repro.failure.scenarios import (
-    ScenarioOutcome,
-    client_failure_mid_run,
-    device_failure_before_ack,
-    device_failure_before_receive,
-    intermittent_server_failure,
-    permanent_device_failure_with_replication,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.failure.autorecover": ("RecoveryManager",
+                                  "attach_recovery_manager"),
+    "repro.failure.chaos": ("ChaosPlan", "ChaosRunResult", "Fault",
+                            "append_to_corpus", "generate_plan",
+                            "load_corpus", "repro_line", "run_plan",
+                            "shrink"),
+    "repro.failure.injector": ("FailureInjector", "FailureRecord"),
+    "repro.failure.scenarios": ("ScenarioOutcome", "client_failure_mid_run",
+                                "device_failure_before_ack",
+                                "device_failure_before_receive",
+                                "intermittent_server_failure",
+                                "permanent_device_failure_with_replication"),
+})
 
 __all__ = [
     "FailureInjector", "FailureRecord",

@@ -60,7 +60,8 @@ from repro.net.link import Impairments
 from repro.net.packet import reset_frame_ids
 from repro.obs.context import Observability
 from repro.protocol.packet import reset_request_ids
-from repro.workloads import PMDK_STRUCTURES, StructureHandler
+from repro.workloads.handlers import StructureHandler
+from repro.workloads.structures import PMDK_STRUCTURES
 from repro.workloads.ycsb import YCSBConfig, YCSBGenerator
 
 #: Fault kinds a plan may schedule.

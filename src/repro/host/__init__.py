@@ -1,18 +1,18 @@
 """Host software: the PMNet client/server libraries of Table I."""
 
-from repro.host.async_client import AsyncPMNetClient
-from repro.host.client import Completion, PMNetClient
-from repro.host.handler import (
-    HandlerOutcome,
-    IdealHandler,
-    LockTable,
-    RequestHandler,
-)
-from repro.host.heartbeat import HeartbeatMonitor, MonitorEndpoint
-from repro.host.node import HostNode
-from repro.host.server import PMNetServer
-from repro.host.sharded import ShardedClient
-from repro.host.stackmodel import TCP, UDP, HostStack
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.host.async_client": ("AsyncPMNetClient",),
+    "repro.host.client": ("Completion", "PMNetClient"),
+    "repro.host.handler": ("HandlerOutcome", "IdealHandler", "LockTable",
+                           "RequestHandler"),
+    "repro.host.heartbeat": ("HeartbeatMonitor", "MonitorEndpoint"),
+    "repro.host.node": ("HostNode",),
+    "repro.host.server": ("PMNetServer",),
+    "repro.host.sharded": ("ShardedClient",),
+    "repro.host.stackmodel": ("TCP", "UDP", "HostStack"),
+})
 
 __all__ = [
     "HostNode", "HostStack", "UDP", "TCP",

@@ -1,17 +1,16 @@
 """Network substrate: frames, links, switches, and topology wiring."""
 
-from repro.net.device import ForwardingTable, Node, Port
-from repro.net.link import Channel, Impairments, Link
-from repro.net.packet import (
-    PLAIN_UDP_PORT,
-    PMNET_UDP_PORT_MAX,
-    PMNET_UDP_PORT_MIN,
-    Frame,
-    RawPayload,
-    is_pmnet_port,
-)
-from repro.net.switch import Switch
-from repro.net.topology import Topology
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.device": ("ForwardingTable", "Node", "Port"),
+    "repro.net.link": ("Channel", "Impairments", "Link"),
+    "repro.net.packet": ("PLAIN_UDP_PORT", "PMNET_UDP_PORT_MAX",
+                         "PMNET_UDP_PORT_MIN", "Frame", "RawPayload",
+                         "is_pmnet_port"),
+    "repro.net.switch": ("Switch",),
+    "repro.net.topology": ("Topology",),
+})
 
 __all__ = [
     "Node", "Port", "ForwardingTable",

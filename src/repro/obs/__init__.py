@@ -12,32 +12,20 @@ one explicit, injected surface:
   and the shared ``pmnet-repro-bench/1`` benchmark envelope.
 """
 
-from repro.obs.context import Observability
-from repro.obs.export import (
-    BENCH_SCHEMA,
-    METRICS_SCHEMA,
-    bench_envelope,
-    config_digest,
-    metrics_payload,
-    parse_prometheus,
-    to_prometheus,
-    validate_bench_report,
-    validate_metrics,
-    write_bench_report,
-)
-from repro.obs.registry import (
-    DuplicateInstrumentError,
-    Histogram,
-    MetricsRegistry,
-    register_with_sim,
-)
-from repro.obs.spans import (
-    Span,
-    SpanRecorder,
-    lifecycle_groups,
-    spans_for,
-    stage_deltas,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.context": ("Observability",),
+    "repro.obs.export": ("BENCH_SCHEMA", "METRICS_SCHEMA", "bench_envelope",
+                         "config_digest", "metrics_payload",
+                         "parse_prometheus", "to_prometheus",
+                         "validate_bench_report", "validate_metrics",
+                         "write_bench_report"),
+    "repro.obs.registry": ("DuplicateInstrumentError", "Histogram",
+                           "MetricsRegistry", "register_with_sim"),
+    "repro.obs.spans": ("Span", "SpanRecorder", "lifecycle_groups",
+                        "spans_for", "stage_deltas"),
+})
 
 __all__ = [
     "Observability",

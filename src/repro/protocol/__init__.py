@@ -1,30 +1,20 @@
 """The PMNet wire protocol: header, packet types, sessions, ordering."""
 
-from repro.protocol.crc import crc32
-from repro.protocol.fragment import (
-    Reassembler,
-    fragment_request,
-    max_fragment_payload,
-)
-from repro.protocol.header import (
-    HEADER_BYTES,
-    PMNetHeader,
-    make_request_header,
-)
-from repro.protocol.ordering import ReorderBuffer
-from repro.protocol.packet import (
-    PMNetPacket,
-    RecoveryPoll,
-    RetransRequest,
-    next_request_id,
-)
-from repro.protocol.session import Session, SessionAllocator
-from repro.protocol.types import (
-    CLIENT_TO_SERVER,
-    TO_CLIENT,
-    PacketType,
-    is_request,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.protocol.crc": ("crc32",),
+    "repro.protocol.fragment": ("Reassembler", "fragment_request",
+                                "max_fragment_payload"),
+    "repro.protocol.header": ("HEADER_BYTES", "PMNetHeader",
+                              "make_request_header"),
+    "repro.protocol.ordering": ("ReorderBuffer",),
+    "repro.protocol.packet": ("PMNetPacket", "RecoveryPoll",
+                              "RetransRequest", "next_request_id"),
+    "repro.protocol.session": ("Session", "SessionAllocator"),
+    "repro.protocol.types": ("CLIENT_TO_SERVER", "TO_CLIENT", "PacketType",
+                             "is_request"),
+})
 
 __all__ = [
     "crc32",

@@ -15,42 +15,25 @@ This is the foundation every other subsystem runs on.  Typical use::
     sim.run()
 """
 
-from repro.sim.clock import (
-    MICROSECOND,
-    MILLISECOND,
-    NANOSECOND,
-    SECOND,
-    format_time,
-    microseconds,
-    milliseconds,
-    nanoseconds,
-    seconds,
-    to_microseconds,
-    to_milliseconds,
-    to_seconds,
-    transmission_delay,
-)
-from repro.sim.event import ScheduledCall, SimEvent, TieredEventQueue
-from repro.sim.kernel import Simulator
-from repro.sim.monitor import (
-    Counter,
-    Gauge,
-    LatencyRecorder,
-    ThroughputMeter,
-    TimeSeries,
-    instruments_summary,
-)
-from repro.sim.process import AllOf, AnyOf, Interrupted, Process
-from repro.sim.profiler import EventProfiler
-from repro.sim.rand import (
-    LatencyJitter,
-    RandomStreams,
-    choose_weighted,
-    exponential_delay,
-    zipfian_ranks,
-)
-from repro.sim.trace import TraceRecord, Tracer
+from repro._lazy import lazy_exports
 
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.clock": ("MICROSECOND", "MILLISECOND", "NANOSECOND",
+                        "SECOND", "format_time", "microseconds",
+                        "milliseconds", "nanoseconds", "seconds",
+                        "to_microseconds", "to_milliseconds", "to_seconds",
+                        "transmission_delay"),
+    "repro.sim.event": ("ScheduledCall", "SimEvent", "TieredEventQueue"),
+    "repro.sim.kernel": ("Simulator",),
+    "repro.sim.monitor": ("Counter", "Gauge", "LatencyRecorder",
+                          "ThroughputMeter", "TimeSeries",
+                          "instruments_summary"),
+    "repro.sim.process": ("AllOf", "AnyOf", "Interrupted", "Process"),
+    "repro.sim.profiler": ("EventProfiler",),
+    "repro.sim.rand": ("LatencyJitter", "RandomStreams", "choose_weighted",
+                       "exponential_delay", "zipfian_ranks"),
+    "repro.sim.trace": ("TraceRecord", "Tracer"),
+})
 
 __all__ = [
     "NANOSECOND", "MICROSECOND", "MILLISECOND", "SECOND",

@@ -1,32 +1,22 @@
 """Workloads: the operation model, PMDK stores, Redis, Twitter, TPC-C."""
 
-from repro.workloads.handlers import StructureHandler
-from repro.workloads.kv import (
-    BYPASS_KINDS,
-    UPDATE_KINDS,
-    OpKind,
-    Operation,
-    Result,
-    estimate_result_bytes,
-)
-from repro.workloads.pmdk.btree import PMBTree
-from repro.workloads.pmdk.ctree import PMCTree
-from repro.workloads.pmdk.hashmap import PMHashmap
-from repro.workloads.pmdk.rbtree import PMRBTree
-from repro.workloads.pmdk.skiplist import PMSkiplist
-from repro.workloads.redis import PMRedis, RedisHandler
-from repro.workloads.tpcc import TPCCHandler
-from repro.workloads.twitter import TwitterHandler
-from repro.workloads.ycsb import YCSBConfig, YCSBGenerator, make_op_maker
+from repro._lazy import lazy_exports
 
-#: Factory map for the five PMDK stores (Fig 19's first five rows).
-PMDK_STRUCTURES = {
-    "btree": PMBTree,
-    "ctree": PMCTree,
-    "rbtree": PMRBTree,
-    "hashmap": PMHashmap,
-    "skiplist": PMSkiplist,
-}
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.handlers": ("StructureHandler",),
+    "repro.workloads.kv": ("BYPASS_KINDS", "UPDATE_KINDS", "OpKind",
+                           "Operation", "Result", "estimate_result_bytes"),
+    "repro.workloads.pmdk.btree": ("PMBTree",),
+    "repro.workloads.pmdk.ctree": ("PMCTree",),
+    "repro.workloads.pmdk.hashmap": ("PMHashmap",),
+    "repro.workloads.pmdk.rbtree": ("PMRBTree",),
+    "repro.workloads.pmdk.skiplist": ("PMSkiplist",),
+    "repro.workloads.redis": ("PMRedis", "RedisHandler"),
+    "repro.workloads.structures": ("PMDK_STRUCTURES",),
+    "repro.workloads.tpcc": ("TPCCHandler",),
+    "repro.workloads.twitter": ("TwitterHandler",),
+    "repro.workloads.ycsb": ("YCSBConfig", "YCSBGenerator", "make_op_maker"),
+})
 
 __all__ = [
     "Operation", "Result", "OpKind", "UPDATE_KINDS", "BYPASS_KINDS",

@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.config import check_field_types
 from repro.errors import ConfigurationError, ExperimentError
 from repro.sim.monitor import Counter, LatencyRecorder, ThroughputMeter
 from repro.sim.rand import exponential_delay
@@ -73,6 +74,7 @@ class LoadGenConfig:
     population: int = 10_000
 
     def __post_init__(self) -> None:
+        check_field_types(self, ConfigurationError)
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"loadgen mode must be one of {MODES}, got {self.mode!r}")
@@ -92,10 +94,9 @@ class LoadGenConfig:
         if not 0.0 <= self.update_ratio <= 1.0:
             raise ConfigurationError(
                 f"update_ratio must be in [0, 1], got {self.update_ratio}")
-        if self.payload_bytes < 0:
+        if self.payload_bytes <= 0:
             raise ConfigurationError(
-                f"payload_bytes must be non-negative, "
-                f"got {self.payload_bytes}")
+                f"payload_bytes must be positive, got {self.payload_bytes}")
         if self.warmup_requests < 0:
             raise ConfigurationError(
                 f"warmup_requests must be non-negative, "

@@ -1,12 +1,17 @@
 """The five PMDK example stores, re-implemented with metered PM costs."""
 
-from repro.workloads.pmdk.base import PersistentStructure
-from repro.workloads.pmdk.btree import PMBTree
-from repro.workloads.pmdk.ctree import PMCTree
-from repro.workloads.pmdk.hashmap import PMHashmap
-from repro.workloads.pmdk.pmobj import DEFAULT_PM_COSTS, PMCostProfile, PMMeter
-from repro.workloads.pmdk.rbtree import PMRBTree
-from repro.workloads.pmdk.skiplist import PMSkiplist
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.pmdk.base": ("PersistentStructure",),
+    "repro.workloads.pmdk.btree": ("PMBTree",),
+    "repro.workloads.pmdk.ctree": ("PMCTree",),
+    "repro.workloads.pmdk.hashmap": ("PMHashmap",),
+    "repro.workloads.pmdk.pmobj": ("DEFAULT_PM_COSTS", "PMCostProfile",
+                                   "PMMeter"),
+    "repro.workloads.pmdk.rbtree": ("PMRBTree",),
+    "repro.workloads.pmdk.skiplist": ("PMSkiplist",),
+})
 
 __all__ = [
     "PersistentStructure",

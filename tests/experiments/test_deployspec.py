@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.config import SystemConfig
+from repro.errors import ConfigurationError
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
 from repro.host.stackmodel import TCP
@@ -106,6 +107,16 @@ class TestSpecValidation:
         # constructs the spec: both boundaries reject here.
         with pytest.raises(ValueError, match=field):
             DeploymentSpec.from_params(params)
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(SystemConfig().with_clients(0), id="no-clients"),
+        pytest.param(SystemConfig().with_clients(-2), id="negative-clients"),
+        pytest.param(SystemConfig().with_payload(0), id="empty-payload"),
+    ])
+    def test_build_validates_the_config(self, config):
+        # Unchecked, the first would build a deployment with no clients.
+        with pytest.raises(ConfigurationError):
+            build(DeploymentSpec(placement="switch"), config)
 
 
 # ----------------------------------------------------------------------

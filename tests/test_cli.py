@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -210,3 +211,37 @@ class TestTrace:
         captured = capsys.readouterr()
         assert "pmnet1" in captured.out
         assert "matching record(s)" in captured.err
+
+
+class TestCountFlags:
+    """Count flags reject a bad value at parse time, exiting 2 and
+    naming the flag: a non-positive count would otherwise run serially,
+    run nothing, or slice records from the end of a list."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "bdp", "--jobs", "0"], "--jobs"),
+        (["run", "bdp", "--jobs", "-3"], "--jobs"),
+        (["run", "bdp", "--jobs", "two"], "--jobs"),
+        (["bench-experiments", "--jobs", "0"], "--jobs"),
+        (["chaos", "--runs", "0"], "--runs"),
+        (["chaos", "--jobs", "-1"], "--jobs"),
+        (["trace", "--limit", "-5"], "--limit"),
+        (["profile", "--top", "-1"], "--top"),
+        (["profile", "--top", "0"], "--top"),
+        (["profile", "--clients", "0"], "--clients"),
+        (["profile", "--requests", "0"], "--requests"),
+    ])
+    def test_bad_count_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}" in captured.err
+        assert captured.out == ""
+
+    def test_trace_limit_zero_still_means_all(self, capsys):
+        assert main(["trace", "--experiment", "pmnet", "--component",
+                     "pmnet1", "--limit", "0"]) == 0
+        summary = re.search(r"(\d+) of (\d+) matching",
+                            capsys.readouterr().err)
+        assert summary.group(1) == summary.group(2) != "0"

@@ -74,7 +74,9 @@ class TestConfigValidation:
         ("zipf_theta", -0.1), ("zipf_theta", 1.0), ("zipf_theta", 1.5),
         ("zipf_theta", float("nan")), ("update_ratio", -0.1),
         ("update_ratio", 1.01), ("payload_bytes", -1),
-        ("warmup_requests", -1)])
+        # A payload of 0 would fail every request mid-run, inside
+        # fragment_request.
+        ("payload_bytes", 0), ("warmup_requests", -1)])
     def test_rejects_out_of_range_field_by_name(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             LoadGenConfig(**{field: value})
@@ -83,9 +85,24 @@ class TestConfigValidation:
             LoadGenConfig.from_params(params)
 
     def test_range_edges_stay_valid(self):
-        LoadGenConfig(zipf_theta=0.0, update_ratio=0.0, payload_bytes=0,
+        LoadGenConfig(zipf_theta=0.0, update_ratio=0.0, payload_bytes=1,
                       warmup_requests=0)
         LoadGenConfig(zipf_theta=0.99, update_ratio=1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("users", 2.5), ("window", True), ("total_requests", 100.0),
+        ("payload_bytes", "100"), ("population", False),
+        ("think_time_ns", 1.5), ("mode", 1)])
+    def test_rejects_wrong_type_by_name(self, field, value):
+        # bool is not a count: window=True must not mean a window of 1.
+        with pytest.raises(ConfigurationError, match=field):
+            LoadGenConfig(**{field: value})
+        params = {**SMALL_CLOSED.to_params(), field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            LoadGenConfig.from_params(params)
+
+    def test_float_fields_take_ints(self):
+        LoadGenConfig(update_ratio=1, zipf_theta=0)
 
     def test_params_roundtrip(self):
         for config in (SMALL_CLOSED, SMALL_OPEN):
