@@ -8,10 +8,6 @@ Usage::
     pmnet-repro run all               # everything, quick sizes
     pmnet-repro run all --jobs 8      # fan sweep points across 8 cores
     pmnet-repro run all --json out.json   # machine-readable results too
-    pmnet-repro bench-experiments     # serial-vs-parallel wall clock
-                                      #   -> BENCH_experiments.json
-    pmnet-repro bench-pipeline        # events/request, none vs whole
-                                      #   -> BENCH_pipeline.json
     pmnet-repro profile               # where do the events go? (a
                                       #   per-call-site event report)
     pmnet-repro metrics --experiment fig02
@@ -38,10 +34,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.config import SystemConfig, fold_level
 from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, get
 
@@ -173,51 +172,6 @@ def _cmd_run(experiment_ids: List[str], quick: bool, jobs: Optional[int],
     return status
 
 
-def _cmd_bench_experiments(experiment_ids: Optional[List[str]],
-                           jobs: Optional[int],
-                           output: Optional[str]) -> int:
-    from repro.experiments.benchmark import (ExperimentError, format_result,
-                                             run_experiment_benchmark,
-                                             write_result)
-    if experiment_ids:
-        for eid in experiment_ids:
-            try:
-                get(eid)
-            except KeyError as error:
-                print(error, file=sys.stderr)
-                return 2
-    try:
-        result = run_experiment_benchmark(experiment_ids=experiment_ids,
-                                          jobs=jobs)
-    except ExperimentError as error:
-        print(error, file=sys.stderr)
-        return 1
-    path = write_result(result, output)
-    print(format_result(result))
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_bench_pipeline(clients: int, requests: int,
-                        output: Optional[str]) -> int:
-    from repro.experiments.pipeline_bench import (format_result,
-                                                  run_pipeline_benchmark,
-                                                  write_result)
-    try:
-        result = run_pipeline_benchmark(clients=clients,
-                                        requests_per_client=requests)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    except ConfigurationError as error:
-        print(error, file=sys.stderr)
-        return 1
-    path = write_result(result, output)
-    print(format_result(result))
-    print(f"wrote {path}")
-    return 0 if result["latencies_identical"] else 1
-
-
 def _cmd_metrics(scenario_id: str, json_path: Optional[str],
                  prometheus_path: Optional[str],
                  seed: Optional[int]) -> int:
@@ -280,39 +234,61 @@ def _cmd_trace(scenario_id: str, limit: int, component: Optional[str],
     return 0
 
 
+@contextmanager
+def _fold_env(fold: str) -> Iterator[None]:
+    """Set ``PMNET_FOLD`` — the switch users have, read at deployment
+    construction time — for the duration of the block.  The level it
+    replaces is validated first, so a stale setting fails loudly."""
+    fold_level()
+    previous = os.environ.get("PMNET_FOLD")
+    os.environ["PMNET_FOLD"] = fold
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("PMNET_FOLD", None)
+        else:
+            os.environ["PMNET_FOLD"] = previous
+
+
 def _cmd_profile(clients: int, requests: int, fold: str, top: int,
                  json_path: Optional[str] = None) -> int:
-    from repro.experiments.pipeline_bench import _run_mode
-    from repro.sim.profiler import EventProfiler  # noqa: F401 (re-export)
+    """Attribute the events of one Fig 16 stress point (the PMNet switch
+    deployment, seed 0) to their call sites."""
+    from repro.experiments.fig16_stress import stress
+    from repro.sim.profiler import EventProfiler, format_kernel_stats
+
+    profiler = EventProfiler()
     try:
-        run = _run_mode(fold, clients, requests, seed=0)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
+        with _fold_env(fold):
+            deployment, stats = stress("pmnet-switch", SystemConfig(seed=0),
+                                       clients, requests, profiler=profiler)
     except ConfigurationError as error:
         print(error, file=sys.stderr)
         return 1
-    mode = f"fold level {fold!r}"
-    print(f"event profile — {mode}, {clients} clients x {requests} requests")
-    total = max(1, run["executed_events"])
-    sites = sorted(run["top_call_sites"].items(), key=lambda kv: -kv[1])
+    requests_done = stats.update_latencies.count
+    executed = deployment.sim.executed_events
+    events_per_request = profiler.events_per_request(requests_done)
+    # The ten busiest sites are kept; ``--top`` only trims them.
+    sites = profiler.top(10)
+    kernel_stats = deployment.sim.kernel_stats()
+    print(f"event profile — fold level {fold!r}, {clients} clients x "
+          f"{requests} requests")
+    total = max(1, executed)
     print(f"{'events':>10}  {'share':>6}  {'per req':>8}  call site")
     for site, count in sites[:top]:
         print(f"{count:>10}  {count / total:>6.1%}  "
-              f"{count / run['requests']:>8.2f}  {site}")
-    print(f"{run['executed_events']:>10}  {'100%':>6}  "
-          f"{run['events_per_request']:>8.2f}  TOTAL")
-    kernel_stats = run.get("kernel_stats")
-    if kernel_stats:
-        from repro.sim.profiler import format_kernel_stats
-        print(format_kernel_stats(kernel_stats))
+              f"{count / requests_done:>8.2f}  {site}")
+    print(f"{executed:>10}  {'100%':>6}  {events_per_request:>8.2f}  TOTAL")
+    print(format_kernel_stats(kernel_stats))
     if json_path is not None:
         from repro.obs.export import write_bench_report
-        payload = {key: value for key, value in run.items()
-                   if key != "latency_samples"}
-        payload["benchmark"] = "event_profile"
-        payload["clients"] = clients
-        payload["requests_per_client"] = requests
+        payload = {"benchmark": "event_profile", "mode": fold,
+                   "clients": clients, "requests_per_client": requests,
+                   "requests": requests_done, "executed_events": executed,
+                   "events_per_request": events_per_request,
+                   "top_call_sites": dict(sites),
+                   "kernel_stats": kernel_stats}
         written = write_bench_report("profile", payload, json_path,
                                      quick=True)
         print(f"wrote {written}", file=sys.stderr)
@@ -471,33 +447,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="result cache root (default .pmnet-cache, "
                                  "or $PMNET_CACHE_DIR)")
-    bench_exp = sub.add_parser(
-        "bench-experiments",
-        help="time serial vs parallel experiment sweeps, write "
-             "BENCH_experiments.json")
-    bench_exp.add_argument("--experiments", nargs="+", default=None,
-                           metavar="ID",
-                           help="experiment ids to benchmark (default: a "
-                                "representative subset)")
-    bench_exp.add_argument("--jobs", type=_positive_int,
-                           default=None, metavar="N",
-                           help="worker processes for the parallel pass "
-                                "(default: all cores)")
-    bench_exp.add_argument("--json", "--output", default=None,
-                           dest="output", metavar="PATH",
-                           help="report path "
-                                "(default BENCH_experiments.json)")
-    bench_pipe = sub.add_parser(
-        "bench-pipeline",
-        help="measure events/request at fold levels none and whole, "
-             "write BENCH_pipeline.json")
-    bench_pipe.add_argument("--clients", type=int, default=32,
-                            help="closed-loop clients (default 32)")
-    bench_pipe.add_argument("--requests", type=int, default=20,
-                            help="requests per client (default 20)")
-    bench_pipe.add_argument("--json", "--output", default=None,
-                            dest="output", metavar="PATH",
-                            help="report path (default BENCH_pipeline.json)")
     profile_parser = sub.add_parser(
         "profile",
         help="attribute executed events to call sites on the stress "
@@ -596,11 +545,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
-    if args.command == "bench-experiments":
-        return _cmd_bench_experiments(args.experiments, args.jobs,
-                                      args.output)
-    if args.command == "bench-pipeline":
-        return _cmd_bench_pipeline(args.clients, args.requests, args.output)
     if args.command == "profile":
         return _cmd_profile(args.clients, args.requests, args.fold,
                             args.top, args.output)

@@ -55,7 +55,7 @@ class ResultCache:
         self.stores = 0
 
     def key(self, spec: JobSpec) -> str:
-        # Imported lazily: the registry imports every experiment module.
+        # Looked up on each call, so a patched fingerprint takes effect.
         from repro.experiments.registry import experiment_fingerprint
         salt = f"{CACHE_VERSION}:{experiment_fingerprint(spec.experiment)}"
         return spec_key(spec, salt)

@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.analysis.report import format_table
 from repro.config import SystemConfig
 from repro.experiments.common import Scale
-from repro.experiments.deploy import DeploymentSpec, build
-from repro.experiments.driver import run_closed_loop
+from repro.experiments.deploy import Deployment, DeploymentSpec, build
+from repro.experiments.driver import RunStats, run_closed_loop
 from repro.experiments.jobs import JobResult, JobSpec, execute_serial
 from repro.workloads.kv import OpKind, Operation
 
@@ -66,21 +66,36 @@ def jobs(config: SystemConfig = None, quick: bool = True,  # type: ignore[assign
             for clients in client_counts for design in DESIGNS]
 
 
-def run_point(spec: JobSpec) -> Tuple[float, float]:
-    """(offered bandwidth Gbps, mean update latency us) for one point."""
-    cfg = spec.resolved_config().with_payload(PAYLOAD)
-    requests = 60 if spec.quick else 200
+def stress(design: str, config: SystemConfig, clients: int,
+           requests_per_client: int, obs=None,
+           profiler=None) -> Tuple[Deployment, RunStats]:
+    """One point of the sweep: ``clients`` closed-loop clients each send
+    ``requests_per_client`` 1000 B updates (after 5 warm-up requests)
+    to ``design``.  ``obs`` is passed to :func:`build`; ``profiler`` is
+    attached to the simulator before it runs."""
+    deployment = build(DESIGNS[design],
+                       config.with_payload(PAYLOAD).with_clients(clients),
+                       obs=obs)
+    if profiler is not None:
+        deployment.sim.attach_profiler(profiler)
 
     def op_maker(ci: int, ri: int, rng):
         return Operation(OpKind.SET, key=(ci, ri), value=b"x"), PAYLOAD
 
+    stats = run_closed_loop(deployment, op_maker,
+                            requests_per_client=requests_per_client,
+                            warmup_requests=5)
+    return deployment, stats
+
+
+def run_point(spec: JobSpec) -> Tuple[float, float]:
+    """(offered bandwidth Gbps, mean update latency us) for one point."""
+    cfg = spec.resolved_config()
     wire_bits = 8 * (PAYLOAD + cfg.network.header_overhead_bytes
                      + 11)  # PMNet header rides in the payload
-    deployment = build(DESIGNS[spec.params["design"]],
-                       cfg.with_clients(spec.params["clients"]))
-    stats = run_closed_loop(deployment, op_maker,
-                            requests_per_client=requests,
-                            warmup_requests=5)
+    _deployment, stats = stress(spec.params["design"], cfg,
+                                spec.params["clients"],
+                                60 if spec.quick else 200)
     ops = stats.ops_per_second()
     return ops * wire_bits / 1e9, stats.update_latencies.mean() / 1000.0
 

@@ -1,89 +1,41 @@
 """Registry mapping experiment ids to runnable entries.
 
 Every table/figure of the paper's evaluation has an entry here; the CLI
-and the benchmark harness both dispatch through it.
+dispatches through it.  An entry names its defining module by string,
+so listing the experiments (or parsing a flag) imports none of them: a
+module loads when its experiment is enumerated, run or fingerprinted.
 
 Each entry exposes the experiment at two granularities:
 
-* ``run(quick=...)`` — the historical entry point: run the whole sweep
-  serially and return the formatted report text.
+* ``run(quick=...)`` — run the whole sweep serially and return the
+  formatted report text.
 * ``jobs``/``run_point``/``assemble`` — the job protocol: ``jobs()``
   enumerates the sweep as self-contained :class:`JobSpec`s,
   ``run_point`` executes one spec in any process, and ``assemble``
   turns the collected :class:`JobResult`s back into the *same*
-  formatted text ``run`` would have produced.  The parallel harness
+  formatted text ``run`` produces.  The parallel harness
   (``repro.experiments.parallel``) and the result cache build on this.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import importlib
+import importlib.util
+from dataclasses import dataclass
 from functools import lru_cache
-from types import ModuleType
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from types import ModuleType, SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.bdp import scaling_table
-from repro.analysis.report import dict_rows, format_table
-from repro.config import SystemConfig
-from repro.experiments import (
-    ablations,
-    fig02_breakdown,
-    fig07_ordering,
-    fig15_payload_latency,
-    fig16_stress,
-    fig18_alternatives,
-    fig19_app_throughput,
-    fig20_cdf_caching,
-    fig21_replication,
-    fig22_vma,
-    loadgen,
-    motivation,
-    multirack,
-    rebalance,
-    scaleout,
-    sec6b6_recovery,
-    sec7_scaling,
-)
-from repro.experiments.common import Scale
-from repro.experiments.jobs import JobResult, JobSpec
-from repro.failure import chaos
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One reproducible experiment."""
-
-    id: str
-    description: str
-    run: Callable[..., str]
-    #: Enumerate the sweep: (config=None, quick=True) -> List[JobSpec].
-    jobs: Callable[..., List[JobSpec]]
-    #: Execute one spec; must be importable from a worker process.
-    run_point: Callable[[JobSpec], Any]
-    #: Collected results (in jobs() order) -> formatted report text.
-    assemble: Callable[[Sequence[JobResult]], str]
-    #: Backing module, for cache-key fingerprinting (None for builtins).
-    module: Optional[ModuleType] = field(default=None, compare=False)
-
-
-def _entry(experiment_id: str, description: str,
-           module: ModuleType) -> Experiment:
-    def runner(quick: bool = True) -> str:
-        return module.run(quick=quick).format()
-
-    def assembler(results: Sequence[JobResult]) -> str:
-        return module.assemble(results).format()
-
-    return Experiment(experiment_id, description, runner, module.jobs,
-                      module.run_point, assembler, module)
-
-
-def _fig02(quick: bool = True) -> str:
-    return fig02_breakdown.run().format()
+if TYPE_CHECKING:
+    from repro.config import SystemConfig
+    from repro.experiments.jobs import JobResult, JobSpec
 
 
 def _bdp_text() -> str:
+    from repro.analysis.bdp import scaling_table
+    from repro.analysis.report import dict_rows, format_table
+
     rows = scaling_table()
     keys = ["bandwidth_gbps", "pm_capacity_mbit", "pm_capacity_mbytes",
             "log_queue_kbit", "log_queue_bytes"]
@@ -93,87 +45,125 @@ def _bdp_text() -> str:
         title="Eq 1/2 — BDP sizing (Sec V-A, Sec VII)")
 
 
-def _bdp(quick: bool = True) -> str:
-    return _bdp_text()
+def _bdp_jobs(config: Optional["SystemConfig"] = None,
+              quick: bool = True) -> List["JobSpec"]:
+    from repro.config import SystemConfig
+    from repro.experiments.common import Scale
+    from repro.experiments.jobs import JobSpec
 
-
-def _bdp_jobs(config: Optional[SystemConfig] = None,
-              quick: bool = True) -> List[JobSpec]:
     cfg = config if config is not None else SystemConfig()
     return [JobSpec(experiment="bdp", point="table", params={},
                     seed=cfg.seed, quick=Scale.resolve_quick(quick),
                     config=config)]
 
 
-def _bdp_run_point(spec: JobSpec) -> str:
-    return _bdp_text()
+#: The job protocol of the one experiment defined here: the analytic
+#: BDP table, a single point with no simulation.
+_BDP = SimpleNamespace(jobs=_bdp_jobs, run_point=lambda spec: _bdp_text(),
+                       assemble=lambda results: results[0].value)
 
 
-def _bdp_assemble(results: Sequence[JobResult]) -> str:
-    return results[0].value
+def _report(value: Any) -> str:
+    """Report text of an assembled result: the text itself, a dict of
+    results (the ablations) joined by blank lines, or ``format()``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return "\n\n".join(result.format() for result in value.values())
+    return value.format()
 
 
-def _ablations(quick: bool = True) -> str:
-    results = ablations.run_all(quick=quick)
-    return "\n\n".join(result.format() for result in results.values())
+@dataclass(frozen=True)
+class Experiment:
+    """One reproducible experiment."""
 
+    id: str
+    description: str
+    #: Defining module, imported on first use; ``None`` for the BDP
+    #: table defined here.
+    module_name: Optional[str] = None
 
-def _ablations_assemble(results: Sequence[JobResult]) -> str:
-    return "\n\n".join(result.format()
-                       for result in ablations.assemble(results).values())
+    @property
+    def module(self) -> Optional[ModuleType]:
+        """The backing module (None for the builtin)."""
+        if self.module_name is None:
+            return None
+        return importlib.import_module(self.module_name)
+
+    @property
+    def _protocol(self) -> Any:
+        return self.module if self.module_name is not None else _BDP
+
+    @property
+    def jobs(self) -> Callable[..., List["JobSpec"]]:
+        """Enumerate the sweep: (config=None, quick=True) -> List[JobSpec]."""
+        return self._protocol.jobs
+
+    @property
+    def run_point(self) -> Callable[["JobSpec"], Any]:
+        """Execute one spec; importable from a worker process."""
+        return self._protocol.run_point
+
+    def assemble(self, results: Sequence["JobResult"]) -> str:
+        """Collected results (in jobs() order) -> formatted report text."""
+        return _report(self._protocol.assemble(results))
+
+    def run(self, quick: bool = True) -> str:
+        from repro.experiments.jobs import execute_serial
+
+        return self.assemble(execute_serial(self.jobs(quick=quick),
+                                            self.run_point))
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
-    "fig02": Experiment("fig02", "Latency breakdown of an update request",
-                        _fig02, fig02_breakdown.jobs,
-                        fig02_breakdown.run_point,
-                        lambda rs: fig02_breakdown.assemble(rs).format(),
-                        fig02_breakdown),
-    "fig07": _entry("fig07", "Ordering under reorder/loss/failure",
-                    fig07_ordering),
-    "fig15": _entry("fig15", "Ideal-handler latency vs payload size",
-                    fig15_payload_latency),
-    "fig16": _entry("fig16", "Bandwidth vs latency stress test",
-                    fig16_stress),
-    "fig18": _entry("fig18", "Alternative logging designs",
-                    fig18_alternatives),
-    "fig19": _entry("fig19", "Application throughput vs update ratio",
-                    fig19_app_throughput),
-    "fig20": _entry("fig20", "Latency CDFs with read caching",
-                    fig20_cdf_caching),
-    "fig21": _entry("fig21", "3-way replication latency",
-                    fig21_replication),
-    "fig22": _entry("fig22", "Throughput with libVMA stacks", fig22_vma),
-    "sec6b6": _entry("sec6b6", "Server failure recovery", sec6b6_recovery),
-    "sec7": _entry("sec7", "Scaling to faster ports (Sec VII)",
-                   sec7_scaling),
-    "loadgen": _entry("loadgen",
-                      "Flow-level load generator: closed/open-loop users",
-                      loadgen),
-    "motivation": _entry("motivation",
-                         "Sync vs async vs sync-over-PMNet (Sec II-A)",
-                         motivation),
-    "multirack": _entry("multirack",
-                        "Two-rack placement / cross-rack replication",
-                        multirack),
-    "rebalance": _entry("rebalance",
-                        "Tail latency under live session migration "
-                        "(drain / failover / hot-shard)",
-                        rebalance),
-    "scaleout": _entry("scaleout",
-                       "Fabric tail latency vs shards/chain/hop cost "
-                       "(10^4+ loadgen users)",
-                       scaleout),
-    "bdp": Experiment("bdp", "BDP sizing equations", _bdp, _bdp_jobs,
-                      _bdp_run_point, _bdp_assemble),
-    "ablations": Experiment("ablations", "Design-choice ablations",
-                            _ablations, ablations.jobs, ablations.run_point,
-                            _ablations_assemble, ablations),
-    "chaos": Experiment("chaos",
-                        "Seeded chaos sweep: random faults vs R1-R6 + "
-                        "durability oracle",
-                        chaos.run, chaos.jobs, chaos.run_point,
-                        chaos.assemble, chaos),
+    experiment.id: experiment for experiment in (
+        Experiment("fig02", "Latency breakdown of an update request",
+                   "repro.experiments.fig02_breakdown"),
+        Experiment("fig07", "Ordering under reorder/loss/failure",
+                   "repro.experiments.fig07_ordering"),
+        Experiment("fig15", "Ideal-handler latency vs payload size",
+                   "repro.experiments.fig15_payload_latency"),
+        Experiment("fig16", "Bandwidth vs latency stress test",
+                   "repro.experiments.fig16_stress"),
+        Experiment("fig18", "Alternative logging designs",
+                   "repro.experiments.fig18_alternatives"),
+        Experiment("fig19", "Application throughput vs update ratio",
+                   "repro.experiments.fig19_app_throughput"),
+        Experiment("fig20", "Latency CDFs with read caching",
+                   "repro.experiments.fig20_cdf_caching"),
+        Experiment("fig21", "3-way replication latency",
+                   "repro.experiments.fig21_replication"),
+        Experiment("fig22", "Throughput with libVMA stacks",
+                   "repro.experiments.fig22_vma"),
+        Experiment("sec6b6", "Server failure recovery",
+                   "repro.experiments.sec6b6_recovery"),
+        Experiment("sec7", "Scaling to faster ports (Sec VII)",
+                   "repro.experiments.sec7_scaling"),
+        Experiment("loadgen",
+                   "Flow-level load generator: closed/open-loop users",
+                   "repro.experiments.loadgen"),
+        Experiment("motivation",
+                   "Sync vs async vs sync-over-PMNet (Sec II-A)",
+                   "repro.experiments.motivation"),
+        Experiment("multirack",
+                   "Two-rack placement / cross-rack replication",
+                   "repro.experiments.multirack"),
+        Experiment("rebalance",
+                   "Tail latency under live session migration "
+                   "(drain / failover / hot-shard)",
+                   "repro.experiments.rebalance"),
+        Experiment("scaleout",
+                   "Fabric tail latency vs shards/chain/hop cost "
+                   "(10^4+ loadgen users)",
+                   "repro.experiments.scaleout"),
+        Experiment("bdp", "BDP sizing equations"),
+        Experiment("ablations", "Design-choice ablations",
+                   "repro.experiments.ablations"),
+        Experiment("chaos",
+                   "Seeded chaos sweep: random faults vs R1-R6 + "
+                   "durability oracle",
+                   "repro.failure.chaos"),
+    )
 }
 
 
@@ -192,11 +182,12 @@ def experiment_fingerprint(experiment_id: str) -> str:
 
     Editing an experiment module changes its fingerprint, which salts
     every cache key for that experiment — so stale cached sweep points
-    are never reused after a code change.  Builtin entries (no backing
-    module) use a constant.
+    are never reused after a code change.  The builtin entry (no backing
+    module) uses a constant.
     """
     entry = get(experiment_id)
-    if entry.module is None or not getattr(entry.module, "__file__", None):
+    if entry.module_name is None:
         return "builtin"
-    with open(entry.module.__file__, "rb") as handle:
+    source = importlib.util.find_spec(entry.module_name).origin
+    with open(source, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()[:16]

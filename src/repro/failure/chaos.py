@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.persistcheck import PersistenceChecker
 from repro.analysis.report import format_table
 from repro.config import SystemConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.jobs import JobResult, JobSpec, execute_serial
 from repro.failure.injector import FailureInjector
@@ -796,17 +796,28 @@ def parse_fault_selector(selector: Optional[str],
 # Corpus: failing seeds become permanent regression tests
 # ----------------------------------------------------------------------
 def load_corpus(path: str) -> List[int]:
-    """Seeds from a corpus file (one per line; ``#`` starts a comment)."""
+    """Seeds from a corpus file (one per line; ``#`` starts a comment).
+
+    A missing file is an empty corpus (:func:`append_to_corpus` creates
+    it); a line that is not one integer raises a
+    :class:`ConfigurationError` naming ``path:line``.
+    """
     seeds: List[int] = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError:
         return seeds
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
-        if text:
-            seeds.append(int(text.split()[0]))
+        if not text:
+            continue
+        try:
+            seeds.append(int(text))
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}:{number}: malformed corpus line {text!r} "
+                "(expected one integer seed)") from None
     return seeds
 
 

@@ -18,9 +18,8 @@ requested.
 The profiler never affects simulation results: it observes executed
 callbacks only, draws no randomness, and schedules nothing.
 
-Two entry points use this module: ``pmnet-repro profile`` (a one-shot
-report) and ``pmnet-repro bench-pipeline`` (events/request before and
-after the latency-folded fast path, written to ``BENCH_pipeline.json``).
+``pmnet-repro profile`` uses it to report where the events of one
+Fig 16 stress point go, at either fold level.
 """
 
 from __future__ import annotations

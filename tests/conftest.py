@@ -10,7 +10,7 @@ every test — same effect, no dependency.
 Knobs (environment variables):
 
 * ``REPRO_TEST_TIMEOUT`` — seconds per test (default 120; ``0``
-  disables the guard entirely).
+  disables the guard entirely; a non-integer is a usage error).
 * Tests marked ``slow`` get 5x the budget: they run whole Hypothesis
   crash sweeps and full-scale experiments by design.
 
@@ -56,12 +56,23 @@ _DEFAULT_TIMEOUT_S = 120
 _SLOW_MULTIPLIER = 5
 
 
-def _budget_for(item: pytest.Item) -> int:
+def _base_budget() -> int:
+    """``REPRO_TEST_TIMEOUT`` in seconds; a non-integer is a usage error."""
+    raw = os.environ.get("REPRO_TEST_TIMEOUT", str(_DEFAULT_TIMEOUT_S))
     try:
-        budget = int(os.environ.get("REPRO_TEST_TIMEOUT",
-                                    _DEFAULT_TIMEOUT_S))
+        return int(raw)
     except ValueError:
-        budget = _DEFAULT_TIMEOUT_S
+        raise pytest.UsageError(
+            f"REPRO_TEST_TIMEOUT must be an integer number of seconds, "
+            f"got {raw!r}") from None
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    _base_budget()  # a bad knob stops pytest before any test runs
+
+
+def _budget_for(item: pytest.Item) -> int:
+    budget = _base_budget()
     if budget <= 0:
         return 0
     if item.get_closest_marker("slow") is not None:

@@ -9,14 +9,19 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.experiments import (
+    ablations,
     fig02_breakdown,
+    fig07_ordering,
     fig15_payload_latency,
+    fig16_stress,
     fig18_alternatives,
     fig19_app_throughput,
     fig20_cdf_caching,
     fig21_replication,
     fig22_vma,
+    motivation,
     sec6b6_recovery,
+    sec7_scaling,
 )
 from repro.experiments.registry import EXPERIMENTS, get
 
@@ -30,6 +35,25 @@ class TestFig02:
         text = fig02_breakdown.run().format()
         for name in ("ideal", "btree", "redis", "tpcc"):
             assert name in text
+
+
+class TestFig07:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig07_ordering.run(quick=True)
+
+    def test_every_scenario_in_order_and_clean(self, result):
+        """Per-session application order is exact in every scenario, and
+        the PMTest-style persistence rules (R1-R6) all hold."""
+        for row in result.rows:
+            assert row.in_order, row.name
+            assert row.checker_violations == 0, row.name
+
+    def test_each_scenario_exercises_its_machinery(self, result):
+        loss = result.scenario("(b) packet loss")
+        assert loss.retrans_requests > 0
+        assert loss.retrans_served_from_log > 0
+        assert result.scenario("(c) server failure").resent_after_failure > 0
 
 
 class TestFig15:
@@ -47,6 +71,25 @@ class TestFig15:
     def test_switch_nic_gap_below_1us(self, result):
         assert result.switch_nic_gap_us(50) < 1.0
         assert result.switch_nic_gap_us(1000) < 1.0
+
+
+class TestFig16:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig16_stress.run(quick=True, client_counts=(1, 4, 16, 48))
+
+    def test_pmnet_saturates_at_higher_bandwidth(self, result):
+        assert (result.saturation_bandwidth("pmnet-switch")
+                > result.saturation_bandwidth("client-server"))
+
+    def test_pmnet_below_baseline_at_every_point(self, result):
+        for (_bw_b, lat_base), (_bw_p, lat_pmnet) in zip(
+                result.curves["client-server"],
+                result.curves["pmnet-switch"]):
+            assert lat_pmnet < lat_base
+
+    def test_latency_spikes_near_the_port_limit(self, result):
+        assert result.latency_spike_ratio("pmnet-switch") > 1.2
 
 
 class TestFig18:
@@ -80,7 +123,8 @@ class TestFig19:
     @pytest.fixture(scope="class")
     def result(self):
         return fig19_app_throughput.run(
-            quick=True, workloads=["btree", "hashmap", "redis"],
+            quick=True,
+            workloads=["btree", "rbtree", "hashmap", "redis", "tpcc"],
             ratios=(1.0, 0.5))
 
     def test_everything_speeds_up_at_100pct_updates(self, result):
@@ -165,6 +209,78 @@ class TestRecovery:
     def test_total_far_below_reboot(self, result):
         # 2-3 minute reboot vs seconds of recovery.
         assert result.total_recovery_ns < 30e9
+
+
+class TestSec7:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return sec7_scaling.run(quick=True,
+                                bandwidths_gbps=(10.0, 40.0, 100.0))
+
+    def test_pmnet_tracks_the_port_speed(self, result):
+        """The 100 Gbps run achieves most of the port (clients, not the
+        device, are the residual limit)."""
+        assert result.achieved(100.0) > 8 * result.achieved(10.0)
+
+    def test_eq2_sized_queue_never_bypasses(self, result):
+        for gbps in (10.0, 40.0, 100.0):
+            assert result.bypasses(gbps) == 0
+
+
+class TestMotivation:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return motivation.run(quick=True)
+
+    def test_async_hides_the_rtt(self, result):
+        assert (result.throughput("async/baseline")
+                > 3 * result.throughput("sync/baseline"))
+
+    def test_async_completion_latency_is_worse(self, result):
+        assert (result.latency("async/baseline")
+                > result.latency("sync/baseline"))
+
+    def test_pmnet_improves_both_for_sync_code(self, result):
+        assert (result.throughput("sync/pmnet")
+                > 2.5 * result.throughput("sync/baseline"))
+        assert (result.latency("sync/pmnet")
+                < result.latency("sync/baseline") / 2)
+
+
+class TestAblations:
+    def test_log_queue_sizing(self):
+        result = ablations.log_queue_sizing(quick=True)
+        # Smaller queues force more line-rate bypasses.
+        bypass_rates = [row[3] for row in result.rows]
+        assert bypass_rates[0] >= bypass_rates[-1]
+        # The paper's 4 KB point keeps bypasses rare.
+        four_kb = next(row for row in result.rows if row[0] == 4096)
+        assert four_kb[3] < 10.0
+
+    def test_pm_latency_sensitivity(self):
+        result = ablations.pm_latency_sensitivity(quick=True)
+        latencies = [row[1] for row in result.rows]
+        # RTT grows monotonically with PM write latency, but slowly:
+        # going 100 ns -> 5 us adds only ~5 us of RTT.
+        assert latencies == sorted(latencies)
+        assert latencies[-1] - latencies[0] < 7.0
+
+    def test_log_capacity(self):
+        result = ablations.log_capacity(quick=True)
+        by_capacity = {row[0]: row for row in result.rows}
+        # A tiny log bypasses a lot and pushes completions to the
+        # server...
+        assert by_capacity[8][1] > 0
+        assert by_capacity[8][3] > 0
+        # ...while the BDP-sized log acknowledges everything in-network.
+        assert by_capacity[65536][1] == 0
+        # Latency degrades toward the baseline as the log shrinks.
+        assert by_capacity[8][4] > by_capacity[65536][4]
+
+    def test_tcp_conversion_overhead(self):
+        result = ablations.tcp_conversion(quick=True)
+        # Paper: ~9% (which is why TCP stays the baseline).
+        assert 0.0 < result.rows[2][1] < 25.0
 
 
 class TestRegistry:

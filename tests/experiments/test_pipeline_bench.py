@@ -1,10 +1,17 @@
-"""Exact event counts of the pipeline benchmark's stress run, and the
-exact shape of a small fabric-chain run.
+"""Exact event counts and latency samples of the Fig 16 stress run at
+both fold levels, of the flow-level loadgen leg, and the exact shape of
+a small fabric-chain run.
 
-``bench-pipeline`` and ``benchmarks/test_pipeline_events.py`` report the
-events/request of the Fig 16 stress shape at both fold levels.  Event
-counts are deterministic, so the counts themselves are pinned here: any
-change to what a level folds — or to the timeline it folds — moves them.
+The stress run is the ``pmnet-switch`` point of Fig 16 (32 clients x 20
+1000 B updates, seed 0), the run ``pmnet-repro profile`` reports.  Event
+counts are deterministic, so they are pinned exactly: any change to
+what a level folds — or to the timeline it folds — moves them.  Folding
+must not move a single latency sample, and neither may recording
+lifecycle spans.
+
+The loadgen leg drives >= 10^4 modeled closed-loop users through the
+flow-level generator under whole-request folding; its event count and
+sample digest are pinned the same way.
 
 The fabric-chain pins do the same for the repo benchmark's multi-rack
 workload (``bench/workloads.py``): two racks under one spine, chain
@@ -16,14 +23,19 @@ these counts are what keeps a hop rewrite honest.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import pytest
 
 from repro.config import SystemConfig
 from repro.experiments.deploy import DeploymentSpec, build
-from repro.experiments.pipeline_bench import _run_mode
+from repro.experiments.fig16_stress import stress
 from repro.net.switch import Switch
+from repro.obs.context import Observability
 from repro.protocol.packet import reset_request_ids
-from repro.workloads.loadgen import FlowLoadGenerator, LoadGenConfig
+from repro.workloads.loadgen import (FlowLoadGenerator, LoadGenConfig,
+                                     run_loadgen)
 
 from tests.conftest import fold
 
@@ -31,9 +43,48 @@ from tests.conftest import fold
 EXACT_EVENTS = {"none": 30453, "whole": 16808}
 
 
+@lru_cache(maxsize=None)
+def _stress_run(level: str, spans: bool) -> Tuple[int, Tuple[float, ...]]:
+    """(executed events, update latency samples) of the stress run."""
+    with fold(level):
+        deployment, stats = stress(
+            "pmnet-switch", SystemConfig(seed=0), 32, 20,
+            obs=Observability(spans=True) if spans else None)
+    return (deployment.sim.executed_events,
+            tuple(stats.update_latencies.samples))
+
+
 @pytest.mark.parametrize("fold, events", sorted(EXACT_EVENTS.items()))
 def test_executed_events_are_exact(fold, events):
-    assert _run_mode(fold, 32, 20, seed=0)["executed_events"] == events
+    assert _stress_run(fold, False)[0] == events
+
+
+def test_latency_samples_are_identical_across_fold_levels():
+    samples = _stress_run("none", False)[1]
+    assert len(samples) == 32 * 20
+    assert _stress_run("whole", False)[1] == samples
+
+
+@pytest.mark.parametrize("level", sorted(EXACT_EVENTS))
+def test_spans_move_no_event_and_no_sample(level):
+    """Recording lifecycle spans adds no event and moves no latency."""
+    assert _stress_run(level, True) == (EXACT_EVENTS[level],
+                                        _stress_run("none", False)[1])
+
+
+def test_loadgen_leg_is_exact():
+    """10^4 modeled users, 12,000 completions at 24.29 events each."""
+    with fold("whole"):
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig(seed=0).with_payload(1000))
+    # window=8 keeps total in-flight at 512 (64 shards), under the ~1.2k
+    # frames whose queueing delay would cross the 1 ms client timeout.
+    load = LoadGenConfig(mode="closed", users=10_000,
+                         total_requests=12_000, window=8)
+    result = run_loadgen(deployment, load)
+    assert (result.modeled_users, result.completed,
+            deployment.sim.executed_events, result.digest()) == (
+        10_000, 12_000, 291_464, "f1edbf2c742b1da8")
 
 
 #: The benchmark's ``fabric-chain`` deployment and closed loop.

@@ -7,11 +7,13 @@ a replayable repro line.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.core.pmnet_device import PMNetDevice
+from repro.errors import ConfigurationError
 from repro.experiments.jobs import execute_serial
 from repro.experiments.parallel import run_jobs
 from repro.experiments.registry import EXPERIMENTS
@@ -190,6 +192,14 @@ class TestCorpus:
         assert chaos.append_to_corpus(path, 42)
         assert not chaos.append_to_corpus(path, 41)
         assert chaos.load_corpus(path) == [41, 42]
+
+    @pytest.mark.parametrize("line", ["12x", "12 13", "0x1f", "seed"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"# header\n7  # note\n{line}  # bad\n")
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(str(path))}:3: "):
+            chaos.load_corpus(str(path))
 
     def test_shipped_corpus_replays_clean(self):
         seeds = chaos.load_corpus(str(CORPUS))

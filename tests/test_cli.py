@@ -90,48 +90,6 @@ class TestRunParallel:
         assert any(cache_dir.rglob("*.pkl"))
 
 
-class TestBenchExperiments:
-    def test_writes_result_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_experiments.json"
-        assert main(["bench-experiments", "--experiments", "fig02", "bdp",
-                     "--jobs", "2", "--output", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "experiment harness" in printed
-        report = json.loads(out.read_text())
-        assert report["schema"] == "pmnet-repro-bench/1"
-        assert report["id"] == "experiments"
-        result = report["payload"]
-        assert result["benchmark"] == "experiment_harness"
-        assert result["outputs_identical"] is True
-        assert result["job_count"] > 0
-        assert set(result["per_experiment"]) == {"fig02", "bdp"}
-
-    def test_unknown_experiment_exits_2(self, capsys):
-        assert main(["bench-experiments", "--experiments", "fig99"]) == 2
-        assert "fig99" in capsys.readouterr().err
-
-
-class TestBenchPipeline:
-    def test_writes_result_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_pipeline.json"
-        assert main(["bench-pipeline", "--clients", "4", "--requests", "5",
-                     "--output", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "pipeline events/request" in printed
-        assert "identical" in printed
-        report = json.loads(out.read_text())
-        assert report["schema"] == "pmnet-repro-bench/1"
-        assert report["id"] == "pipeline"
-        result = report["payload"]
-        assert result["benchmark"] == "pipeline_events"
-        assert result["latencies_identical"] is True
-        assert (result["fold"]["events_per_request"]
-                < result["no_fold"]["events_per_request"])
-
-    def test_rejects_nonpositive_clients(self, capsys):
-        assert main(["bench-pipeline", "--clients", "0"]) == 2
-
-
 class TestProfile:
     def test_prints_call_site_table(self, capsys):
         assert main(["profile", "--clients", "2", "--requests", "5"]) == 0
@@ -222,7 +180,7 @@ class TestCountFlags:
         (["run", "bdp", "--jobs", "0"], "--jobs"),
         (["run", "bdp", "--jobs", "-3"], "--jobs"),
         (["run", "bdp", "--jobs", "two"], "--jobs"),
-        (["bench-experiments", "--jobs", "0"], "--jobs"),
+        (["chaos", "--jobs", "0"], "--jobs"),
         (["chaos", "--runs", "0"], "--runs"),
         (["chaos", "--jobs", "-1"], "--jobs"),
         (["trace", "--limit", "-5"], "--limit"),

@@ -51,6 +51,33 @@ print(json.dumps(sorted(name for name in sys.modules
 """
 
 
+#: ``repro`` modules loaded by ``pmnet-repro --help`` and ``list``: the
+#: CLI, the registry (which names each experiment's module by string)
+#: and ``repro.config``.  Importing every experiment module to parse a
+#: flag loads 97.
+CLI_MODULES = 9
+
+CLI_PROBE = """
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(name for name in sys.modules
+                        if name == "repro" or name.startswith("repro."))))
+"""
+
+
+def _loaded_modules(probe: str, *argv: str) -> list:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    output = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, check=True,
+        capture_output=True, text=True).stdout
+    return json.loads(output)
+
+
 def test_every_package_is_covered():
     assert len(PACKAGES) == 15
 
@@ -58,11 +85,7 @@ def test_every_package_is_covered():
 class TestFootprint:
     @pytest.fixture(scope="class")
     def loaded(self):
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        output = subprocess.run(
-            [sys.executable, "-c", FOOTPRINT_PROBE], env=env, check=True,
-            capture_output=True, text=True).stdout
-        return json.loads(output)
+        return _loaded_modules(FOOTPRINT_PROBE)
 
     def test_a_rack_run_loads_no_unused_subsystem(self, loaded):
         unused = [name for name in loaded
@@ -71,6 +94,11 @@ class TestFootprint:
 
     def test_loaded_module_count_is_pinned(self, loaded):
         assert len(loaded) == RACK_RUN_MODULES, loaded
+
+    @pytest.mark.parametrize("command", ["--help", "list"])
+    def test_cli_imports_no_experiment_to_parse_a_flag(self, command):
+        loaded = _loaded_modules(CLI_PROBE, command)
+        assert len(loaded) == CLI_MODULES, loaded
 
 
 @pytest.fixture(scope="module")
