@@ -269,14 +269,13 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
     requests_done = stats.update_latencies.count
     executed = deployment.sim.executed_events
     events_per_request = profiler.events_per_request(requests_done)
-    # The ten busiest sites are kept; ``--top`` only trims them.
-    sites = profiler.top(10)
+    sites = profiler.top(top)
     kernel_stats = deployment.sim.kernel_stats()
     print(f"event profile — fold level {fold!r}, {clients} clients x "
           f"{requests} requests")
     total = max(1, executed)
     print(f"{'events':>10}  {'share':>6}  {'per req':>8}  call site")
-    for site, count in sites[:top]:
+    for site, count in sites:
         print(f"{count:>10}  {count / total:>6.1%}  "
               f"{count / requests_done:>8.2f}  {site}")
     print(f"{executed:>10}  {'100%':>6}  {events_per_request:>8.2f}  TOTAL")

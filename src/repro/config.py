@@ -62,12 +62,13 @@ def fold_level() -> int:
     * **0** — every stage is its own scheduled event (``PMNET_FOLD=none``):
       the reference timeline.
     * **2** — whole-request folding (the default, ``PMNET_FOLD=whole``):
-      unimpaired channels and the PMNet MAT pipeline fold consecutive
-      deterministic delays into single scheduled events, and
-      uncontended request legs extend across component boundaries —
-      channel arrival chains run straight into the device pipeline or
-      the client's receive stack, elided timeout timers, and inline
-      completion dispatch.
+      the PMNet MAT pipeline folds consecutive deterministic stage
+      delays into single scheduled events; an unimpaired channel's
+      delivery extends, at the frame's serialize end, straight into the
+      device pipeline or the client's receive stack (arrival
+      extensions); and the client cancels its no-op timeout timers and
+      dispatches single-waiter completions inline.  The wire itself
+      does not fold: every frame is serialized by its own event.
 
     Both levels produce byte-identical results (same virtual times,
     same RNG draws, same tie-breaks); only the executed-event count
@@ -91,7 +92,7 @@ def fold_level() -> int:
 
 
 def folding_enabled() -> bool:
-    """Whether the latency-folded fast paths are active (fold level 2)."""
+    """Whether the latency-folded paths are active (fold level 2)."""
     return fold_level() == 2
 
 

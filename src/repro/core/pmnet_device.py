@@ -112,8 +112,7 @@ class PMNetDevice(Node):
             # ingress callback mutates nothing fold — every counter,
             # cache, and log mutation still fires at the exact virtual
             # time the per-stage path produced.  Crash safety: the
-            # folded chains end in callbacks that re-check `failed`
-            # (and `fail()` revokes unstarted channel reservations), so
+            # folded chains end in callbacks that re-check `failed`, so
             # a mid-window crash drops the frame on both timelines; the
             # only unguarded divergence is a crash *and* recovery
             # landing inside one pipeline window (nanoseconds) — the
@@ -139,21 +138,8 @@ class PMNetDevice(Node):
                 return
             if action is MATAction.FORWARD_ACK:
                 # ingress -> egress: a pass-through ACK touches nothing
-                # until the forwarding lookup in `_forward_frame`, so
-                # the whole pipeline can ride a channel reservation —
-                # ingress + egress + serialization + propagation in one
-                # delivery event.  A crash inside the window is safe:
-                # `fail()` revokes the reservation and `_unfold_forward`
-                # re-runs the unfolded fire-time check at its slot.
+                # until the forwarding lookup in `_forward_frame`.
                 self.folded_stages.value += 1
-                pipeline_ns = (self.config.pipeline.ingress_ns
-                               + self.config.pipeline.egress_ns)
-                table = self.table
-                channel = (table.bound.get(frame.dst)
-                           or table.egress(frame.dst))
-                if channel is not None and channel.send_in(
-                        pipeline_ns, frame, self._unfold_forward):
-                    return
                 self.sim.schedule_deferred(
                     self.config.pipeline.ingress_ns,
                     self.config.pipeline.egress_ns,
@@ -167,9 +153,9 @@ class PMNetDevice(Node):
         the deterministic head of this device's pipeline.
 
         Classification is pure (it reads only the frame), so it can run
-        at reservation time just as the stage-folded path runs it at
-        arrival time.  Three actions extend — their interior hops mutate
-        nothing, every side effect lives in the barrier:
+        at the frame's serialize end just as the stage-folded path runs
+        it at arrival time.  Three actions extend — their interior hops
+        mutate nothing, every side effect lives in the barrier:
 
         * **LOG_AND_FORWARD** rides ingress + PM-access and lands in
           :meth:`_express_ingest` at the exact ``_log_update`` instant;
@@ -308,8 +294,8 @@ class PMNetDevice(Node):
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
                              req=packet.request_id, seq=packet.seq_num)
-        self._delayed_transmit(self.config.pipeline.ack_generation_ns,
-                               ack, packet.client)
+        self.sim.schedule(self.config.pipeline.ack_generation_ns,
+                          self._transmit_packet, ack, packet.client)
 
     # ------------------------------------------------------------------
     # chain-update: NetChain-style replication across devices.  Store-
@@ -389,7 +375,8 @@ class PMNetDevice(Node):
                 self.tracer.emit(self.sim.now, self.name, "chain_forward",
                                  req=packet.request_id, seq=packet.seq_num,
                                  to=chain[index + 1])
-            self._delayed_transmit(cost, packet, chain[index + 1])
+            self.sim.schedule(cost, self._transmit_packet, packet,
+                              chain[index + 1])
             return
         # Tail: every member upstream holds a durable copy unless one
         # bypassed en route (chain_broken) — early-ACK the client, then
@@ -404,9 +391,9 @@ class PMNetDevice(Node):
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
                                  req=packet.request_id, seq=packet.seq_num)
-            self._delayed_transmit(self.config.pipeline.ack_generation_ns,
-                                   ack, packet.client)
-        self._delayed_transmit(cost, packet, packet.server)
+            self.sim.schedule(self.config.pipeline.ack_generation_ns,
+                              self._transmit_packet, ack, packet.client)
+        self.sim.schedule(cost, self._transmit_packet, packet, packet.server)
 
     def _propagate_chain_invalidate(self, packet: PMNetPacket) -> None:
         """Walk a server ACK's invalidation toward the chain head.
@@ -423,8 +410,9 @@ class PMNetDevice(Node):
             self.tracer.emit(self.sim.now, self.name, "chain_invalidate",
                              req=packet.request_id, seq=packet.seq_num,
                              to=packet.chain[index - 1])
-        self._delayed_transmit(self.config.pipeline.egress_ns,
-                               packet, packet.chain[index - 1])
+        self.sim.schedule(self.config.pipeline.egress_ns,
+                          self._transmit_packet, packet,
+                          packet.chain[index - 1])
 
     # ------------------------------------------------------------------
     # bypass-req: cache lookup, else plain forwarding (Fig 10)
@@ -459,8 +447,8 @@ class PMNetDevice(Node):
         response = packet.make_response(result, size, from_cache=True,
                                         origin_device=self.name)
         self.cache_responses.increment()
-        self._delayed_transmit(self.config.pipeline.ack_generation_ns,
-                               response, packet.client)
+        self.sim.schedule(self.config.pipeline.ack_generation_ns,
+                          self._transmit_packet, response, packet.client)
 
     # ------------------------------------------------------------------
     # server-ACK: invalidate + forward (Fig 8 step 4)
@@ -594,67 +582,28 @@ class PMNetDevice(Node):
         cost = self.config.pipeline.egress_ns
         if payload_cost:
             cost += round(frame.payload_bytes * self.config.pipeline.per_byte_ns)
-        if self._fold:
-            table = self.table
-            channel = table.bound.get(frame.dst) or table.egress(frame.dst)
-            if channel is not None and channel.send_in(cost, frame,
-                                                       self._unfold_forward):
-                self.folded_stages.value += 1
-                return
         self.sim.schedule(cost, self._forward_frame, frame)
-
-    def _unfold_forward(self, frame: Frame) -> None:
-        """A channel reservation was revoked (competing send, or this
-        device failed mid-window): roll back the fold-time stage count
-        and re-run the unfolded fire-time callback — its ``failed``
-        check included — at the slot it would have occupied."""
-        self.folded_stages.rollback(1)
-        self._forward_frame(frame)
 
     def _forward_frame(self, frame: Frame) -> None:
         if self.failed:
             return
         self.table.transmit(frame.dst, frame)
 
-    def _delayed_transmit(self, cost: int, packet: PMNetPacket,
-                          destination: str) -> None:
-        """Send a device-generated packet after a fixed generation delay,
-        folding the delay into the wire when the channel is reservable.
-        The revocation path reuses ``_unfold_forward``: the frame is
-        prebuilt, so the unfolded ``_transmit_packet`` fire-time
-        semantics (failed check, lookup, transmit) are identical."""
-        if self._fold:
-            frame = self._make_frame(packet, destination)
-            table = self.table
-            channel = (table.bound.get(destination)
-                       or table.egress(destination))
-            if channel is not None and channel.send_in(cost, frame,
-                                                       self._unfold_forward):
-                self.folded_stages.value += 1
-                return
-        self.sim.schedule(cost, self._transmit_packet, packet, destination)
-
-    def _make_frame(self, packet: PMNetPacket, destination: str) -> Frame:
-        return Frame(src=self.name, dst=destination, payload=packet,
-                     payload_bytes=packet.wire_bytes,
-                     udp_port=51000 + packet.session_id % 1000)
-
     def _transmit_packet(self, packet: PMNetPacket, destination: str) -> None:
         """Wrap a device-generated packet in a frame and send it."""
         if self.failed:
             return
-        self.table.transmit(destination,
-                            self._make_frame(packet, destination))
+        self.table.transmit(destination, Frame(
+            src=self.name, dst=destination, payload=packet,
+            payload_bytes=packet.wire_bytes,
+            udp_port=51000 + packet.session_id % 1000))
 
     # ------------------------------------------------------------------
     # Failure semantics
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Power-fail the device: durable log entries survive, everything
-        volatile (queues, in-flight PM writes, pipeline state) is lost.
-        ``super().fail()`` also revokes every unstarted channel
-        reservation, so folded sends committed before the crash fall
-        back to their unfolded fire-time checks and drop."""
+        volatile (queues, in-flight PM writes, pipeline state) is lost."""
         super().fail()
         self.pm.crash()
         self.log.crash()

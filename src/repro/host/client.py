@@ -119,12 +119,6 @@ class PMNetClient:
         self._completed_via = {"pmnet": self.completed_pmnet,
                                "server": self.completed_server,
                                "cache": self.completed_cache}
-        # Client hosts may crash (client_failure_mid_run) but are never
-        # *recovered* mid-run, which is all HostNode.fold_outbound's
-        # contract requires: Node.fail revokes unstarted reservations,
-        # so a folded send dies with the host exactly as an unfolded
-        # one would.  Fold the stack send cost into the NIC channel.
-        host.fold_outbound = True
         self._fold = folding_enabled()
         if self._fold:
             # Whole-request folding: inbound ACK chains may extend

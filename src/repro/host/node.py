@@ -33,17 +33,15 @@ class _ExpressClaim:
     """One pre-drawn receive cost riding an extended arrival chain.
 
     Created by :meth:`HostNode.arrival_extension`: the host draws the
-    receive cost at reservation time instead of wire-arrival time and
-    hands the cost to the channel as an extra chain hop.  The pre-draw
-    is only stream-order-safe while no other draw intervenes, so every
-    competing draw site on the host (:meth:`HostNode.handle_frame`,
-    :meth:`HostNode.send_frame`, :meth:`HostNode.dispatch_cost`)
-    revokes a still-deferred claim first, handing its draw back to the
-    stack; once the chain has re-sequenced past the wire-arrival slot
-    (``defer_ns`` falsy) the draw is committed in correct order and
-    later draws leave it alone.
-    The channel releases the claim itself whenever it rewrites the
-    record in place (queue conversion, competing send, sender failure).
+    receive cost at the frame's serialize end instead of wire-arrival
+    time and hands the cost to the channel as an extra chain hop.  The
+    pre-draw is only stream-order-safe while no other draw intervenes,
+    so every competing draw site on the host
+    (:meth:`HostNode.handle_frame`, :meth:`HostNode.send_frame`,
+    :meth:`HostNode.dispatch_cost`) revokes a still-deferred claim
+    first, handing its draw back to the stack; once the chain has
+    re-sequenced past the wire-arrival slot (``defer_ns`` falsy) the
+    draw is committed in correct order and later draws leave it alone.
     """
 
     __slots__ = ("host", "frame", "epoch", "draw", "call", "channel")
@@ -58,18 +56,9 @@ class _ExpressClaim:
         self.channel = None
 
     def attach(self, call, channel) -> None:
-        """Called by :meth:`Channel.send_in` once the chain exists."""
+        """Called by the channel once the chain exists."""
         self.call = call
         self.channel = channel
-
-    def release(self) -> None:
-        """Channel-side revocation: the record is being rewritten anyway,
-        so only the host-side state (claim slot, jitter draw) rewinds."""
-        self.call = self.channel = None
-        host = self.host
-        if host._claim is self:
-            host._claim = None
-        host.stack.revoke_recv_cost(self.draw)
 
 
 class HostNode(Node):
@@ -89,17 +78,6 @@ class HostNode(Node):
         #: Generation counter: bumped on every failure so that callbacks
         #: scheduled before a crash do not leak into the recovered life.
         self.epoch = 0
-        #: Opt-in: fold the stack send cost into the NIC channel via a
-        #: reservation (see :meth:`Channel.send_in`).  A folded send
-        #: commits at reservation time; ``Node.fail`` revokes unstarted
-        #: reservations so a crash inside the send window still drops
-        #: the frame (via :meth:`_unfold_outbound`'s fire-time check).
-        #: The remaining unguarded gap is a crash *and* recovery both
-        #: landing inside one stack-send window (microseconds, vs the
-        #: millisecond outages the failure experiments inject) — so
-        #: this stays an opt-in for hosts that never crash mid-run:
-        #: client endpoints enable it, server hosts stay unfolded.
-        self.fold_outbound = False
         #: Opt-in (client endpoints under whole-request folding): allow
         #: inbound wire chains to extend through this host's stack
         #: receive cost via a pre-drawn :class:`_ExpressClaim`.
@@ -209,26 +187,9 @@ class HostNode(Node):
             self._revoke_claim()
         frame = Frame(src=self.name, dst=dst, payload=payload,
                       payload_bytes=payload_bytes, udp_port=udp_port)
-        # The jitter draw happens here in both modes, so the stack RNG
-        # stream advances at identical instants with folding on or off.
         cost = self.stack.send_cost(payload_bytes)
-        if self.fold_outbound and self.ports:
-            channel = self.ports[0].channel
-            if channel is not None and channel.send_in(cost, frame,
-                                                       self._unfold_outbound):
-                self.frames_sent.increment()
-                return
         epoch = self.epoch
         self.sim.schedule(cost, self._transmit, frame, epoch)
-
-    def _unfold_outbound(self, frame: Frame) -> None:
-        """The NIC reservation was revoked: roll back the fold-time
-        ``frames_sent`` increment and re-run the unfolded ``_transmit``
-        at its slot.  The current epoch stands in for the fold-time one
-        — equivalent unless the host crashed *and* recovered inside the
-        send window, which :attr:`fold_outbound`'s contract excludes."""
-        self.frames_sent.rollback(1)
-        self._transmit(frame, self.epoch)
 
     def _transmit(self, frame: Frame, epoch: int) -> None:
         if self.failed or epoch != self.epoch:

@@ -73,11 +73,12 @@ class HostStack:
 
     # ------------------------------------------------------------------
     # Whole-request folding: a host may pre-draw one receive cost at
-    # reservation time (an express arrival claim).  Revoking the claim
-    # hands the draw back to the jitter stream, so the next draw sees
-    # the value the unfolded timeline draws there — valid because every
-    # competing draw site revokes the claim *before* drawing, so at
-    # revocation the claim's draw is still the stream's most recent.
+    # its frame's serialize end (an express arrival claim).  Revoking
+    # the claim hands the draw back to the jitter stream, so the next
+    # draw sees the value the unfolded timeline draws there — valid
+    # because every competing draw site revokes the claim *before*
+    # drawing, so at revocation the claim's draw is still the stream's
+    # most recent.
     # ``send_cost``/``recv_cost`` draw only from the jitter stream (the
     # hiccup stream is dispatch-only), so one jitter factor is all a
     # claim consumed.

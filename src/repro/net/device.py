@@ -84,7 +84,8 @@ class Node:
         raise NotImplementedError
 
     def arrival_extension(self, frame: Frame):
-        """Whole-request folding hook, queried by :meth:`Channel.send_in`.
+        """Whole-request folding hook, queried by a channel at each
+        frame's serialize end.
 
         A node that can absorb this frame's arrival into deterministic
         extra hops returns ``(extra_hops, callback, args, claim)``: the
@@ -92,29 +93,18 @@ class Node:
         ``callback(*args)`` — a barrier that must re-check the node's
         liveness exactly as the stage-folded interior callbacks would —
         instead of the usual :meth:`~Node.receive` delivery.  ``claim``
-        (or ``None``) is released on every in-place revocation so any
-        random draw the node made in advance is handed back.  The base
-        node never extends.
+        (or ``None``) is a random draw the node made in advance; the
+        channel attaches the scheduled record to it
+        (``claim.attach(call, channel)``) so the node can revoke it
+        through :meth:`Channel.strip_extension`.  The base node never
+        extends.
         """
         return None
 
     def fail(self) -> None:
-        """Mark the node failed (volatile state handling is subclass duty).
-
-        Folded sends commit their delivery at reservation time, before
-        the instant the unfolded model would have re-checked ``failed``
-        (see :meth:`Channel.send_in`).  Revoking every not-yet-started
-        reservation on this node's outgoing channels converts each one
-        back into its unfolded fire-time callback, so a crash inside a
-        fold window drops exactly the frames the unfolded model drops.
-        Started reservations (serialization underway) are kept: the
-        unfolded timeline had also committed those to the wire.
-        """
+        """Mark the node failed (volatile state handling is subclass duty)."""
         self.failed = True
         self.invalidate_arrival_plans()
-        for port in self.ports:
-            if port.channel is not None:
-                port.channel.revoke_unstarted()
 
     def recover(self) -> None:
         """Bring the node back after an intermittent failure."""

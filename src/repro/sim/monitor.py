@@ -30,14 +30,6 @@ class Counter:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
         self.value += amount
 
-    def rollback(self, amount: int) -> None:
-        """Undo a prior :meth:`increment` (e.g. a revoked channel
-        reservation that re-counts when the send actually happens)."""
-        if amount < 0 or amount > self.value:
-            raise ValueError(
-                f"cannot roll back {amount} from counter at {self.value}")
-        self.value -= amount
-
     def __int__(self) -> int:
         return self.value
 

@@ -157,7 +157,7 @@ BASELINE_PINS = {
         "samples_digest":
             "a86c79f61bf9a80371d0cf5fa0f414bc83c57c3cf2ce655f8aa7071c6af0428b",
         "final_now": 696572,
-        "executed_events": {"none": 834, "whole": 559},
+        "executed_events": {"none": 834, "whole": 834},
     },
     ("client-log", 3): {
         "trace_digest":
@@ -165,7 +165,7 @@ BASELINE_PINS = {
         "samples_digest":
             "463410186a203b2ff3ce712fd059322986d569608af24e16c777bdbb56a2a51c",
         "final_now": 784366,
-        "executed_events": {"none": 1224, "whole": 793},
+        "executed_events": {"none": 1224, "whole": 1224},
     },
     ("server-log", 1): {
         "trace_digest":
@@ -173,7 +173,7 @@ BASELINE_PINS = {
         "samples_digest":
             "ea3b1457c9cf5d1ea43eb3ac2146b615b7ea1db32b376f37520ae9dc30186df6",
         "final_now": 1739617,
-        "executed_events": {"none": 918, "whole": 466},
+        "executed_events": {"none": 918, "whole": 795},
     },
     ("server-log", 3): {
         "trace_digest":
@@ -181,7 +181,7 @@ BASELINE_PINS = {
         "samples_digest":
             "bf824c9a36daba299b22f5f0809ae9d6eb0233a5a67b1b8a204408f882701a85",
         "final_now": 1999598,
-        "executed_events": {"none": 1308, "whole": 690},
+        "executed_events": {"none": 1308, "whole": 1185},
     },
     ("server-replication", 3): {
         "trace_digest":
@@ -189,7 +189,7 @@ BASELINE_PINS = {
         "samples_digest":
             "a369b650e72d6f298c69fcf5efddba4eda3da48bdf6379c88f962e8742b9fa91",
         "final_now": 2389390,
-        "executed_events": {"none": 1295, "whole": 677},
+        "executed_events": {"none": 1295, "whole": 1172},
     },
 }
 

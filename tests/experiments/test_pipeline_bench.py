@@ -18,7 +18,10 @@ workload (``bench/workloads.py``): two racks under one spine, chain
 length 3, a closed loop of all updates, at the benchmark's smoke size.
 A single-rack pin cannot see a change to the fabric model — switch
 forwarding, chain store-and-forward, the bound egress channels — so
-these counts are what keeps a hop rewrite honest.
+these counts are what keeps a hop rewrite honest.  The benchmark's
+other three workloads (``rack-update``, ``rack-read-cache``,
+``fabric-failover``) are pinned the same way at a small budget: the
+sample digest, the completed count and the executed events per level.
 """
 
 from __future__ import annotations
@@ -29,18 +32,23 @@ from typing import Tuple
 import pytest
 
 from repro.config import SystemConfig
+from repro.control.balancer import FailoverPolicy, attach_control_plane
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.fig16_stress import stress
+from repro.failure.injector import FailureInjector
 from repro.net.switch import Switch
 from repro.obs.context import Observability
 from repro.protocol.packet import reset_request_ids
+from repro.sim.clock import microseconds
+from repro.workloads.handlers import StructureHandler
 from repro.workloads.loadgen import (FlowLoadGenerator, LoadGenConfig,
                                      run_loadgen)
+from repro.workloads.pmdk import PMBTree
 
-from tests.conftest import fold
+from tests.conftest import FOLD_LEVELS, fold
 
 #: ``executed_events`` of the 32-client x 20-request seed-0 run.
-EXACT_EVENTS = {"none": 30453, "whole": 16808}
+EXACT_EVENTS = {"none": 30453, "whole": 25081}
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +81,7 @@ def test_spans_move_no_event_and_no_sample(level):
 
 
 def test_loadgen_leg_is_exact():
-    """10^4 modeled users, 12,000 completions at 24.29 events each."""
+    """10^4 modeled users, 12,000 completions at 30.84 events each."""
     with fold("whole"):
         deployment = build(DeploymentSpec(placement="switch"),
                            SystemConfig(seed=0).with_payload(1000))
@@ -84,7 +92,7 @@ def test_loadgen_leg_is_exact():
     result = run_loadgen(deployment, load)
     assert (result.modeled_users, result.completed,
             deployment.sim.executed_events, result.digest()) == (
-        10_000, 12_000, 291_464, "f1edbf2c742b1da8")
+        10_000, 12_000, 370_062, "f1edbf2c742b1da8")
 
 
 #: The benchmark's ``fabric-chain`` deployment and closed loop.
@@ -102,8 +110,8 @@ FABRIC_CHAIN_LOAD = LoadGenConfig(mode="closed", users=12_000,
 FABRIC_CHAIN_EXACT = {
     "none": dict(executed_events=33864, resequences=0, forwarded=5245,
                  folded_sends=0, delivered=8620, digest="156a71247eb12cd1"),
-    "whole": dict(executed_events=20792, resequences=12713, forwarded=5245,
-                  folded_sends=5870, delivered=8620,
+    "whole": dict(executed_events=29692, resequences=3813, forwarded=5245,
+                  folded_sends=0, delivered=8620,
                   digest="156a71247eb12cd1"),
 }
 
@@ -135,3 +143,93 @@ def _fabric_chain_shape(level: str) -> dict:
 @pytest.mark.parametrize("level", sorted(FABRIC_CHAIN_EXACT))
 def test_fabric_chain_shape_is_exact(level):
     assert _fabric_chain_shape(level) == FABRIC_CHAIN_EXACT[level]
+
+
+#: The benchmark's other workloads: ``(spec, client hosts, btree
+#: handler, failover, closed loop)``.  Budgets are small (the failover
+#: loop needs 2,400 requests to reach past the reboot at 300 us).
+BENCH_SHAPES = {
+    "rack-update": (
+        DeploymentSpec(placement="switch"), 8, False, False,
+        LoadGenConfig(mode="closed", users=16_000, total_requests=375,
+                      window=16, update_ratio=1.0, payload_bytes=100,
+                      zipf_theta=0.9, population=10_000)),
+    "rack-read-cache": (
+        DeploymentSpec(placement="switch", enable_cache=True), 8, True,
+        False,
+        LoadGenConfig(mode="closed", users=16_000, total_requests=375,
+                      window=1, update_ratio=0.1, payload_bytes=100,
+                      zipf_theta=0.99, population=10_000)),
+    "fabric-failover": (
+        DeploymentSpec(racks=3, spines=1, devices_per_rack=1,
+                       servers_per_rack=2, chain_length=2,
+                       clients_per_rack=2, placement="switch"),
+        None, False, True,
+        LoadGenConfig(mode="closed", users=12_000, total_requests=2_400,
+                      window=6, update_ratio=1.0, payload_bytes=100,
+                      zipf_theta=0.9, population=10_000)),
+}
+
+#: Sim seed 3.  The digest and completed count are fold-independent;
+#: the executed events are per level.
+BENCH_SHAPE_EXACT = {
+    "rack-update": dict(completed=375, digest="4c5ccbe2f243ad67",
+                        executed_events={"none": 13749, "whole": 11805}),
+    "rack-read-cache": dict(completed=375, digest="8bc3ac77e94a11dc",
+                            executed_events={"none": 9361, "whole": 8138}),
+    "fabric-failover": dict(completed=2_400, digest="95654eec433cb63d",
+                            executed_events={"none": 202414,
+                                             "whole": 182237}),
+}
+
+
+def _bench_shape(name: str, level: str) -> dict:
+    # The whole run sits inside the level: the control plane wires its
+    # monitor host and link after the deployment is built.
+    with fold(level):
+        return _run_bench_shape(*BENCH_SHAPES[name])
+
+
+def _run_bench_shape(spec, clients, btree, failover, load) -> dict:
+    reset_request_ids()
+    config = SystemConfig(seed=3).with_payload(100)
+    if clients is not None:
+        config = config.with_clients(clients)
+    handler = None
+    if btree:
+        tree = PMBTree()
+        for key in range(load.population):
+            tree.set(key, f"init{key}")
+        handler = StructureHandler(tree)
+    deployment = build(spec, config, handler=handler)
+    engine = FlowLoadGenerator(deployment, load)
+    if failover:
+        # ``bench/workloads.py``'s failover timeline: heartbeats every
+        # 20 us, a control tick every 25 us, the last server power-cut
+        # at 100 us and rebooted at 300 us.
+        plane = attach_control_plane(
+            deployment, period_ns=microseconds(25),
+            policies=[FailoverPolicy()], heartbeats=True,
+            heartbeat_period_ns=microseconds(20), miss_threshold=3,
+            stop_when=lambda: engine.completed >= load.total_requests)
+        plane.start()
+        victim = deployment.servers[-1]
+        injector = FailureInjector(deployment.sim)
+        record = injector.crash_server_at(victim, microseconds(100))
+        injector.recover_server_at(
+            victim, microseconds(300),
+            deployment.recovery_devices(victim.host.name), record)
+    deployment.open_all_sessions()
+    engine.start()
+    deployment.sim.run()
+    result = engine.result()
+    return dict(completed=result.completed, digest=result.digest(),
+                executed_events=deployment.sim.executed_events)
+
+
+@pytest.mark.parametrize("level", FOLD_LEVELS)
+@pytest.mark.parametrize("name", sorted(BENCH_SHAPE_EXACT))
+def test_bench_shape_is_exact(name, level):
+    pin = BENCH_SHAPE_EXACT[name]
+    assert _bench_shape(name, level) == {
+        **pin, "executed_events": pin["executed_events"][level]}

@@ -1,29 +1,27 @@
 """The folding correctness bar: fold on == fold off, byte for byte.
 
-The latency-folded fast paths (``net/link.py`` reservations and chains,
-``core/pmnet_device.py`` stage folds, ``host/node.py`` outbound folds)
-claim to change only the executed-event count, never a delivery time, a
-queue decision, or an RNG draw.  This file holds that claim to account:
+The latency-folded paths (``net/link.py`` arrival extensions,
+``core/pmnet_device.py`` stage folds, ``host/node.py`` express claims,
+``host/client.py`` timer cancellation and inline completion) claim to
+change only the executed-event count, never a delivery time, a queue
+decision, or an RNG draw.  This file holds that claim to account:
 
 * a hypothesis property over random star topologies — random frame
   sizes, send times, and sources, driven through a real ``Switch`` so
-  reservations, revocations, queueing, and mid-fold conversions all
-  trigger — must produce identical arrival logs with ``PMNET_FOLD``
-  at ``none`` and ``whole``;
+  queueing and forwarding interleave — must produce identical arrival
+  logs with ``PMNET_FOLD`` at ``none`` and ``whole``;
 * a second property with frame sizes and send times quantized so that
   sends collide with serialization boundaries on the same nanosecond,
-  stressing the tie-break claim of the in-place fold conversion;
+  stressing same-nanosecond tie-breaking;
 * impaired channels must never fold, deterministically;
 * mid-run crashes — a switch failing inside its forwarding window, a
   PMNet device power-cut at swept instants across the request's
   pipeline windows (the Fig 12 scenarios), a chain member power-cut
   inside its ingress and PM-stage windows, a client host dying with a
-  folded send in flight — must leave every observable identical,
-  because folded sends committed before a crash are revoked back to
-  their unfolded fire-time checks;
+  send in flight — must leave every observable identical, because
+  every folded chain ends in a callback that re-checks liveness;
 * a loaded cross-rack chain fabric must produce the same sample digest
-  and trace at every fold level (same-nanosecond reservation
-  admission); and
+  and trace at every fold level; and
 * a full experiment (including the impaired fig07 loss scenarios) must
   format byte-identically in both modes.
 """
@@ -347,7 +345,7 @@ class TestCrashIdentity:
     @pytest.mark.parametrize("crash_at", [
         500,     # first frame still serializing on the uplink
         1137,    # exactly at the switch's arrival instant
-        1300,    # inside the forwarding window (reservation unstarted)
+        1300,    # inside the forwarding window
         1437,    # exactly at the forwarding instant
         2100,    # downlink serialization underway
         12_345,  # steady-state mid-burst
@@ -494,11 +492,11 @@ class TestFabricChainLoadIdentity:
     """A loaded chain fabric (the benchmark's fabric-chain shape) gives
     one sample digest and one trace at every fold level.
 
-    Seeds 2 and 5 once diverged: a reservation whose start equalled an
-    unstarted reservation's serialize end was admitted, so its
-    serialize-end seq was drawn at its own slot instead of inside the
-    earlier frame's ``_serialized``, and same-nanosecond ties further
-    downstream broke differently.
+    Seeds 2 and 5 once diverged, when the wire still folded: a channel
+    reservation whose start equalled an unstarted reservation's
+    serialize end was admitted, so its serialize-end seq was drawn at
+    its own slot instead of inside the earlier frame's ``_serialized``,
+    and same-nanosecond ties further downstream broke differently.
     """
 
     SPEC = DeploymentSpec(racks=2, spines=1, devices_per_rack=2,

@@ -2,13 +2,12 @@
 
 Three edges where the whole-request fold is most likely to cheat:
 
-* a second request hitting a shared channel at **exactly** its
-  ``busy_until`` nanosecond — the reservation free-check must treat the
-  boundary instant as busy, like the unfolded timeline does;
-* an impairment window opening **mid-folded-request** — the in-flight
-  fold must be revoked and the request replayed through the unfolded
-  impairment draws (here: a loss window that must drop the frame and
-  force a retransmission in every mode);
+* a second request hitting a shared channel at **exactly** the
+  nanosecond its transmitter frees — the boundary instant is busy
+  until the pending ``_serialized`` runs, at every level;
+* an impairment window opening **mid-folded-request** — the frames
+  not yet serialized take the impairment draws (here: a loss window
+  that must drop the frame and force a retransmission in every mode);
 * **cache-hit requests must never whole-request fold** — the bypass
   path's lookup outcome steers mid-pipeline branching, so the device
   must refuse to extend arrival chains for it.
@@ -118,8 +117,8 @@ class TestExactBusyUntilArrival:
         # translates of each other, so a start offset equal to the
         # uplink serialization time makes client 1's frame reach the
         # shared merge->device channel at exactly the nanosecond client
-        # 0's frame finishes serializing — the ``busy_until`` boundary
-        # the folded free-check must call "busy".  Sweep the exact
+        # 0's frame finishes serializing, a boundary that must count as
+        # busy at every level.  Sweep the exact
         # instant plus its neighbours and coarser spacings.
         serialize = _request_serialize_ns()
         offsets = sorted({0, 1, serialize // 2, serialize - 1, serialize,

@@ -50,6 +50,20 @@ class TestTiming:
         times = [t for t, _f in b.arrivals]
         assert times == [1000, 2000, 3000]
 
+    def test_send_at_serialize_end_queues_behind_it(self):
+        # B queues while A serializes.  C is sent at exactly A's
+        # serialize end, by an event scheduled after A's `_serialized`:
+        # that callback has already started B, so C queues behind it.
+        sim = Simulator()
+        a, b, _link = _pair(sim, _fast_profile())
+        channel = a.ports[0].channel
+        channel.send(Frame("a", "b", "A", 1250))  # busy until 1000
+        sim.schedule(400, channel.send, Frame("a", "b", "B", 1250))
+        sim.schedule(1000, channel.send, Frame("a", "b", "C", 1250))
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (1100, "A"), (2100, "B"), (3100, "C")]
+
     def test_duplex_is_independent(self):
         sim = Simulator()
         a, b, _link = _pair(sim)
@@ -235,6 +249,10 @@ def _fast_profile():
 
 
 class TestFoldedFastPath:
+    """The wire keeps no folded fast path: at both fold levels every
+    frame takes ``send`` -> ``_serialized`` -> delivery, so the timing
+    the fast path had to reproduce is now the only timing."""
+
     def test_fast_path_times_match_unfolded(self, monkeypatch):
         def burst(sim):
             a, b, _link = _pair(sim, _fast_profile())
@@ -252,11 +270,13 @@ class TestFoldedFastPath:
         assert folded == [1100, 2100, 3100, 4100, 5100]
 
     def test_folded_sends_counted(self):
+        # The counter stays for its readers and counts no send.
         sim = Simulator()
-        a, _b, link = _pair(sim, _fast_profile())
+        a, b, link = _pair(sim, _fast_profile())
         a.ports[0].transmit(Frame("a", "b", None, 10))
         sim.run()
-        assert int(link.forward.folded_sends) == 1
+        assert len(b.arrivals) == 1
+        assert int(link.forward.folded_sends) == 0
 
     def test_impaired_channel_never_folds(self):
         sim = Simulator()
@@ -271,102 +291,44 @@ class TestFoldedFastPath:
         a, b, link = _pair(sim, _fast_profile())
         a.ports[0].transmit(Frame("a", "b", None, 10))
         sim.run()
-        assert int(link.forward.folded_sends) == 1
-        # A loss window opened mid-run must bypass the fold immediately.
+        # A loss window opened mid-run applies to the very next frame.
         link.forward.impairments.loss_probability = 1.0
         a.ports[0].transmit(Frame("a", "b", None, 10))
         sim.run()
-        assert int(link.forward.folded_sends) == 1
         assert int(link.forward.dropped_loss) == 1
         assert len(b.arrivals) == 1
 
 
 class TestReservations:
-    def test_reservation_folds_pre_delay_into_one_event(self):
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250)) is True
-        sim.run()
-        # pre 500 + serialize 1000 + propagation 100, one executed event.
-        assert b.arrivals[0][0] == 1600
-        assert sim.executed_events == 1
+    """``Channel.send_in`` keeps its signature and never reserves: it
+    returns ``False`` and schedules nothing, and the caller sends the
+    frame itself."""
 
     def test_reservation_refused_while_transmitter_busy(self):
         sim = Simulator()
-        a, _b, _link = _pair(sim, _fast_profile())
+        a, b, link = _pair(sim, _fast_profile())
         channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250)) is True
-        # Serialization occupies [500, 1500): a 200 ns lead cannot fit.
+        assert channel.send_in(500, Frame("a", "b", None, 1250)) is False
+        channel.send(Frame("a", "b", None, 1250))  # busy until 1000
         assert channel.send_in(200, Frame("a", "b", None, 1250)) is False
+        sim.run()
+        assert [t for t, _f in b.arrivals] == [1100]
+        assert int(link.forward.bytes_sent) == 1250
 
     def test_stacked_reservations_serialize_exactly(self):
+        # Both requests are refused; the callers' own sends at 500 and
+        # 1,700 serialize back to back at the unfolded times.
         sim = Simulator()
         a, b, _link = _pair(sim, _fast_profile())
         channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", None, 1250)) is True
-        # A longer lead clears the first reservation's busy window.
-        assert channel.send_in(1_700, Frame("a", "b", None, 1250)) is True
+        for lead in (500, 1_700):
+            frame = Frame("a", "b", None, 1250)
+            assert channel.send_in(lead, frame) is False
+            sim.schedule(lead, channel.send, frame)
         sim.run()
         assert [t for t, _f in b.arrivals] == [1600, 2800]
 
-    def test_plain_send_revokes_unstarted_reservation(self):
-        sim = Simulator()
-        a, b, link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        reserved = Frame("a", "b", "reserved", 1250)
-        plain = Frame("a", "b", "plain", 1250)
-        channel.send_in(500, reserved)
-        # A competing send lands inside the pre-delay gap: on the
-        # unfolded timeline the transmitter is idle at t=100, so the
-        # plain frame must go first and the reserved one re-send at its
-        # original start time and queue behind it.
-        sim.schedule(100, channel.send, plain)
-        sim.run()
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1200, "plain"), (2200, "reserved")]
-        # Both frames' bytes end up counted exactly once.
-        assert int(link.forward.bytes_sent) == 2500
-        assert int(link.forward.folded_sends) == 1
-
-    def test_started_reservation_is_not_revoked(self):
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        reserved = Frame("a", "b", "reserved", 1250)
-        plain = Frame("a", "b", "plain", 1250)
-        channel.send_in(500, reserved)
-        # The competing send arrives after serialization began at t=500:
-        # the reservation is already on the wire and keeps its slot.
-        sim.schedule(700, channel.send, plain)
-        sim.run()
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1600, "reserved"), (2600, "plain")]
-
-    def test_queued_behind_fold_converts_in_place(self, monkeypatch):
-        # A folds; B queues mid-serialization (converting A's record to
-        # the unfolded `_serialized` slot); C lands exactly at the
-        # serialize end, where the old drain event's later-allocated seq
-        # could have tie-broken differently.
-        def scenario(sim):
-            a, b, _link = _pair(sim, _fast_profile())
-            channel = a.ports[0].channel
-            channel.send(Frame("a", "b", "A", 1250))  # busy until 1000
-            sim.schedule(400, channel.send, Frame("a", "b", "B", 1250))
-            sim.schedule(1000, channel.send, Frame("a", "b", "C", 1250))
-            sim.run()
-            return [(t, f.payload) for t, f in b.arrivals]
-
-        folded = scenario(Simulator())
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = scenario(Simulator())
-        assert folded == unfolded
-        assert folded == [(1100, "A"), (2100, "B"), (3100, "C")]
-
     def test_zero_propagation_never_folds(self):
-        # With a zero-delay wire the folded chain would execute delivery
-        # on the send-time seq instead of the serialize-instant seq the
-        # unfolded `_launch` allocates, so folding is gated off.
         sim = Simulator()
         profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=0,
                                  header_overhead_bytes=0)
@@ -378,33 +340,12 @@ class TestReservations:
         assert int(link.forward.folded_sends) == 0
         assert [t for t, _f in b.arrivals] == [1000]
 
-    def test_revocation_matches_unfolded_timeline(self, monkeypatch):
-        def scenario(sim, fold):
-            a, b, _link = _pair(sim, _fast_profile())
-            channel = a.ports[0].channel
-            reserved = Frame("a", "b", "reserved", 1250)
-            plain = Frame("a", "b", "plain", 1250)
-            if fold:
-                assert channel.send_in(500, reserved) is True
-            else:
-                sim.schedule(500, channel.send, reserved)
-            sim.schedule(100, channel.send, plain)
-            sim.run()
-            return [(t, f.payload) for t, f in b.arrivals]
-
-        folded = scenario(Simulator(), fold=True)
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = scenario(Simulator(), fold=False)
-        assert folded == unfolded
-
 
 class TestExactAdmission:
-    """Reservations ``send_in`` must refuse to stay exact and waste-free.
-
-    Every scenario's caller follows the ``send_in`` contract: on refusal
-    it schedules a plain send at the reservation's start.  With folding
-    off every ``send_in`` refuses, so the same code yields the reference
-    timeline.
+    """Same-nanosecond scenarios that once decided whether ``send_in``
+    could reserve.  It refuses every one, and each caller follows the
+    contract: on refusal it schedules a plain send at the reservation's
+    start.  The pinned timelines are the unfolded ones at both levels.
     """
 
     @staticmethod
@@ -423,12 +364,13 @@ class TestExactAdmission:
 
     def test_start_at_unstarted_serialize_end_is_refused(self,
                                                          monkeypatch):
-        # X is reserved for [500, 1500).  R asks for a start at exactly
-        # 1500 while X has not started: unfolded, R's send (seq taken at
-        # t=0) runs before X's `_serialized` (seq taken at 500), queues,
-        # and takes its serialize-end seq inside `_serialized`.  C, sent
-        # at 1500 on a second channel, lands on the sink in the same
-        # nanosecond as R, so the two seqs decide the arrival order.
+        # X is sent at 500 and serializes over [500, 1500).  R is sent at
+        # exactly 1500 by an event whose seq was taken at t=0, before
+        # X's `_serialized` (seq taken at 500): R finds the transmitter
+        # busy, queues, and takes its serialize-end seq inside
+        # `_serialized`.  C, sent at 1500 on a second channel, lands on
+        # the sink in the same nanosecond as R, so the two seqs decide
+        # the arrival order.
         def scenario(sim):
             ab, cb, b = self._two_into_one(sim)
             refused = []
@@ -442,17 +384,15 @@ class TestExactAdmission:
             return refused, [(t, f.payload) for t, f in b.arrivals]
 
         refused, folded = scenario(Simulator())
-        assert refused == ["R"]
+        assert refused == ["X", "R"]
         monkeypatch.setenv("PMNET_FOLD", "none")
         _refused, unfolded = scenario(Simulator())
         assert folded == unfolded
         assert folded == [(1600, "X"), (2600, "C"), (2600, "R")]
 
     def test_no_reservation_before_a_declined_start(self, monkeypatch):
-        # Y is declined (its start, 200, falls inside X's busy window),
-        # so its plain send at 200 will revoke anything not started by
-        # then: Z, asked for at t=100, is refused instead of reserved
-        # and revoked.
+        # Y (sent at 200) takes the idle transmitter ahead of X (500);
+        # Z, asked for at t=100, is refused too and sent at 3,100.
         def scenario(sim):
             a, b, _link = _pair(sim, _fast_profile())
             channel = a.ports[0].channel
@@ -480,8 +420,8 @@ class TestExactAdmission:
         assert folded == [(1300, "Y"), (2300, "X"), (4200, "Z")]
 
     def test_no_reservation_before_a_revoked_start(self, monkeypatch):
-        # A plain send at t=100 revokes X (start 500); X's unfolded send
-        # at 500 would revoke Z too, so Z, asked for at t=300, is refused.
+        # A plain send at t=100 goes ahead of X (sent at 500), and Z,
+        # asked for at t=300, is refused and sent at 2,300.
         def scenario(sim):
             a, b, _link = _pair(sim, _fast_profile())
             channel = a.ports[0].channel
@@ -508,62 +448,6 @@ class TestExactAdmission:
         assert folded == [(1200, "P"), (2200, "X"), (3400, "Z")]
 
 
-class TestRevocationLiveness:
-    def test_revoked_reservation_routes_through_on_revoke(self):
-        # The revoked heap slot must run the owner's fire-time callback,
-        # not re-enter Channel.send directly.
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        observed = []
-
-        def on_revoke(frame):
-            observed.append((sim.now, frame.payload))
-            channel.send(frame)
-
-        assert channel.send_in(500, Frame("a", "b", "reserved", 1250),
-                               on_revoke) is True
-        sim.schedule(100, channel.send, Frame("a", "b", "plain", 1250))
-        sim.run()
-        assert observed == [(500, "reserved")]
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1200, "plain"), (2200, "reserved")]
-
-    def test_failed_node_never_transmits_revoked_reservation(self):
-        # Node.fail revokes pending unstarted reservations; the
-        # on_revoke fire-time check then drops the frame, exactly as
-        # the unfolded owner callback would have.
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-
-        def on_revoke(frame):
-            if a.failed:
-                return
-            channel.send(frame)
-
-        assert channel.send_in(500, Frame("a", "b", "doomed", 1250),
-                               on_revoke) is True
-        sim.schedule(200, a.fail)  # inside the pre-delay gap
-        sim.run()
-        assert b.arrivals == []
-        assert int(channel.bytes_sent) == 0
-        assert int(channel.folded_sends) == 0
-
-    def test_started_reservation_survives_node_failure(self):
-        # Serialization began before the crash: the unfolded timeline
-        # had committed the frame to the wire too, so it delivers.
-        sim = Simulator()
-        a, b, _link = _pair(sim, _fast_profile())
-        channel = a.ports[0].channel
-        assert channel.send_in(500, Frame("a", "b", "committed", 1250),
-                               lambda frame: None) is True
-        sim.schedule(700, a.fail)  # serialization started at 500
-        sim.run()
-        assert [(t, f.payload) for t, f in b.arrivals] == [
-            (1600, "committed")]
-
-
 class TestChannelSummary:
     def test_queue_depth_highwater_in_summary(self):
         sim = Simulator()
@@ -572,7 +456,7 @@ class TestChannelSummary:
         for _ in range(5):
             a.ports[0].transmit(Frame("a", "b", None, 1000))
         summary = link.forward.summary()
-        # One in flight (folded), four waiting behind it.
+        # One serializing, four waiting behind it.
         assert summary["queue_depth"] == 4
         sim.run()
         drained = link.forward.summary()

@@ -64,10 +64,8 @@ class TestSwitch:
     def test_crash_inside_forward_window_drops_frame(self):
         # The frame reaches the switch at 1137 ns (1037 serialize + 100
         # wire); the forwarding window runs to 1437 ns.  A crash at
-        # 1300 ns lands inside it: the folded reservation must be
-        # revoked, the fold-time forwarded increment rolled back, and
-        # the frame dropped — exactly as the unfolded `_forward`
-        # callback's failed check would have done.
+        # 1300 ns lands inside it: `_forward`'s failed check drops the
+        # frame before it is counted.
         sim = Simulator()
         _topo, a, b, sw, _la, _lb = _wired(sim)
         a.ports[0].transmit(Frame("a", "b", None, 1250))
@@ -91,9 +89,9 @@ class TestSwitch:
     @pytest.mark.parametrize("level", FOLD_LEVELS)
     def test_handle_frame_forwards_like_a_channel_delivery(self, level):
         # ``receive`` (a channel delivery) and a direct ``handle_frame``
-        # share one forwarding path: the same reservation or ``_forward``
-        # slot, the same arrival and the same count.  Only the hop count
-        # differs — a direct call is not a wire hop.
+        # share one forwarding path: the same ``_forward`` slot, the
+        # same arrival and the same count.  Only the hop count differs —
+        # a direct call is not a wire hop.
         def forward(entry):
             with fold(level):
                 sim = Simulator()
@@ -103,14 +101,12 @@ class TestSwitch:
                             link_a.port_b)
             sim.run()
             return (b.arrivals[0][0], int(sw.forwarded),
-                    int(link_b.forward.folded_sends), sim.executed_events,
-                    frame.hops)
+                    sim.executed_events, frame.hops)
 
         delivered = forward("receive")
         direct = forward("handle_frame")
-        assert direct[:4] == delivered[:4]
-        assert delivered[2] == (1 if level == "whole" else 0)
-        assert (delivered[4], direct[4]) == (2, 1)
+        assert direct[:3] == delivered[:3]
+        assert (delivered[3], direct[3]) == (2, 1)
 
     @pytest.mark.parametrize("level", FOLD_LEVELS)
     def test_failed_switch_drops_a_direct_handle_frame(self, level):

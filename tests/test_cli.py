@@ -122,8 +122,22 @@ class TestProfile:
                      "--fold", "whole"]) == 0
         out = capsys.readouterr().out
         assert "fold level 'whole'" in out
-        # Uncontended requests fold end to end, so no per-stage hop runs.
-        assert "Switch._forward" not in out
+        # Only the whole level completes a single-waiter request inline.
+        assert "PMNetClient._succeed_inline" in out
+
+    @pytest.mark.parametrize("top", [3, 12])
+    def test_top_sets_the_call_site_rows(self, top, tmp_path, capsys):
+        report = tmp_path / "profile.json"
+        assert main(["profile", "--clients", "2", "--requests", "5",
+                     "--top", str(top), "--json", str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.endswith("call site"))
+        total = next(i for i, line in enumerate(lines)
+                     if line.endswith("TOTAL"))
+        assert total - header - 1 == top
+        payload = json.loads(report.read_text())["payload"]
+        assert len(payload["top_call_sites"]) == top
 
     @pytest.mark.parametrize("argv", [["--no-fold"], ["--fold", "stage"]])
     def test_retired_fold_spellings_rejected(self, argv, capsys):
