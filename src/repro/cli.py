@@ -327,7 +327,7 @@ def _cmd_rebalance(quick: bool, json_path: Optional[str]) -> int:
 def _cmd_chaos(start_seed: int, runs: int, jobs: Optional[int],
                json_path: Optional[str], faults_arg: Optional[str],
                shrink_on_failure: bool, corpus_path: Optional[str],
-               fabric: bool = False, control: bool = False) -> int:
+               family: str) -> int:
     from repro.experiments.parallel import default_jobs, run_jobs
     from repro.failure import chaos
 
@@ -335,17 +335,16 @@ def _cmd_chaos(start_seed: int, runs: int, jobs: Optional[int],
         print("--faults replays one schedule; use it with --runs 1",
               file=sys.stderr)
         return 2
-    if fabric and control:
-        print("--fabric and --control are separate plan families; "
-              "pick one", file=sys.stderr)
-        return 2
+    if corpus_path:  # reject a malformed corpus before any seed runs
+        try:
+            chaos.load_corpus(corpus_path)
+        except ConfigurationError as error:
+            print(error, file=sys.stderr)
+            return 2
 
-    generate = (chaos.generate_control_plan if control
-                else chaos.generate_fabric_plan if fabric
-                else chaos.generate_plan)
     values: List[dict]
     if runs == 1 and faults_arg is not None:
-        plan = generate(start_seed)
+        plan = chaos.generate_plan(start_seed, family)
         try:
             indices = chaos.parse_fault_selector(faults_arg,
                                                  len(plan.faults))
@@ -355,7 +354,7 @@ def _cmd_chaos(start_seed: int, runs: int, jobs: Optional[int],
         values = [chaos.run_plan(plan, indices).to_dict()]
     else:
         specs = chaos.jobs(quick=True, start_seed=start_seed, runs=runs,
-                           fabric=fabric, control=control)
+                           family=family)
         workers = jobs if jobs is not None else default_jobs()
 
         def progress(result) -> None:
@@ -390,16 +389,17 @@ def _cmd_chaos(start_seed: int, runs: int, jobs: Optional[int],
         for violation in value["violations"]:
             print(f"seed {value['seed']}: {violation}")
         if shrink_on_failure:
-            minimal = chaos.shrink(generate(value["seed"]))
+            minimal = chaos.shrink(chaos.generate_plan(value["seed"],
+                                                       family))
             line = chaos.repro_line(minimal)
             repros[value["seed"]] = line
             print(f"seed {value['seed']}: minimal repro: {line}")
         if corpus_path:
             try:
-                if chaos.append_to_corpus(corpus_path, value["seed"],
+                if chaos.append_to_corpus(corpus_path, family, value["seed"],
                                           note=value["violations"][0][:70]):
-                    print(f"seed {value['seed']} appended to {corpus_path}",
-                          file=sys.stderr)
+                    print(f"{family} seed {value['seed']} appended to "
+                          f"{corpus_path}", file=sys.stderr)
             except OSError as error:
                 print(f"could not update corpus {corpus_path}: {error}",
                       file=sys.stderr)
@@ -410,8 +410,7 @@ def _cmd_chaos(start_seed: int, runs: int, jobs: Optional[int],
             "benchmark": "chaos",
             "start_seed": start_seed,
             "runs": runs,
-            "fabric": fabric,
-            "control": control,
+            "family": family,
             "clean": sum(1 for v in values if v["ok"]),
             "failing_seeds": [v["seed"] for v in values if not v["ok"]],
             "repros": {str(seed): line for seed, line in repros.items()},
@@ -526,14 +525,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="replay a subset of the fault schedule: "
                                    "'all', 'none', or comma-separated "
                                    "indices (requires --runs 1)")
-    chaos_parser.add_argument("--fabric", action="store_true",
-                              help="sweep multi-rack fabric plans "
-                              "(rack outages, spine-uplink impairments, "
-                              "cross-rack chain-member loss)")
-    chaos_parser.add_argument("--control", action="store_true",
-                              help="sweep control-plane plans (live "
-                              "session migration overlapping outages, "
-                              "replay, and flapping membership)")
+    chaos_parser.add_argument("--family", default="rack",
+                              choices=("rack", "fabric", "control"),
+                              help="plan family (default rack; see "
+                                   "docs/chaos.md)")
     chaos_parser.add_argument("--no-shrink", action="store_true",
                               help="report failures without bisecting the "
                                    "fault schedule to a minimal repro")
@@ -554,15 +549,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace(args.scenario, args.limit, args.component,
                           args.event, args.seed)
     if args.command == "chaos":
-        corpus = args.corpus
-        if args.fabric and corpus == "tests/failure/chaos_corpus.txt":
-            corpus = "tests/failure/chaos_fabric_corpus.txt"
-        if args.control and corpus == "tests/failure/chaos_corpus.txt":
-            corpus = "tests/failure/chaos_control_corpus.txt"
         return _cmd_chaos(args.seed, args.runs, args.jobs, args.json_path,
                           args.faults, not args.no_shrink,
-                          corpus or None, fabric=args.fabric,
-                          control=args.control)
+                          args.corpus or None, family=args.family)
     if args.command == "rebalance":
         return _cmd_rebalance(quick=not args.full, json_path=args.json_path)
     return _cmd_run(args.experiments, quick=not args.full, jobs=args.jobs,

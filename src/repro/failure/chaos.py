@@ -2,10 +2,12 @@
 
 The failure scenarios in :mod:`repro.failure.scenarios` replay the
 paper's *hand-picked* crash points (Figs 12/13).  This module explores
-the space around them: from one integer seed it derives
+the space around them.  A plan's identity is the pair ``(family,
+seed)``; :func:`generate_plan` derives from it
 
-* a randomized deployment — replication chain length 1-3, read cache
-  on or off, client count, one of the five PMDK structures, and a
+* a randomized deployment, described as a :class:`DeploymentSpec` (see
+  :meth:`ChaosPlan.deployment_spec`) — replication chain length, read
+  cache on or off, client count, one of the five PMDK structures, and a
   YCSB-style workload mix (update ratio, Zipfian skew, payload size,
   and a deliberately small keyspace so clients contend); and
 * a randomized fault schedule composed from the existing
@@ -15,26 +17,28 @@ the space around them: from one integer seed it derives
   :class:`~repro.net.link.Impairments` windows (loss / duplication /
   reordering on one directed channel).
 
-:func:`generate_fabric_plan` explores the multi-rack spine/leaf fabric
-the same way: every plan is a :class:`DeploymentSpec` (see
-:meth:`ChaosPlan.deployment_spec`), and fabric schedules add
-chain-member device loss mid-write, leaf-spine uplink impairment
-windows, and whole-rack outages.  ``pmnet-repro chaos --fabric`` sweeps
-them; failing fabric seeds land in
-``tests/failure/chaos_fabric_corpus.txt``.
+The three families (:data:`FAMILIES`) are ``rack`` (a 1-3 PMNet chain
+at one ToR), ``fabric`` (a multi-rack spine/leaf fabric with
+cross-rack chains, adding chain-member loss mid-write, leaf-spine
+uplink impairment windows and whole-rack outages) and ``control`` (a
+fabric with a scripted control plane whose live migrations race
+outages and recovery replay).  ``pmnet-repro chaos --family F`` sweeps
+one of them.
 
 The run is driven to quiescence and validated twice over: the
 PMTest-style :class:`~repro.analysis.persistcheck.PersistenceChecker`
 rules R1-R6 on the trace, and a durability oracle comparing every
 client-acknowledged update against the recovered store.  Everything is
-a pure function of the seed — the plan, the simulated timeline, the
-trace digest, and the verdict — so a failing seed IS the bug report.
+a pure function of ``(family, seed)`` — the plan, the simulated
+timeline, the trace digest, and the verdict — so a failing seed IS the
+bug report.
 
 On a violation, :func:`shrink` bisects the fault schedule down to a
 1-minimal failing subset and :func:`repro_line` renders the exact CLI
-invocation that replays it.  Failing seeds land in
-``tests/failure/chaos_corpus.txt`` (see :func:`append_to_corpus`),
-which the tier-1 suite replays as regression tests.
+invocation that replays it.  Failing plans land in
+``tests/failure/chaos_corpus.txt`` as ``<family> <seed>`` lines (see
+:func:`append_to_corpus`), which the tier-1 suite replays as
+regression tests.
 
 Fan-out reuses the job protocol (:mod:`repro.experiments.jobs`): the
 ``chaos`` registry entry exposes ``jobs``/``run_point``/``assemble``,
@@ -77,13 +81,64 @@ SPINE_IMPAIRMENT = "spine-impairment"
 #: :class:`~repro.control.migrator.SessionMigrator`.
 REBALANCE = "rebalance"
 
-#: The adversarial control-plane schedule shapes
-#: :func:`generate_control_plan` draws from.
+#: The adversarial schedule shapes the ``control`` family draws from.
 CONTROL_SHAPES = ("rebalance-outage", "migration-replay", "flapping")
 
 #: Default sweep sizes for the registry entry / ``pmnet-repro run chaos``.
 QUICK_SWEEP_SEEDS = 12
 FULL_SWEEP_SEEDS = 48
+
+#: Window length range of each kind the rack/fabric fault loop draws.
+_WINDOW_NS = {
+    SERVER_OUTAGE: (100_000, 400_000),
+    RACK_OUTAGE: (150_000, 400_000),
+    DEVICE_OUTAGE: (50_000, 250_000),
+    DEVICE_REPLACE: (50_000, 250_000),
+    IMPAIRMENT: (50_000, 250_000),
+    SPINE_IMPAIRMENT: (50_000, 250_000),
+}
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What one plan family draws, and from which RNG namespace."""
+
+    namespace: str
+    #: A multi-rack spine/leaf shape; otherwise one ToR chain of 1-3.
+    fabric: bool
+    clients: Tuple[int, int]  # per rack
+    requests_per_client: Tuple[int, int]
+    update_ratios: Tuple[float, ...]
+    payloads: Tuple[int, ...]
+    spine_propagations: Tuple[Optional[int], ...]
+    #: The fault loop's kind pool; empty means the control schedule.
+    kinds: Tuple[str, ...]
+
+
+#: The plan families, keyed by name.  Each keeps its own RNG namespace,
+#: so no family's plans can perturb another's.
+FAMILIES: Dict[str, _Family] = {
+    "rack": _Family(
+        "chaos", False, (1, 4), (8, 20), (0.5, 0.9, 1.0), (64, 100, 256),
+        (), (SERVER_OUTAGE, DEVICE_OUTAGE, DEVICE_REPLACE, IMPAIRMENT)),
+    "fabric": _Family(
+        "chaos-fabric", True, (1, 2), (6, 14), (0.5, 0.9, 1.0),
+        (64, 100, 256), (None, 2_000, 10_000),
+        (SERVER_OUTAGE, DEVICE_OUTAGE, DEVICE_REPLACE, IMPAIRMENT,
+         RACK_OUTAGE, SPINE_IMPAIRMENT)),
+    "control": _Family(
+        "chaos-control", True, (1, 2), (6, 14), (0.9, 1.0), (64, 100),
+        (None, 2_000), ()),
+}
+
+
+def _family(name: str) -> _Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown chaos family {name!r} (expected one of "
+            f"{', '.join(FAMILIES)})") from None
 
 
 @dataclass(frozen=True)
@@ -112,12 +167,9 @@ class Fault:
 
     def describe(self) -> str:
         window = f"@{self.at_ns}ns +{self.duration_ns}ns"
-        if self.kind == IMPAIRMENT:
-            return (f"{self.kind} {window} channel#{self.target} "
-                    f"loss={self.loss} dup={self.duplicate} "
-                    f"reorder={self.reorder}")
-        if self.kind == SPINE_IMPAIRMENT:
-            return (f"{self.kind} {window} uplink#{self.target} "
+        if self.kind in (IMPAIRMENT, SPINE_IMPAIRMENT):
+            path = "channel" if self.kind == IMPAIRMENT else "uplink"
+            return (f"{self.kind} {window} {path}#{self.target} "
                     f"loss={self.loss} dup={self.duplicate} "
                     f"reorder={self.reorder}")
         if self.kind == SERVER_OUTAGE:
@@ -132,7 +184,7 @@ class Fault:
 
 @dataclass(frozen=True)
 class ChaosPlan:
-    """Everything one chaos run does, derived from ``seed`` alone."""
+    """Everything one chaos run does, derived from ``(family, seed)``."""
 
     seed: int
     replication: int
@@ -145,15 +197,16 @@ class ChaosPlan:
     payload_bytes: int
     population: int
     faults: Tuple[Fault, ...]
-    #: Fabric shape (defaults describe the legacy one-ToR deployments).
+    #: Fabric shape (defaults describe the one-ToR rack deployments).
     racks: int = 1
     spines: int = 1
     devices_per_rack: int = 1
     servers_per_rack: int = 1
     spine_propagation_ns: Optional[int] = None
-    #: Control plans: attach a (scripted, balancer-idle) control plane
-    #: so REBALANCE faults can drive its migrator.
-    control: bool = False
+    #: A key of :data:`FAMILIES`.  ``control`` plans attach a
+    #: (scripted, balancer-idle) control plane so REBALANCE faults can
+    #: drive its migrator.
+    family: str = "rack"
     control_shape: str = ""
 
     def deployment_spec(self) -> DeploymentSpec:
@@ -165,17 +218,15 @@ class ChaosPlan:
             servers_per_rack=self.servers_per_rack,
             enable_cache=self.enable_cache,
             spine_propagation_ns=self.spine_propagation_ns,
-            control_period_ns=100_000 if self.control else None)
-
-    @property
-    def is_fabric(self) -> bool:
-        return self.racks > 1
+            control_period_ns=(100_000 if self.family == "control"
+                               else None))
 
     def describe(self) -> str:
+        fabric = FAMILIES[self.family].fabric
         shape = (f"{self.racks}x{self.devices_per_rack} PMNet(s) over "
                  f"{self.spines} spine(s), "
                  f"{self.servers_per_rack} shard(s)/rack"
-                 if self.is_fabric else f"{self.replication} PMNet(s)")
+                 if fabric else f"{self.replication} PMNet(s)")
         lines = [
             f"chaos seed {self.seed}: {self.clients} client(s), "
             f"{shape}, "
@@ -184,9 +235,9 @@ class ChaosPlan:
             f"{self.requests_per_client} req/client, "
             f"update={self.update_ratio} zipf={self.zipf_theta} "
             f"payload={self.payload_bytes}B keys={self.population}"]
-        if self.is_fabric:
+        if fabric:
             lines[0] += f" chain={self.replication}"
-        if self.control:
+        if self.family == "control":
             lines[0] += f" control[{self.control_shape}]"
         if not self.faults:
             lines.append("  (no faults)")
@@ -195,134 +246,48 @@ class ChaosPlan:
         return "\n".join(lines)
 
 
-def generate_plan(seed: int) -> ChaosPlan:
-    """Derive a deployment + fault schedule from one integer seed.
+def generate_plan(seed: int, family: str = "rack") -> ChaosPlan:
+    """Derive a deployment + fault schedule from ``(family, seed)``.
 
-    Pure: the same seed always yields the same plan (the RNG is a
-    dedicated ``random.Random(f"chaos/{seed}")``, untouched by any
-    simulation stream).  Fault windows never overlap globally — each
-    window starts after the previous one ends — which keeps every
-    schedule recoverable: a server recovery never polls a dead device,
-    and at most ``replication - 1`` devices are ever replaced (a blank
-    board forgets its log, so one durable copy must survive;
-    Sec IV-E2).
+    Pure: the same pair always yields the same plan.  The RNG is a
+    dedicated ``random.Random(f"{namespace}/{seed}")`` (namespaces
+    ``chaos``, ``chaos-fabric``, ``chaos-control``), untouched by any
+    simulation stream and by the other families.  ``rack`` and
+    ``fabric`` schedules come from one fault loop
+    (:func:`_fault_loop`); ``control`` schedules from one of
+    :data:`CONTROL_SHAPES` (:func:`_control_schedule`).  Fabric and
+    control plans always replicate (chain length 2-3).
     """
-    rng = random.Random(f"chaos/{seed}")
-    replication = rng.randint(1, 3)
+    row = _family(family)
+    rng = random.Random(f"{row.namespace}/{seed}")
+    if row.fabric:
+        racks = rng.randint(2, 3)
+        spines = rng.randint(1, 2)
+        devices_per_rack = rng.randint(1, 2)
+        servers_per_rack = rng.randint(1, 2)
+        devices = racks * devices_per_rack
+        replication = rng.randint(2, min(3, devices))
+    else:
+        racks = spines = devices_per_rack = servers_per_rack = 1
+        replication = devices = rng.randint(1, 3)
     enable_cache = rng.random() < 0.5
-    clients = rng.randint(1, 4)
-    requests_per_client = rng.randint(8, 20)
+    clients = rng.randint(*row.clients)
+    requests_per_client = rng.randint(*row.requests_per_client)
     structure = rng.choice(sorted(PMDK_STRUCTURES))
-    update_ratio = rng.choice([0.5, 0.9, 1.0])
+    update_ratio = rng.choice(row.update_ratios)
     zipf_theta = rng.choice([0.0, 0.9])
-    payload_bytes = rng.choice([64, 100, 256])
+    payload_bytes = rng.choice(row.payloads)
     population = rng.choice([16, 256])
-
-    faults: List[Fault] = []
-    cursor = 60_000  # let the first requests get going
-    server_outages = 0
-    replacements = 0
-    for _ in range(rng.randint(1, 4)):
-        kind = rng.choice([SERVER_OUTAGE, DEVICE_OUTAGE, DEVICE_REPLACE,
-                           IMPAIRMENT])
-        # The server's crash/recover cycle is exercised once per run;
-        # replacements must leave a surviving log copy.
-        if kind == SERVER_OUTAGE and server_outages:
-            kind = DEVICE_OUTAGE
-        if kind == DEVICE_REPLACE and replacements >= replication - 1:
-            kind = DEVICE_OUTAGE
-        start = cursor + rng.randrange(20_000, 150_000)
-        if kind == IMPAIRMENT:
-            fault = Fault(kind, start, rng.randrange(50_000, 250_000),
-                          target=rng.randrange(1024),
-                          loss=round(rng.uniform(0.05, 0.3), 3),
-                          duplicate=round(rng.uniform(0.0, 0.3), 3),
-                          reorder=round(rng.uniform(0.0, 0.3), 3))
-        elif kind == SERVER_OUTAGE:
-            server_outages += 1
-            fault = Fault(kind, start, rng.randrange(100_000, 400_000))
-        else:
-            if kind == DEVICE_REPLACE:
-                replacements += 1
-            fault = Fault(kind, start, rng.randrange(50_000, 250_000),
-                          target=rng.randrange(replication))
-        faults.append(fault)
-        cursor = fault.end_ns
+    spine_propagation_ns = (rng.choice(row.spine_propagations)
+                            if row.fabric else None)
+    servers = racks * servers_per_rack
+    if row.kinds:
+        shape = ""
+        faults = _fault_loop(rng, row, replication, racks, servers,
+                             devices)
+    else:
+        shape, faults = _control_schedule(rng, servers)
     return ChaosPlan(seed=seed, replication=replication,
-                     enable_cache=enable_cache, clients=clients,
-                     requests_per_client=requests_per_client,
-                     structure=structure, update_ratio=update_ratio,
-                     zipf_theta=zipf_theta, payload_bytes=payload_bytes,
-                     population=population, faults=tuple(faults))
-
-
-def generate_fabric_plan(seed: int) -> ChaosPlan:
-    """Derive a multi-rack fabric deployment + fault schedule from a seed.
-
-    A separate generator (its own RNG namespace) so every legacy
-    ``generate_plan`` seed — including the shipped corpus — stays
-    byte-identical.  Fabric plans add the cross-rack failure modes: a
-    chain-member device lost mid-write (the in-flight update must still
-    complete and stay durable), an impairment window on one leaf-spine
-    uplink (chain hops cross it), and a whole-rack outage (every device
-    and shard server in the rack, recovered together).  The same
-    invariants hold: windows never overlap, the blank-replacement
-    budget leaves one durable chain copy (Sec IV-E2).
-    """
-    rng = random.Random(f"chaos-fabric/{seed}")
-    racks = rng.randint(2, 3)
-    spines = rng.randint(1, 2)
-    devices_per_rack = rng.randint(1, 2)
-    servers_per_rack = rng.randint(1, 2)
-    total_devices = racks * devices_per_rack
-    chain_length = rng.randint(2, min(3, total_devices))
-    enable_cache = rng.random() < 0.5
-    clients = rng.randint(1, 2)  # per rack
-    requests_per_client = rng.randint(6, 14)
-    structure = rng.choice(sorted(PMDK_STRUCTURES))
-    update_ratio = rng.choice([0.5, 0.9, 1.0])
-    zipf_theta = rng.choice([0.0, 0.9])
-    payload_bytes = rng.choice([64, 100, 256])
-    population = rng.choice([16, 256])
-    spine_propagation_ns = rng.choice([None, 2_000, 10_000])
-
-    faults: List[Fault] = []
-    cursor = 60_000
-    server_outages = 0
-    rack_outages = 0
-    replacements = 0
-    for _ in range(rng.randint(1, 4)):
-        kind = rng.choice([SERVER_OUTAGE, DEVICE_OUTAGE, DEVICE_REPLACE,
-                           IMPAIRMENT, RACK_OUTAGE, SPINE_IMPAIRMENT])
-        if kind == SERVER_OUTAGE and server_outages:
-            kind = DEVICE_OUTAGE
-        if kind == RACK_OUTAGE and (rack_outages or server_outages):
-            kind = SPINE_IMPAIRMENT
-        if kind == DEVICE_REPLACE and replacements >= chain_length - 1:
-            kind = DEVICE_OUTAGE
-        start = cursor + rng.randrange(20_000, 150_000)
-        if kind in (IMPAIRMENT, SPINE_IMPAIRMENT):
-            fault = Fault(kind, start, rng.randrange(50_000, 250_000),
-                          target=rng.randrange(1024),
-                          loss=round(rng.uniform(0.05, 0.3), 3),
-                          duplicate=round(rng.uniform(0.0, 0.3), 3),
-                          reorder=round(rng.uniform(0.0, 0.3), 3))
-        elif kind == SERVER_OUTAGE:
-            server_outages += 1
-            fault = Fault(kind, start, rng.randrange(100_000, 400_000),
-                          target=rng.randrange(racks * servers_per_rack))
-        elif kind == RACK_OUTAGE:
-            rack_outages += 1
-            fault = Fault(kind, start, rng.randrange(150_000, 400_000),
-                          target=rng.randrange(racks))
-        else:
-            if kind == DEVICE_REPLACE:
-                replacements += 1
-            fault = Fault(kind, start, rng.randrange(50_000, 250_000),
-                          target=rng.randrange(total_devices))
-        faults.append(fault)
-        cursor = fault.end_ns
-    return ChaosPlan(seed=seed, replication=chain_length,
                      enable_cache=enable_cache, clients=clients,
                      requests_per_client=requests_per_client,
                      structure=structure, update_ratio=update_ratio,
@@ -331,16 +296,65 @@ def generate_fabric_plan(seed: int) -> ChaosPlan:
                      racks=racks, spines=spines,
                      devices_per_rack=devices_per_rack,
                      servers_per_rack=servers_per_rack,
-                     spine_propagation_ns=spine_propagation_ns)
+                     spine_propagation_ns=spine_propagation_ns,
+                     family=family, control_shape=shape)
 
 
-def generate_control_plan(seed: int) -> ChaosPlan:
-    """Derive a fabric deployment + control-plane fault schedule.
+def _impairment(rng: random.Random, kind: str, start: int, duration: int,
+                ceiling: float) -> Fault:
+    """A loss/duplication/reordering window on one channel or uplink."""
+    return Fault(kind, start, duration, target=rng.randrange(1024),
+                 loss=round(rng.uniform(0.05, ceiling), 3),
+                 duplicate=round(rng.uniform(0.0, ceiling), 3),
+                 reorder=round(rng.uniform(0.0, ceiling), 3))
 
-    A third generator namespace (``chaos-control/{seed}``), so legacy
-    and fabric corpora stay byte-identical.  Every plan is a fabric
-    shape with a scripted control plane, drawn from one of three
-    adversarial schedule shapes:
+
+def _fault_loop(rng: random.Random, row: _Family, replication: int,
+                racks: int, servers: int, devices: int) -> List[Fault]:
+    """1-4 faults from the family's kind pool, kept recoverable.
+
+    Windows never overlap globally — each starts after the previous
+    one ends — so a server recovery never polls a dead device.  At most
+    one server outage and one rack outage run per plan, and a rack
+    outage never follows a server outage (its shard crashes would
+    double-fault the shard tier).  At most ``replication - 1`` devices
+    are replaced: a blank board forgets its log, so one durable copy
+    must survive (Sec IV-E2).
+    """
+    faults: List[Fault] = []
+    cursor = 60_000  # let the first requests get going
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(row.kinds)
+        taken = [fault.kind for fault in faults]
+        if kind == SERVER_OUTAGE and SERVER_OUTAGE in taken:
+            kind = DEVICE_OUTAGE
+        if kind == RACK_OUTAGE and (RACK_OUTAGE in taken
+                                    or SERVER_OUTAGE in taken):
+            kind = SPINE_IMPAIRMENT
+        if (kind == DEVICE_REPLACE
+                and taken.count(DEVICE_REPLACE) >= replication - 1):
+            kind = DEVICE_OUTAGE
+        start = cursor + rng.randrange(20_000, 150_000)
+        duration = rng.randrange(*_WINDOW_NS[kind])
+        if kind in (IMPAIRMENT, SPINE_IMPAIRMENT):
+            fault = _impairment(rng, kind, start, duration, 0.3)
+        elif kind == SERVER_OUTAGE and not row.fabric:
+            # The rack stream never drew a victim for its one server,
+            # and randrange(1) would still consume bits.
+            fault = Fault(kind, start, duration)
+        else:
+            victims = {SERVER_OUTAGE: servers,
+                       RACK_OUTAGE: racks}.get(kind, devices)
+            fault = Fault(kind, start, duration,
+                          target=rng.randrange(victims))
+        faults.append(fault)
+        cursor = fault.end_ns
+    return faults
+
+
+def _control_schedule(rng: random.Random,
+                      servers: int) -> Tuple[str, List[Fault]]:
+    """One adversarial control-plane schedule shape and its faults.
 
     * ``rebalance-outage`` — a live migration is requested *while* its
       source server is power-cut: the drain must ride out the outage
@@ -357,63 +371,15 @@ def generate_control_plan(seed: int) -> ChaosPlan:
     Unlike destructive faults, REBALANCE windows may deliberately
     overlap outage windows — that interleaving is the point.
     """
-    rng = random.Random(f"chaos-control/{seed}")
-    racks = rng.randint(2, 3)
-    spines = rng.randint(1, 2)
-    devices_per_rack = rng.randint(1, 2)
-    servers_per_rack = rng.randint(1, 2)
-    total_devices = racks * devices_per_rack
-    total_servers = racks * servers_per_rack
-    chain_length = rng.randint(2, min(3, total_devices))
-    enable_cache = rng.random() < 0.5
-    clients = rng.randint(1, 2)  # per rack
-    requests_per_client = rng.randint(6, 14)
-    structure = rng.choice(sorted(PMDK_STRUCTURES))
-    update_ratio = rng.choice([0.9, 1.0])
-    zipf_theta = rng.choice([0.0, 0.9])
-    payload_bytes = rng.choice([64, 100])
-    population = rng.choice([16, 256])
-    spine_propagation_ns = rng.choice([None, 2_000])
     shape = rng.choice(CONTROL_SHAPES)
 
     def other(server: int) -> int:
-        return (server + 1 + rng.randrange(total_servers - 1)) \
-            % total_servers
+        return (server + 1 + rng.randrange(servers - 1)) % servers
 
-    faults: List[Fault] = []
-    if shape == "rebalance-outage":
-        victim = rng.randrange(total_servers)
-        outage = Fault(SERVER_OUTAGE, 60_000 + rng.randrange(20_000, 120_000),
-                       rng.randrange(150_000, 400_000), target=victim)
-        rebalance_at = outage.at_ns + rng.randrange(
-            10_000, max(20_000, outage.duration_ns // 2))
-        faults = [outage,
-                  Fault(REBALANCE, rebalance_at, 0, target=victim,
-                        dest=other(victim))]
-        if rng.random() < 0.5:
-            start = outage.end_ns + rng.randrange(20_000, 100_000)
-            faults.append(Fault(SPINE_IMPAIRMENT, start,
-                                rng.randrange(50_000, 200_000),
-                                target=rng.randrange(1024),
-                                loss=round(rng.uniform(0.05, 0.2), 3),
-                                duplicate=round(rng.uniform(0.0, 0.2), 3),
-                                reorder=round(rng.uniform(0.0, 0.2), 3)))
-    elif shape == "migration-replay":
-        victim = rng.randrange(total_servers)
-        outage = Fault(SERVER_OUTAGE, 60_000 + rng.randrange(20_000, 120_000),
-                       rng.randrange(150_000, 400_000), target=victim)
-        # The scripted recovery starts at end_ns and replays for
-        # ~150 ms; landing the migration shortly after end_ns races it
-        # against the replay traffic.
-        rebalance_at = outage.end_ns + rng.randrange(5_000, 100_000)
-        source = victim if rng.random() < 0.7 \
-            else rng.randrange(total_servers)
-        faults = [outage,
-                  Fault(REBALANCE, rebalance_at, 0, target=source,
-                        dest=other(source))]
-    else:  # flapping
-        first = rng.randrange(total_servers)
+    if shape == "flapping":
+        first = rng.randrange(servers)
         second = other(first)
+        faults: List[Fault] = []
         cursor = 60_000
         for index in range(rng.randint(2, 4)):
             at = cursor + rng.randrange(20_000, 120_000)
@@ -423,23 +389,29 @@ def generate_control_plan(seed: int) -> ChaosPlan:
             cursor = at
         if rng.random() < 0.5:
             start = cursor + rng.randrange(20_000, 100_000)
-            faults.append(Fault(IMPAIRMENT, start,
-                                rng.randrange(50_000, 200_000),
-                                target=rng.randrange(1024),
-                                loss=round(rng.uniform(0.05, 0.2), 3),
-                                duplicate=round(rng.uniform(0.0, 0.2), 3),
-                                reorder=round(rng.uniform(0.0, 0.2), 3)))
-    return ChaosPlan(seed=seed, replication=chain_length,
-                     enable_cache=enable_cache, clients=clients,
-                     requests_per_client=requests_per_client,
-                     structure=structure, update_ratio=update_ratio,
-                     zipf_theta=zipf_theta, payload_bytes=payload_bytes,
-                     population=population, faults=tuple(faults),
-                     racks=racks, spines=spines,
-                     devices_per_rack=devices_per_rack,
-                     servers_per_rack=servers_per_rack,
-                     spine_propagation_ns=spine_propagation_ns,
-                     control=True, control_shape=shape)
+            faults.append(_impairment(rng, IMPAIRMENT, start,
+                                      rng.randrange(50_000, 200_000), 0.2))
+        return shape, faults
+    victim = rng.randrange(servers)
+    outage = Fault(SERVER_OUTAGE, 60_000 + rng.randrange(20_000, 120_000),
+                   rng.randrange(150_000, 400_000), target=victim)
+    if shape == "rebalance-outage":
+        rebalance_at = outage.at_ns + rng.randrange(
+            10_000, max(20_000, outage.duration_ns // 2))
+        faults = [outage, Fault(REBALANCE, rebalance_at, 0, target=victim,
+                                dest=other(victim))]
+        if rng.random() < 0.5:
+            start = outage.end_ns + rng.randrange(20_000, 100_000)
+            faults.append(_impairment(rng, SPINE_IMPAIRMENT, start,
+                                      rng.randrange(50_000, 200_000), 0.2))
+        return shape, faults
+    # migration-replay: the scripted recovery starts at end_ns and
+    # replays for ~150 ms; landing the migration shortly after end_ns
+    # races it against the replay traffic.
+    rebalance_at = outage.end_ns + rng.randrange(5_000, 100_000)
+    source = victim if rng.random() < 0.7 else rng.randrange(servers)
+    return shape, [outage, Fault(REBALANCE, rebalance_at, 0, target=source,
+                                 dest=other(source))]
 
 
 @dataclass(frozen=True)
@@ -464,6 +436,7 @@ class ChaosRunResult:
     def to_dict(self) -> dict:
         """JSON-safe summary (what workers ship back and reports hold)."""
         return {
+            "family": self.plan.family,
             "seed": self.plan.seed,
             "ok": self.ok,
             "violations": list(self.violations),
@@ -496,10 +469,8 @@ def _horizon_ns(plan: ChaosPlan) -> int:
 
 def _set_impairments(channel, impairments: Impairments) -> None:
     channel.impairments = impairments
-    # A fault window opening mid-run invalidates folded in-flight work
-    # whose impairment draws would only happen from here on — convert it
-    # back to the unfolded path so the draws land draw-for-draw where
-    # the unfolded (PMNET_FOLD=none) timeline puts them.
+    # The receiving node caches arrival plans computed under the old
+    # impairments; a window opening or closing mid-run invalidates them.
     channel.on_impairments_changed()
 
 
@@ -534,17 +505,21 @@ def _schedule_fault(sim, injector: FailureInjector, deployment,
             injector.recover_server_at(
                 server, fault.end_ns + 20_000,
                 deployment.recovery_devices(name), record)
-    elif fault.kind == SPINE_IMPAIRMENT:
-        fabric = deployment.fabric
-        if fabric is None:
-            raise SimulationError("spine-impairment needs a fabric "
-                                  "deployment")
-        uplinks = fabric.spine_links
-        _rack, _spine, link = uplinks[fault.target % len(uplinks)]
+    elif fault.kind in (IMPAIRMENT, SPINE_IMPAIRMENT):
+        if fault.kind == IMPAIRMENT:
+            impaired_channels = [channels[fault.target % len(channels)]]
+        else:
+            fabric = deployment.fabric
+            if fabric is None:
+                raise SimulationError("spine-impairment needs a fabric "
+                                      "deployment")
+            uplinks = fabric.spine_links
+            _rack, _spine, link = uplinks[fault.target % len(uplinks)]
+            impaired_channels = [link.forward, link.backward]
         impaired = Impairments(loss_probability=fault.loss,
                                duplicate_probability=fault.duplicate,
                                reorder_probability=fault.reorder)
-        for channel in (link.forward, link.backward):
+        for channel in impaired_channels:
             sim.schedule_at(fault.at_ns, _set_impairments, channel,
                             impaired)
             sim.schedule_at(fault.end_ns, _set_impairments, channel,
@@ -557,14 +532,6 @@ def _schedule_fault(sim, injector: FailureInjector, deployment,
         device = deployment.devices[fault.target % len(deployment.devices)]
         record = injector.kill_device_permanently_at(device, fault.at_ns)
         injector.replace_device_at(device, fault.end_ns, record)
-    elif fault.kind == IMPAIRMENT:
-        channel = channels[fault.target % len(channels)]
-        impaired = Impairments(loss_probability=fault.loss,
-                               duplicate_probability=fault.duplicate,
-                               reorder_probability=fault.reorder)
-        sim.schedule_at(fault.at_ns, _set_impairments, channel, impaired)
-        sim.schedule_at(fault.end_ns, _set_impairments, channel,
-                        Impairments())
     elif fault.kind == REBALANCE:
         control = deployment.control
         if control is None:
@@ -640,12 +607,8 @@ def run_plan(plan: ChaosPlan,
         handlers.append(handler)
         return handler
 
-    if spec.racks > 1 or spec.servers_per_rack > 1:
-        deployment = build(spec, config, handler_factory=handler_factory,
-                           obs=obs)
-    else:
-        deployment = build(spec, config, handler=handler_factory(),
-                           obs=obs)
+    deployment = build(spec, config, handler_factory=handler_factory,
+                       obs=obs)
     sim = deployment.sim
     injector = FailureInjector(sim)
     generator = YCSBGenerator(YCSBConfig(update_ratio=plan.update_ratio,
@@ -762,13 +725,9 @@ def repro_line(result: ChaosRunResult) -> str:
         selector = "none"
     else:
         selector = ",".join(str(i) for i in result.fault_indices)
-    if result.plan.control:
-        flavor = " --control"
-    elif result.plan.is_fabric:
-        flavor = " --fabric"
-    else:
-        flavor = ""
-    return (f"pmnet-repro chaos --seed {result.plan.seed}{flavor} "
+    family = result.plan.family
+    flag = "" if family == "rack" else f" --family {family}"
+    return (f"pmnet-repro chaos --seed {result.plan.seed}{flag} "
             f"--faults {selector}")
 
 
@@ -795,39 +754,49 @@ def parse_fault_selector(selector: Optional[str],
 # ----------------------------------------------------------------------
 # Corpus: failing seeds become permanent regression tests
 # ----------------------------------------------------------------------
-def load_corpus(path: str) -> List[int]:
-    """Seeds from a corpus file (one per line; ``#`` starts a comment).
+def load_corpus(path: str) -> List[Tuple[str, int]]:
+    """``(family, seed)`` pairs from a corpus file.
 
-    A missing file is an empty corpus (:func:`append_to_corpus` creates
-    it); a line that is not one integer raises a
+    One ``<family> <seed>`` pair per line; ``#`` starts a comment.  A
+    missing file is an empty corpus (:func:`append_to_corpus` creates
+    it); a malformed line or an unknown family raises a
     :class:`ConfigurationError` naming ``path:line``.
     """
-    seeds: List[int] = []
+    pairs: List[Tuple[str, int]] = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError:
-        return seeds
+        return pairs
     for number, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
+        fields = text.split()
         try:
-            seeds.append(int(text))
+            family, seed = fields
+            pairs.append((family, int(seed)))
         except ValueError:
             raise ConfigurationError(
                 f"{path}:{number}: malformed corpus line {text!r} "
-                "(expected one integer seed)") from None
-    return seeds
+                "(expected '<family> <seed>')") from None
+        if family not in FAMILIES:
+            raise ConfigurationError(
+                f"{path}:{number}: unknown chaos family {family!r} "
+                f"(expected one of {', '.join(FAMILIES)})")
+    return pairs
 
 
-def append_to_corpus(path: str, seed: int, note: str = "") -> bool:
-    """Record a failing seed (idempotent); returns True if appended."""
-    if seed in load_corpus(path):
+def append_to_corpus(path: str, family: str, seed: int,
+                     note: str = "") -> bool:
+    """Record a failing plan (idempotent per ``(family, seed)`` pair);
+    returns True if appended."""
+    _family(family)
+    if (family, seed) in load_corpus(path):
         return False
     with open(path, "a", encoding="utf-8") as handle:
         suffix = f"  # {note}" if note else ""
-        handle.write(f"{seed}{suffix}\n")
+        handle.write(f"{family} {seed}{suffix}\n")
     return True
 
 
@@ -836,30 +805,19 @@ def append_to_corpus(path: str, seed: int, note: str = "") -> bool:
 # ----------------------------------------------------------------------
 def jobs(config: Optional[SystemConfig] = None, quick: bool = True,
          start_seed: int = 0, runs: Optional[int] = None,
-         fabric: bool = False, control: bool = False) -> List[JobSpec]:
+         family: str = "rack") -> List[JobSpec]:
+    _family(family)
     count = runs if runs is not None else (
         QUICK_SWEEP_SEEDS if quick else FULL_SWEEP_SEEDS)
-    if control:
-        prefix, params = "control-seed", {"control": True}
-    elif fabric:
-        prefix, params = "fabric-seed", {"fabric": True}
-    else:
-        prefix, params = "seed", {}
-    return [JobSpec(experiment="chaos", point=f"{prefix}={seed}",
-                    params={"seed": seed, **params}, seed=seed, quick=quick,
-                    config=config)
+    return [JobSpec(experiment="chaos", point=f"{family}-seed={seed}",
+                    params={"seed": seed, "family": family}, seed=seed,
+                    quick=quick, config=config)
             for seed in range(start_seed, start_seed + count)]
 
 
 def run_point(spec: JobSpec) -> dict:
     """Execute one seed in any process; returns the JSON-safe summary."""
-    seed = int(spec.params["seed"])
-    if spec.params.get("control"):
-        plan = generate_control_plan(seed)
-    elif spec.params.get("fabric"):
-        plan = generate_fabric_plan(seed)
-    else:
-        plan = generate_plan(seed)
+    plan = generate_plan(int(spec.params["seed"]), spec.params["family"])
     return run_plan(plan).to_dict()
 
 

@@ -1,11 +1,17 @@
 """The chaos engine: plan determinism, replay, shrinking, the corpus.
 
+Cases that hold for every plan family (the pinned plan stream, the
+both-fold-level corpus replay, the corpus format, the ``--family``
+flag) live here; the fabric and control families' own invariants live
+in ``test_chaos_fabric.py`` and ``test_chaos_control.py``.
+
 The mutation check is the suite's teeth: it plants a known persistence
 bug (eager log invalidation before the server commit) and asserts the
 chaos pipeline catches it, shrinks it to a minimal schedule, and emits
 a replayable repro line.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -20,6 +26,51 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.failure import chaos
 
 CORPUS = Path(__file__).parent / "chaos_corpus.txt"
+CORPUS_LINES = chaos.load_corpus(str(CORPUS))
+
+#: sha256 (first 16 hex) over seeds 0-63 of each family's plans, as
+#: ``_plan_stream_digest`` renders them: any change to a draw, its
+#: order or its namespace moves the digest.
+PLAN_STREAM_DIGESTS = {
+    "rack": "7ed002fa69f34e93",
+    "fabric": "fa459edaaea73b08",
+    "control": "c5f33af9eab04b1b",
+}
+
+_PLAN_FIELDS = ("seed", "replication", "enable_cache", "clients",
+                "requests_per_client", "structure", "update_ratio",
+                "zipf_theta", "payload_bytes", "population", "racks",
+                "spines", "devices_per_rack", "servers_per_rack",
+                "spine_propagation_ns", "control_shape")
+_FAULT_FIELDS = ("kind", "at_ns", "duration_ns", "target", "loss",
+                 "duplicate", "reorder", "dest")
+
+
+def _plan_stream_digest(family):
+    digest = hashlib.sha256()
+    for seed in range(64):
+        plan = chaos.generate_plan(seed, family)
+        row = (plan.describe(),
+               tuple(getattr(plan, name) for name in _PLAN_FIELDS),
+               tuple(tuple(getattr(fault, name) for name in _FAULT_FIELDS)
+                     for fault in plan.faults))
+        digest.update(repr(row).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("family", sorted(PLAN_STREAM_DIGESTS))
+    def test_plan_stream_is_pinned(self, family):
+        assert _plan_stream_digest(family) == PLAN_STREAM_DIGESTS[family]
+
+    def test_every_family_is_pinned(self):
+        assert set(chaos.FAMILIES) == set(PLAN_STREAM_DIGESTS)
+
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="'frog'"):
+            chaos.generate_plan(0, "frog")
+        with pytest.raises(ConfigurationError, match="'frog'"):
+            chaos.jobs(runs=1, family="frog")
 
 
 class TestPlanGeneration:
@@ -86,15 +137,38 @@ class TestDeterministicReplay:
                                       * result.plan.requests_per_client)
 
 
+#: Every corpus line's replay, identical at both fold levels:
+#: ``(family, seed): (trace digest, completions, acknowledged,
+#: executed events at whole, executed events at none)``.
+CORPUS_PINS = {
+    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1488, 1726),
+    ("rack", 1): ("6b294615cf812d73", 24, 13, 1020, 1183),
+    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16352, 16562),
+    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 13946, 14150),
+    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 4731, 5734),
+    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 63911, 70989),
+    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 16308, 18997),
+    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4282, 4830),
+    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 138498, 158823),
+    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 7889, 8857),
+    ("control", 0): ("4254075b161a6834", 16, 14, 15760, 17504),
+    ("control", 2): ("723740060c18c139", 28, 26, 11127, 12383),
+    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3503, 3955),
+    ("control", 6): ("2c59ecd291b00687", 28, 28, 4045, 4500),
+    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1556, 1778),
+    ("control", 14): ("12d79e1507326e9b", 54, 54, 15800, 17688),
+}
+
+
 class TestWholeFoldReplay:
     """The whole-request fold under the full chaos battery.
 
-    The chaos engine exercises every revocation trigger the fold has —
-    impairment windows opening mid-request, device crashes, server
-    outages, replacements — so replaying fault schedules with the fold
-    pinned to ``whole`` vs fully unfolded is the strongest identity
-    check in the suite: same trace digest, same R1-R6 violation set,
-    same durability-oracle verdict, request for request.
+    Chaos schedules open impairment windows mid-request (invalidating
+    cached arrival plans), crash devices, servers and whole racks,
+    replace blank boards and migrate sessions, so replaying them with
+    the fold pinned to ``whole`` vs fully unfolded is the strongest
+    identity check in the suite: same trace digest, same R1-R6
+    violation set, same durability-oracle verdict, request for request.
     """
 
     @staticmethod
@@ -113,12 +187,29 @@ class TestWholeFoldReplay:
         # Folding only merges events; it never adds any.
         assert whole.executed_events <= unfolded.executed_events, label
 
-    def test_shipped_corpus_replays_identically(self, monkeypatch):
-        seeds = chaos.load_corpus(str(CORPUS))
-        assert seeds
-        for seed in seeds:
-            self._assert_fold_invisible(chaos.generate_plan(seed),
-                                        monkeypatch)
+    @pytest.mark.parametrize(
+        "family, seed", CORPUS_LINES,
+        ids=[f"{family}-{seed}" for family, seed in CORPUS_LINES])
+    def test_shipped_corpus_replays_identically(self, family, seed,
+                                                monkeypatch):
+        assert (family, seed) in CORPUS_PINS, \
+            f"corpus line '{family} {seed}' has no pin in CORPUS_PINS"
+        digest, completions, acknowledged, whole_events, none_events = \
+            CORPUS_PINS[family, seed]
+        plan = chaos.generate_plan(seed, family)
+        for fold, events in (("whole", whole_events), ("none", none_events)):
+            monkeypatch.setenv("PMNET_FOLD", fold)
+            result = chaos.run_plan(plan)
+            label = f"{family} {seed} at {fold}"
+            assert result.ok, f"{label}:\n" + "\n".join(result.violations)
+            assert result.trace_digest == digest, label
+            assert (result.completions, result.acknowledged) == \
+                (completions, acknowledged), label
+            assert result.executed_events == events, label
+
+    def test_every_pin_is_a_corpus_line(self):
+        assert set(CORPUS_PINS) == set(CORPUS_LINES)
+        assert len(CORPUS_LINES) == len(set(CORPUS_LINES))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(1000, 1040))
@@ -188,22 +279,35 @@ class TestCorpus:
     def test_roundtrip_and_idempotence(self, tmp_path):
         path = str(tmp_path / "corpus.txt")
         assert chaos.load_corpus(path) == []
-        assert chaos.append_to_corpus(path, 41, note="[R3] planted")
-        assert chaos.append_to_corpus(path, 42)
-        assert not chaos.append_to_corpus(path, 41)
-        assert chaos.load_corpus(path) == [41, 42]
+        assert chaos.append_to_corpus(path, "rack", 41, note="[R3] planted")
+        assert chaos.append_to_corpus(path, "rack", 42)
+        assert chaos.append_to_corpus(path, "fabric", 41)
+        assert not chaos.append_to_corpus(path, "rack", 41)
+        assert not chaos.append_to_corpus(path, "fabric", 41)
+        assert chaos.load_corpus(path) == [("rack", 41), ("rack", 42),
+                                           ("fabric", 41)]
+        assert Path(path).read_text().splitlines()[0] == \
+            "rack 41  # [R3] planted"
 
-    @pytest.mark.parametrize("line", ["12x", "12 13", "0x1f", "seed"])
+    def test_append_rejects_an_unknown_family(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        with pytest.raises(ConfigurationError, match="'frog'"):
+            chaos.append_to_corpus(str(path), "frog", 1)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("line", ["12x", "12 13", "0x1f", "seed", "7",
+                                      "rack", "rack 12x", "rack 1 2",
+                                      "frog 3"])
     def test_malformed_line_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "corpus.txt"
-        path.write_text(f"# header\n7  # note\n{line}  # bad\n")
+        path.write_text(f"# header\nrack 7  # note\n{line}  # bad\n")
         with pytest.raises(ConfigurationError,
                            match=rf"^{re.escape(str(path))}:3: "):
             chaos.load_corpus(str(path))
 
     def test_shipped_corpus_replays_clean(self):
-        seeds = chaos.load_corpus(str(CORPUS))
-        assert seeds, "shipped corpus must not be empty"
+        seeds = [seed for family, seed in CORPUS_LINES if family == "rack"]
+        assert seeds, "shipped corpus must hold rack plans"
         for seed in seeds:
             result = chaos.run_plan(chaos.generate_plan(seed))
             assert result.ok, (f"corpus seed {seed} regressed:\n"
@@ -257,6 +361,48 @@ class TestCLI:
         report = json.loads(path.read_text())
         assert validate_bench_report(report) == []
         payload = report["payload"]
+        assert payload["family"] == "rack"
+        assert "fabric" not in payload and "control" not in payload
         assert payload["clean"] == 3
         assert payload["failing_seeds"] == []
         assert len(payload["results"]) == 3
+        assert {result["family"] for result in payload["results"]} == \
+            {"rack"}
+
+    def test_family_choices_match_the_engine(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit):
+            main(["chaos", "--help"])
+        choices = "{" + ",".join(chaos.FAMILIES) + "}"
+        assert f"--family {choices}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--family", "frog"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("bad", ["rack frog", "frog 3"])
+    def test_malformed_corpus_stops_before_any_seed_runs(
+            self, bad, tmp_path, monkeypatch, capsys):
+        """A failing seed used to reach the corpus append only after the
+        sweep, where the malformed line raised a traceback."""
+        from repro.cli import main
+        _plant_eager_invalidate(monkeypatch)
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"rack 0\n{bad}\n")
+        assert main(["chaos", "--seed", "0", "--no-shrink",
+                     "--corpus", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{path}:2: " in captured.err
+        assert "chaos seed" not in captured.out
+        assert path.read_text() == f"rack 0\n{bad}\n"
+
+    def test_failing_seed_lands_in_the_corpus_with_its_family(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+        monkeypatch.setattr(chaos, "_durability_oracle",
+                            lambda *args: ["[ORACLE] planted"])
+        path = tmp_path / "corpus.txt"
+        assert main(["chaos", "--seed", "0", "--family", "fabric",
+                     "--no-shrink", "--corpus", str(path)]) == 1
+        assert chaos.load_corpus(str(path)) == [("fabric", 0)]
+        assert path.read_text() == "fabric 0  # [ORACLE] planted\n"
+        assert "fabric seed 0 appended" in capsys.readouterr().err

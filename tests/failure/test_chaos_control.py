@@ -1,14 +1,15 @@
-"""Chaos with the control plane in the loop: plans, replay, the corpus.
+"""The ``control`` chaos family: plans, replay, its corpus lines.
 
-The control dimension reuses the whole chaos pipeline over fabric
+The control family reuses the whole chaos pipeline over fabric
 deployments that carry a (policy-free) control plane, and drives
 :class:`repro.control.migrator.SessionMigrator` directly from the fault
 schedule.  Three shapes stress the protocol where it is most fragile:
 a rebalance deliberately overlapping a live outage window, a migration
 scheduled right after recovery replay, and flapping membership that
-migrates the same sessions back and forth.  The legacy and fabric
-generators must remain byte-for-byte untouched: their seeds are
-shipped regression corpora.
+migrates the same sessions back and forth.  It draws from its own RNG
+namespace, so the ``rack`` and ``fabric`` families' plans stay
+byte-for-byte untouched.  The both-fold-level replay of its corpus
+lines is pinned in ``test_chaos.py::TestWholeFoldReplay``.
 """
 
 import json
@@ -18,31 +19,36 @@ import pytest
 
 from repro.failure import chaos
 
-CORPUS = Path(__file__).parent / "chaos_control_corpus.txt"
+CORPUS = Path(__file__).parent / "chaos_corpus.txt"
+
+
+def _plan(seed):
+    return chaos.generate_plan(seed, "control")
 
 
 class TestControlPlanGeneration:
     def test_same_seed_same_plan(self):
-        assert (chaos.generate_control_plan(11)
-                == chaos.generate_control_plan(11))
+        assert _plan(11) == _plan(11)
 
     def test_plans_vary_across_seeds(self):
-        plans = {chaos.generate_control_plan(seed) for seed in range(16)}
+        plans = {_plan(seed) for seed in range(16)}
         assert len(plans) == 16
 
     def test_control_stream_is_independent(self):
-        """The control generator draws from its own namespaced RNG, so
-        adding it cannot have perturbed any legacy or fabric seed."""
-        assert chaos.generate_plan(5) != chaos.generate_control_plan(5)
-        assert chaos.generate_fabric_plan(5) != chaos.generate_control_plan(5)
-        assert not chaos.generate_plan(5).control
-        assert not chaos.generate_fabric_plan(5).control
-        assert chaos.generate_control_plan(5).control
+        """The control family draws from its own namespaced RNG, so it
+        cannot have perturbed any rack or fabric seed."""
+        fabric = chaos.generate_plan(5, "fabric")
+        assert chaos.generate_plan(5) != _plan(5)
+        assert fabric != _plan(5)
+        assert chaos.generate_plan(5).family == "rack"
+        assert fabric.family == "fabric"
+        assert fabric.deployment_spec().control_period_ns is None
+        assert _plan(5).family == "control"
 
     @pytest.mark.parametrize("seed", range(24))
     def test_plans_describe_a_buildable_deployment(self, seed):
-        plan = chaos.generate_control_plan(seed)
-        assert plan.control and plan.is_fabric
+        plan = _plan(seed)
+        assert plan.family == "control" and plan.racks >= 2
         assert plan.control_shape in chaos.CONTROL_SHAPES
         spec = plan.deployment_spec()
         assert spec.control_period_ns is not None
@@ -51,25 +57,24 @@ class TestControlPlanGeneration:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_every_plan_schedules_a_migration(self, seed):
-        plan = chaos.generate_control_plan(seed)
+        plan = _plan(seed)
         kinds = [fault.kind for fault in plan.faults]
         assert chaos.REBALANCE in kinds
 
     @pytest.mark.parametrize("seed", range(24))
     def test_rebalance_faults_name_distinct_servers(self, seed):
-        plan = chaos.generate_control_plan(seed)
+        plan = _plan(seed)
         total = plan.racks * plan.servers_per_rack
         for fault in plan.faults:
             if fault.kind == chaos.REBALANCE:
                 assert fault.target % total != fault.dest % total
 
     def test_shapes_all_reachable(self):
-        shapes = {chaos.generate_control_plan(seed).control_shape
-                  for seed in range(32)}
+        shapes = {_plan(seed).control_shape for seed in range(32)}
         assert shapes == set(chaos.CONTROL_SHAPES)
 
     def test_describe_names_the_migration(self):
-        plan = chaos.generate_control_plan(0)
+        plan = _plan(0)
         text = plan.describe()
         assert "control[" in text
         assert any("rebalance" in fault.describe()
@@ -79,32 +84,23 @@ class TestControlPlanGeneration:
 
 class TestControlReplay:
     def test_same_plan_twice_is_bit_identical(self):
-        plan = chaos.generate_control_plan(4)
+        plan = _plan(4)
         assert chaos.run_plan(plan).to_dict() == \
             chaos.run_plan(plan).to_dict()
 
-    def test_fold_identity(self, monkeypatch):
-        plan = chaos.generate_control_plan(0)
-        folded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = chaos.run_plan(plan)
-        assert unfolded.trace_digest == folded.trace_digest
-        assert unfolded.violations == folded.violations
-        assert unfolded.completions == folded.completions
-
     @pytest.mark.parametrize("seed", range(4))
     def test_small_sweep_is_clean(self, seed):
-        result = chaos.run_plan(chaos.generate_control_plan(seed))
+        result = chaos.run_plan(_plan(seed))
         assert result.ok, "\n".join(result.violations)
 
     def test_migration_leaves_a_trace(self):
         """A replayed rebalance emits the migration protocol markers."""
-        result = chaos.run_plan(chaos.generate_control_plan(0))
+        result = chaos.run_plan(_plan(0))
         assert result.ok
         assert result.trace_events > 0
 
     def test_subset_without_rebalance_still_runs(self):
-        plan = chaos.generate_control_plan(2)
+        plan = _plan(2)
         rebalances = [i for i, fault in enumerate(plan.faults)
                       if fault.kind == chaos.REBALANCE]
         others = tuple(i for i in range(len(plan.faults))
@@ -114,18 +110,19 @@ class TestControlReplay:
         assert result.ok
 
     def test_repro_line_carries_the_control_flag(self):
-        result = chaos.run_plan(chaos.generate_control_plan(0))
+        result = chaos.run_plan(_plan(0))
         assert chaos.repro_line(result) == \
-            "pmnet-repro chaos --seed 0 --control --faults all"
+            "pmnet-repro chaos --seed 0 --family control --faults all"
 
 
 class TestCorpus:
     def test_shipped_control_corpus_replays_clean(self):
-        seeds = chaos.load_corpus(str(CORPUS))
-        assert seeds, "shipped control corpus must not be empty"
+        seeds = [seed for family, seed in chaos.load_corpus(str(CORPUS))
+                 if family == "control"]
+        assert seeds, "shipped corpus must hold control plans"
         covered = set()
         for seed in seeds:
-            plan = chaos.generate_control_plan(seed)
+            plan = _plan(seed)
             covered.add(plan.control_shape)
             result = chaos.run_plan(plan)
             assert result.ok, (f"control corpus seed {seed} regressed:\n"
@@ -134,33 +131,36 @@ class TestCorpus:
         assert covered == set(chaos.CONTROL_SHAPES)
 
     def test_legacy_corpus_seeds_unchanged(self):
-        """Pin legacy plans: the control dimension must never perturb
-        the seed streams the shipped corpora depend on."""
+        """Only the control family attaches a control plane."""
         assert chaos.generate_plan(0).racks == 1
-        assert not chaos.generate_plan(0).control
-        assert not chaos.generate_fabric_plan(0).control
+        for family in ("rack", "fabric"):
+            plan = chaos.generate_plan(0, family)
+            assert plan.family == family
+            assert plan.control_shape == ""
+            assert plan.deployment_spec().control_period_ns is None
 
 
 class TestJobProtocolAndCLI:
     def test_control_jobs_are_marked(self):
-        specs = chaos.jobs(start_seed=0, runs=2, control=True)
-        assert [spec.params.get("control") for spec in specs] == [True, True]
+        specs = chaos.jobs(start_seed=0, runs=2, family="control")
+        assert [spec.params["family"] for spec in specs] == ["control",
+                                                             "control"]
         assert [spec.point for spec in specs] == ["control-seed=0",
                                                   "control-seed=1"]
 
     def test_legacy_job_params_unchanged(self):
         spec = chaos.jobs(start_seed=3, runs=1)[0]
-        assert spec.point == "seed=3"
-        assert not spec.params.get("control")
+        assert spec.point == "rack-seed=3"
+        assert spec.params["family"] == "rack"
 
     def test_run_point_matches_direct_run(self):
-        spec = chaos.jobs(start_seed=2, runs=1, control=True)[0]
-        direct = chaos.run_plan(chaos.generate_control_plan(2)).to_dict()
+        spec = chaos.jobs(start_seed=2, runs=1, family="control")[0]
+        direct = chaos.run_plan(_plan(2)).to_dict()
         assert chaos.run_point(spec) == direct
 
     def test_cli_single_control_seed(self, capsys):
         from repro.cli import main
-        assert main(["chaos", "--seed", "2", "--control",
+        assert main(["chaos", "--seed", "2", "--family", "control",
                      "--corpus", ""]) == 0
         out = capsys.readouterr().out
         assert "chaos seed 2" in out
@@ -168,19 +168,25 @@ class TestJobProtocolAndCLI:
         assert "verdict: clean" in out
 
     def test_cli_rejects_fabric_plus_control(self, capsys):
+        """The retired family flags are no aliases: argparse rejects
+        them (exit 2) before anything runs."""
         from repro.cli import main
-        assert main(["chaos", "--seed", "0", "--fabric", "--control",
-                     "--corpus", ""]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--seed", "0", "--fabric", "--control",
+                  "--corpus", ""])
+        assert exit_info.value.code == 2
+        assert "--fabric --control" in capsys.readouterr().err
 
     def test_cli_json_envelope(self, tmp_path, capsys):
         from repro.cli import main
         from repro.obs.export import validate_bench_report
         path = tmp_path / "chaos-control.json"
-        assert main(["chaos", "--runs", "2", "--jobs", "1", "--control",
+        assert main(["chaos", "--runs", "2", "--jobs", "1",
+                     "--family", "control",
                      "--json", str(path), "--corpus", ""]) == 0
         report = json.loads(path.read_text())
         assert validate_bench_report(report) == []
         payload = report["payload"]
-        assert payload["control"] is True
+        assert payload["family"] == "control"
         assert payload["clean"] == 2
         assert payload["failing_seeds"] == []
