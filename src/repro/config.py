@@ -34,9 +34,9 @@ _FOLD_LEVELS = {"none": 0, "off": 0, "0": 0,
 #: Environment knobs that no longer exist, and what replaced each.
 #: Setting one fails loudly instead of being silently ignored.
 _RETIRED_KNOBS = {
-    "PMNET_KERNEL": "the tiered scheduler is the only one",
-    "PMNET_KERNEL_HORIZON": "the calendar horizon is the constant "
-                            "repro.sim.event.DEFAULT_KERNEL_HORIZON_NS",
+    "PMNET_KERNEL": "one binary-heap scheduler is the only one",
+    "PMNET_KERNEL_HORIZON": "the scheduler is one binary heap with no "
+                            "horizon to size",
     "PMNET_NO_FOLD": "use PMNET_FOLD=none",
 }
 

@@ -343,8 +343,10 @@ class PMNetClient:
     def _arm_timeout(self, state: _PendingRequest) -> None:
         token = object()
         state.timer_token = token
-        state.timer_call = self.sim.schedule(self.config.client.timeout_ns,
-                                             self._on_timeout, state, token)
+        sim = self.sim
+        state.timer_call = sim.schedule_at(
+            sim.now + self.config.client.timeout_ns, self._on_timeout,
+            state, token)
 
     def _on_timeout(self, state: _PendingRequest, token: object) -> None:
         if state.timer_token is not token or state.completion.triggered:

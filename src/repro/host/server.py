@@ -178,11 +178,14 @@ class PMNetServer:
         """
         sid = fragments[0].session_id
         cost = self.host.stack.dispatch_cost()
-        ready_at = max(self.sim.now + cost,
-                       self._dispatch_horizon.get(sid, 0))
+        now = self.sim.now
+        ready_at = max(now + cost, self._dispatch_horizon.get(sid, 0))
         self._dispatch_horizon[sid] = ready_at
         epoch = self.host.epoch
-        self.sim.schedule_at(ready_at, self._enqueue_ready, fragments, epoch)
+        # Relative ``schedule``: the wakeup is never cancelled, so it
+        # needs no ``schedule_at`` handle.
+        self.sim.schedule(ready_at - now, self._enqueue_ready, fragments,
+                          epoch)
 
     def _enqueue_ready(self, fragments: List[PMNetPacket], epoch: int) -> None:
         if self.host.failed or epoch != self.host.epoch:

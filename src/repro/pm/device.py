@@ -64,13 +64,16 @@ class PMDevice:
         latency + transfer; a stream is bandwidth-bound."""
         if self.crashed:
             raise CrashedDeviceError(f"PM device {self.name} has crashed")
-        start = max(self.sim.now, self._busy_until)
+        now = self.sim.now
+        start = max(now, self._busy_until)
         media = self._media_time(nbytes)
         self._busy_until = start + media
         finish = start + latency_ns + media
         self._inflight += 1
-        self.sim.schedule_at(finish, self._complete, self._epoch, is_write,
-                             nbytes, on_complete, args)
+        # Relative ``schedule``: nothing cancels a PM access, so it needs
+        # no ``schedule_at`` handle.
+        self.sim.schedule(finish - now, self._complete, self._epoch,
+                          is_write, nbytes, on_complete, args)
         return finish
 
     def _complete(self, epoch: int, is_write: bool, nbytes: int,

@@ -23,7 +23,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                         "milliseconds", "nanoseconds", "seconds",
                         "to_microseconds", "to_milliseconds", "to_seconds",
                         "transmission_delay"),
-    "repro.sim.event": ("ScheduledCall", "SimEvent", "TieredEventQueue"),
+    "repro.sim.event": ("EventQueue", "ScheduledCall", "SimEvent"),
     "repro.sim.kernel": ("Simulator",),
     "repro.sim.monitor": ("Counter", "Gauge", "LatencyRecorder",
                           "ThroughputMeter", "TimeSeries",
@@ -40,7 +40,7 @@ __all__ = [
     "nanoseconds", "microseconds", "milliseconds", "seconds",
     "to_microseconds", "to_milliseconds", "to_seconds",
     "format_time", "transmission_delay",
-    "TieredEventQueue", "ScheduledCall", "SimEvent", "Simulator",
+    "EventQueue", "ScheduledCall", "SimEvent", "Simulator",
     "Process", "AllOf", "AnyOf", "Interrupted",
     "Counter", "Gauge", "LatencyRecorder", "ThroughputMeter", "TimeSeries",
     "instruments_summary", "EventProfiler",

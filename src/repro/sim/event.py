@@ -1,84 +1,61 @@
-"""Events and the pending-event queues of the discrete-event kernel.
+"""Events and the pending-event queue of the discrete-event kernel.
 
 Two kinds of "event" exist and are deliberately distinct:
 
-* :class:`ScheduledCall` — an internal queue record: *at time T, invoke this
-  callback with these args*.  Users normally never touch these directly.
+* :class:`ScheduledCall` — a cancellable handle on a queued call: *at
+  time T, invoke this callback with these args*.  Only ``schedule_at``
+  and ``schedule_deferred`` build one; ``schedule`` and ``call_soon``
+  queue a bare entry and return ``None``.
 * :class:`SimEvent` — a one-shot synchronization object (in the style of
   simpy events or asyncio futures): processes wait on it; someone succeeds
   or fails it exactly once, waking all waiters with a value or an error.
 
 The queue is the hottest data structure in the simulator.
-:class:`TieredEventQueue` is the only scheduler: a FIFO *now lane* for
-same-instant events (``call_soon`` wakeups, span hooks, inline
-dispatch), a *calendar* of per-nanosecond buckets for timers within a
-near horizon (link propagation, serialization, pipeline stages), and a
-binary heap of ``(time, seq, call)`` tuples as the *far tier*
-(retransmission timers, think time, chaos fault windows).  Lane and
-calendar inserts are plain list appends — no sifting, no wrapper-tuple
-allocation.  The differential suite (``tests/sim``) checks it against a
-plain ``(time, seq)`` heap kept there as the oracle.
+:class:`EventQueue` is one binary heap of ``(time, seq, callback, args)``
+tuples.  A call that needs a handle is queued as ``(time, seq, None,
+handle)``: the ``None`` slot tells the drain to check the handle's
+``cancelled`` and ``defer_ns`` before running ``handle.callback``.  Most
+pushes never need a handle, so most events cost one tuple and no record
+object.  The differential suite (``tests/sim``) checks the kernel
+against a record-per-push ``(time, seq)`` heap kept there as the oracle.
 
 **The ordering contract** (what every fold-identity and determinism
 suite ultimately rests on):
 
 1. every push allocates a monotonically increasing ``seq``, so the
-   execution order is the exact total order by ``(time, seq)``;
-2. records are mutated in place but never physically moved by
-   revocation (``net/link.py`` rewrites a folded record's callback at
-   its existing queue slot) — a record's slot identity is stable
-   between push and pop, whichever tier holds it;
-3. cancelled records never execute and never count;
-4. a *deferred* record re-sequences (fresh seq at its surfacing
-   instant) instead of executing — see :meth:`ScheduledCall` below.
-
-Why the tiered order is the ``(time, seq)`` order without any
-cross-tier seq comparison: let ``Q`` be the time of the most recently
-popped record (monotone).  A push at time ``T`` routes by its distance
-``T - Q`` — ``== 0`` to the lane, ``< horizon`` to the calendar, else
-to the far tier.  Since ``Q`` only grows, for a fixed ``T`` all
-far-tier pushes (distance >= horizon) happen strictly before all
-calendar pushes (distance in (0, horizon)), which happen strictly
-before all lane pushes (distance 0); seqs are allocated
-chronologically, so at equal time the drain priority is far tier, then
-calendar bucket, then lane — by construction, with no seq inspected.
-Within a bucket and within the lane, appends happen in seq order, so
-plain FIFO consumption is exact.  The queue therefore requires pushes
-not to precede ``Q`` (scheduling into the past); the kernel's causality
-guards enforce this for all simulator-mediated scheduling.
+   execution order is the exact total order by ``(time, seq)``; seqs
+   are unique, so heap comparisons never reach the callback slot;
+2. a handle's entry is never moved by revocation (``net/link.py``
+   rewrites a folded handle's callback in place): its ``(time, seq)``
+   is stable between push and pop;
+3. cancelled handles never execute and never count;
+4. a *deferred* handle re-sequences (fresh seq at its surfacing
+   instant) instead of executing — see :class:`ScheduledCall` below.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional, Tuple
+import itertools
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
 
-#: Near-horizon width of the calendar, in ns.  Sized to the deployment's
-#: short deterministic delays — link propagation (100 ns), MTU
-#: serialization at 10 Gbps (~1.2 us), pipeline stages (150-250 ns),
-#: client think time (600 ns) all land inside it — while retransmission
-#: timeouts (1 ms), redo scrubbing (1.5 ms), and chaos fault windows fall
-#: through to the far tier.  Purely a performance constant: any horizon
-#: executes the same event order.
-DEFAULT_KERNEL_HORIZON_NS = 4096
-
 #: Compaction trigger (the cancelled-entry purge): compact when more
-#: cancelled records than live ones linger in the structures *and* the
+#: cancelled handles than live entries linger in the heap *and* the
 #: absolute count is worth the rebuild.  Mirrors asyncio's cancelled
 #: timer-handle purge; retransmission-heavy chaos runs otherwise drag
-#: thousands of dead records through every sift.
+#: thousands of dead entries through every sift.
 COMPACT_MIN_CANCELLED = 64
 
 
 class ScheduledCall:
-    """A callback (plus positional args) registered to run at a fixed time.
+    """A cancellable call queued at a fixed time.
 
-    Instances are ordered by ``(time, seq)`` so that simultaneous events
-    run in scheduling order, which keeps runs deterministic.
+    ``time`` is the call's current due time; its heap entry ``(time,
+    seq, None, handle)`` orders it.
 
-    ``defer_ns`` marks a *deferred* (latency-folded) record: it first
+    ``defer_ns`` marks a *deferred* (latency-folded) call: it first
     surfaces at ``time`` — ordered by the seq allocated when it was
     scheduled, exactly like the intermediate callback it replaces — and
     the kernel then re-sequences it ``defer_ns`` later with a freshly
@@ -86,7 +63,7 @@ class ScheduledCall:
     Because both seq allocations happen at the same virtual instants as
     the unfolded two-event chain, same-nanosecond tie-breaking against
     unrelated events is preserved bit for bit; only the intermediate
-    callback execution (and its record allocation) disappears.
+    callback execution disappears.
 
     ``defer_ns`` may also be a *tuple* of delays — a chain of deferred
     hops.  Each re-sequencing consumes one element, allocating one seq
@@ -94,19 +71,17 @@ class ScheduledCall:
     pipeline collapses to a single executed event while remaining
     order-identical to the n-event original.
 
-    ``owner`` is the queue currently holding the record (``None`` once
-    popped): :meth:`cancel` notifies it so the live-entry counter stays
-    O(1)-exact and cancel-heavy schedules trigger compaction.
+    ``owner`` is the queue currently holding the call (``None`` once
+    popped to run): :meth:`cancel` notifies it so the pending count
+    stays O(1)-exact and cancel-heavy schedules trigger compaction.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "defer_ns",
-                 "owner")
+    __slots__ = ("time", "callback", "args", "cancelled", "defer_ns", "owner")
 
-    def __init__(self, time: int, seq: int, callback: Callable[..., None],
+    def __init__(self, time: int, callback: Callable[..., None],
                  args: Tuple[Any, ...] = (), defer_ns: int = 0,
-                 owner: Optional["TieredEventQueue"] = None) -> None:
+                 owner: Optional["EventQueue"] = None) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -121,147 +96,56 @@ class ScheduledCall:
             if owner is not None:
                 owner._note_cancel()
 
-    def __lt__(self, other: "ScheduledCall") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledCall t={self.time} seq={self.seq} {state}>"
+        return f"<ScheduledCall t={self.time} {state}>"
 
 
-class TieredEventQueue:
-    """The event scheduler.
+class EventQueue:
+    """The event scheduler: one binary heap, drained in ``(time, seq)``
+    order.
 
-    Three tiers, drained in exact ``(time, seq)`` order (see the module
-    docstring for why no cross-tier seq comparison is needed):
+    Entries are ``(time, seq, callback, args)`` tuples, or ``(time,
+    seq, None, handle)`` for calls pushed with :meth:`push_handle`.
+    Cancelled handles stay in the heap until they are popped or
+    compacted away; ``_cancelled`` counts them, so ``len()`` — the live
+    entries — is ``len(heap) - _cancelled``.
 
-    * **now lane** — a plain list of records whose time equals the
-      current drain instant ``_qnow``; appends are already in seq
-      order, consumption is an index bump.  ``call_soon`` wakeups land
-      here and never touch a heap.
-    * **calendar** — ``{absolute time -> record | [records]}`` plus a
-      small heap of the distinct times, for timers within ``horizon``
-      ns.  A lone record at a time is stored *unboxed* (most calendar
-      instants hold exactly one timer, and this skips a list allocation
-      per event); a second record at the same time promotes the value
-      to a list.  Insert into an existing bucket is a dict hit +
-      append; only the *first* record at a new time pays a (time-only,
-      int) heap push.
-    * **far tier** — the classic ``(time, seq, call)`` binary heap for
-      anything at or beyond the horizon, so sparse long timers never
-      bloat the calendar.
-
-    The bucket currently being drained is *claimed* (removed from the
-    calendar) the moment ``_qnow`` reaches its time; from then on no new
-    record can enter it (same-instant pushes go to the lane), so the
-    kernel may hoist it into locals safely.  :meth:`compact` therefore
-    only rebuilds the unclaimed calendar and the far tier, always in
-    place.
+    The kernel's run loop pops the heap directly (see
+    :meth:`Simulator.run`) and must settle handle entries exactly as
+    :meth:`_settle` does; :meth:`pop` is the reference path.
     """
 
-    __slots__ = ("_seq", "_qnow", "_lane", "_lane_pos", "_buckets", "_times",
-                 "_cur", "_cur_pos", "_far", "_horizon", "_size", "_cancelled",
-                 "compactions", "lane_pops", "near_pops", "far_pops",
+    __slots__ = ("_heap", "_next_seq", "_cancelled", "compactions", "pops",
                  "resequences")
 
-    def __init__(self, initial: Optional[Iterable[Tuple[int, Callable[..., None],
-                                                        Tuple[Any, ...]]]] = None,
-                 horizon: int = DEFAULT_KERNEL_HORIZON_NS) -> None:
-        if horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {horizon}")
-        self._seq = 0
-        #: Time of the most recently popped record: the drain instant.
-        #: Lane records live exactly at this time.
-        self._qnow = 0
-        self._lane: list[ScheduledCall] = []
-        self._lane_pos = 0
-        #: Calendar: time -> a lone unboxed record, or a list of records.
-        self._buckets: dict[int, Any] = {}
-        self._times: list[int] = []
-        #: The claimed bucket being drained (frozen: no appends can
-        #: reach it) and the consumption cursor into it.
-        self._cur: list[ScheduledCall] = []
-        self._cur_pos = 0
-        self._far: list[Tuple[int, int, ScheduledCall]] = []
-        self._horizon = horizon
-        self._size = 0
+    def __init__(self) -> None:
+        self._heap: list = []
+        #: Allocates the tie-breaking seq of every push and hop.
+        self._next_seq = itertools.count().__next__
         self._cancelled = 0
         self.compactions = 0
-        self.lane_pops = 0
-        self.near_pops = 0
-        self.far_pops = 0
+        self.pops = 0
         self.resequences = 0
-        if initial:
-            for time, callback, args in initial:
-                self.push(time, callback, args)
 
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def _insert(self, call: ScheduledCall, time: int, seq: int) -> None:
-        """Route a fresh record to its tier by distance from ``_qnow``."""
-        delta = time - self._qnow
-        if delta == 0:
-            self._lane.append(call)
-        elif delta < self._horizon:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = call
-                heapq.heappush(self._times, time)
-            elif type(bucket) is list:
-                bucket.append(call)
-            else:
-                buckets[time] = [bucket, call]
-        else:
-            heapq.heappush(self._far, (time, seq, call))
-
     def push(self, time: int, callback: Callable[..., None],
-             args: Tuple[Any, ...] = ()) -> ScheduledCall:
-        """Enqueue ``callback(*args)`` to run at ``time``; returns a
-        cancellable handle."""
-        seq = self._seq
-        self._seq = seq + 1
-        # Hot path: build the record with direct slot stores — skipping
-        # the __init__ frame is worth ~40% of construction cost, and one
-        # record is built per event.
-        call = ScheduledCall.__new__(ScheduledCall)
-        call.time = time
-        call.seq = seq
-        call.callback = callback
-        call.args = args
-        call.cancelled = False
-        call.defer_ns = 0
-        call.owner = self
-        self._size += 1
-        delta = time - self._qnow
-        if delta == 0:
-            self._lane.append(call)
-        elif delta < self._horizon:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = call
-                heapq.heappush(self._times, time)
-            elif type(bucket) is list:
-                bucket.append(call)
-            else:
-                buckets[time] = [bucket, call]
-        else:
-            heapq.heappush(self._far, (time, seq, call))
-        return call
+             args: Tuple[Any, ...] = ()) -> None:
+        """Enqueue ``callback(*args)`` to run at ``time`` (no handle)."""
+        heapq.heappush(self._heap, (time, self._next_seq(), callback, args))
 
-    def push_deferred(self, time: int, defer_ns,
-                      callback: Callable[..., None],
-                      args: Tuple[Any, ...] = ()) -> ScheduledCall:
-        """Enqueue a latency-folded call: surfaces at ``time``, runs
-        after the ``defer_ns`` hop (or chain of hops, when a tuple) —
-        see :class:`ScheduledCall`."""
-        seq = self._seq
-        self._seq = seq + 1
-        call = ScheduledCall(time, seq, callback, args, defer_ns, self)
-        self._size += 1
-        self._insert(call, time, seq)
+    def push_handle(self, time: int, callback: Callable[..., None],
+                    args: Tuple[Any, ...] = (),
+                    defer_ns=0) -> ScheduledCall:
+        """Enqueue ``callback(*args)`` to run at ``time``; returns a
+        cancellable handle.  A non-zero ``defer_ns`` makes it a
+        latency-folded call that surfaces at ``time`` and runs after the
+        ``defer_ns`` hop (or chain of hops, when a tuple) — see
+        :class:`ScheduledCall`."""
+        call = ScheduledCall(time, callback, args, defer_ns, self)
+        heapq.heappush(self._heap, (time, self._next_seq(), None, call))
         return call
 
     def resequence(self, call: ScheduledCall) -> None:
@@ -269,13 +153,8 @@ class TieredEventQueue:
 
         Allocates a fresh seq *now* — the same instant the unfolded
         intermediate callback would have scheduled the next one — so
-        FIFO tie-breaking at each hop time is unchanged by folding.  A
-        zero-length hop re-enters at the surfacing instant and routes
-        to the now lane, exactly where a fresh same-instant push would
-        land.
+        FIFO tie-breaking at each hop time is unchanged by folding.
         """
-        seq = self._seq
-        self._seq = seq + 1
         defer = call.defer_ns
         if type(defer) is tuple:
             delay = defer[0]
@@ -283,237 +162,98 @@ class TieredEventQueue:
         else:
             delay = defer
             call.defer_ns = 0
-        time = call.time + delay
-        call.time = time
-        call.seq = seq
-        self._insert(call, time, seq)
+        time = call.time = call.time + delay
+        heapq.heappush(self._heap, (time, self._next_seq(), None, call))
+        self.resequences += 1
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping and compaction
     # ------------------------------------------------------------------
     def _note_cancel(self) -> None:
-        """A queued record was cancelled: keep ``len()`` exact and purge
-        when dead records dominate.
-
-        The dominance test compares against physical structure sizes,
-        not ``_size``: the run loop batches its ``_size`` writeback, so
-        mid-run ``_size`` is inflated by the events executed so far,
-        while the far tier and the calendar shrink with every pop.
-        ``len(_times)`` counts buckets rather than records, which only
-        errs towards sweeping sooner; a sweep costs ``O(physical)``, so
-        this is also the honest amortisation base.
-        """
-        self._size -= 1
+        """A queued handle was cancelled: keep ``len()`` exact and purge
+        when dead entries dominate the heap."""
         cancelled = self._cancelled + 1
         self._cancelled = cancelled
         if (cancelled > COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(self._far) + len(self._times)):
+                and cancelled * 2 > len(self._heap)):
             self.compact()
 
-    def _drop_cancelled(self) -> None:
-        """One cancelled record left the structures by being popped."""
-        # Clamped: compaction resets the count to zero without touching
-        # the (small, short-lived) lane and claimed bucket, so a few
-        # cancelled stragglers may still drain afterwards.
-        if self._cancelled > 0:
-            self._cancelled -= 1
-
     def compact(self) -> None:
-        """Purge cancelled records from the far tier and the unclaimed
-        calendar (in place, so the kernel's hoisted aliases stay valid).
-
-        The now lane and the claimed bucket are left alone — both are
-        consumed within the current drain instant, so nothing lingers
-        there.  Only records that would never have executed are removed;
-        the surviving ``(time, seq)`` order is untouched.
-        """
-        far = self._far
-        far[:] = [entry for entry in far if not entry[2].cancelled]
-        heapq.heapify(far)
-        buckets = self._buckets
-        dead = []
-        for time, bucket in buckets.items():
-            if type(bucket) is list:
-                bucket[:] = [call for call in bucket if not call.cancelled]
-                if not bucket:
-                    dead.append(time)
-            elif bucket.cancelled:
-                dead.append(time)
-        for time in dead:
-            del buckets[time]
-        times = self._times
-        times[:] = list(buckets)
-        heapq.heapify(times)
+        """Purge cancelled handles from the heap, in place (the run loop
+        holds an alias).  The surviving ``(time, seq)`` order is
+        untouched."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap
+                   if entry[2] is not None or not entry[3].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
 
     # ------------------------------------------------------------------
     # Consumption
     # ------------------------------------------------------------------
-    def _claim(self, time: int) -> ScheduledCall:
-        """Take ownership of the calendar bucket at ``time`` and return
-        its first record.  From this instant on, pushes at ``time`` are
-        same-instant and go to the lane, so the bucket is append-frozen
-        and safe to drain by index.  An unboxed lone record is consumed
-        whole — the claimed-bucket cursor is not touched."""
-        heapq.heappop(self._times)
-        bucket = self._buckets.pop(time)
-        self._qnow = time
-        if type(bucket) is list:
-            self._cur = bucket
-            self._cur_pos = 1
-            return bucket[0]
-        return bucket
+    def _settle(self, call: ScheduledCall) -> bool:
+        """Settle a popped handle entry: drop it if cancelled, move it
+        one hop if deferred (both return ``False``), else release it to
+        run (``True``)."""
+        if call.cancelled:
+            self._cancelled -= 1
+            return False
+        if call.defer_ns:
+            self.resequence(call)
+            return False
+        call.owner = None
+        return True
 
-    def _pop_any(self) -> Optional[ScheduledCall]:
-        """Remove and return the earliest record of any state, or
-        ``None`` when empty (queue-internal; no counter updates).
+    def pop(self) -> Tuple[int, Callable[..., None], Tuple[Any, ...]]:
+        """Remove the earliest runnable call and return ``(time,
+        callback, args)``.
 
-        Drain priority at equal head time is far tier, then calendar
-        bucket, then lane — by the routing chronology argument in the
-        module docstring, never by comparing seqs.
+        Cancelled handles are dropped and deferred ones re-sequenced on
+        the way, exactly as the kernel's run loop does, so stepping and
+        running drain identically.  Raises :class:`IndexError` when
+        nothing is left to run.
         """
-        cur = self._cur
-        pos = self._cur_pos
-        if pos < len(cur):
-            # No far-tier check needed: a bucket is only claimed once the
-            # far tier holds nothing at its time, and far-tier pushes land
-            # at least a horizon beyond the drain instant, so no far
-            # record at this time can appear while the bucket drains.
-            self._cur_pos = pos + 1
-            return cur[pos]
-        far = self._far
-        lane = self._lane
-        pos = self._lane_pos
-        if pos < len(lane):
-            qnow = self._qnow
-            if far and far[0][0] == qnow:
-                return heapq.heappop(far)[2]
-            times = self._times
-            if times and times[0] == qnow:
-                # The drain instant was reached through the far tier
-                # before this bucket's first record surfaced; the
-                # bucket's records precede the lane's.
-                return self._claim(qnow)
-            self._lane_pos = pos + 1
-            return lane[pos]
-        if lane:
-            # The instant is fully consumed; reset in place (the kernel
-            # holds an alias).
-            del lane[:]
-            self._lane_pos = 0
-        times = self._times
-        if times:
-            near_time = times[0]
-            if far and far[0][0] <= near_time:
-                entry = heapq.heappop(far)
-                self._qnow = entry[0]
-                return entry[2]
-            return self._claim(near_time)
-        if far:
-            entry = heapq.heappop(far)
-            self._qnow = entry[0]
-            return entry[2]
-        return None
-
-    def _pop_live(self) -> Optional[ScheduledCall]:
-        """Remove and return the earliest runnable call, or ``None``.
-
-        Skips cancelled records and re-sequences deferred ones exactly
-        as the kernel's run loop does, so stepping and running drain
-        identically.
-        """
-        while True:
-            call = self._pop_any()
-            if call is None:
-                return None
-            if call.cancelled:
-                self._drop_cancelled()
-                continue
-            if call.defer_ns:
-                self.resequence(call)
-                continue
-            call.owner = None
-            self._size -= 1
-            return call
-
-    def pop(self) -> ScheduledCall:
-        """Remove and return the earliest non-cancelled call.
-
-        Raises :class:`IndexError` if the queue is empty (after dropping
-        cancelled entries).
-        """
-        call = self._pop_live()
-        if call is None:
-            raise IndexError("pop from an empty event queue")
-        return call
+        heap = self._heap
+        while heap:
+            time, _, callback, args = heapq.heappop(heap)
+            self.pops += 1
+            if callback is not None:
+                return time, callback, args
+            if self._settle(args):
+                return time, args.callback, args.args
+        raise IndexError("pop from an empty event queue")
 
     def peek_time(self) -> Optional[int]:
-        """Time of the earliest pending call, or ``None`` if empty."""
-        # Prune cancelled heads per tier, then take the minimum head
-        # time.  Mutating (cancelled records are discarded) but
-        # order-neutral.
-        cur, pos = self._cur, self._cur_pos
-        while pos < len(cur) and cur[pos].cancelled:
-            pos += 1
-            self._drop_cancelled()
-        self._cur_pos = pos
-        lane, lpos = self._lane, self._lane_pos
-        while lpos < len(lane) and lane[lpos].cancelled:
-            lpos += 1
-            self._drop_cancelled()
-        self._lane_pos = lpos
-        far = self._far
-        while far and far[0][2].cancelled:
-            heapq.heappop(far)
-            self._drop_cancelled()
-        times = self._times
-        while times:
-            bucket = self._buckets[times[0]]
-            if type(bucket) is not list:
-                if not bucket.cancelled:
-                    break
-                self._drop_cancelled()
-                del self._buckets[times[0]]
-                heapq.heappop(times)
-                continue
-            live = [call for call in bucket if not call.cancelled]
-            if live:
-                if len(live) != len(bucket):
-                    for _ in range(len(bucket) - len(live)):
-                        self._drop_cancelled()
-                    bucket[:] = live
-                break
-            for _ in bucket:
-                self._drop_cancelled()
-            del self._buckets[times[0]]
-            heapq.heappop(times)
-        candidates = []
-        if pos < len(cur) or lpos < len(lane):
-            candidates.append(self._qnow)
-        if times:
-            candidates.append(times[0])
-        if far:
-            candidates.append(far[0][0])
-        return min(candidates) if candidates else None
+        """Time of the earliest live entry, or ``None`` if empty.
 
-    def tier_stats(self) -> dict:
-        """Scheduler-internal accounting (see :meth:`Simulator.kernel_stats`)."""
+        Cancelled heads are popped on the way (order-neutral)."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2] is None and entry[3].cancelled:
+                heapq.heappop(heap)
+                self.pops += 1
+                self._cancelled -= 1
+                continue
+            return entry[0]
+        return None
+
+    def stats(self) -> dict:
+        """Scheduler accounting (see :meth:`Simulator.kernel_stats`)."""
         return {
-            "pending": self._size,
+            "pending": len(self),
             "cancelled_pending": self._cancelled,
             "compactions": self.compactions,
-            "lane_pops": self.lane_pops,
-            "near_pops": self.near_pops,
-            "far_pops": self.far_pops,
+            "pops": self.pops,
             "resequences": self.resequences,
         }
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return len(self._heap) > self._cancelled
 
 
 class SimEvent:

@@ -8,13 +8,12 @@ is bit-for-bit reproducible.
 
 The scheduling path is the hottest code in the repository: every packet,
 pipeline stage, PM access, and stack crossing becomes at least one event.
-``schedule`` therefore stores ``(callback, args)`` directly on the queue
-record — no binding lambda per event — and the queue is the tiered
-scheduler, whose now lane and calendar make same-instant wakeups and short
-timers sift-free (see :mod:`repro.sim.event`).  :meth:`Simulator.run` drains
-it in one hand-written loop — the tier structures hoisted into locals,
-written back on exit — because a generic ``queue.pop()`` per event costs
-more than the queue work it wraps.
+``schedule`` and ``call_soon`` therefore push a bare ``(time, seq,
+callback, args)`` tuple onto the queue's heap and return nothing; only
+``schedule_at`` and ``schedule_deferred`` build a cancellable
+:class:`~repro.sim.event.ScheduledCall` (see :mod:`repro.sim.event`).
+:meth:`Simulator.run` pops the heap in one short loop, because a generic
+``queue.pop()`` per event costs more than the heap work it wraps.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import format_time
-from repro.sim.event import ScheduledCall, SimEvent, TieredEventQueue
+from repro.sim.event import EventQueue, ScheduledCall, SimEvent
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import Tracer
@@ -38,7 +37,7 @@ class Simulator:
     """
 
     #: The scheduler this kernel drains (reported by benchmark rounds).
-    kernel = "tiered"
+    kernel = "heap"
 
     def __init__(self, seed: int = 0, obs: Optional[Any] = None) -> None:
         # Imported here, not at module top: repro.config itself imports
@@ -46,7 +45,7 @@ class Simulator:
         from repro.config import reject_retired_knobs
         reject_retired_knobs()
         self._now = 0
-        self._queue = TieredEventQueue()
+        self._queue = EventQueue()
         self._running = False
         self._stopped = False
         self._bind_scheduling()
@@ -95,99 +94,34 @@ class Simulator:
         """Install the per-instance ``schedule``/``call_soon``/
         ``schedule_deferred`` closures.
 
-        They are called once per event, so each repeats the queue's push
-        body inline (record construction via direct slot stores, tier
-        routing by distance from the drain instant) with the queue
-        structures captured as closure cells — a method would pay a
-        second call frame just to reach ``TieredEventQueue.push``.  The
-        routing must stay exactly that of ``TieredEventQueue._insert``.
+        ``schedule`` and ``call_soon`` run once per event, so each is
+        the heap push itself, with the heap and the seq counter captured
+        as closure cells — a method would pay a second call frame just
+        to reach ``EventQueue.push``.
         """
         q = self._queue
-        new = ScheduledCall.__new__
-        record_cls = ScheduledCall
+        heap = q._heap
         heappush = heapq.heappush
-        lane = q._lane
-        buckets = q._buckets
-        times = q._times
-        far = q._far
-        horizon = q._horizon
+        next_seq = q._next_seq
+        push_handle = q.push_handle
 
         def schedule(delay: int, callback: Callable[..., None],
-                     *args: Any) -> ScheduledCall:
+                     *args: Any) -> None:
             """Run ``callback(*args)`` after ``delay`` nanoseconds.
 
             ``delay`` must be non-negative; scheduling into the past would
-            break causality and is always a caller bug.  (The queue also
-            *relies* on this guard: its routing invariants assume no
-            record is ever pushed before the instant being drained.)
+            break causality and is always a caller bug.  Returns no
+            handle: use :meth:`schedule_at` for a cancellable call.
             """
             if delay < 0:
                 raise SimulationError(
                     f"cannot schedule {delay}ns into the past")
-            time = self._now + delay
-            seq = q._seq
-            q._seq = seq + 1
-            call = new(record_cls)
-            call.time = time
-            call.seq = seq
-            call.callback = callback
-            call.args = args
-            call.cancelled = False
-            call.defer_ns = 0
-            call.owner = q
-            q._size += 1
-            delta = time - q._qnow
-            if delta == 0:
-                lane.append(call)
-            elif delta < horizon:
-                bucket = buckets.get(time)
-                if bucket is None:
-                    buckets[time] = call
-                    heappush(times, time)
-                elif type(bucket) is list:
-                    bucket.append(call)
-                else:
-                    buckets[time] = [bucket, call]
-            else:
-                heappush(far, (time, seq, call))
-            return call
+            heappush(heap, (self._now + delay, next_seq(), callback, args))
 
-        def call_soon(callback: Callable[..., None],
-                      *args: Any) -> ScheduledCall:
+        def call_soon(callback: Callable[..., None], *args: Any) -> None:
             """Run ``callback(*args)`` at the current time, after pending
             events."""
-            time = self._now
-            seq = q._seq
-            q._seq = seq + 1
-            call = new(record_cls)
-            call.time = time
-            call.seq = seq
-            call.callback = callback
-            call.args = args
-            call.cancelled = False
-            call.defer_ns = 0
-            call.owner = q
-            q._size += 1
-            if time == q._qnow:
-                # The overwhelmingly common case: a wakeup at the
-                # instant being drained goes straight to the lane.
-                lane.append(call)
-            else:
-                # Between runs the sim clock can sit past the queue
-                # clock (after run(until=...)); route generically.
-                delta = time - q._qnow
-                if delta < horizon:
-                    bucket = buckets.get(time)
-                    if bucket is None:
-                        buckets[time] = call
-                        heappush(times, time)
-                    elif type(bucket) is list:
-                        bucket.append(call)
-                    else:
-                        buckets[time] = [bucket, call]
-                else:
-                    heappush(far, (time, seq, call))
-            return call
+            heappush(heap, (self._now, next_seq(), callback, args))
 
         def schedule_deferred(delay: int, defer_ns,
                               callback: Callable[..., None],
@@ -197,7 +131,7 @@ class Simulator:
             Equivalent to scheduling an intermediate callback at
             ``delay`` whose only job is to schedule ``callback(*args)``
             another ``defer_ns`` later — but the intermediate hop never
-            runs Python: the kernel re-sequences the record when it
+            runs Python: the kernel re-sequences the call when it
             surfaces.  Seq numbers are allocated at exactly the same two
             virtual instants as the unfolded chain, so same-time
             tie-breaking (and therefore byte-for-byte run
@@ -207,7 +141,7 @@ class Simulator:
             fixed-latency pipeline then collapses to a single executed
             event, one re-sequencing per intermediate hop.  Use only
             when every intermediate callback would have had no
-            observable side effect.
+            observable side effect.  Returns a cancellable handle.
             """
             # Validated in place: no wrapping tuple or generator per call.
             if type(defer_ns) is tuple:
@@ -217,33 +151,7 @@ class Simulator:
             if bad or delay < 0:
                 raise SimulationError(
                     f"cannot schedule {delay}+{defer_ns}ns into the past")
-            time = self._now + delay
-            seq = q._seq
-            q._seq = seq + 1
-            call = new(record_cls)
-            call.time = time
-            call.seq = seq
-            call.callback = callback
-            call.args = args
-            call.cancelled = False
-            call.defer_ns = defer_ns
-            call.owner = q
-            q._size += 1
-            delta = time - q._qnow
-            if delta == 0:
-                lane.append(call)
-            elif delta < horizon:
-                bucket = buckets.get(time)
-                if bucket is None:
-                    buckets[time] = call
-                    heappush(times, time)
-                elif type(bucket) is list:
-                    bucket.append(call)
-                else:
-                    buckets[time] = [bucket, call]
-            else:
-                heappush(far, (time, seq, call))
-            return call
+            return push_handle(self._now + delay, callback, args, defer_ns)
 
         self.schedule = schedule
         self.call_soon = call_soon
@@ -251,12 +159,13 @@ class Simulator:
 
     def schedule_at(self, time: int, callback: Callable[..., None],
                     *args: Any) -> ScheduledCall:
-        """Run ``callback(*args)`` at absolute simulated ``time``."""
+        """Run ``callback(*args)`` at absolute simulated ``time``; returns
+        a cancellable handle."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {format_time(time)}, now is "
                 f"{format_time(self._now)}")
-        return self._queue.push(time, callback, args)
+        return self._queue.push_handle(time, callback, args)
 
     # ------------------------------------------------------------------
     # Events and processes
@@ -282,22 +191,21 @@ class Simulator:
         """Execute the single earliest pending event.
 
         Returns ``False`` when the queue is empty, ``True`` otherwise.
-        Cancelled :class:`ScheduledCall`s are skipped exactly as in
-        :meth:`run` — they neither execute nor count toward
+        Cancelled handles are skipped and deferred ones re-sequenced
+        exactly as in :meth:`run` — neither executes nor counts toward
         ``executed_events`` — so a workload stepped to completion and
         the same workload driven by ``run()`` report identical event
         counts (``tests/sim/test_profiler.py`` guards this).
         """
-        call = self._queue._pop_live()
-        if call is None:
+        try:
+            time, callback, args = self._queue.pop()
+        except IndexError:
             return False
-        if call.time < self._now:
-            raise SimulationError("event queue returned a past event")
-        self._now = call.time
+        self._now = time
         self.executed_events += 1
         if self._profiler is not None:
-            self._profiler.record(call.callback)
-        call.callback(*call.args)
+            self._profiler.record(callback)
+        callback(*args)
         return True
 
     def run(self, until: Optional[int] = None,
@@ -306,224 +214,66 @@ class Simulator:
 
         Returns the simulated time at which execution stopped.  ``until`` is
         inclusive: events scheduled exactly at ``until`` execute.
+
+        The loop pops the heap directly and settles handle entries as
+        ``EventQueue._settle`` does.  One liberty, unobservable: the
+        ``until``/budget checks run before cancelled heads are skipped
+        (a cancelled handle neither executes nor counts in ``len()``, so
+        leaving it queued at a stop is equivalent to purging it first).
+        To keep that honest, ``now`` is pinned to ``until`` only when a
+        live entry remains — every entry still queued is beyond
+        ``until`` then, so purging first would otherwise drain to empty
+        and leave ``now`` at the last executed event.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         self._stopped = False
-        try:
-            self._drain(until, max_events)
-        finally:
-            self._running = False
-        return self._now
-
-    def _drain(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """The hot loop.
-
-        Mirrors ``TieredEventQueue._pop_any`` with the tier structures and
-        cursors hoisted into locals (written back on exit).  Two loop-only
-        liberties, both unobservable: the ``until``/budget checks run
-        before cancelled-head skipping (a cancelled record neither executes
-        nor counts in ``len()``, so leaving it unconsumed at a stop is
-        equivalent to purging it first), and the queue clock may advance
-        over a cancelled head (no user code runs between that advance and
-        the next live pop, so no push can observe it).
-
-        One subtlety keeps the first liberty honest: purging cancelled
-        heads first would, when everything beyond the bound is dead, drain
-        to empty and leave ``now`` at the last executed event — ``now`` is
-        pinned to ``until`` only when a live record remains.  This loop
-        therefore guards the ``self._now = until`` write on the live count
-        (``q._size`` minus the batched ``executed``), which is exact mid-run
-        because cancels decrement ``_size`` immediately.  Every record still
-        queued is at or beyond the head time being tested, so "a live
-        record remains" and "a live record remains beyond ``until``"
-        coincide here.
-        """
         q = self._queue
-        lane = q._lane
-        buckets = q._buckets
-        times = q._times
-        far = q._far
-        horizon = q._horizon
+        heap = q._heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        resequence = q.resequence
         profiler = self._profiler
         check_until = until is not None
         budget = -1 if max_events is None else max_events
-        executed = 0
-        lane_pops = near_pops = far_pops = reseqs = 0
-        cur = q._cur
-        # A claimed bucket cannot grow (same-instant pushes go to the
-        # lane, ``compact`` skips it), so its length is read once per
-        # claim rather than once per pop.
-        cur_len = len(cur)
-        cur_pos = q._cur_pos
-        lane_pos = q._lane_pos
-        qnow = q._qnow
-        # Whether the far tier and calendar have been probed (and found
-        # empty) at the current drain instant — loop-local only: it is
-        # re-derived from scratch at every time advance.
-        lane_checked = False
+        executed = dropped = 0
+        resequenced = q.resequences
         try:
-            while True:
-                # Select and consume the earliest record (far ≺ bucket ≺
-                # lane at equal time; see the event-module ordering
-                # proof).  ``until``/budget are checked per branch, before
-                # anything is consumed or the queue clock moves.
-                if cur_pos < cur_len:
-                    # Draining a claimed bucket.  No far-tier check: far
-                    # pushes land at least a horizon beyond the drain
-                    # instant, so nothing can join this time.
-                    if check_until and qnow > until:
-                        if q._size - executed > 0:
-                            self._now = until
-                        break
-                    if executed == budget:
-                        break
-                    call = cur[cur_pos]
-                    cur_pos += 1
-                    near_pops += 1
-                    time = qnow
-                elif lane and lane_pos < len(lane):
-                    # (The lane is empty at most time advances: the
-                    # truth test spares the ``len`` call.)
-                    if check_until and qnow > until:
-                        if q._size - executed > 0:
-                            self._now = until
-                        break
-                    if executed == budget:
-                        break
-                    if lane_checked:
-                        # Far tier and calendar were already probed at
-                        # this instant and hold nothing for it; neither
-                        # can gain a record at the drain instant (far
-                        # pushes land a horizon out, same-instant pushes
-                        # join the lane), so drain the lane unchecked.
-                        call = lane[lane_pos]
-                        lane_pos += 1
-                        lane_pops += 1
-                    elif far and far[0][0] == qnow:
-                        call = heappop(far)[2]
-                        far_pops += 1
-                    elif times and times[0] == qnow:
-                        # A bucket at the drain instant (reached through
-                        # the far tier): claim it — its records precede
-                        # the lane's.
-                        heappop(times)
-                        bucket = buckets.pop(qnow)
-                        if type(bucket) is list:
-                            cur = q._cur = bucket
-                            cur_len = len(bucket)
-                            cur_pos = 1
-                            call = bucket[0]
-                        else:
-                            call = bucket
-                        near_pops += 1
-                    else:
-                        lane_checked = True
-                        call = lane[lane_pos]
-                        lane_pos += 1
-                        lane_pops += 1
-                    time = qnow
-                else:
-                    if lane:
-                        # The drain instant is fully consumed; reset the
-                        # lane in place (the queue holds the same list).
-                        del lane[:]
-                        lane_pos = 0
-                    lane_checked = False
-                    from_far = False
-                    if times:
-                        time = times[0]
-                        if far and far[0][0] <= time:
-                            time = far[0][0]
-                            from_far = True
-                    elif far:
-                        time = far[0][0]
-                        from_far = True
-                    else:
-                        break
-                    if check_until and time > until:
-                        if q._size - executed > 0:
-                            self._now = until
-                        break
-                    if executed == budget:
-                        break
-                    if from_far:
-                        call = heappop(far)[2]
-                        far_pops += 1
-                    else:
-                        heappop(times)
-                        bucket = buckets.pop(time)
-                        if type(bucket) is list:
-                            cur = q._cur = bucket
-                            cur_len = len(bucket)
-                            cur_pos = 1
-                            call = bucket[0]
-                        else:
-                            call = bucket
-                        near_pops += 1
-                    qnow = q._qnow = time
-                if call.cancelled:
-                    q._drop_cancelled()
-                    continue
-                defer = call.defer_ns
-                if defer:
-                    # Latency-folded record: move it one hop along its
-                    # chain (fresh seq, no callback) — not an executed
-                    # event.  ``TieredEventQueue.resequence`` inlined,
-                    # routing by distance from the drain instant.
-                    seq = q._seq
-                    q._seq = seq + 1
-                    if type(defer) is tuple:
-                        delay = defer[0]
-                        call.defer_ns = (defer[1] if len(defer) == 2
-                                         else defer[1:])
-                    else:
-                        delay = defer
-                        call.defer_ns = 0
-                    time += delay
-                    call.time = time
-                    call.seq = seq
-                    delta = time - qnow
-                    if delta == 0:
-                        lane.append(call)
-                    elif delta < horizon:
-                        bucket = buckets.get(time)
-                        if bucket is None:
-                            buckets[time] = call
-                            heappush(times, time)
-                        elif type(bucket) is list:
-                            bucket.append(call)
-                        else:
-                            buckets[time] = [bucket, call]
-                    else:
-                        heappush(far, (time, seq, call))
-                    reseqs += 1
-                    continue
-                call.owner = None
+            while heap:
+                if check_until and heap[0][0] > until:
+                    if len(heap) > q._cancelled:
+                        self._now = until
+                    break
+                if executed == budget:
+                    break
+                time, _, callback, args = heappop(heap)
+                if callback is None:
+                    # A handle entry: ``EventQueue._settle`` inlined.
+                    call = args
+                    if call.cancelled:
+                        q._cancelled -= 1
+                        dropped += 1
+                        continue
+                    if call.defer_ns:
+                        resequence(call)
+                        continue
+                    call.owner = None
+                    callback = call.callback
+                    args = call.args
                 self._now = time
                 executed += 1
                 if profiler is not None:
-                    profiler.record(call.callback)
-                call.callback(*call.args)
+                    profiler.record(callback)
+                callback(*args)
                 # Only a callback can call ``stop()`` (``run`` clears the
                 # flag on entry), so the flag is read after each one.
                 if self._stopped:
                     break
         finally:
-            q._cur_pos = cur_pos
-            q._lane_pos = lane_pos
-            # The live-entry counter is batched across the run: pushes and
-            # cancels hit the attribute directly, so applying the executed
-            # total here leaves it exact.
-            q._size -= executed
-            q.lane_pops += lane_pops
-            q.near_pops += near_pops
-            q.far_pops += far_pops
-            q.resequences += reseqs
+            self._running = False
+            q.pops += executed + dropped + q.resequences - resequenced
             self.executed_events += executed
+        return self._now
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event completes."""
@@ -534,12 +284,18 @@ class Simulator:
         return len(self._queue)
 
     def kernel_stats(self) -> dict:
-        """Scheduler accounting: pops per tier, re-sequencings,
-        compactions, and pending/cancelled counts (see
-        ``TieredEventQueue.tier_stats``).  Cheap enough to call between
-        runs; pop counters are written back when :meth:`run` exits."""
-        stats = self._queue.tier_stats()
-        stats["kernel"] = self.kernel
+        """Scheduler accounting: heap pops, re-sequencings, compactions,
+        and pending/cancelled counts (see ``EventQueue.stats``).
+
+        ``lane_pops``/``near_pops``/``far_pops`` are the per-tier
+        counters of the retired tiered queue, kept for readers that
+        look them up by name: every pop is a heap pop, reported as
+        ``far_pops``, and the other two read 0.  Pop counters are
+        written back when :meth:`run` exits.
+        """
+        stats = self._queue.stats()
+        stats.update(kernel=self.kernel, lane_pops=0, near_pops=0,
+                     far_pops=stats["pops"])
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -142,8 +142,11 @@ class Process:
         if isinstance(target, int):
             # Plain delay: schedule the resume directly instead of minting
             # a timeout SimEvent (saves an event and two allocations on
-            # the most common wait in the system).
-            self._sleep_handle = self._sim.schedule(target, self._end_sleep)
+            # the most common wait in the system).  ``schedule_at``, not
+            # ``schedule``: ``interrupt`` cancels the wakeup by handle.
+            sim = self._sim
+            self._sleep_handle = sim.schedule_at(sim.now + target,
+                                                 self._end_sleep)
             return
         if isinstance(target, Process):
             target = target.completion

@@ -52,15 +52,16 @@ def format_kernel_stats(stats: Dict[str, object]) -> str:
     """One-line scheduler digest for profile reports.
 
     ``stats`` is :meth:`Simulator.kernel_stats` output: the scheduler
-    name, per-tier pop counters, resequences, and compaction sweeps.  Complements the
-    per-call-site table: the table says *who* spent the events, this
-    line says *which tier of the scheduler* served them.
+    name, heap pops, resequences, compaction sweeps and the live
+    entries still queued.  Complements the per-call-site table: the
+    table says *who* spent the events, this line says how much heap
+    work served them.
     """
-    tiers = " ".join(f"{tier}={stats[f'{tier}_pops']}"
-                     for tier in ("lane", "near", "far"))
-    return (f"scheduler: kernel={stats.get('kernel', '?')} {tiers} "
+    return (f"scheduler: kernel={stats.get('kernel', '?')} "
+            f"pops={stats.get('pops', 0)} "
             f"resequences={stats.get('resequences', 0)} "
-            f"compactions={stats.get('compactions', 0)}")
+            f"compactions={stats.get('compactions', 0)} "
+            f"pending={stats.get('pending', 0)}")
 
 
 class EventProfiler:

@@ -217,11 +217,13 @@ class TestWholeFoldReplay:
         self._assert_fold_invisible(chaos.generate_plan(seed), monkeypatch)
 
 
-def _plant_eager_invalidate(monkeypatch):
-    """Plant the bug: invalidate the log entry right after the PMNet-ACK,
+def _plant_eager_invalidate(monkeypatch, site="_on_persisted"):
+    """Plant the bug: invalidate the log entry right after it persists,
     before any server commit — a direct R3 violation and, if the server
-    dies first, a durability hole."""
-    original = PMNetDevice._on_persisted
+    dies first, a durability hole.  ``site`` is the persistence callback
+    to wrap: ``_on_persisted`` (a plain update's, before the PMNet-ACK)
+    or ``_on_chain_persisted`` (a chain member's copy)."""
+    original = getattr(PMNetDevice, site)
 
     def eager(self, entry):
         original(self, entry)
@@ -232,7 +234,7 @@ def _plant_eager_invalidate(monkeypatch):
         self.tracer.emit(self.sim.now, self.name, "log_invalidated",
                          req=packet.request_id, seq=packet.seq_num)
 
-    monkeypatch.setattr(PMNetDevice, "_on_persisted", eager)
+    monkeypatch.setattr(PMNetDevice, site, eager)
 
 
 class TestMutationCheck:
@@ -247,6 +249,20 @@ class TestMutationCheck:
         assert minimal.fault_indices == ()
         line = chaos.repro_line(minimal)
         assert line == "pmnet-repro chaos --seed 0 --faults none"
+
+    def test_chain_path_bug_is_caught_shrunk_and_reported(self, monkeypatch):
+        # Chain members persist through ``_on_chain_persisted``, which
+        # the rack row never reaches: the fabric family must catch the
+        # same bug planted there.
+        _plant_eager_invalidate(monkeypatch, "_on_chain_persisted")
+        plan = chaos.generate_plan(0, "fabric")
+        failing = chaos.run_plan(plan)
+        assert not failing.ok
+        assert any("[R3]" in violation for violation in failing.violations)
+        minimal = chaos.shrink(plan, failing)
+        assert minimal.fault_indices == ()
+        line = chaos.repro_line(minimal)
+        assert line == "pmnet-repro chaos --seed 0 --family fabric --faults none"
 
     def test_shrink_refuses_passing_plans(self):
         with pytest.raises(ValueError, match="passes"):

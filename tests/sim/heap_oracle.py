@@ -1,12 +1,14 @@
 """A plain ``(time, seq)`` binary-heap simulator: the differential oracle.
 
-The kernel drains its tiered queue in one hand-written loop whose tier
-routing, claimed buckets and batched counters are easy to get subtly
-wrong.  This oracle restates the scheduling contract in the most direct
-form — one heap ordered by ``(time, seq)``, one seq per push, a fresh
-seq per deferred hop, cancelled records skipped — and exposes the slice
-of the :class:`~repro.sim.kernel.Simulator` API the differential suite
-drives.  It is test code only: nothing in ``src`` depends on it.
+The kernel mixes bare heap entries with handle entries, settles handles
+inline in its drain loop and batches its counters, all easy to get
+subtly wrong.  This oracle restates the scheduling contract in the most
+direct form — one record per push in one heap ordered by ``(time,
+seq)``, one seq per push, a fresh seq per deferred hop, cancelled
+records skipped — and exposes the slice of the
+:class:`~repro.sim.kernel.Simulator` API the differential suite drives,
+with the same return values (``schedule`` and ``call_soon`` return no
+handle).  It is test code only: nothing in ``src`` depends on it.
 """
 
 from __future__ import annotations
@@ -49,18 +51,18 @@ class HeapOracle:
         heapq.heappush(self._heap, (time, record.seq, record))
         return record
 
-    def schedule(self, delay: int, callback, *args) -> _Record:
+    def schedule(self, delay: int, callback, *args) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns into the past")
-        return self._push(self.now + delay, 0, callback, args)
+        self._push(self.now + delay, 0, callback, args)
 
     def schedule_at(self, time: int, callback, *args) -> _Record:
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time}")
         return self._push(time, 0, callback, args)
 
-    def call_soon(self, callback, *args) -> _Record:
-        return self._push(self.now, 0, callback, args)
+    def call_soon(self, callback, *args) -> None:
+        self._push(self.now, 0, callback, args)
 
     def schedule_deferred(self, delay: int, defer_ns, callback,
                           *args) -> _Record:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.event import DEFAULT_KERNEL_HORIZON_NS
 
 
 #: ``schedule_deferred`` arguments the kernel must refuse.
@@ -78,7 +77,7 @@ class TestScheduling:
     def test_cancelled_event_does_not_run(self):
         sim = Simulator()
         seen = []
-        handle = sim.schedule(10, seen.append, "x")
+        handle = sim.schedule_at(10, seen.append, "x")
         handle.cancel()
         sim.run()
         assert seen == []
@@ -176,7 +175,7 @@ class TestEvents:
 
 
 class TestFastPath:
-    """The allocation-lean scheduling path: args ride on the queue record."""
+    """The allocation-lean scheduling path: args ride on the heap entry."""
 
     def test_schedule_passes_positional_args(self):
         sim = Simulator()
@@ -196,7 +195,7 @@ class TestFastPath:
     def test_cancel_from_earlier_event_skips_victim(self):
         sim = Simulator()
         seen = []
-        victim = sim.schedule(10, seen.append, "victim")
+        victim = sim.schedule_at(10, seen.append, "victim")
         sim.schedule(5, victim.cancel)
         sim.run()
         assert seen == []
@@ -206,7 +205,7 @@ class TestFastPath:
         sim = Simulator()
         seen = []
         sim.schedule(5, lambda: victim.cancel())
-        victim = sim.schedule(5, seen.append, "x")
+        victim = sim.schedule_at(5, seen.append, "x")
         sim.run()
         assert seen == []
         assert sim.pending_events() == 0
@@ -222,8 +221,8 @@ class TestFastPath:
 
     def test_cancelled_events_leave_counters_consistent(self):
         sim = Simulator()
-        live = sim.schedule(1, lambda: None)
-        dead = sim.schedule(2, lambda: None)
+        live = sim.schedule_at(1, lambda: None)
+        dead = sim.schedule_at(2, lambda: None)
         dead.cancel()
         assert sim.pending_events() == 1
         sim.run()
@@ -231,8 +230,38 @@ class TestFastPath:
         assert not live.cancelled
 
 
+class TestHandles:
+    """Only ``schedule_at`` and ``schedule_deferred`` build a handle."""
+
+    def test_schedule_and_call_soon_return_none(self):
+        sim = Simulator()
+        assert sim.schedule(5, lambda: None) is None
+        assert sim.call_soon(lambda: None) is None
+        assert sim.pending_events() == 2
+
+    def test_schedule_at_handle_cancels_mid_run_and_after_run(self):
+        sim = Simulator()
+        seen = []
+        victim = sim.schedule_at(20, seen.append, "victim")
+        ran = sim.schedule_at(10, seen.append, "ran")
+        sim.schedule(15, victim.cancel)
+        sim.run()
+        assert seen == ["ran"]
+        assert sim.executed_events == 2
+        # Cancelling a handle that already ran (or was already dropped)
+        # is a no-op: the pending count stays exact.
+        ran.cancel()
+        victim.cancel()
+        assert sim.pending_events() == 0
+        sim.schedule(1, seen.append, "after")
+        sim.run()
+        assert seen == ["ran", "after"]
+
+
 class TestTieredKernel:
-    """Tier routing and the tier instrumentation on the run loop."""
+    """The one-heap run loop and its instrumentation.  (The class and
+    test names predate the heap; they named the retired tiered queue
+    and are kept so the suite's history lines up.)"""
 
     def test_every_tier_runs_in_order(self):
         sim = Simulator()
@@ -242,29 +271,26 @@ class TestTieredKernel:
         sim.schedule(10_000, order.append, "far")
         sim.schedule(10, lambda: sim.call_soon(order.append, "soon"))
         sim.run()
-        assert sim.kernel == "tiered"
+        assert sim.kernel == "heap"
         assert order == ["a", "soon", "c", "far"]
 
     def test_kernel_stats_attribute_pops_to_tiers(self):
         sim = Simulator()
-        sim.schedule(10, lambda: sim.call_soon(lambda: None))  # near + lane
-        sim.schedule(100_000, lambda: None)                    # far
+        sim.schedule(10, lambda: sim.call_soon(lambda: None))
+        sim.schedule(100_000, lambda: None)
+        sim.schedule_deferred(5, 3, lambda: None)
+        sim.schedule_at(7, lambda: None).cancel()
         sim.run()
         stats = sim.kernel_stats()
-        assert stats["kernel"] == "tiered"
-        assert stats["near_pops"] == 1
-        assert stats["lane_pops"] == 1
-        assert stats["far_pops"] == 1
-        assert sim.executed_events == 3
-
-    def test_horizon_is_the_fixed_constant(self):
-        sim = Simulator()
-        sim.schedule(DEFAULT_KERNEL_HORIZON_NS - 1, lambda: None)  # calendar
-        sim.schedule(DEFAULT_KERNEL_HORIZON_NS, lambda: None)      # far
-        sim.run()
-        stats = sim.kernel_stats()
-        assert stats["near_pops"] == 1
-        assert stats["far_pops"] == 1
+        assert stats["kernel"] == "heap"
+        assert sim.executed_events == 4
+        # Every pop: four runs, one deferred surfacing, one cancelled.
+        assert stats["pops"] == 6
+        assert stats["resequences"] == 1
+        assert stats["pending"] == 0
+        # The retired per-tier keys: all pops are heap ("far") pops.
+        assert (stats["lane_pops"], stats["near_pops"], stats["far_pops"]) \
+            == (0, 0, 6)
 
     def test_step_matches_run_semantics(self):
         sim = Simulator()

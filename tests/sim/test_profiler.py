@@ -92,7 +92,7 @@ class TestStepRunConsistency:
     def _workload(self, sim):
         comp = _Component(sim)
         sim.schedule(5, comp.tick)
-        cancelled = sim.schedule(6, comp.tick)
+        cancelled = sim.schedule_at(6, comp.tick)
         cancelled.cancel()
         sim.schedule_deferred(4, 8, comp.tick)  # one deferred hop
         sim.schedule(20, comp.chain, 1)
@@ -101,7 +101,7 @@ class TestStepRunConsistency:
     def test_step_skips_cancelled_calls(self):
         sim = Simulator()
         comp = _Component(sim)
-        cancelled = sim.schedule(5, comp.tick)
+        cancelled = sim.schedule_at(5, comp.tick)
         cancelled.cancel()
         sim.schedule(10, comp.tick)
         assert sim.step() is True
@@ -170,15 +170,15 @@ class TestDeferredRecords:
 
 
 class TestKernelStatsLine:
-    def test_format_covers_tiers_and_sweeps(self):
+    def test_format_covers_pops_and_sweeps(self):
         from repro.sim.profiler import format_kernel_stats
 
         sim = Simulator()
         comp = _Component(sim)
         sim.schedule(10, comp.tick)
         sim.schedule(100_000, comp.tick)
-        sim.run()
+        sim.schedule_deferred(5, 7, comp.tick)
+        sim.run(until=50)
         line = format_kernel_stats(sim.kernel_stats())
-        assert line.startswith("scheduler: kernel=tiered")
-        assert "near=1" in line and "far=1" in line
-        assert "compactions=" in line
+        assert line == ("scheduler: kernel=heap pops=3 resequences=1 "
+                        "compactions=0 pending=1")
