@@ -256,9 +256,11 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
     """Attribute the events of one Fig 16 stress point (the PMNet switch
     deployment, seed 0) to their call sites."""
     from repro.experiments.fig16_stress import stress
-    from repro.sim.profiler import EventProfiler, format_kernel_stats
+    from repro.sim.profiler import (EventProfiler, format_gc_stats,
+                                    format_kernel_stats, gc_collections)
 
     profiler = EventProfiler()
+    collections_before = gc_collections()
     try:
         with _fold_env(fold):
             deployment, stats = stress("pmnet-switch", SystemConfig(seed=0),
@@ -266,6 +268,8 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
     except ConfigurationError as error:
         print(error, file=sys.stderr)
         return 1
+    gc_counts = {generation: count - collections_before[generation]
+                 for generation, count in gc_collections().items()}
     requests_done = stats.update_latencies.count
     executed = deployment.sim.executed_events
     events_per_request = profiler.events_per_request(requests_done)
@@ -280,6 +284,7 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
               f"{count / requests_done:>8.2f}  {site}")
     print(f"{executed:>10}  {'100%':>6}  {events_per_request:>8.2f}  TOTAL")
     print(format_kernel_stats(kernel_stats))
+    print(format_gc_stats(gc_counts))
     if json_path is not None:
         from repro.obs.export import write_bench_report
         payload = {"benchmark": "event_profile", "mode": fold,
@@ -287,7 +292,8 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
                    "requests": requests_done, "executed_events": executed,
                    "events_per_request": events_per_request,
                    "top_call_sites": dict(sites),
-                   "kernel_stats": kernel_stats}
+                   "kernel_stats": kernel_stats,
+                   "gc_collections": gc_counts}
         written = write_bench_report("profile", payload, json_path,
                                      quick=True)
         print(f"wrote {written}", file=sys.stderr)

@@ -41,11 +41,14 @@ from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
 
-#: Compaction trigger (the cancelled-entry purge): compact when more
-#: cancelled handles than live entries linger in the heap *and* the
-#: absolute count is worth the rebuild.  Mirrors asyncio's cancelled
-#: timer-handle purge; retransmission-heavy chaos runs otherwise drag
-#: thousands of dead entries through every sift.
+#: Compaction trigger (the cancelled-entry purge): compact when
+#: cancelled handles exceed one-eighth of the heap *and* this floor,
+#: so the rebuild is worth its cost.  Like asyncio's cancelled
+#: timer-handle purge, but tighter: a client's 1 ms retransmission
+#: timer outlives its ~25 µs request about forty times over, so with a
+#: one-half trigger the dead timers made up a third of the heap and
+#: every sift walked past them.  Each compaction removes more than
+#: one-eighth of the heap, so its O(n) cost stays O(1) per cancel.
 COMPACT_MIN_CANCELLED = 64
 
 
@@ -74,6 +77,12 @@ class ScheduledCall:
     ``owner`` is the queue currently holding the call (``None`` once
     popped to run): :meth:`cancel` notifies it so the pending count
     stays O(1)-exact and cancel-heavy schedules trigger compaction.
+
+    :meth:`cancel` also drops ``callback`` and ``args`` (to ``None`` and
+    ``()``): a cancelled call never runs, and every reader of a queued
+    handle tests ``cancelled`` first.  A cancelled retransmission timer
+    therefore stops holding its request's state (packets, completion
+    event) for the rest of its time in the heap.
     """
 
     __slots__ = ("time", "callback", "args", "cancelled", "defer_ns", "owner")
@@ -89,9 +98,12 @@ class ScheduledCall:
         self.owner = owner
 
     def cancel(self) -> None:
-        """Prevent the callback from running when its time arrives."""
+        """Prevent the callback from running when its time arrives, and
+        release what it would have been called with."""
         if not self.cancelled:
             self.cancelled = True
+            self.callback = None
+            self.args = ()
             owner = self.owner
             if owner is not None:
                 owner._note_cancel()
@@ -171,11 +183,11 @@ class EventQueue:
     # ------------------------------------------------------------------
     def _note_cancel(self) -> None:
         """A queued handle was cancelled: keep ``len()`` exact and purge
-        when dead entries dominate the heap."""
+        once dead entries pass one-eighth of the heap."""
         cancelled = self._cancelled + 1
         self._cancelled = cancelled
         if (cancelled > COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(self._heap)):
+                and cancelled * 8 > len(self._heap)):
             self.compact()
 
     def compact(self) -> None:

@@ -19,11 +19,15 @@ The profiler never affects simulation results: it observes executed
 callbacks only, draws no randomness, and schedules nothing.
 
 ``pmnet-repro profile`` uses it to report where the events of one
-Fig 16 stress point go, at either fold level.
+Fig 16 stress point go, at either fold level, and adds the garbage
+collections the run cost (:func:`gc_collections`): collector time lands
+in whichever callback happened to allocate, so no per-site table can
+show it.
 """
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -62,6 +66,21 @@ def format_kernel_stats(stats: Dict[str, object]) -> str:
             f"resequences={stats.get('resequences', 0)} "
             f"compactions={stats.get('compactions', 0)} "
             f"pending={stats.get('pending', 0)}")
+
+
+def gc_collections() -> Dict[str, int]:
+    """Collections the cyclic garbage collector has run so far in this
+    process, per generation (``gen0``, ``gen1``, ...); subtract two
+    readings to count the collections between them."""
+    return {f"gen{index}": generation["collections"]
+            for index, generation in enumerate(gc.get_stats())}
+
+
+def format_gc_stats(collections: Dict[str, int]) -> str:
+    """One-line collector digest for profile reports, e.g. ``gc: gen0=59
+    gen1=5 gen2=0``."""
+    return "gc: " + " ".join(f"{generation}={count}"
+                             for generation, count in collections.items())
 
 
 class EventProfiler:

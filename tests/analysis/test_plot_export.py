@@ -1,17 +1,9 @@
-"""Tests for ASCII plotting and result export."""
-
-import csv
-import io
-import json
+"""Tests for ASCII plotting.  (The file name predates the removal of
+the result exporter; ``obs/export.py`` and ``run --json`` are the
+exporters, tested in ``tests/obs`` and ``tests/test_cli.py``.)"""
 
 import pytest
 
-from repro.analysis.export import (
-    export_csv,
-    export_json,
-    result_to_dict,
-    series_to_csv,
-)
 from repro.analysis.plot import ascii_bars, ascii_cdf, ascii_plot
 
 
@@ -56,38 +48,3 @@ class TestAsciiPlot:
         with pytest.raises(ValueError):
             ascii_bars({"a": 0.0})
 
-
-class TestExport:
-    def test_dataclass_result_roundtrips(self):
-        from repro.experiments import fig02_breakdown
-        result = fig02_breakdown.run()
-        document = json.loads(export_json(result, "fig02"))
-        assert document["experiment"] == "fig02"
-        assert "rows" in document["result"]
-        assert "ideal" in document["result"]["rows"]
-
-    def test_tuple_keys_become_strings(self):
-        from repro.experiments import fig18_alternatives
-        result = fig18_alternatives.run(quick=True)
-        exported = result_to_dict(result)
-        assert any("|" in key for key in exported["latencies"])
-
-    def test_csv_export(self):
-        text = export_csv([[1, 2], [3, 4]], ["a", "b"])
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]
-
-    def test_csv_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            export_csv([[1]], ["a", "b"])
-
-    def test_series_csv_long_format(self):
-        text = series_to_csv({"pmnet": [(1, 10), (2, 20)]},
-                             "clients", "gbps")
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["series", "clients", "gbps"]
-        assert rows[1] == ["pmnet", "1", "10"]
-
-    def test_unexportable_rejected(self):
-        with pytest.raises(TypeError):
-            result_to_dict(42)

@@ -4,6 +4,9 @@ Bare entries come from ``push``, cancellable handles from
 ``push_handle``; ``pop`` returns ``(time, callback, args)`` either way.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.event import COMPACT_MIN_CANCELLED, EventQueue
@@ -110,11 +113,13 @@ class TestEventQueue:
         assert queue.stats()["resequences"] == 2
 
     def test_compaction_purges_dominant_dead_records(self, queue):
-        # Cancel-heavy regression guard: when cancelled handles dominate
-        # the heap, the queue must sweep them out instead of carrying
-        # them until their (never-arriving) pop.  This is exactly the
-        # retransmission pattern — most timeout guards are cancelled
-        # long before they fire.
+        # Cancel-heavy regression guard: the queue must sweep cancelled
+        # handles out instead of carrying them until their
+        # (never-arriving) pop.  This is exactly the retransmission
+        # pattern — most timeout guards are cancelled long before they
+        # fire.  Each sweep comes once the dead pass the floor (they
+        # already exceed one-eighth of this small heap), so at most the
+        # floor's worth is left behind.
         keepers = _callbacks(8)
         for index, keeper in enumerate(keepers):
             queue.push(10_000 + index, keeper)
@@ -122,8 +127,9 @@ class TestEventQueue:
                    for i in range(4 * COMPACT_MIN_CANCELLED)]
         for victim in victims:
             victim.cancel()
-        assert queue.compactions >= 1
-        assert queue.stats()["cancelled_pending"] < len(victims)
+        assert queue.compactions == 3
+        assert queue.stats()["cancelled_pending"] == (
+            len(victims) - 3 * (COMPACT_MIN_CANCELLED + 1))
         assert len(queue) == len(keepers)
         assert [queue.pop()[1] for _ in range(len(keepers))] == keepers
 
@@ -133,15 +139,84 @@ class TestEventQueue:
         for time in range(1, 3 * COMPACT_MIN_CANCELLED):
             handles[time] = queue.push_handle(time, lambda: None)
             queue.push(time, lambda: None)
-        for time, handle in handles.items():
-            if time % 3:
-                handle.cancel()
+        victims = [handle for time, handle in handles.items() if time % 3]
+        for handle in victims:
+            handle.cancel()
+        # One sweep on the way (at the floor, well past one-eighth of
+        # the heap); the rest stay below the floor until compacted here.
+        assert queue.compactions == 1
+        assert queue.stats()["cancelled_pending"] == (
+            len(victims) - (COMPACT_MIN_CANCELLED + 1))
         queue.compact()
         assert queue.stats()["cancelled_pending"] == 0
         while queue:
             order.append(queue.pop()[0])
         expected = sorted([t for t in handles if t % 3 == 0] + list(handles))
         assert order == expected
+
+    def test_compaction_triggers_past_one_eighth_of_the_heap(self, queue):
+        # Far above the floor, the trigger is the share: cancelled
+        # handles must exceed one-eighth of the heap.  Survivors — bare
+        # entries and live handles, interleaved at shared instants —
+        # still pop in exact (time, seq) order.
+        pushed = []
+        victims = []
+        for index in range(1_000):
+            time = 100 + index // 4
+            if index % 5 == 0:
+                victims.append(queue.push_handle(time, lambda: None))
+            elif index % 5 == 1:
+                callback = lambda: None  # noqa: E731
+                queue.push_handle(time, callback)
+                pushed.append((time, callback))
+            else:
+                callback = lambda: None  # noqa: E731
+                queue.push(time, callback)
+                pushed.append((time, callback))
+        # 1,000 entries: the 125th cancel only reaches one-eighth.
+        threshold = 1_000 // 8
+        assert threshold > COMPACT_MIN_CANCELLED
+        for victim in victims[:threshold]:
+            victim.cancel()
+        assert queue.compactions == 0
+        victims[threshold].cancel()
+        assert queue.compactions == 1
+        assert queue.stats()["cancelled_pending"] == 0
+        for victim in victims[threshold + 1:]:
+            victim.cancel()
+        assert queue.compactions == 1
+        assert len(queue) == len(pushed)
+        assert [queue.pop()[:2] for _ in range(len(pushed))] == pushed
+
+    def test_cancel_releases_callback_and_args_at_once(self, queue):
+        # A cancelled handle may sit in the heap long after its caller
+        # is done with it (a 1 ms timer guarding a 25 µs request): it
+        # must not keep what it would have been called with alive.
+        # Reference counting alone frees both, so the collector is kept
+        # off to show that no cycle is involved.
+
+        class Held:
+            def fire(self, payload):
+                pass
+
+        held, payload = Held(), Held()
+        held_ref, payload_ref = weakref.ref(held), weakref.ref(payload)
+        handle = queue.push_handle(10, held.fire, (payload,))
+        del held, payload
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert held_ref() is not None and payload_ref() is not None
+            handle.cancel()
+            assert held_ref() is None
+            assert payload_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert handle.cancelled
+        assert (handle.callback, handle.args) == (None, ())
+        with pytest.raises(IndexError):
+            queue.pop()
 
 
 class TestTieredRouting:

@@ -1,10 +1,13 @@
 """Event-accounting profiler tests, plus the step()/run() accounting
 contract: cancelled and deferred records are invisible to both."""
 
+import gc
+
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.profiler import EventProfiler, call_site, owner_name
+from repro.sim.profiler import (EventProfiler, call_site, format_gc_stats,
+                                gc_collections, owner_name)
 
 
 class _Component:
@@ -182,3 +185,17 @@ class TestKernelStatsLine:
         line = format_kernel_stats(sim.kernel_stats())
         assert line == ("scheduler: kernel=heap pops=3 resequences=1 "
                         "compactions=0 pending=1")
+
+
+class TestGcStatsLine:
+    def test_format_names_every_generation(self):
+        assert format_gc_stats({"gen0": 59, "gen1": 5, "gen2": 0}) == (
+            "gc: gen0=59 gen1=5 gen2=0")
+
+    def test_collections_count_per_generation(self):
+        before = gc_collections()
+        gc.collect(1)
+        after = gc_collections()
+        assert list(after) == ["gen0", "gen1", "gen2"]
+        assert after["gen1"] == before["gen1"] + 1
+        assert after["gen2"] == before["gen2"]

@@ -97,6 +97,12 @@ class TestProfile:
         assert "fold level 'whole'" in out
         assert "Channel._deliver" in out
         assert "TOTAL" in out
+        # The scheduler line, then the run's collections per generation.
+        lines = out.splitlines()
+        scheduler = next(i for i, line in enumerate(lines)
+                         if line.startswith("scheduler: "))
+        assert re.fullmatch(r"gc: gen0=\d+ gen1=\d+ gen2=\d+",
+                            lines[scheduler + 1])
 
     def test_json_writes_enveloped_report(self, tmp_path):
         out = tmp_path / "profile.json"
@@ -108,6 +114,10 @@ class TestProfile:
         assert report["payload"]["benchmark"] == "event_profile"
         assert report["payload"]["executed_events"] > 0
         assert "latency_samples" not in report["payload"]
+        collections = report["payload"]["gc_collections"]
+        assert list(collections) == ["gen0", "gen1", "gen2"]
+        assert all(type(count) is int and count >= 0
+                   for count in collections.values())
 
     def test_no_fold_flag_profiles_unfolded_paths(self, capsys):
         assert main(["profile", "--clients", "2", "--requests", "5",

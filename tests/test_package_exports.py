@@ -122,6 +122,10 @@ class TestPublicAPI:
             if isinstance(owner, str) and owner.startswith("repro."):
                 # Classes and functions: the object their module defines.
                 assert getattr(sys.modules[owner], name) is value, name
+            elif name.startswith("__"):
+                # Package metadata (``__version__``): the package
+                # ``__init__`` defines it rather than re-exporting it.
+                assert name in vars(module), name
             else:
                 # Constants: bound to this very object in some module.
                 assert any(vars(plain).get(name) is value
