@@ -587,16 +587,23 @@ class PMNetDevice(Node):
     def _forward_frame(self, frame: Frame) -> None:
         if self.failed:
             return
-        self.table.transmit(frame.dst, frame)
+        channel = self.table.bound.get(frame.dst)
+        if channel is None:
+            self.table.transmit(frame.dst, frame)
+        else:
+            channel.send(frame)
 
     def _transmit_packet(self, packet: PMNetPacket, destination: str) -> None:
         """Wrap a device-generated packet in a frame and send it."""
         if self.failed:
             return
-        self.table.transmit(destination, Frame(
-            src=self.name, dst=destination, payload=packet,
-            payload_bytes=packet.wire_bytes,
-            udp_port=51000 + packet.session_id % 1000))
+        frame = Frame(self.name, destination, packet, packet.wire_bytes,
+                      51000 + packet.session_id % 1000)
+        channel = self.table.bound.get(destination)
+        if channel is None:
+            self.table.transmit(destination, frame)
+        else:
+            channel.send(frame)
 
     # ------------------------------------------------------------------
     # Failure semantics

@@ -19,6 +19,7 @@ from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.host.stackmodel import HostStack
+    from repro.net.link import Channel
     from repro.sim.kernel import Simulator
 
 
@@ -40,11 +41,13 @@ class _ExpressClaim:
     (:meth:`HostNode.handle_frame`, :meth:`HostNode.send_frame`,
     :meth:`HostNode.dispatch_cost`) revokes a still-deferred claim
     first, handing its draw back to the stack; once the chain has
-    re-sequenced past the wire-arrival slot (``defer_ns`` falsy) the
-    draw is committed in correct order and later draws leave it alone.
+    re-sequenced past the wire-arrival slot (its ``defer_ns`` slot
+    falsy) the draw is committed in correct order and later draws leave
+    it alone.  ``chain`` is the kernel's queued chain list, ``[defer_ns,
+    callback, args]`` (``Simulator.schedule_deferred``).
     """
 
-    __slots__ = ("host", "frame", "epoch", "draw", "call", "channel")
+    __slots__ = ("host", "frame", "epoch", "draw", "chain", "channel")
 
     def __init__(self, host: "HostNode", frame: Frame, epoch: int,
                  draw) -> None:
@@ -52,12 +55,12 @@ class _ExpressClaim:
         self.frame = frame
         self.epoch = epoch
         self.draw = draw
-        self.call = None
+        self.chain = None
         self.channel = None
 
-    def attach(self, call, channel) -> None:
+    def attach(self, chain: list, channel) -> None:
         """Called by the channel once the chain exists."""
-        self.call = call
+        self.chain = chain
         self.channel = channel
 
 
@@ -85,6 +88,9 @@ class HostNode(Node):
         #: The single outstanding claim (one at a time keeps the
         #: stream-order argument trivial); ``None`` when free.
         self._claim: Optional[_ExpressClaim] = None
+        #: The NIC port's outbound channel, bound on the first send (a
+        #: port's channel is fixed once its link is built).
+        self._egress: Optional["Channel"] = None
         register_with_sim(sim, self)
 
     def instruments(self) -> tuple:
@@ -143,10 +149,10 @@ class HostNode(Node):
         """Barrier of an express arrival: the unfolded ``_deliver``
         semantics (liveness check, counters, endpoint dispatch) at the
         same virtual instant and heap slot."""
-        # The record's args hold the claim and the claim holds the
-        # record: break the cycle so both die with this callback
+        # The chain's args hold the claim and the claim holds the
+        # chain: break the cycle so both die with this callback
         # instead of waiting for the cyclic collector.
-        claim.call = claim.channel = None
+        claim.chain = claim.channel = None
         if self._claim is claim:
             self._claim = None
         if self.failed or claim.epoch != self.epoch:
@@ -162,10 +168,11 @@ class HostNode(Node):
         claim whose chain already re-sequenced past the wire-arrival
         slot committed its draw in correct stream order — it stays."""
         claim = self._claim
-        if claim.call is not None and claim.call.defer_ns:
+        chain = claim.chain
+        if chain is not None and chain[0]:
             self._claim = None
             self.stack.revoke_recv_cost(claim.draw)
-            claim.channel.strip_extension(claim.call, claim.frame)
+            claim.channel.strip_extension(chain, claim.frame)
 
     def dispatch_cost(self) -> int:
         """The stack dispatch cost, claim-safely: endpoint completion
@@ -185,17 +192,22 @@ class HostNode(Node):
             return
         if self._claim is not None:
             self._revoke_claim()
-        frame = Frame(src=self.name, dst=dst, payload=payload,
-                      payload_bytes=payload_bytes, udp_port=udp_port)
+        frame = Frame(self.name, dst, payload, payload_bytes, udp_port)
         cost = self.stack.send_cost(payload_bytes)
-        epoch = self.epoch
-        self.sim.schedule(cost, self._transmit, frame, epoch)
+        self.sim.schedule(cost, self._transmit, frame, self.epoch)
 
     def _transmit(self, frame: Frame, epoch: int) -> None:
         if self.failed or epoch != self.epoch:
             return
-        self.frames_sent.increment()
-        self.nic_port.transmit(frame)
+        self.frames_sent.value += 1
+        channel = self._egress
+        if channel is None:
+            channel = self._egress = self.nic_port.channel
+            if channel is None:
+                # Not connected: the port raises.
+                self.nic_port.transmit(frame)
+                return
+        channel.send(frame)
 
     # ------------------------------------------------------------------
     def fail(self) -> None:

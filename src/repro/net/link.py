@@ -10,25 +10,29 @@ A :class:`Link` is full duplex: it is built from two independent directed
   dedicated random stream so experiments can inject packet loss exactly
   where the paper's Fig 7 scenarios need it.
 
-Every frame takes one path: :meth:`Channel.send` queues it,
-``_transmit_next`` starts serializing the head of the queue, and
-``_serialized`` puts it on the wire at the serialize end, allocating the
-delivery event's seq at that instant, and restarts the queue.
+Every frame takes one path: :meth:`Channel.send` either drops it (the
+queue is full), queues it behind the frame being serialized, or — the
+transmitter idle — starts serializing it at once; ``_serialized`` puts
+it on the wire at the serialize end, allocating the delivery event's seq
+at that instant, and starts the next queued frame; ``_deliver`` hands
+it to the receiving node.
 
 **Arrival extensions** (``PMNET_FOLD=whole``): at the serialize end an
 unimpaired channel asks the receiving node for an
 :meth:`~repro.net.device.Node.arrival_extension` — extra deterministic
 hops (a PMNet device's ingress/PM stages, a client host's pre-drawn
 stack receive cost) appended to the propagation hop, ending in the
-node's own barrier callback instead of :meth:`_deliver`.  Each extra hop
-re-sequences at exactly the instant the receiving node would have
-allocated the corresponding event, so tie-breaking is unchanged; the
-barrier re-checks the receiver's liveness.  A host that needs its
-jitter stream before such a chain reaches the wire-arrival slot revokes
-its claim, and :meth:`Channel.strip_extension` turns the record back
-into a plain delivery.  Impaired frames never extend: their per-frame
-random draws and the loss/duplicate/reorder branching stay on the
-plain path, preserving RNG stream positions draw for draw.
+node's own barrier callback instead of :meth:`_deliver`.  A sink whose
+class keeps the base ``Node.arrival_extension`` (a plain switch) never
+extends and is not asked.  Each extra hop re-sequences at exactly the
+instant the receiving node would have allocated the corresponding
+event, so tie-breaking is unchanged; the barrier re-checks the
+receiver's liveness.  A host that needs its jitter stream before such a
+chain reaches the wire-arrival slot revokes its claim, and
+:meth:`Channel.strip_extension` rewrites the queued chain in place into
+a plain delivery.  Impaired frames never extend: their per-frame random
+draws and the loss/duplicate/reorder branching stay on the plain path,
+preserving RNG stream positions draw for draw.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
-from repro.net.device import Port
+from repro.net.device import Node, Port
 from repro.net.packet import PMNET_UDP_PORT_MAX, PMNET_UDP_PORT_MIN, Frame
 from repro.protocol.packet import PMNetPacket
 from repro.sim.clock import transmission_delay
@@ -74,11 +78,6 @@ class Impairments:
             raise ValueError(f"Impairments.reorder_extra_ns must be >= 0, "
                              f"got {self.reorder_extra_ns!r}")
 
-    def any_enabled(self) -> bool:
-        return (self.loss_probability > 0.0
-                or self.duplicate_probability > 0.0
-                or self.reorder_probability > 0.0)
-
 
 #: Frame-kind key for non-PMNet traffic in the arrival-plan cache.
 _PLAIN_KIND = object()
@@ -99,6 +98,10 @@ class Channel:
         #: ``Port.node`` is never reassigned, so deliveries and plan
         #: lookups skip the port dereference.
         self._sink_node = sink.node
+        #: Whether the sink can extend arrivals at all: a node class
+        #: that keeps the base ``arrival_extension`` never does.
+        self._sink_extends = (type(sink.node).arrival_extension
+                              is not Node.arrival_extension)
         self.impairments = impairments or Impairments()
         self._rng = sim.random.stream(f"channel:{name}")
         self._queue: Deque[Frame] = deque()
@@ -177,9 +180,31 @@ class Channel:
         return costs
 
     def send(self, frame: Frame) -> None:
-        """Enqueue a frame for transmission (drop-tail when full)."""
+        """Transmit a frame: start serializing it at once when the
+        transmitter is idle, else queue it behind, drop-tail when the
+        queue is full."""
+        if not self._transmitting and self._capacity > 0:
+            # Idle, so the queue is empty and the gauge reads 0, and
+            # there is room: the frame is queued and dequeued in the
+            # same instant, which leaves the gauge at 0 with a
+            # high-water mark of at least 1.  (A zero-capacity channel
+            # has no room even now: it takes the drop below.)
+            gauge = self.queue_depth_highwater
+            if not gauge.highwater:
+                gauge.highwater = 1
+            wire_bytes, serialize = (
+                self._wire_costs.get(frame.payload_bytes)
+                or self._costs(frame))
+            self.bytes_sent.value += wire_bytes
+            self._transmitting = True
+            # The transmitter is busy for the serialization time, then
+            # the frame flies for the propagation delay while the next
+            # one starts.
+            self.sim.schedule(serialize, self._serialized, frame)
+            return
         queue = self._queue
-        if len(queue) >= self._capacity:
+        depth = len(queue)
+        if depth >= self._capacity:
             self.dropped_full.increment()
             self.dropped_full_bytes.increment(
                 frame.wire_size(self._overhead))
@@ -187,13 +212,11 @@ class Channel:
         queue.append(frame)
         # The queue-depth gauge, bumped in place (a length is never
         # negative, so ``Gauge.update``'s guard has nothing to catch).
-        depth = len(queue)
+        depth += 1
         gauge = self.queue_depth_highwater
         gauge.value = depth
         if depth > gauge.highwater:
             gauge.highwater = depth
-        if not self._transmitting:
-            self._transmit_next()
 
     def send_in(self, pre_delay_ns: int, frame: Frame,
                 on_revoke: Optional[Callable[[Frame], None]] = None) -> bool:
@@ -212,19 +235,19 @@ class Channel:
         self.delivered.value += 1
         callback(*args)
 
-    def strip_extension(self, call, frame: Frame) -> None:
-        """Turn an extended record that has not reached its wire-arrival
+    def strip_extension(self, chain: list, frame: Frame) -> None:
+        """Turn an extended chain that has not reached its wire-arrival
         slot back into a plain ``_deliver`` (the receiving host revoked
         its claim).
 
-        Claims ride a one-hop extension, so while the record is still
+        Claims ride a one-hop extension, so while the chain is still
         deferred it sits at the wire-arrival instant with the seq the
-        plain delivery allocates there: dropping the hop and the barrier
-        is all it takes.
+        plain delivery allocates there: rewriting the queued chain list
+        in place, dropping the hop and the barrier, is all it takes.
         """
-        call.defer_ns = 0
-        call.callback = self._deliver
-        call.args = (frame,)
+        chain[0] = 0
+        chain[1] = self._deliver
+        chain[2] = (frame,)
 
     def on_impairments_changed(self) -> None:
         """Drop the receiving node's cached arrival plans after a mid-run
@@ -232,41 +255,30 @@ class Channel:
         must never outlive a reconfiguration of the path that feeds it."""
         self._sink_node.invalidate_arrival_plans()
 
-    def _transmit_next(self) -> None:
-        """Start serializing the head of the queue, if any."""
-        queue = self._queue
-        if not queue:
-            return
-        frame = queue.popleft()
-        self.queue_depth_highwater.value = len(queue)
-        wire_bytes, serialize = (self._wire_costs.get(frame.payload_bytes)
-                                 or self._costs(frame))
-        self.bytes_sent.value += wire_bytes
-        self._transmitting = True
-        # The transmitter is busy for the serialization time, then the
-        # frame flies for the propagation delay while the next one starts.
-        self.sim.schedule(serialize, self._serialized, frame)
-
     def _serialized(self, frame: Frame) -> None:
         """Serialization of ``frame`` ended: put it on the wire, then
-        restart the queue."""
+        start the next queued frame."""
         self._transmitting = False
-        if not self.impairments.any_enabled():
+        imp = self.impairments
+        if not (imp.loss_probability > 0.0
+                or imp.duplicate_probability > 0.0
+                or imp.reorder_probability > 0.0):
             # The delivery may extend through the receiving node: the
-            # record's push seq lands at this serialize-end instant and
+            # chain's push seq lands at this serialize-end instant and
             # each extension hop re-sequences exactly where the node
             # would have allocated its own events, so the chain is
             # heap-order-identical with fewer events.  Claims stay
             # revocable through the host hooks.  Impaired copies never
             # extend.
-            extension = self._sink_extension(frame)
+            extension = (self._sink_extension(frame) if self._sink_extends
+                         else None)
             if extension is not None:
                 extra_hops, ext_callback, ext_args, claim = extension
-                call = self.sim.schedule_deferred(
+                chain = self.sim.schedule_deferred(
                     self._propagation, tuple(extra_hops),
                     self._deliver_ext, ext_callback, ext_args)
                 if claim is not None:
-                    claim.attach(call, self)
+                    claim.attach(chain, self)
             else:
                 self.sim.schedule(self._propagation, self._deliver, frame)
         else:
@@ -279,7 +291,6 @@ class Channel:
             # once per frame, so a duplicate cannot spawn further
             # duplicates.  All draws come from the channel's dedicated
             # stream, keeping runs seeded.
-            imp = self.impairments
             rng = self._rng
             lost = rng.random() < imp.loss_probability
             duplicated = rng.random() < imp.duplicate_probability
@@ -287,8 +298,7 @@ class Channel:
             if duplicated:
                 self._launch_copy(frame, rng.random() < imp.loss_probability,
                                   imp, rng)
-        # Restart the queue: ``_transmit_next`` inlined, since most
-        # queued frames have a successor waiting.
+        # Start the next queued frame, if any.
         queue = self._queue
         if queue:
             head = queue.popleft()

@@ -8,10 +8,11 @@ delay plus whatever queueing the output links impose.
 check, the hop count and the span milestone itself and schedules
 ``_forward`` one forwarding delay later (:meth:`Switch.handle_frame`
 runs the same code for direct callers, without counting a hop).
-``_forward`` re-checks ``failed`` and sends through the forwarding
-table's bound ``destination -> Channel`` map
-(:meth:`ForwardingTable.egress`), filled on first use and cleared by
-every route change.
+``_forward`` re-checks ``failed`` and sends straight into the channel
+the forwarding table has bound for the destination
+(:attr:`ForwardingTable.bound`, filled on first use by
+:meth:`ForwardingTable.egress` and cleared by every route change),
+falling back to :meth:`ForwardingTable.transmit` on a miss.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ _SPAN_STAGES = {
 class Switch(Node):
     """Forwards every frame toward its destination after a fixed delay.
 
-    A switch never extends inbound chains (``arrival_extension`` stays
-    the base ``None``), and that answer is static — the inherited
-    ``arrival_plans_static = True`` lets inbound channels cache the
-    "never extends" verdict per frame kind instead of re-asking on
-    every delivery.
+    A switch never extends inbound chains: ``arrival_extension`` stays
+    the base ``Node`` method, so inbound channels never ask it (see
+    ``Channel._sink_extends``).
     """
 
     def __init__(self, sim: "Simulator", name: str,
@@ -92,4 +91,8 @@ class Switch(Node):
             return
         # Hot path: bumped in place (an increment of 1 cannot fail).
         self.forwarded.value += 1
-        self.table.transmit(frame.dst, frame)
+        channel = self.table.bound.get(frame.dst)
+        if channel is None:
+            self.table.transmit(frame.dst, frame)
+        else:
+            channel.send(frame)

@@ -4,18 +4,27 @@ Two kinds of "event" exist and are deliberately distinct:
 
 * :class:`ScheduledCall` — a cancellable handle on a queued call: *at
   time T, invoke this callback with these args*.  Only ``schedule_at``
-  and ``schedule_deferred`` build one; ``schedule`` and ``call_soon``
-  queue a bare entry and return ``None``.
+  builds one; ``schedule`` and ``call_soon`` queue a bare entry and
+  return ``None``, and ``schedule_deferred`` queues a bare *chain*.
 * :class:`SimEvent` — a one-shot synchronization object (in the style of
   simpy events or asyncio futures): processes wait on it; someone succeeds
   or fails it exactly once, waking all waiters with a value or an error.
 
 The queue is the hottest data structure in the simulator.
 :class:`EventQueue` is one binary heap of ``(time, seq, callback, args)``
-tuples.  A call that needs a handle is queued as ``(time, seq, None,
-handle)``: the ``None`` slot tells the drain to check the handle's
-``cancelled`` and ``defer_ns`` before running ``handle.callback``.  Most
-pushes never need a handle, so most events cost one tuple and no record
+tuples.  Two kinds of entry carry ``None`` in the callback slot, and the
+drain tells them apart by the type of the last slot:
+
+* ``(time, seq, None, handle)`` — a call that needs a handle: the drain
+  drops it if ``handle.cancelled``, else runs ``handle.callback``;
+* ``(time, seq, None, [defer_ns, callback, args])`` — a *deferred
+  chain* (a ``list``): while ``defer_ns`` is set the drain re-sequences
+  it one hop instead of running it, then runs ``callback(*args)``.  A
+  chain is not cancellable; the only writer after the push is a host's
+  express claim, which rewrites the list in place
+  (``Channel.strip_extension``).
+
+Most pushes need neither, so most events cost one tuple and no record
 object.  The differential suite (``tests/sim``) checks the kernel
 against a record-per-push ``(time, seq)`` heap kept there as the oracle.
 
@@ -25,12 +34,12 @@ suite ultimately rests on):
 1. every push allocates a monotonically increasing ``seq``, so the
    execution order is the exact total order by ``(time, seq)``; seqs
    are unique, so heap comparisons never reach the callback slot;
-2. a handle's entry is never moved by revocation (``net/link.py``
-   rewrites a folded handle's callback in place): its ``(time, seq)``
-   is stable between push and pop;
+2. a queued entry is never moved by revocation (``net/link.py``
+   rewrites a claimed chain's list in place): its ``(time, seq)`` is
+   stable between push and pop;
 3. cancelled handles never execute and never count;
-4. a *deferred* handle re-sequences (fresh seq at its surfacing
-   instant) instead of executing — see :class:`ScheduledCall` below.
+4. a deferred chain re-sequences (fresh seq at its surfacing instant)
+   instead of executing — see :meth:`EventQueue.push_chain`.
 """
 
 from __future__ import annotations
@@ -55,24 +64,10 @@ COMPACT_MIN_CANCELLED = 64
 class ScheduledCall:
     """A cancellable call queued at a fixed time.
 
-    ``time`` is the call's current due time; its heap entry ``(time,
-    seq, None, handle)`` orders it.
-
-    ``defer_ns`` marks a *deferred* (latency-folded) call: it first
-    surfaces at ``time`` — ordered by the seq allocated when it was
-    scheduled, exactly like the intermediate callback it replaces — and
-    the kernel then re-sequences it ``defer_ns`` later with a freshly
-    allocated seq, never invoking a callback at the intermediate hop.
-    Because both seq allocations happen at the same virtual instants as
-    the unfolded two-event chain, same-nanosecond tie-breaking against
-    unrelated events is preserved bit for bit; only the intermediate
-    callback execution disappears.
-
-    ``defer_ns`` may also be a *tuple* of delays — a chain of deferred
-    hops.  Each re-sequencing consumes one element, allocating one seq
-    per hop at the hop's virtual instant, so an n-delay fixed-latency
-    pipeline collapses to a single executed event while remaining
-    order-identical to the n-event original.
+    ``time`` is the call's due time; its heap entry ``(time, seq, None,
+    handle)`` orders it.  Only :meth:`Simulator.schedule_at` builds
+    one: deferred chains are bare lists (see
+    :meth:`EventQueue.push_chain`).
 
     ``owner`` is the queue currently holding the call (``None`` once
     popped to run): :meth:`cancel` notifies it so the pending count
@@ -85,16 +80,15 @@ class ScheduledCall:
     event) for the rest of its time in the heap.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "defer_ns", "owner")
+    __slots__ = ("time", "callback", "args", "cancelled", "owner")
 
     def __init__(self, time: int, callback: Callable[..., None],
-                 args: Tuple[Any, ...] = (), defer_ns: int = 0,
+                 args: Tuple[Any, ...] = (),
                  owner: Optional["EventQueue"] = None) -> None:
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.defer_ns = defer_ns
         self.owner = owner
 
     def cancel(self) -> None:
@@ -117,15 +111,17 @@ class EventQueue:
     """The event scheduler: one binary heap, drained in ``(time, seq)``
     order.
 
-    Entries are ``(time, seq, callback, args)`` tuples, or ``(time,
-    seq, None, handle)`` for calls pushed with :meth:`push_handle`.
-    Cancelled handles stay in the heap until they are popped or
-    compacted away; ``_cancelled`` counts them, so ``len()`` — the live
-    entries — is ``len(heap) - _cancelled``.
+    Entries are ``(time, seq, callback, args)`` tuples, ``(time, seq,
+    None, handle)`` for calls pushed with :meth:`push_handle`, or
+    ``(time, seq, None, chain)`` for chains pushed with
+    :meth:`push_chain`.  Cancelled handles stay in the heap until they
+    are popped or compacted away; ``_cancelled`` counts them, so
+    ``len()`` — the live entries — is ``len(heap) - _cancelled``.
 
     The kernel's run loop pops the heap directly (see
-    :meth:`Simulator.run`) and must settle handle entries exactly as
-    :meth:`_settle` does; :meth:`pop` is the reference path.
+    :meth:`Simulator.run`) and must hop chains and settle handle
+    entries exactly as :meth:`pop` does; :meth:`pop` is the reference
+    path.
     """
 
     __slots__ = ("_heap", "_next_seq", "_cancelled", "compactions", "pops",
@@ -149,33 +145,50 @@ class EventQueue:
         heapq.heappush(self._heap, (time, self._next_seq(), callback, args))
 
     def push_handle(self, time: int, callback: Callable[..., None],
-                    args: Tuple[Any, ...] = (),
-                    defer_ns=0) -> ScheduledCall:
+                    args: Tuple[Any, ...] = ()) -> ScheduledCall:
         """Enqueue ``callback(*args)`` to run at ``time``; returns a
-        cancellable handle.  A non-zero ``defer_ns`` makes it a
-        latency-folded call that surfaces at ``time`` and runs after the
-        ``defer_ns`` hop (or chain of hops, when a tuple) — see
-        :class:`ScheduledCall`."""
-        call = ScheduledCall(time, callback, args, defer_ns, self)
+        cancellable handle."""
+        call = ScheduledCall(time, callback, args, self)
         heapq.heappush(self._heap, (time, self._next_seq(), None, call))
         return call
 
-    def resequence(self, call: ScheduledCall) -> None:
-        """Move a just-popped deferred call one hop along its chain.
+    def push_chain(self, time: int, defer_ns, callback: Callable[..., None],
+                   args: Tuple[Any, ...] = ()) -> list:
+        """Enqueue a deferred chain: it surfaces at ``time``, then runs
+        ``callback(*args)`` after the ``defer_ns`` hop (or chain of
+        hops, when a tuple).  Returns the chain, ``[defer_ns, callback,
+        args]``.
 
-        Allocates a fresh seq *now* — the same instant the unfolded
-        intermediate callback would have scheduled the next one — so
-        FIFO tie-breaking at each hop time is unchanged by folding.
+        Each time the chain surfaces with ``defer_ns`` set, the queue
+        re-sequences it (:meth:`_hop`) instead of running it: a fresh
+        seq *at the surfacing instant*, the same instant the intermediate
+        callback it replaces would have scheduled the next hop.  Both
+        seq allocations therefore happen at the same virtual instants
+        as the unfolded n-event chain, so same-nanosecond tie-breaking
+        is preserved bit for bit; only the intermediate executions
+        disappear.  ``defer_ns`` falsy (``0`` or ``()``) means the next
+        surfacing runs the callback.
+
+        A chain is not cancellable.  Its owner may rewrite the list in
+        place while it is queued (a host's revoked claim does, through
+        ``Channel.strip_extension``); its ``(time, seq)`` never moves.
         """
-        defer = call.defer_ns
+        chain = [defer_ns, callback, args]
+        heapq.heappush(self._heap, (time, self._next_seq(), None, chain))
+        return chain
+
+    def _hop(self, time: int, chain: list) -> None:
+        """Move a just-popped chain, which surfaced at ``time``, one hop
+        along (see :meth:`push_chain`)."""
+        defer = chain[0]
         if type(defer) is tuple:
             delay = defer[0]
-            call.defer_ns = defer[1] if len(defer) == 2 else defer[1:]
+            chain[0] = defer[1] if len(defer) == 2 else defer[1:]
         else:
             delay = defer
-            call.defer_ns = 0
-        time = call.time = call.time + delay
-        heapq.heappush(self._heap, (time, self._next_seq(), None, call))
+            chain[0] = 0
+        heapq.heappush(self._heap, (time + delay, self._next_seq(), None,
+                                    chain))
         self.resequences += 1
 
     # ------------------------------------------------------------------
@@ -196,7 +209,8 @@ class EventQueue:
         untouched."""
         heap = self._heap
         heap[:] = [entry for entry in heap
-                   if entry[2] is not None or not entry[3].cancelled]
+                   if entry[2] is not None or type(entry[3]) is list
+                   or not entry[3].cancelled]
         heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
@@ -205,14 +219,10 @@ class EventQueue:
     # Consumption
     # ------------------------------------------------------------------
     def _settle(self, call: ScheduledCall) -> bool:
-        """Settle a popped handle entry: drop it if cancelled, move it
-        one hop if deferred (both return ``False``), else release it to
-        run (``True``)."""
+        """Settle a popped handle entry: drop it if cancelled (returns
+        ``False``), else release it to run (``True``)."""
         if call.cancelled:
             self._cancelled -= 1
-            return False
-        if call.defer_ns:
-            self.resequence(call)
             return False
         call.owner = None
         return True
@@ -221,9 +231,9 @@ class EventQueue:
         """Remove the earliest runnable call and return ``(time,
         callback, args)``.
 
-        Cancelled handles are dropped and deferred ones re-sequenced on
-        the way, exactly as the kernel's run loop does, so stepping and
-        running drain identically.  Raises :class:`IndexError` when
+        Cancelled handles are dropped and deferred chains re-sequenced
+        on the way, exactly as the kernel's run loop does, so stepping
+        and running drain identically.  Raises :class:`IndexError` when
         nothing is left to run.
         """
         heap = self._heap
@@ -232,6 +242,11 @@ class EventQueue:
             self.pops += 1
             if callback is not None:
                 return time, callback, args
+            if type(args) is list:
+                if args[0]:
+                    self._hop(time, args)
+                    continue
+                return time, args[1], args[2]
             if self._settle(args):
                 return time, args.callback, args.args
         raise IndexError("pop from an empty event queue")
@@ -243,7 +258,8 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2] is None and entry[3].cancelled:
+            if (entry[2] is None and type(entry[3]) is not list
+                    and entry[3].cancelled):
                 heapq.heappop(heap)
                 self.pops += 1
                 self._cancelled -= 1

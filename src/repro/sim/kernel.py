@@ -9,11 +9,12 @@ is bit-for-bit reproducible.
 The scheduling path is the hottest code in the repository: every packet,
 pipeline stage, PM access, and stack crossing becomes at least one event.
 ``schedule`` and ``call_soon`` therefore push a bare ``(time, seq,
-callback, args)`` tuple onto the queue's heap and return nothing; only
-``schedule_at`` and ``schedule_deferred`` build a cancellable
-:class:`~repro.sim.event.ScheduledCall` (see :mod:`repro.sim.event`).
-:meth:`Simulator.run` pops the heap in one short loop, because a generic
-``queue.pop()`` per event costs more than the heap work it wraps.
+callback, args)`` tuple onto the queue's heap and return nothing;
+``schedule_deferred`` pushes a bare chain list, and only ``schedule_at``
+builds a cancellable :class:`~repro.sim.event.ScheduledCall` (see
+:mod:`repro.sim.event`).  :meth:`Simulator.run` pops the heap in one
+short loop, because a generic ``queue.pop()`` per event costs more than
+the heap work it wraps.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class Simulator:
         heap = q._heap
         heappush = heapq.heappush
         next_seq = q._next_seq
-        push_handle = q.push_handle
 
         def schedule(delay: int, callback: Callable[..., None],
                      *args: Any) -> None:
@@ -125,13 +125,13 @@ class Simulator:
 
         def schedule_deferred(delay: int, defer_ns,
                               callback: Callable[..., None],
-                              *args: Any) -> ScheduledCall:
+                              *args: Any) -> list:
             """Fold fixed back-to-back delays into one executed event.
 
             Equivalent to scheduling an intermediate callback at
             ``delay`` whose only job is to schedule ``callback(*args)``
             another ``defer_ns`` later — but the intermediate hop never
-            runs Python: the kernel re-sequences the call when it
+            runs Python: the kernel re-sequences the chain when it
             surfaces.  Seq numbers are allocated at exactly the same two
             virtual instants as the unfolded chain, so same-time
             tie-breaking (and therefore byte-for-byte run
@@ -141,7 +141,11 @@ class Simulator:
             fixed-latency pipeline then collapses to a single executed
             event, one re-sequencing per intermediate hop.  Use only
             when every intermediate callback would have had no
-            observable side effect.  Returns a cancellable handle.
+            observable side effect.
+
+            Returns the queued chain ``[defer_ns, callback, args]``
+            (``EventQueue.push_chain``, inlined), not a handle: a chain
+            cannot be cancelled.
             """
             # Validated in place: no wrapping tuple or generator per call.
             if type(defer_ns) is tuple:
@@ -151,7 +155,9 @@ class Simulator:
             if bad or delay < 0:
                 raise SimulationError(
                     f"cannot schedule {delay}+{defer_ns}ns into the past")
-            return push_handle(self._now + delay, callback, args, defer_ns)
+            chain = [defer_ns, callback, args]
+            heappush(heap, (self._now + delay, next_seq(), None, chain))
+            return chain
 
         self.schedule = schedule
         self.call_soon = call_soon
@@ -191,7 +197,7 @@ class Simulator:
         """Execute the single earliest pending event.
 
         Returns ``False`` when the queue is empty, ``True`` otherwise.
-        Cancelled handles are skipped and deferred ones re-sequenced
+        Cancelled handles are skipped and deferred chains re-sequenced
         exactly as in :meth:`run` — neither executes nor counts toward
         ``executed_events`` — so a workload stepped to completion and
         the same workload driven by ``run()`` report identical event
@@ -215,7 +221,8 @@ class Simulator:
         Returns the simulated time at which execution stopped.  ``until`` is
         inclusive: events scheduled exactly at ``until`` execute.
 
-        The loop pops the heap directly and settles handle entries as
+        The loop pops the heap directly, hops deferred chains as
+        ``EventQueue._hop`` does and settles handle entries as
         ``EventQueue._settle`` does.  One liberty, unobservable: the
         ``until``/budget checks run before cancelled heads are skipped
         (a cancelled handle neither executes nor counts in ``len()``, so
@@ -232,12 +239,12 @@ class Simulator:
         q = self._queue
         heap = q._heap
         heappop = heapq.heappop
-        resequence = q.resequence
+        heappush = heapq.heappush
+        next_seq = q._next_seq
         profiler = self._profiler
         check_until = until is not None
         budget = -1 if max_events is None else max_events
-        executed = dropped = 0
-        resequenced = q.resequences
+        executed = dropped = hops = 0
         try:
             while heap:
                 if check_until and heap[0][0] > until:
@@ -248,18 +255,34 @@ class Simulator:
                     break
                 time, _, callback, args = heappop(heap)
                 if callback is None:
-                    # A handle entry: ``EventQueue._settle`` inlined.
-                    call = args
-                    if call.cancelled:
-                        q._cancelled -= 1
-                        dropped += 1
-                        continue
-                    if call.defer_ns:
-                        resequence(call)
-                        continue
-                    call.owner = None
-                    callback = call.callback
-                    args = call.args
+                    if type(args) is list:
+                        # A deferred chain: ``EventQueue._hop`` inlined.
+                        chain = args
+                        defer = chain[0]
+                        if defer:
+                            if type(defer) is tuple:
+                                delay = defer[0]
+                                chain[0] = (defer[1] if len(defer) == 2
+                                            else defer[1:])
+                            else:
+                                delay = defer
+                                chain[0] = 0
+                            heappush(heap, (time + delay, next_seq(), None,
+                                            chain))
+                            hops += 1
+                            continue
+                        callback = chain[1]
+                        args = chain[2]
+                    else:
+                        # A handle entry: ``EventQueue._settle`` inlined.
+                        call = args
+                        if call.cancelled:
+                            q._cancelled -= 1
+                            dropped += 1
+                            continue
+                        call.owner = None
+                        callback = call.callback
+                        args = call.args
                 self._now = time
                 executed += 1
                 if profiler is not None:
@@ -271,7 +294,8 @@ class Simulator:
                     break
         finally:
             self._running = False
-            q.pops += executed + dropped + q.resequences - resequenced
+            q.pops += executed + dropped + hops
+            q.resequences += hops
             self.executed_events += executed
         return self._now
 
@@ -290,8 +314,8 @@ class Simulator:
         ``lane_pops``/``near_pops``/``far_pops`` are the per-tier
         counters of the retired tiered queue, kept for readers that
         look them up by name: every pop is a heap pop, reported as
-        ``far_pops``, and the other two read 0.  Pop counters are
-        written back when :meth:`run` exits.
+        ``far_pops``, and the other two read 0.  Pop and re-sequence
+        counters are written back when :meth:`run` exits.
         """
         stats = self._queue.stats()
         stats.update(kernel=self.kernel, lane_pops=0, near_pops=0,

@@ -22,6 +22,10 @@ these counts are what keeps a hop rewrite honest.  The benchmark's
 other three workloads (``rack-update``, ``rack-read-cache``,
 ``fabric-failover``) are pinned the same way at a small budget: the
 sample digest, the completed count and the executed events per level.
+
+Two of those shapes are also drained twice, once with ``step()`` and
+once with ``run()``: the stepped drain is the benchmark's traced round,
+and it must report the same samples, events and re-sequences.
 """
 
 from __future__ import annotations
@@ -117,11 +121,9 @@ FABRIC_CHAIN_EXACT = {
 
 
 def _fabric_chain_shape(level: str) -> dict:
-    reset_request_ids()
     with fold(level):
-        deployment = build(FABRIC_CHAIN,
-                           SystemConfig(seed=3).with_payload(100))
-    engine = FlowLoadGenerator(deployment, FABRIC_CHAIN_LOAD)
+        deployment, engine = _prepare_shape(FABRIC_CHAIN, None, False,
+                                            FABRIC_CHAIN_LOAD)
     deployment.open_all_sessions()
     engine.start()
     deployment.sim.run()
@@ -190,7 +192,8 @@ def _bench_shape(name: str, level: str) -> dict:
         return _run_bench_shape(*BENCH_SHAPES[name])
 
 
-def _run_bench_shape(spec, clients, btree, failover, load) -> dict:
+def _prepare_shape(spec, clients, btree, load):
+    """Build a benchmark shape at sim seed 3: ``(deployment, engine)``."""
     reset_request_ids()
     config = SystemConfig(seed=3).with_payload(100)
     if clients is not None:
@@ -202,7 +205,11 @@ def _run_bench_shape(spec, clients, btree, failover, load) -> dict:
             tree.set(key, f"init{key}")
         handler = StructureHandler(tree)
     deployment = build(spec, config, handler=handler)
-    engine = FlowLoadGenerator(deployment, load)
+    return deployment, FlowLoadGenerator(deployment, load)
+
+
+def _run_bench_shape(spec, clients, btree, failover, load) -> dict:
+    deployment, engine = _prepare_shape(spec, clients, btree, load)
     if failover:
         # ``bench/workloads.py``'s failover timeline: heartbeats every
         # 20 us, a control tick every 25 us, the last server power-cut
@@ -233,3 +240,48 @@ def test_bench_shape_is_exact(name, level):
     pin = BENCH_SHAPE_EXACT[name]
     assert _bench_shape(name, level) == {
         **pin, "executed_events": pin["executed_events"][level]}
+
+
+#: Real deployments for the step/run identity: the chain-3 fabric (MAT
+#: stage chains, device arrival extensions, and express claims whose
+#: chains are stripped in place while queued: 12 at seed 3) and the
+#: read-cache rack (cache hits and the B-tree handler behind express
+#: claims).  ``(spec, client hosts, btree handler, closed loop)``.
+STEP_RUN_SHAPES = {
+    "fabric-chain": (FABRIC_CHAIN, None, False, FABRIC_CHAIN_LOAD),
+    "rack-read-cache": (DeploymentSpec(placement="switch",
+                                       enable_cache=True), 8, True,
+                        BENCH_SHAPES["rack-read-cache"][4]),
+}
+
+
+def _drain_shape(name: str, drive: str) -> dict:
+    with fold("whole"):
+        deployment, engine = _prepare_shape(*STEP_RUN_SHAPES[name])
+        sim = deployment.sim
+        deployment.open_all_sessions()
+        engine.start()
+        if drive == "step":
+            while sim.step():
+                pass
+        else:
+            sim.run()
+    result = engine.result()
+    stats = sim.kernel_stats()
+    return dict(completed=result.completed, digest=result.digest(),
+                samples=result.samples,
+                executed_events=sim.executed_events,
+                resequences=stats["resequences"], pops=stats["pops"])
+
+
+@pytest.mark.parametrize("name", sorted(STEP_RUN_SHAPES))
+def test_step_and_run_drain_real_deployments_identically(name):
+    """``Simulator.step()`` (through ``EventQueue.pop``, what the
+    benchmark's traced round drives) and ``run()`` (the inlined drain
+    loop) must hop deferred chains and settle handles identically."""
+    stepped = _drain_shape(name, "step")
+    ran = _drain_shape(name, "run")
+    assert stepped == ran
+    load = STEP_RUN_SHAPES[name][3]
+    assert ran["completed"] == load.total_requests
+    assert ran["resequences"] > 0, "no deferred chain was exercised"

@@ -87,6 +87,38 @@ class TestQueueing:
         assert int(link.forward.dropped_full) > 0
         assert len(b.arrivals) + int(link.forward.dropped_full) == 10
 
+    def test_zero_capacity_drops_even_into_an_idle_transmitter(self):
+        # ``queue_capacity_packets=0`` is a valid profile: the channel
+        # has room for no frame at all, so every send is a drop-tail
+        # drop, the first one too, although the transmitter is idle.
+        sim = Simulator()
+        profile = NetworkProfile(queue_capacity_packets=0,
+                                 header_overhead_bytes=46)
+        a, b, link = _pair(sim, profile)
+        for _ in range(3):
+            a.ports[0].transmit(Frame("a", "b", None, 100))
+        sim.run()
+        assert b.arrivals == []
+        assert sim.executed_events == 0
+        summary = link.forward.summary()
+        assert summary["dropped_full"] == 3
+        assert summary["dropped_full_bytes"] == 3 * (100 + 46)
+        assert summary["bytes"] == 0
+        assert summary["queue_depth_highwater"] == 0
+
+    def test_send_into_an_idle_channel_marks_depth_one(self):
+        # The frame is queued and starts serializing in the same
+        # instant: the gauge reads 0 with a high-water mark of 1.
+        sim = Simulator()
+        a, b, link = _pair(sim)
+        a.ports[0].transmit(Frame("a", "b", None, 100))
+        gauge = link.forward.queue_depth_highwater
+        assert (gauge.value, gauge.highwater) == (0, 1)
+        assert link.forward.queue_depth == 0
+        sim.run()
+        assert (gauge.value, gauge.highwater) == (0, 1)
+        assert len(b.arrivals) == 1
+
 
 class TestImpairments:
     def test_loss_drops_frames(self):

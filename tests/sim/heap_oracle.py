@@ -6,9 +6,11 @@ subtly wrong.  This oracle restates the scheduling contract in the most
 direct form — one record per push in one heap ordered by ``(time,
 seq)``, one seq per push, a fresh seq per deferred hop, cancelled
 records skipped — and exposes the slice of the
-:class:`~repro.sim.kernel.Simulator` API the differential suite drives,
-with the same return values (``schedule`` and ``call_soon`` return no
-handle).  It is test code only: nothing in ``src`` depends on it.
+:class:`~repro.sim.kernel.Simulator` API the differential suite drives.
+Only ``schedule_at`` returns a cancellable handle, as in the kernel;
+the kernel's ``schedule_deferred`` returns its chain list, which only a
+host's express claim reads, so the oracle returns nothing there.  It is
+test code only: nothing in ``src`` depends on it.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class HeapOracle:
         self._push(self.now, 0, callback, args)
 
     def schedule_deferred(self, delay: int, defer_ns, callback,
-                          *args) -> _Record:
-        return self._push(self.now + delay, defer_ns, callback, args)
+                          *args) -> None:
+        self._push(self.now + delay, defer_ns, callback, args)
 
     def _next_live(self) -> Optional[_Record]:
         """Purge cancelled heads; return the earliest live record, still

@@ -162,15 +162,6 @@ class TestDeferredRecords:
         assert sim.now == 5 + 7 + 11 + 13
         assert sim.executed_events == 1
 
-    def test_deferred_call_cancellable_before_surfacing(self):
-        sim = Simulator()
-        comp = _Component(sim)
-        call = sim.schedule_deferred(5, 7, comp.tick)
-        call.cancel()
-        sim.run()
-        assert comp.fired == 0
-        assert sim.executed_events == 0
-
 
 class TestKernelStatsLine:
     def test_format_covers_pops_and_sweeps(self):

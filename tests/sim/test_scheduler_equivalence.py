@@ -6,8 +6,9 @@ caller needs one, one inlined drain loop) only if it is *observably
 identical* to the plain ``(time, seq)`` heap of records in
 ``heap_oracle.py``: same callbacks, same order, same timestamps, same
 counters, under any interleaving of ``schedule`` / ``schedule_at`` /
-``call_soon`` / ``cancel`` / ``schedule_deferred`` (including tuple
-re-sequencing chains) issued from inside running callbacks.  Hypothesis
+``call_soon`` / ``cancel`` (of ``schedule_at`` handles) /
+``schedule_deferred`` (including tuple re-sequencing chains) issued
+from inside running callbacks.  Hypothesis
 generates random scheduling programs; an interpreter executes each
 program on both and the traces must match exactly.
 
@@ -44,11 +45,12 @@ STRIDES = (17, 600, 100_000)
 
 # ---------------------------------------------------------------------------
 # Program representation: node i carries a list of actions it performs
-# when its callback runs.  Handles (from ``schedule_at`` and
-# ``schedule_deferred``; ``schedule`` and ``call_soon`` return none) are
-# kept per node id so ``cancel`` can target any previously scheduled
-# node, including already-executed or never-scheduled ones (both must
-# be harmless no-ops / misses).
+# when its callback runs.  Handles (only ``schedule_at`` returns one;
+# ``schedule`` and ``call_soon`` return none, and a deferred chain is
+# not cancellable) are kept per node id so ``cancel`` can target any
+# node previously scheduled with ``schedule_at``, including
+# already-executed or never-scheduled ones (both must be harmless
+# no-ops / misses).
 # ---------------------------------------------------------------------------
 
 def _actions(num_nodes: int):
@@ -101,8 +103,7 @@ def _interpret(program, sim, drive: str):
             elif kind == "deferred":
                 chain = action[2]
                 defer = chain[0] if len(chain) == 1 else tuple(chain)
-                handles[action[3]] = sim.schedule_deferred(
-                    action[1], defer, fire, action[3])
+                sim.schedule_deferred(action[1], defer, fire, action[3])
             else:  # cancel
                 handle = handles.get(action[1])
                 if handle is not None:
