@@ -62,13 +62,15 @@ def fold_level() -> int:
     * **0** — every stage is its own scheduled event (``PMNET_FOLD=none``):
       the reference timeline.
     * **2** — whole-request folding (the default, ``PMNET_FOLD=whole``):
-      the PMNet MAT pipeline folds consecutive deterministic stage
-      delays into single scheduled events; an unimpaired channel's
-      delivery extends, at the frame's serialize end, straight into the
-      device pipeline or the client's receive stack (arrival
-      extensions); and the client cancels its no-op timeout timers and
-      dispatches single-waiter completions inline.  The wire itself
-      does not fold: every frame is serialized by its own event.
+      two pieces.  Device arrival extensions: an unimpaired channel's
+      delivery to a PMNet device extends, at the frame's serialize end,
+      through the device's deterministic ingress/PM stages into one
+      deferred chain.  And the client cancels its no-op timeout timers
+      and dispatches single-waiter completions inline.  Everything else
+      runs per stage at both levels: the wire (every frame is
+      serialized by its own event), hosts' stack costs, and frames that
+      arrive at a device unextended (impaired channels, pass-through
+      ACKs, the read path).
 
     Both levels produce byte-identical results (same virtual times,
     same RNG draws, same tie-breaks); only the executed-event count

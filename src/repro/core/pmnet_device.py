@@ -104,47 +104,6 @@ class PMNetDevice(Node):
     # Frame entry point
     # ------------------------------------------------------------------
     def handle_frame(self, frame: Frame, in_port: Port) -> None:
-        if self._fold:
-            # Latency-folded MAT walk: classification is pure (it only
-            # reads the frame), so it can run at arrival time and the
-            # deterministic stage delays of side-effect-free hops sum
-            # into one scheduled event.  Only actions whose intermediate
-            # ingress callback mutates nothing fold — every counter,
-            # cache, and log mutation still fires at the exact virtual
-            # time the per-stage path produced.  Crash safety: the
-            # folded chains end in callbacks that re-check `failed`, so
-            # a mid-window crash drops the frame on both timelines; the
-            # only unguarded divergence is a crash *and* recovery
-            # landing inside one pipeline window (nanoseconds) — the
-            # failure scenarios separate them by hundreds of
-            # microseconds (Fig 12/13).
-            action = classify(frame)
-            if action is MATAction.LOG_AND_FORWARD:
-                # ingress -> PM-access: `_log_update` performs all side
-                # effects itself; the intermediate hop only dispatched.
-                self.folded_stages.value += 1
-                self.sim.schedule_deferred(
-                    self.config.pipeline.ingress_ns,
-                    self.config.pipeline.pm_stage_ns,
-                    self._log_update, frame, pmnet_packet(frame))
-                return
-            if action is MATAction.CHAIN_LOG_AND_FORWARD:
-                # The same walk for a chain member's copy.
-                self.folded_stages.value += 1
-                self.sim.schedule_deferred(
-                    self.config.pipeline.ingress_ns,
-                    self.config.pipeline.pm_stage_ns,
-                    self._log_chain_update, frame, pmnet_packet(frame))
-                return
-            if action is MATAction.FORWARD_ACK:
-                # ingress -> egress: a pass-through ACK touches nothing
-                # until the forwarding lookup in `_forward_frame`.
-                self.folded_stages.value += 1
-                self.sim.schedule_deferred(
-                    self.config.pipeline.ingress_ns,
-                    self.config.pipeline.egress_ns,
-                    self._forward_frame, frame)
-                return
         self.sim.schedule(self.config.pipeline.ingress_ns,
                           self._after_ingress, frame)
 
@@ -153,8 +112,9 @@ class PMNetDevice(Node):
         the deterministic head of this device's pipeline.
 
         Classification is pure (it reads only the frame), so it can run
-        at the frame's serialize end just as the stage-folded path runs
-        it at arrival time.  Three actions extend — their interior hops
+        at the frame's serialize end instead of in :meth:`_after_ingress`,
+        and its answer depends only on the frame's kind, so channels
+        cache it per kind.  Three actions extend — their interior hops
         mutate nothing, every side effect lives in the barrier:
 
         * **LOG_AND_FORWARD** rides ingress + PM-access and lands in
@@ -168,9 +128,8 @@ class PMNetDevice(Node):
         Everything else — notably the cache read path, whose lookup
         outcome steers mid-pipeline branching — stays on the per-stage
         paths, so a cache-capable request never whole-request folds.
-        The barriers re-check ``failed``, matching the stage-folded
-        interior checks; a crash inside the window drops the frame on
-        both timelines.
+        The barriers re-check ``failed`` as the per-stage callbacks do;
+        a crash inside the window drops the frame on both timelines.
         """
         if not self._fold:
             return None
@@ -178,16 +137,14 @@ class PMNetDevice(Node):
         if action is MATAction.LOG_AND_FORWARD:
             return ((self.config.pipeline.ingress_ns,
                      self.config.pipeline.pm_stage_ns),
-                    self._express_ingest, (frame, pmnet_packet(frame)), None)
+                    self._express_ingest, (frame, frame.payload))
         if action is MATAction.CHAIN_LOG_AND_FORWARD:
             return ((self.config.pipeline.ingress_ns,
                      self.config.pipeline.pm_stage_ns),
-                    self._express_chain_ingest,
-                    (frame, pmnet_packet(frame)), None)
+                    self._express_chain_ingest, (frame, frame.payload))
         if action is MATAction.INVALIDATE_AND_FORWARD:
             return ((self.config.pipeline.ingress_ns,),
-                    self._express_server_ack,
-                    (frame, pmnet_packet(frame)), None)
+                    self._express_server_ack, (frame, frame.payload))
         return None
 
     def _express_ingest(self, frame: Frame, packet: PMNetPacket) -> None:
@@ -256,7 +213,7 @@ class PMNetDevice(Node):
             return
         if self._spans is not None:
             # Fires at the same virtual time folded and unfolded: the
-            # fold collapses ingress+PM-stage into one deferred event
+            # arrival extension rides ingress+PM-stage as one chain
             # ending exactly here.
             self._spans.record(packet.request_id, spans.LOG_WRITE,
                                self.sim.now)
@@ -303,8 +260,8 @@ class PMNetDevice(Node):
     # write to the next member; only the tail ACKs the client (the
     # paper's Sec IV-B1 "ACK from another PMNet", generalized across
     # switches).  A chain member's ingress -> PM-access walk folds like
-    # an update's: one deferred event at stage level, an arrival
-    # extension ending in `_express_chain_ingest` at whole level.
+    # an update's: an arrival extension ending in
+    # `_express_chain_ingest` at whole level.
     # ------------------------------------------------------------------
     def _handle_chain_update(self, frame: Frame, packet: PMNetPacket) -> None:
         self.sim.schedule(self.config.pipeline.pm_stage_ns,
@@ -387,7 +344,7 @@ class PMNetDevice(Node):
             if self._spans is not None:
                 self._spans.record(packet.request_id, spans.PMNET_ACK,
                                    self.sim.now)
-            self.acks_sent.increment()
+            self.acks_sent.value += 1
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self.name, "pmnet_ack",
                                  req=packet.request_id, seq=packet.seq_num)

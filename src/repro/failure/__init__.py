@@ -3,8 +3,6 @@
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.failure.autorecover": ("RecoveryManager",
-                                  "attach_recovery_manager"),
     "repro.failure.chaos": ("ChaosPlan", "ChaosRunResult", "Fault",
                             "append_to_corpus", "generate_plan",
                             "load_corpus", "repro_line", "run_plan",
@@ -19,7 +17,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "FailureInjector", "FailureRecord",
-    "RecoveryManager", "attach_recovery_manager",
     "ScenarioOutcome",
     "intermittent_server_failure",
     "device_failure_before_ack",

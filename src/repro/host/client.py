@@ -119,14 +119,10 @@ class PMNetClient:
         self._completed_via = {"pmnet": self.completed_pmnet,
                                "server": self.completed_server,
                                "cache": self.completed_cache}
+        #: Whole-request folding: the completion timeout is cancelled
+        #: instead of firing as a no-op, and the application wakeup
+        #: dispatches inline at its unfolded heap slot.
         self._fold = folding_enabled()
-        if self._fold:
-            # Whole-request folding: inbound ACK chains may extend
-            # through the stack receive cost (revocable pre-draw), the
-            # completion timeout is cancelled instead of firing as a
-            # no-op, and the application wakeup dispatches inline at its
-            # unfolded heap slot.
-            host.express_inbound = True
         register_with_sim(sim, self)
 
     def instruments(self) -> tuple:
@@ -286,7 +282,7 @@ class PMNetClient:
                 self._stale_timer = call
             else:
                 call.cancel()
-        self._completed_via[via].increment()
+        self._completed_via[via].value += 1
         first = state.packets[0]
         if self._spans is not None:
             self._spans.record(first.request_id, spans.CLIENT_COMPLETE,
@@ -297,11 +293,9 @@ class PMNetClient:
                              seq=first.seq_num, via=via,
                              update=state.is_update, ok=result.ok)
         # The application wakeup (epoll + scheduler) is charged here.
-        # The draw goes through the host so an outstanding express-claim
-        # pre-draw is revoked before the jitter stream advances.
         completion = Completion(result=result, via=via,
                                 retransmissions=state.retransmissions)
-        cost = self.host.dispatch_cost()
+        cost = self.host.stack.dispatch_cost()
         if self._fold and state.completion.waiter_count == 1:
             # Single waiter (the driver): run it inline at the wakeup
             # instant.  The one-hop ``(0,)`` defer re-sequences the

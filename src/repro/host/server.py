@@ -268,7 +268,7 @@ class PMNetServer:
             self.persistent_applied[sid] = max(
                 self.persistent_applied.get(sid, 0),
                 fragments[-1].seq_num + 1)
-        self.processed.increment()
+        self.processed.value += 1
         if self._spans is not None:
             self._spans.record(first.request_id, spans.SERVER_HANDLER,
                                self.sim.now)

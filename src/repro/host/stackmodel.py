@@ -9,7 +9,7 @@ the paper's Fig 20 CDFs measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict
 
 from repro.config import TCP_EXTRA_PER_SIDE_NS, StackProfile
 from repro.sim.rand import LatencyJitter
@@ -70,27 +70,6 @@ class HostStack:
     def recv_cost(self, payload_bytes: int) -> int:
         """Cost of raising one packet from the NIC into the stack."""
         return self._jitter.sample(self._recv_base(payload_bytes))
-
-    # ------------------------------------------------------------------
-    # Whole-request folding: a host may pre-draw one receive cost at
-    # its frame's serialize end (an express arrival claim).  Revoking
-    # the claim hands the draw back to the jitter stream, so the next
-    # draw sees the value the unfolded timeline draws there — valid
-    # because every competing draw site revokes the claim *before*
-    # drawing, so at revocation the claim's draw is still the stream's
-    # most recent.
-    # ``send_cost``/``recv_cost`` draw only from the jitter stream (the
-    # hiccup stream is dispatch-only), so one jitter factor is all a
-    # claim consumed.
-    # ------------------------------------------------------------------
-    def claim_recv_cost(self, payload_bytes: int) -> Tuple[int, object]:
-        """:meth:`recv_cost` drawn under a claim: the cost, and the token
-        :meth:`revoke_recv_cost` takes to hand the draw back."""
-        return self._jitter.sample_revocable(self._recv_base(payload_bytes))
-
-    def revoke_recv_cost(self, token: object) -> None:
-        """Undo the most recent :meth:`claim_recv_cost` draw in O(1)."""
-        self._jitter.unread(token)
 
     def dispatch_cost(self) -> int:
         """Cost of waking the application thread for one request.

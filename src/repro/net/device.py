@@ -44,14 +44,6 @@ class Port:
 class Node:
     """Base class for every device attached to the fabric."""
 
-    #: Whether this node's :meth:`arrival_extension` answer is a pure
-    #: function of the frame *kind* (its classification), so channels
-    #: may cache the returned plan per (node, kind) and rebuild only the
-    #: per-frame ``args`` (see :meth:`Channel._sink_extension`).  Nodes
-    #: whose extensions carry per-frame state — pre-drawn RNG, claim
-    #: slots — must set this ``False`` and are queried per delivery.
-    arrival_plans_static = True
-
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
@@ -59,12 +51,10 @@ class Node:
         #: Set by the failure injector; failed nodes drop all traffic.
         self.failed = False
         #: Per-frame-kind arrival-extension plans cached by inbound
-        #: channels (``None`` disables caching entirely).  Invalidated
-        #: on failure, recovery, impairment change, and device
-        #: replacement — any event that could change what this node
-        #: answers.
-        self._arrival_plans: Optional[dict] = (
-            {} if self.arrival_plans_static else None)
+        #: channels.  Invalidated on failure, recovery, impairment
+        #: change, and device replacement — any event that could change
+        #: what this node answers.
+        self._arrival_plans: dict = {}
 
     def add_port(self) -> Port:
         """Create one more port on this node."""
@@ -88,15 +78,14 @@ class Node:
         frame's serialize end.
 
         A node that can absorb this frame's arrival into deterministic
-        extra hops returns ``(extra_hops, callback, args, claim)``: the
-        wire chain is extended by ``extra_hops`` and ends in
+        extra hops returns ``(extra_hops, callback, args)``: the wire
+        chain is extended by ``extra_hops`` and ends in
         ``callback(*args)`` — a barrier that must re-check the node's
-        liveness exactly as the stage-folded interior callbacks would —
-        instead of the usual :meth:`~Node.receive` delivery.  ``claim``
-        (or ``None``) is a random draw the node made in advance; the
-        channel attaches the scheduled record to it
-        (``claim.attach(call, channel)``) so the node can revoke it
-        through :meth:`Channel.strip_extension`.  The base node never
+        liveness — instead of the usual :meth:`~Node.receive` delivery.
+        The answer must depend only on the frame's kind, and ``args``
+        must be ``(frame, frame.payload)``: channels cache the
+        ``(extra_hops, callback)`` half per kind
+        (:meth:`Channel._sink_extension`).  The base node never
         extends.
         """
         return None
@@ -118,9 +107,7 @@ class Node:
         call it whenever the node's extension answers could change
         (failure, recovery, reconfiguration, in-place replacement).
         """
-        plans = self._arrival_plans
-        if plans:
-            plans.clear()
+        self._arrival_plans.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "FAILED" if self.failed else "up"

@@ -20,19 +20,17 @@ it to the receiving node.
 **Arrival extensions** (``PMNET_FOLD=whole``): at the serialize end an
 unimpaired channel asks the receiving node for an
 :meth:`~repro.net.device.Node.arrival_extension` — extra deterministic
-hops (a PMNet device's ingress/PM stages, a client host's pre-drawn
-stack receive cost) appended to the propagation hop, ending in the
-node's own barrier callback instead of :meth:`_deliver`.  A sink whose
-class keeps the base ``Node.arrival_extension`` (a plain switch) never
-extends and is not asked.  Each extra hop re-sequences at exactly the
-instant the receiving node would have allocated the corresponding
-event, so tie-breaking is unchanged; the barrier re-checks the
-receiver's liveness.  A host that needs its jitter stream before such a
-chain reaches the wire-arrival slot revokes its claim, and
-:meth:`Channel.strip_extension` rewrites the queued chain in place into
-a plain delivery.  Impaired frames never extend: their per-frame random
-draws and the loss/duplicate/reorder branching stay on the plain path,
-preserving RNG stream positions draw for draw.
+hops (a PMNet device's ingress/PM stages) appended to the propagation
+hop, ending in the node's own barrier callback instead of
+:meth:`_deliver`.  A sink whose class keeps the base
+``Node.arrival_extension`` (a plain switch, a host) never extends and is
+not asked.  Each extra hop re-sequences at exactly the instant the
+receiving node would have allocated the corresponding event, so
+tie-breaking is unchanged; the barrier re-checks the receiver's
+liveness.  Once pushed, a chain is never rewritten.  Impaired frames
+never extend: their per-frame random draws and the
+loss/duplicate/reorder branching stay on the plain path, preserving RNG
+stream positions draw for draw.
 """
 
 from __future__ import annotations
@@ -127,48 +125,38 @@ class Channel:
     # ------------------------------------------------------------------
     def _sink_extension(self, frame: Frame):
         """The receiving node's arrival extension for ``frame``, served
-        from the per-(node, frame-kind) plan cache when the node allows.
+        from the per-(node, frame-kind) plan cache.
 
-        The extension walk (classification + config lookups) is a pure
-        function of the frame kind on nodes that declare
-        ``arrival_plans_static`` — re-walking it on every delivery was
+        An extension is a pure function of the frame kind (its
+        classification) — re-walking it on every delivery was
         measurable at loadgen scale.  A cached plan stores only the
         static half ``(hops, barrier)``; the per-frame ``args`` are
         rebuilt as ``(frame, frame.payload)``, which is exactly what
-        every static extender passes.  A cache miss queries the node
-        through its instance attribute (so test spies intercept the
-        first delivery of each kind), and anything per-frame — a claim,
-        or unexpected args — is passed through uncached.  Plans are
-        dropped by ``Node.invalidate_arrival_plans`` on failure,
-        recovery, impairment change, and device replacement.
+        every extender passes.  A cache miss queries the node through
+        its instance attribute (so test spies intercept the first
+        delivery of each kind).  Plans are dropped by
+        ``Node.invalidate_arrival_plans`` on failure, recovery,
+        impairment change, and device replacement.
         """
         node = self._sink_node
-        plans = node._arrival_plans
-        if plans is None:
-            return node.arrival_extension(frame)
         payload = frame.payload
         if (PMNET_UDP_PORT_MIN <= frame.udp_port <= PMNET_UDP_PORT_MAX
                 and isinstance(payload, PMNetPacket)):
             kind = payload.packet_type
         else:
             kind = _PLAIN_KIND
+        plans = node._arrival_plans
         plan = plans.get(kind, _NO_PLAN)
         if plan is _NO_PLAN:
             extension = node.arrival_extension(frame)
             if extension is None:
                 plans[kind] = None
                 return None
-            hops, callback, args, claim = extension
-            if claim is not None or args != (frame, payload):
-                # Per-frame state the rebuild could not reproduce:
-                # serve it, but never cache it.
-                return extension
-            plans[kind] = (tuple(hops), callback)
-            return extension
-        if plan is None:
+            hops, callback, _args = extension
+            plans[kind] = plan = (tuple(hops), callback)
+        elif plan is None:
             return None
-        hops, callback = plan
-        return (hops, callback, (frame, payload), None)
+        return plan[0], plan[1], (frame, payload)
 
     def _costs(self, frame: Frame) -> tuple:
         """``(wire_bytes, serialize_ns)`` of ``frame`` on this channel,
@@ -235,20 +223,6 @@ class Channel:
         self.delivered.value += 1
         callback(*args)
 
-    def strip_extension(self, chain: list, frame: Frame) -> None:
-        """Turn an extended chain that has not reached its wire-arrival
-        slot back into a plain ``_deliver`` (the receiving host revoked
-        its claim).
-
-        Claims ride a one-hop extension, so while the chain is still
-        deferred it sits at the wire-arrival instant with the seq the
-        plain delivery allocates there: rewriting the queued chain list
-        in place, dropping the hop and the barrier, is all it takes.
-        """
-        chain[0] = 0
-        chain[1] = self._deliver
-        chain[2] = (frame,)
-
     def on_impairments_changed(self) -> None:
         """Drop the receiving node's cached arrival plans after a mid-run
         impairment swap (a chaos fault window opening): the plan cache
@@ -267,18 +241,15 @@ class Channel:
             # chain's push seq lands at this serialize-end instant and
             # each extension hop re-sequences exactly where the node
             # would have allocated its own events, so the chain is
-            # heap-order-identical with fewer events.  Claims stay
-            # revocable through the host hooks.  Impaired copies never
-            # extend.
+            # heap-order-identical with fewer events.  Impaired copies
+            # never extend.
             extension = (self._sink_extension(frame) if self._sink_extends
                          else None)
             if extension is not None:
-                extra_hops, ext_callback, ext_args, claim = extension
-                chain = self.sim.schedule_deferred(
-                    self._propagation, tuple(extra_hops),
+                extra_hops, ext_callback, ext_args = extension
+                self.sim.schedule_deferred(
+                    self._propagation, extra_hops,
                     self._deliver_ext, ext_callback, ext_args)
-                if claim is not None:
-                    claim.attach(chain, self)
             else:
                 self.sim.schedule(self._propagation, self._deliver, frame)
         else:

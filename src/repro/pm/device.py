@@ -83,10 +83,10 @@ class PMDevice:
             return  # discarded by a crash
         self._inflight -= 1
         if is_write:
-            self.writes_completed.increment()
-            self.bytes_written.increment(nbytes)
+            self.writes_completed.value += 1
+            self.bytes_written.value += nbytes
         else:
-            self.reads_completed.increment()
+            self.reads_completed.value += 1
         on_complete(*args)
 
     def submit_write(self, nbytes: int, on_persisted: Callable[..., None],

@@ -98,7 +98,7 @@ class LogRegion:
         current = self._entries.get(hash_val)
         if current is entry:
             entry.durable = True
-            self.logged.increment()
+            self.logged.value += 1
             on_persisted(entry)
 
     def invalidate(self, hash_val: int) -> bool:
@@ -106,7 +106,7 @@ class LogRegion:
         entry = self._entries.pop(hash_val, None)
         if entry is None:
             return False
-        self.invalidated.increment()
+        self.invalidated.value += 1
         return True
 
     def lookup(self, hash_val: int) -> Optional[LogEntry]:

@@ -81,7 +81,7 @@ class LogQueue:
         self._occupied_bytes += nbytes
         if self._occupied_bytes > self.high_water_bytes:
             self.high_water_bytes = self._occupied_bytes
-        self.accepted.increment()
+        self.accepted.value += 1
         self._submit(nbytes, self._finished, nbytes, self._epoch,
                      on_complete, args)
         return True

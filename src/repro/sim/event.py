@@ -20,9 +20,8 @@ drain tells them apart by the type of the last slot:
 * ``(time, seq, None, [defer_ns, callback, args])`` — a *deferred
   chain* (a ``list``): while ``defer_ns`` is set the drain re-sequences
   it one hop instead of running it, then runs ``callback(*args)``.  A
-  chain is not cancellable; the only writer after the push is a host's
-  express claim, which rewrites the list in place
-  (``Channel.strip_extension``).
+  chain is not cancellable, and nothing but the queue's own hop writes
+  the list after the push.
 
 Most pushes need neither, so most events cost one tuple and no record
 object.  The differential suite (``tests/sim``) checks the kernel
@@ -34,9 +33,8 @@ suite ultimately rests on):
 1. every push allocates a monotonically increasing ``seq``, so the
    execution order is the exact total order by ``(time, seq)``; seqs
    are unique, so heap comparisons never reach the callback slot;
-2. a queued entry is never moved by revocation (``net/link.py``
-   rewrites a claimed chain's list in place): its ``(time, seq)`` is
-   stable between push and pop;
+2. a queued entry is never moved: its ``(time, seq)`` is stable
+   between push and pop;
 3. cancelled handles never execute and never count;
 4. a deferred chain re-sequences (fresh seq at its surfacing instant)
    instead of executing — see :meth:`EventQueue.push_chain`.
@@ -169,9 +167,9 @@ class EventQueue:
         disappear.  ``defer_ns`` falsy (``0`` or ``()``) means the next
         surfacing runs the callback.
 
-        A chain is not cancellable.  Its owner may rewrite the list in
-        place while it is queued (a host's revoked claim does, through
-        ``Channel.strip_extension``); its ``(time, seq)`` never moves.
+        A chain is not cancellable and its owner never writes the list
+        again: only :meth:`_hop` advances it, and its ``(time, seq)``
+        never moves.
         """
         chain = [defer_ns, callback, args]
         heapq.heappush(self._heap, (time, self._next_seq(), None, chain))

@@ -125,7 +125,7 @@ class Simulator:
 
         def schedule_deferred(delay: int, defer_ns,
                               callback: Callable[..., None],
-                              *args: Any) -> list:
+                              *args: Any) -> None:
             """Fold fixed back-to-back delays into one executed event.
 
             Equivalent to scheduling an intermediate callback at
@@ -143,9 +143,10 @@ class Simulator:
             when every intermediate callback would have had no
             observable side effect.
 
-            Returns the queued chain ``[defer_ns, callback, args]``
-            (``EventQueue.push_chain``, inlined), not a handle: a chain
-            cannot be cancelled.
+            Queues the chain ``[defer_ns, callback, args]``
+            (``EventQueue.push_chain``, inlined) and returns nothing: a
+            chain cannot be cancelled, and only the queue's hop writes
+            it after the push.
             """
             # Validated in place: no wrapping tuple or generator per call.
             if type(defer_ns) is tuple:
@@ -155,9 +156,8 @@ class Simulator:
             if bad or delay < 0:
                 raise SimulationError(
                     f"cannot schedule {delay}+{defer_ns}ns into the past")
-            chain = [defer_ns, callback, args]
-            heappush(heap, (self._now + delay, next_seq(), None, chain))
-            return chain
+            heappush(heap, (self._now + delay, next_seq(), None,
+                            [defer_ns, callback, args]))
 
         self.schedule = schedule
         self.call_soon = call_soon

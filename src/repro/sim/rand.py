@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 import random
 from math import exp as _exp, log as _log
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-from repro.errors import SimulationError
+from typing import Callable, Dict, Sequence
 
 
 class RandomStreams:
@@ -66,73 +64,28 @@ class LatencyJitter:
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); pick mu so the
         # mean multiplier is exactly 1.0.
         self._mu = -sigma * sigma / 2.0
-        #: A factor handed back by :meth:`unread`; the next draw takes it
-        #: instead of advancing the stream.
-        self._unread: Optional[float] = None
-
-    # Both draw sites below inline ``rng.lognormvariate(mu, sigma)``:
-    # the stdlib's Kinderman-Monahan loop from ``normalvariate`` with
-    # the same floating-point operations in the same order, so every
-    # factor and every stream position equal the library call's
-    # (pinned draw for draw by tests/sim/test_rand.py).  Inlining saves
-    # the two nested method calls per draw that dominated this class.
 
     def sample(self, base_ns: int) -> int:
-        """One jittered sample around ``base_ns`` (mean-preserving)."""
+        """One jittered sample around ``base_ns`` (mean-preserving).
+
+        The draw inlines ``rng.lognormvariate(mu, sigma)``: the stdlib's
+        Kinderman-Monahan loop from ``normalvariate`` with the same
+        floating-point operations in the same order, so every factor
+        and every stream position equal the library call's (pinned draw
+        for draw by tests/sim/test_rand.py).  Inlining saves the two
+        nested method calls per draw that dominated this class.
+        """
         if base_ns <= 0 or self.sigma == 0.0:
             return max(base_ns, 0)
-        factor = self._unread
-        if factor is None:
-            random = self._random
-            while True:
-                u1 = random()
-                u2 = 1.0 - random()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -_log(u2):
-                    break
-            factor = _exp(self._mu + z * self.sigma)
-        else:
-            self._unread = None
-        return max(base_ns // 2, round(base_ns * factor))
-
-    def sample_revocable(self, base_ns: int) -> Tuple[int, Optional[float]]:
-        """:meth:`sample`, plus the token :meth:`unread` needs to take the
-        draw back (``None`` when nothing was drawn)."""
-        if base_ns <= 0 or self.sigma == 0.0:
-            return max(base_ns, 0), None
-        factor = self._unread
-        if factor is None:
-            random = self._random
-            while True:
-                u1 = random()
-                u2 = 1.0 - random()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -_log(u2):
-                    break
-            factor = _exp(self._mu + z * self.sigma)
-        else:
-            self._unread = None
-        return max(base_ns // 2, round(base_ns * factor)), factor
-
-    def unread(self, factor: Optional[float]) -> None:
-        """Take back the most recent draw in O(1).
-
-        Every draw is ``lognormvariate(mu, sigma)`` with this jitter's
-        fixed parameters, and its Kinderman-Monahan loop keeps no state
-        between calls, so the factor alone is what the draw consumed:
-        handing it to the next draw yields exactly the value (and leaves
-        exactly the stream position) that rewinding the generator to its
-        pre-draw state would.  This holds only while the jitter is its
-        generator's sole consumer (a host stack owns its stream).  Only
-        the most recent draw may be taken back, so at most one factor is
-        ever held.
-        """
-        if factor is None:
-            return
-        if self._unread is not None:
-            raise SimulationError(
-                "jitter draw taken back twice without a draw in between")
-        self._unread = factor
+        random = self._random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                break
+        return max(base_ns // 2,
+                   round(base_ns * _exp(self._mu + z * self.sigma)))
 
 
 def zipfian_sampler(population: int,

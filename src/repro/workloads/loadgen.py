@@ -286,7 +286,7 @@ class FlowLoadGenerator:
         self.sim.schedule(delay, self._arrival, shard)
 
     def _arrival(self, shard: _Shard) -> None:
-        self.arrivals.increment()
+        self.arrivals.value += 1
         if shard.in_flight < self.config.window:
             self._issue_open(shard, self.sim.now)
         else:
@@ -297,7 +297,7 @@ class FlowLoadGenerator:
     def _issue(self, shard: _Shard, submitted_at: int) -> None:
         """Closed-loop issue: consumes one unit of the request budget."""
         self._budget -= 1
-        self.arrivals.increment()
+        self.arrivals.value += 1
         self._issue_open(shard, submitted_at)
 
     def _issue_open(self, shard: _Shard, submitted_at: int) -> None:

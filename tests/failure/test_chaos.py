@@ -141,22 +141,22 @@ class TestDeterministicReplay:
 #: ``(family, seed): (trace digest, completions, acknowledged,
 #: executed events at whole, executed events at none)``.
 CORPUS_PINS = {
-    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1488, 1726),
-    ("rack", 1): ("6b294615cf812d73", 24, 13, 1020, 1183),
-    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16352, 16562),
-    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 13946, 14150),
-    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 4731, 5734),
-    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 63911, 70989),
-    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 16308, 18997),
-    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4282, 4830),
-    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 138498, 158823),
-    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 7889, 8857),
-    ("control", 0): ("4254075b161a6834", 16, 14, 15760, 17504),
-    ("control", 2): ("723740060c18c139", 28, 26, 11127, 12383),
-    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3503, 3955),
-    ("control", 6): ("2c59ecd291b00687", 28, 28, 4045, 4500),
-    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1556, 1778),
-    ("control", 14): ("12d79e1507326e9b", 54, 54, 15800, 17688),
+    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1562, 1726),
+    ("rack", 1): ("6b294615cf812d73", 24, 13, 1063, 1183),
+    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16413, 16562),
+    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 13996, 14150),
+    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 5028, 5734),
+    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 64045, 70989),
+    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 16400, 18997),
+    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4366, 4830),
+    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 138652, 158823),
+    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 8018, 8857),
+    ("control", 0): ("4254075b161a6834", 16, 14, 15788, 17504),
+    ("control", 2): ("723740060c18c139", 28, 26, 11180, 12383),
+    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3560, 3955),
+    ("control", 6): ("2c59ecd291b00687", 28, 28, 4081, 4500),
+    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1589, 1778),
+    ("control", 14): ("12d79e1507326e9b", 54, 54, 15899, 17688),
 }
 
 

@@ -1,8 +1,8 @@
 """Arrival-extension plan cache: hit behaviour and invalidation.
 
 Channels cache the receiving node's ``arrival_extension`` verdict per
-frame kind (``Channel._sink_extension``), because on static nodes the
-walk is a pure function of the kind and was re-run on every delivery.
+frame kind (``Channel._sink_extension``), because the walk is a pure
+function of the kind and was re-run on every delivery.
 These tests pin the cache's contract:
 
 * a warm cache stops querying the node (one query per kind, not per
@@ -11,7 +11,7 @@ These tests pin the cache's contract:
   file exists for — an impairment window opening mid-flight (the
   100 %-loss scenario from ``test_whole_fold_boundaries``), after which
   the node is re-queried from scratch;
-* host nodes, whose extensions pre-draw RNG state, are never cached.
+* only PMNet devices extend: no channel into a host ever asks.
 
 End-to-end identity of impaired-window runs across fold levels stays in
 ``test_whole_fold_boundaries``.  This file watches the cache itself.
@@ -19,6 +19,7 @@ End-to-end identity of impaired-window runs across fold levels stays in
 
 from __future__ import annotations
 
+from repro.host.node import HostNode
 from repro.net.link import Impairments
 
 from tests.integration.test_whole_fold_boundaries import (_build,
@@ -102,8 +103,21 @@ class TestPlanCacheHits:
                 continue
             assert tuple(fresh[0]) == tuple(cached[0]), kind
             assert fresh[1] is cached[1], kind
-            assert cached[2] == (frame, frame.payload), kind
-            assert fresh[3] is None and cached[3] is None, kind
+            assert fresh[2] == cached[2] == (frame, frame.payload), kind
+
+    def test_only_device_plans_are_cached(self):
+        """Hosts keep the base hook, so no channel into one asks."""
+        deployment, _handler = _build("whole", clients=1)
+        channels = [channel for link in deployment.topology.links
+                    for channel in (link.forward, link.backward)]
+        host_sinks = [channel for channel in channels
+                      if isinstance(channel.sink.node, HostNode)]
+        assert host_sinks, "the deployment has no host-facing channel"
+        assert not any(channel._sink_extends for channel in host_sinks)
+        _run_updates(deployment, requests=2)
+        assert all(channel.sink.node._arrival_plans == {}
+                   for channel in host_sinks)
+        assert deployment.devices[0]._arrival_plans, "no plans were cached"
 
 
 class TestPlanCacheInvalidation:
@@ -151,11 +165,3 @@ class TestPlanCacheInvalidation:
         device._arrival_plans["sentinel"] = None
         device.recover()
         assert device._arrival_plans == {}
-
-    def test_host_nodes_are_never_cached(self):
-        deployment, _handler = _build("whole", clients=1)
-        host = deployment.clients[0].host
-        assert host.arrival_plans_static is False
-        assert host._arrival_plans is None
-        _run_updates(deployment, requests=2)
-        assert host._arrival_plans is None

@@ -1,7 +1,6 @@
 """The folding correctness bar: fold on == fold off, byte for byte.
 
-The latency-folded paths (``net/link.py`` arrival extensions,
-``core/pmnet_device.py`` stage folds, ``host/node.py`` express claims,
+The latency-folded paths (``net/link.py`` device arrival extensions,
 ``host/client.py`` timer cancellation and inline completion) claim to
 change only the executed-event count, never a delivery time, a queue
 decision, or an RNG draw.  This file holds that claim to account:

@@ -157,11 +157,10 @@ def _impaired_window_run(level, open_at_ns, close_at_ns):
 
 class TestImpairmentOpensMidFoldedRequest:
     def test_window_opening_mid_request_revokes_and_replays(self):
-        # The first request's whole fold commits at t=0: stack send
-        # cost, then wire serialization.  Opening a 100 %-loss window
-        # inside the stack window (reservation unstarted -> revoked)
-        # and inside the serialization window (record mid-flight ->
-        # unfolded in place) must drop the frame and force the same
+        # The first request leaves at t=0: stack send cost, then wire
+        # serialization.  Opening a 100 %-loss window inside the stack
+        # window and inside the serialization window (the arrival not
+        # yet extended) must drop the frame and force the same
         # retransmission on every timeline.
         serialize = _request_serialize_ns()
         send_ns = SystemConfig().client_stack.send_ns

@@ -8,8 +8,7 @@ seq)``, one seq per push, a fresh seq per deferred hop, cancelled
 records skipped — and exposes the slice of the
 :class:`~repro.sim.kernel.Simulator` API the differential suite drives.
 Only ``schedule_at`` returns a cancellable handle, as in the kernel;
-the kernel's ``schedule_deferred`` returns its chain list, which only a
-host's express claim reads, so the oracle returns nothing there.  It is
+``schedule_deferred`` returns nothing in either.  It is
 test code only: nothing in ``src`` depends on it.
 """
 

@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import SimulationError
 from repro.sim.rand import (
     LatencyJitter,
     RandomStreams,
@@ -53,62 +52,11 @@ class TestLatencyJitter:
             LatencyJitter(random.Random(0), sigma=-0.1)
 
 
-#: One step of a jitter program: draw (base), or a revocable draw of
-#: base that is taken back before the next draw.
-_STEPS = st.lists(
-    st.tuples(st.booleans(), st.integers(min_value=-5, max_value=50_000)),
-    max_size=40)
-
-
-class TestJitterUnread:
-    """Taking a draw back must match rewinding the generator exactly."""
-
-    @given(_STEPS, st.sampled_from([0.0, 0.05, 0.12, 1.5]),
-           st.integers(min_value=0, max_value=2**32))
-    def test_unread_matches_state_rewind(self, steps, sigma, seed):
-        fast = LatencyJitter(random.Random(seed), sigma)
-        rewound_rng = random.Random(seed)
-        rewound = LatencyJitter(rewound_rng, sigma)
-        for revoke, base in steps:
-            if revoke:
-                cost, token = fast.sample_revocable(base)
-                state = rewound_rng.getstate()
-                assert rewound.sample(base) == cost
-                fast.unread(token)
-                rewound_rng.setstate(state)
-            else:
-                assert fast.sample(base) == rewound.sample(base)
-        # The streams end at the same position too.
-        assert fast.sample(10_000) == rewound.sample(10_000)
-
-    def test_unread_is_consumed_by_the_next_draw(self):
-        jitter = LatencyJitter(random.Random(7), sigma=0.3)
-        cost, token = jitter.sample_revocable(1000)
-        jitter.unread(token)
-        assert jitter.sample(1000) == cost
-        assert jitter.sample(1000) != cost
-
-    def test_nothing_drawn_means_nothing_to_unread(self):
-        jitter = LatencyJitter(random.Random(7), sigma=0.3)
-        assert jitter.sample_revocable(0) == (0, None)
-        jitter.unread(None)
-        assert LatencyJitter(random.Random(7), sigma=0.0).sample_revocable(
-            800) == (800, None)
-
-    def test_double_unread_rejected(self):
-        jitter = LatencyJitter(random.Random(7), sigma=0.3)
-        _cost, first = jitter.sample_revocable(1000)
-        jitter.unread(first)
-        with pytest.raises(SimulationError):
-            jitter.unread(first)
-
-
 class TestInlinedDrawExactness:
     """The inlined draw is ``random.lognormvariate``, bit for bit.
 
     Each jitter factor must equal the library call on a twin generator
-    and leave the stream where the library call leaves it, including
-    across revocable draws that are taken back.
+    and leave the stream where the library call leaves it.
     """
 
     @pytest.mark.parametrize("sigma", [0.05, 0.10, 0.14, 1.5])
@@ -122,31 +70,18 @@ class TestInlinedDrawExactness:
 
         def expected(base):
             factor = twin.lognormvariate(mu, sigma)
-            return max(base // 2, round(base * factor)), factor
+            return max(base // 2, round(base * factor))
 
         while draws < 850:  # 12 cases: over 10,000 checked draws in all
             # 2**53 * factor is exact, so that base shows every bit of
             # the factor ``sample`` drew.
             base = program.choice((-3, 0, 1, 99, 9_600, 13_000, 1 << 53,
                                    program.randrange(1, 200_000)))
-            kind = program.randrange(3)
             if base <= 0:
                 assert jitter.sample(base) == max(base, 0)
-                assert jitter.sample_revocable(base) == (max(base, 0), None)
                 continue
             draws += 1
-            if kind == 0:
-                assert jitter.sample(base) == expected(base)[0]
-            elif kind == 1:
-                assert jitter.sample_revocable(base) == expected(base)
-            else:
-                state = twin.getstate()
-                cost, token = jitter.sample_revocable(base)
-                assert (cost, token) == expected(base)
-                jitter.unread(token)
-                twin.setstate(state)
-        # Consume a factor still held back, then compare positions.
-        assert jitter.sample(5_000) == expected(5_000)[0]
+            assert jitter.sample(base) == expected(base)
         assert rng.getstate() == twin.getstate()
 
 
