@@ -34,13 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.config import SystemConfig, fold_level
+from repro.config import SystemConfig, reject_retired_knobs
 from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, get
 
@@ -234,24 +232,7 @@ def _cmd_trace(scenario_id: str, limit: int, component: Optional[str],
     return 0
 
 
-@contextmanager
-def _fold_env(fold: str) -> Iterator[None]:
-    """Set ``PMNET_FOLD`` — the switch users have, read at deployment
-    construction time — for the duration of the block.  The level it
-    replaces is validated first, so a stale setting fails loudly."""
-    fold_level()
-    previous = os.environ.get("PMNET_FOLD")
-    os.environ["PMNET_FOLD"] = fold
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
-
-
-def _cmd_profile(clients: int, requests: int, fold: str, top: int,
+def _cmd_profile(clients: int, requests: int, top: int,
                  json_path: Optional[str] = None) -> int:
     """Attribute the events of one Fig 16 stress point (the PMNet switch
     deployment, seed 0) to their call sites."""
@@ -261,13 +242,8 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
 
     profiler = EventProfiler()
     collections_before = gc_collections()
-    try:
-        with _fold_env(fold):
-            deployment, stats = stress("pmnet-switch", SystemConfig(seed=0),
-                                       clients, requests, profiler=profiler)
-    except ConfigurationError as error:
-        print(error, file=sys.stderr)
-        return 1
+    deployment, stats = stress("pmnet-switch", SystemConfig(seed=0),
+                               clients, requests, profiler=profiler)
     gc_counts = {generation: count - collections_before[generation]
                  for generation, count in gc_collections().items()}
     requests_done = stats.update_latencies.count
@@ -275,8 +251,7 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
     events_per_request = profiler.events_per_request(requests_done)
     sites = profiler.top(top)
     kernel_stats = deployment.sim.kernel_stats()
-    print(f"event profile — fold level {fold!r}, {clients} clients x "
-          f"{requests} requests")
+    print(f"event profile — {clients} clients x {requests} requests")
     total = max(1, executed)
     print(f"{'events':>10}  {'share':>6}  {'per req':>8}  call site")
     for site, count in sites:
@@ -287,8 +262,8 @@ def _cmd_profile(clients: int, requests: int, fold: str, top: int,
     print(format_gc_stats(gc_counts))
     if json_path is not None:
         from repro.obs.export import write_bench_report
-        payload = {"benchmark": "event_profile", "mode": fold,
-                   "clients": clients, "requests_per_client": requests,
+        payload = {"benchmark": "event_profile", "clients": clients,
+                   "requests_per_client": requests,
                    "requests": requests_done, "executed_events": executed,
                    "events_per_request": events_per_request,
                    "top_call_sites": dict(sites),
@@ -459,10 +434,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 help="closed-loop clients (default 32)")
     profile_parser.add_argument("--requests", type=_positive_int, default=20,
                                 help="requests per client (default 20)")
-    profile_parser.add_argument("--fold", default="whole",
-                                choices=("none", "whole"),
-                                help="fold level to profile "
-                                     "(default: whole)")
     profile_parser.add_argument("--top", type=_positive_int, default=15,
                                 help="call sites to show (default 15)")
     profile_parser.add_argument("--json", "--output", default=None,
@@ -543,11 +514,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="regression corpus failing seeds are "
                                    "appended to ('' disables)")
     args = parser.parse_args(argv)
+    try:
+        reject_retired_knobs()
+    except ConfigurationError as error:
+        print(error, file=sys.stderr)
+        return 1
     if args.command == "list":
         return _cmd_list()
     if args.command == "profile":
-        return _cmd_profile(args.clients, args.requests, args.fold,
-                            args.top, args.output)
+        return _cmd_profile(args.clients, args.requests, args.top,
+                            args.output)
     if args.command == "metrics":
         return _cmd_metrics(args.scenario, args.json_path, args.prometheus,
                             args.seed)

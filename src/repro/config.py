@@ -27,28 +27,26 @@ from repro.errors import ConfigurationError
 from repro.sim.clock import microseconds, nanoseconds
 
 
-#: ``PMNET_FOLD`` spellings accepted per fold level.
-_FOLD_LEVELS = {"none": 0, "off": 0, "0": 0,
-                "whole": 2, "2": 2}
-
 #: Environment knobs that no longer exist, and what replaced each.
-#: Setting one fails loudly instead of being silently ignored.
+#: Setting one, to any value, fails loudly instead of being silently
+#: ignored.
 _RETIRED_KNOBS = {
     "PMNET_KERNEL": "one binary-heap scheduler is the only one",
     "PMNET_KERNEL_HORIZON": "the scheduler is one binary heap with no "
                             "horizon to size",
-    "PMNET_NO_FOLD": "use PMNET_FOLD=none",
+    "PMNET_NO_FOLD": "there are no fold levels; every pipeline stage is "
+                     "its own event",
+    "PMNET_FOLD": "the fold levels are gone; every pipeline stage is its "
+                  "own event, and every level gave the same results",
 }
-
-#: Retired ``PMNET_FOLD`` spellings: the ``stage`` level is gone.
-_RETIRED_FOLD_LEVELS = ("stage", "1")
 
 
 def reject_retired_knobs() -> None:
     """Raise :class:`ConfigurationError` if a retired knob is set.
 
-    Called where a knob used to be read (simulator and component
-    construction), so a stale environment fails at the boundary.
+    Called at the boundaries where a knob used to be read (simulator
+    construction and every ``pmnet-repro`` command), so a stale
+    environment fails there.
     """
     for knob, replacement in _RETIRED_KNOBS.items():
         if knob in os.environ:
@@ -57,45 +55,9 @@ def reject_retired_knobs() -> None:
 
 
 def fold_level() -> int:
-    """The active folding level (0 or 2).
-
-    * **0** — every stage is its own scheduled event (``PMNET_FOLD=none``):
-      the reference timeline.
-    * **2** — whole-request folding (the default, ``PMNET_FOLD=whole``):
-      two pieces.  Device arrival extensions: an unimpaired channel's
-      delivery to a PMNet device extends, at the frame's serialize end,
-      through the device's deterministic ingress/PM stages into one
-      deferred chain.  And the client cancels its no-op timeout timers
-      and dispatches single-waiter completions inline.  Everything else
-      runs per stage at both levels: the wire (every frame is
-      serialized by its own event), hosts' stack costs, and frames that
-      arrive at a device unextended (impaired channels, pass-through
-      ACKs, the read path).
-
-    Both levels produce byte-identical results (same virtual times,
-    same RNG draws, same tie-breaks); only the executed-event count
-    changes.  ``tests/integration/test_fold_identity`` holds that claim
-    to account.  Read at component construction time: toggling the
-    variable affects deployments built afterwards, not ones already
-    wired.
-    """
-    reject_retired_knobs()
-    name = os.environ.get("PMNET_FOLD", "whole").strip().lower()
-    if name in _RETIRED_FOLD_LEVELS:
-        raise ConfigurationError(
-            f"PMNET_FOLD={name} was retired with the stage fold level; "
-            "use none or whole")
-    try:
-        return _FOLD_LEVELS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"PMNET_FOLD must be one of {sorted(set(_FOLD_LEVELS))}, "
-            f"got {name!r}") from None
-
-
-def folding_enabled() -> bool:
-    """Whether the latency-folded paths are active (fold level 2)."""
-    return fold_level() == 2
+    """Always 0: every pipeline stage is its own event.  Kept as a name
+    only for the benchmark, which records it."""
+    return 0
 
 
 #: Runtime type of each checked (string) dataclass field annotation.

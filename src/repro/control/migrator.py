@@ -126,9 +126,9 @@ class SessionMigrator:
                                requested_members=members)
         self._active = stats
         # Activate the freeze one instant ahead: ops issued at this
-        # exact instant race this callback, and that order shifts
-        # with the fold level.  A timestamped
-        # gate keeps the park/no-park decision order-independent.
+        # exact instant race this callback, and that order is an
+        # artefact of the scheduler's tie-break.  A timestamped gate
+        # keeps the park/no-park decision order-independent.
         freeze_from = self.sim.now + 1
         for client in self.clients:
             client.freeze(source, at_ns=freeze_from)

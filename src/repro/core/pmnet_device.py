@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.config import folding_enabled
 from repro.core.cache import ReadCache
 from repro.core.mat import MATAction, classify, pmnet_packet
 from repro.core.recovery import ResendEngine
@@ -81,8 +80,9 @@ class PMNetDevice(Node):
         self.retrans_served = Counter(f"{name}.retrans_served")
         self.forwarded_plain = Counter(f"{name}.forwarded_plain")
         self.redo_resends = Counter(f"{name}.redo_resends")
+        #: Always 0 (every stage is its own event); the benchmark
+        #: reads it.
         self.folded_stages = Counter(f"{name}.folded_stages")
-        self._fold = folding_enabled()
         self._scrub_armed = False
         register_with_sim(sim, self)
 
@@ -107,74 +107,10 @@ class PMNetDevice(Node):
         self.sim.schedule(self.config.pipeline.ingress_ns,
                           self._after_ingress, frame)
 
-    def arrival_extension(self, frame: Frame):
-        """Whole-request folding: extend an inbound wire chain through
-        the deterministic head of this device's pipeline.
-
-        Classification is pure (it reads only the frame), so it can run
-        at the frame's serialize end instead of in :meth:`_after_ingress`,
-        and its answer depends only on the frame's kind, so channels
-        cache it per kind.  Three actions extend — their interior hops
-        mutate nothing, every side effect lives in the barrier:
-
-        * **LOG_AND_FORWARD** rides ingress + PM-access and lands in
-          :meth:`_express_ingest` at the exact ``_log_update`` instant;
-        * **CHAIN_LOG_AND_FORWARD** rides the same two stages and lands
-          in :meth:`_express_chain_ingest` at the ``_log_chain_update``
-          instant;
-        * **INVALIDATE_AND_FORWARD** rides ingress and lands in
-          :meth:`_express_server_ack` at the ``_after_ingress`` instant.
-
-        Everything else — notably the cache read path, whose lookup
-        outcome steers mid-pipeline branching — stays on the per-stage
-        paths, so a cache-capable request never whole-request folds.
-        The barriers re-check ``failed`` as the per-stage callbacks do;
-        a crash inside the window drops the frame on both timelines.
-        """
-        if not self._fold:
-            return None
-        action = classify(frame)
-        if action is MATAction.LOG_AND_FORWARD:
-            return ((self.config.pipeline.ingress_ns,
-                     self.config.pipeline.pm_stage_ns),
-                    self._express_ingest, (frame, frame.payload))
-        if action is MATAction.CHAIN_LOG_AND_FORWARD:
-            return ((self.config.pipeline.ingress_ns,
-                     self.config.pipeline.pm_stage_ns),
-                    self._express_chain_ingest, (frame, frame.payload))
-        if action is MATAction.INVALIDATE_AND_FORWARD:
-            return ((self.config.pipeline.ingress_ns,),
-                    self._express_server_ack, (frame, frame.payload))
+    def arrival_extension(self, frame: Frame) -> None:
+        """Retired with arrival extensions: always ``None``.  Kept as a
+        name only for the benchmark's layer map."""
         return None
-
-    def _express_ingest(self, frame: Frame, packet: PMNetPacket) -> None:
-        """Barrier of an extended update chain: the ``_log_update``
-        instant, with the ``receive``-time bookkeeping the chain
-        subsumed."""
-        if self.failed:
-            return
-        frame.hops += 1
-        self.folded_stages.value += 1
-        self._log_update(frame, packet)
-
-    def _express_chain_ingest(self, frame: Frame,
-                              packet: PMNetPacket) -> None:
-        """Barrier of an extended chain-update chain: the
-        ``_log_chain_update`` instant."""
-        if self.failed:
-            return
-        frame.hops += 1
-        self.folded_stages.value += 1
-        self._log_chain_update(frame, packet)
-
-    def _express_server_ack(self, frame: Frame, packet: PMNetPacket) -> None:
-        """Barrier of an extended server-ACK chain: the
-        ``_after_ingress`` instant for an INVALIDATE_AND_FORWARD."""
-        if self.failed:
-            return
-        frame.hops += 1
-        self.folded_stages.value += 1
-        self._handle_server_ack(frame, packet)
 
     def _after_ingress(self, frame: Frame) -> None:
         if self.failed:
@@ -212,9 +148,6 @@ class PMNetDevice(Node):
         if self.failed:
             return
         if self._spans is not None:
-            # Fires at the same virtual time folded and unfolded: the
-            # arrival extension rides ingress+PM-stage as one chain
-            # ending exactly here.
             self._spans.record(packet.request_id, spans.LOG_WRITE,
                                self.sim.now)
         logged = self.log.try_log(packet, self._on_persisted)
@@ -259,9 +192,7 @@ class PMNetDevice(Node):
     # and-forward: each member persists its copy before handing the
     # write to the next member; only the tail ACKs the client (the
     # paper's Sec IV-B1 "ACK from another PMNet", generalized across
-    # switches).  A chain member's ingress -> PM-access walk folds like
-    # an update's: an arrival extension ending in
-    # `_express_chain_ingest` at whole level.
+    # switches).
     # ------------------------------------------------------------------
     def _handle_chain_update(self, frame: Frame, packet: PMNetPacket) -> None:
         self.sim.schedule(self.config.pipeline.pm_stage_ns,

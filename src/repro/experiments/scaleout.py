@@ -17,8 +17,8 @@ Load is the flow-level generator (``repro.workloads.loadgen``): each
 client host is a shard multiplexing thousands of virtual users, so the
 quick sweep already models >= 10^4 users per point.  Reported latencies
 are p50/p99 over the canonical sample table, whose digest is the
-byte-identity surface the determinism suite compares across fold
-levels and worker counts.
+byte-identity surface the determinism suite compares across worker
+counts.
 """
 
 from __future__ import annotations

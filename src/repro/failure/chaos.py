@@ -469,9 +469,6 @@ def _horizon_ns(plan: ChaosPlan) -> int:
 
 def _set_impairments(channel, impairments: Impairments) -> None:
     channel.impairments = impairments
-    # The receiving node caches arrival plans computed under the old
-    # impairments; a window opening or closing mid-run invalidates them.
-    channel.on_impairments_changed()
 
 
 def _schedule_fault(sim, injector: FailureInjector, deployment,

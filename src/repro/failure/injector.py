@@ -128,10 +128,6 @@ class FailureInjector:
                 # counters stay cumulative, like the log's own wipe().
                 device.cache.wipe()
             device.recover()
-            # recover() already drops cached arrival plans, but the
-            # replacement contract is explicit: a new board answers
-            # extension queries from scratch.
-            device.invalidate_arrival_plans()
             if record is not None:
                 record.recovered_at_ns = at_ns
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.config import folding_enabled
 from repro.core.replication import ReplicationPolicy, SINGLE_LOG
 from repro.errors import SessionError
 from repro.host.node import HostNode
@@ -61,8 +60,8 @@ class _PendingRequest:
     server_acked: List[bool] = field(default_factory=list)
     retransmissions: int = 0
     timer_token: object = None
-    #: The armed timeout's heap record (whole-request folding cancels it
-    #: on completion instead of letting it fire as a no-op).
+    #: The armed timeout's heap record (cancelled on completion instead
+    #: of letting it fire as a no-op).
     timer_call: object = None
 
     def __post_init__(self) -> None:
@@ -105,7 +104,8 @@ class PMNetClient:
         self._pending: Dict[int, _PendingRequest] = {}
         self._by_seq: Dict[Tuple[int, int], Tuple[_PendingRequest, int]] = {}
         #: Latest-expiring no-op timeout of a completed request, kept
-        #: armed so the end-of-run clock matches the unfolded timeline.
+        #: armed so the end-of-run clock is the one every timer firing
+        #: would give.
         self._stale_timer = None
         self._mtu_payload = max_fragment_payload(
             config.network.mtu_bytes, config.network.header_overhead_bytes)
@@ -119,10 +119,6 @@ class PMNetClient:
         self._completed_via = {"pmnet": self.completed_pmnet,
                                "server": self.completed_server,
                                "cache": self.completed_cache}
-        #: Whole-request folding: the completion timeout is cancelled
-        #: instead of firing as a no-op, and the application wakeup
-        #: dispatches inline at its unfolded heap slot.
-        self._fold = folding_enabled()
         register_with_sim(sim, self)
 
     def instruments(self) -> tuple:
@@ -262,16 +258,16 @@ class PMNetClient:
                 (packet.session_id, packet.seq_num, state.is_update), None)
         self._pending.pop(state.packets[0].request_id, None)
         state.timer_token = None
-        if self._fold and state.timer_call is not None:
+        if state.timer_call is not None:
             # The pending timeout would fire as a pure no-op (its token
             # is cleared and the completion is triggered below, both
             # checked first thing), so it can be cancelled — except that
             # a run's *final* no-op timeout still advances the drained
-            # queue's end-of-run clock, which fold identity preserves.
-            # Keeping the latest-expiring stale timer armed (and only
-            # cancelling ones dominated by it) pins that tail event in
-            # place: one surviving no-op per client instead of one per
-            # request.
+            # queue's end-of-run clock (``final_now``), which must not
+            # depend on the cancellation.  Keeping the latest-expiring
+            # stale timer armed (and only cancelling ones dominated by
+            # it) pins that tail event in place: one surviving no-op per
+            # client instead of one per request.
             call = state.timer_call
             state.timer_call = None
             stale = self._stale_timer
@@ -295,22 +291,8 @@ class PMNetClient:
         # The application wakeup (epoll + scheduler) is charged here.
         completion = Completion(result=result, via=via,
                                 retransmissions=state.retransmissions)
-        cost = self.host.stack.dispatch_cost()
-        if self._fold and state.completion.waiter_count == 1:
-            # Single waiter (the driver): run it inline at the wakeup
-            # instant.  The one-hop ``(0,)`` defer re-sequences the
-            # record at ``now + cost``, allocating the fresh seq exactly
-            # where the unfolded ``_succeed`` event would sit, so any
-            # same-instant tie-breaking is unchanged — but the waiter's
-            # resumption piggybacks on this event instead of costing its
-            # own.  Zero- or multi-waiter completions keep the plain
-            # path: their callback scheduling order is observable.
-            self.sim.schedule_deferred(cost, (0,), self._succeed_inline,
-                                       state.completion, completion,
-                                       first.request_id)
-        else:
-            self.sim.schedule(cost, self._succeed, state.completion,
-                              completion, first.request_id)
+        self.sim.schedule(self.host.stack.dispatch_cost(), self._succeed,
+                          state.completion, completion, first.request_id)
 
     def _succeed(self, event: SimEvent, value: Completion,
                  request_id: int) -> None:
@@ -321,15 +303,6 @@ class PMNetClient:
                 # experiment's latency sample exactly.
                 self._spans.record(request_id, spans.COMPLETED, self.sim.now)
             event.succeed(value)
-
-    def _succeed_inline(self, event: SimEvent, value: Completion,
-                        request_id: int) -> None:
-        """Whole-request folding's :meth:`_succeed`: same guards and span,
-        but the single waiter resumes synchronously inside this event."""
-        if not event.triggered:
-            if self._spans is not None:
-                self._spans.record(request_id, spans.COMPLETED, self.sim.now)
-            event.succeed_inline(value)
 
     # ------------------------------------------------------------------
     # Reliability: timeout retransmission and server Retrans requests

@@ -33,14 +33,10 @@ class Endpoint(Protocol):
 class HostNode(Node):
     """One machine: NIC + stack + the application endpoint."""
 
-    #: A host never extends an inbound wire chain: every arrival is
-    #: charged its stack receive cost at wire-arrival time, in
-    #: :meth:`handle_frame`, because that draw shares the stack's jitter
-    #: stream with the send and dispatch draws.  Bound to the base hook
-    #: itself, so channels skip the query (``Channel._sink_extends``)
-    #: while the name stays an attribute of this class for tools that
-    #: look methods up by it (``bench/layers.py``).
-    arrival_extension = Node.arrival_extension
+    def arrival_extension(self, frame: Frame) -> None:
+        """Retired with arrival extensions: always ``None``.  Kept as a
+        name only for the benchmark's layer map."""
+        return None
 
     def __init__(self, sim: "Simulator", name: str, stack: "HostStack") -> None:
         super().__init__(sim, name)

@@ -175,8 +175,9 @@ class RingClient(ShardedClient):
         #: Instant from which each freeze takes effect.  Park decisions
         #: compare sim.now against this timestamp instead of depending
         #: on whether the freeze callback ran before or after the op
-        #: within the same instant (same-instant callback order varies
-        #: with the fold level, so it must never influence routing).
+        #: within the same instant (same-instant callback order is an
+        #: artefact of the scheduler, so it must never influence
+        #: routing).
         self._freeze_at: Dict[str, int] = {}
 
     # ------------------------------------------------------------------

@@ -50,11 +50,6 @@ class Node:
         self.ports: List[Port] = []
         #: Set by the failure injector; failed nodes drop all traffic.
         self.failed = False
-        #: Per-frame-kind arrival-extension plans cached by inbound
-        #: channels.  Invalidated on failure, recovery, impairment
-        #: change, and device replacement — any event that could change
-        #: what this node answers.
-        self._arrival_plans: dict = {}
 
     def add_port(self) -> Port:
         """Create one more port on this node."""
@@ -73,41 +68,13 @@ class Node:
         """Process one arriving frame; subclasses must implement."""
         raise NotImplementedError
 
-    def arrival_extension(self, frame: Frame):
-        """Whole-request folding hook, queried by a channel at each
-        frame's serialize end.
-
-        A node that can absorb this frame's arrival into deterministic
-        extra hops returns ``(extra_hops, callback, args)``: the wire
-        chain is extended by ``extra_hops`` and ends in
-        ``callback(*args)`` — a barrier that must re-check the node's
-        liveness — instead of the usual :meth:`~Node.receive` delivery.
-        The answer must depend only on the frame's kind, and ``args``
-        must be ``(frame, frame.payload)``: channels cache the
-        ``(extra_hops, callback)`` half per kind
-        (:meth:`Channel._sink_extension`).  The base node never
-        extends.
-        """
-        return None
-
     def fail(self) -> None:
         """Mark the node failed (volatile state handling is subclass duty)."""
         self.failed = True
-        self.invalidate_arrival_plans()
 
     def recover(self) -> None:
         """Bring the node back after an intermittent failure."""
         self.failed = False
-        self.invalidate_arrival_plans()
-
-    def invalidate_arrival_plans(self) -> None:
-        """Drop every cached arrival-extension plan for this node.
-
-        Channels re-query :meth:`arrival_extension` per kind after this;
-        call it whenever the node's extension answers could change
-        (failure, recovery, reconfiguration, in-place replacement).
-        """
-        self._arrival_plans.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "FAILED" if self.failed else "up"

@@ -16,21 +16,6 @@ transmitter idle — starts serializing it at once; ``_serialized`` puts
 it on the wire at the serialize end, allocating the delivery event's seq
 at that instant, and starts the next queued frame; ``_deliver`` hands
 it to the receiving node.
-
-**Arrival extensions** (``PMNET_FOLD=whole``): at the serialize end an
-unimpaired channel asks the receiving node for an
-:meth:`~repro.net.device.Node.arrival_extension` — extra deterministic
-hops (a PMNet device's ingress/PM stages) appended to the propagation
-hop, ending in the node's own barrier callback instead of
-:meth:`_deliver`.  A sink whose class keeps the base
-``Node.arrival_extension`` (a plain switch, a host) never extends and is
-not asked.  Each extra hop re-sequences at exactly the instant the
-receiving node would have allocated the corresponding event, so
-tie-breaking is unchanged; the barrier re-checks the receiver's
-liveness.  Once pushed, a chain is never rewritten.  Impaired frames
-never extend: their per-frame random draws and the
-loss/duplicate/reorder branching stay on the plain path, preserving RNG
-stream positions draw for draw.
 """
 
 from __future__ import annotations
@@ -39,9 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
-from repro.net.device import Node, Port
-from repro.net.packet import PMNET_UDP_PORT_MAX, PMNET_UDP_PORT_MIN, Frame
-from repro.protocol.packet import PMNetPacket
+from repro.net.device import Port
+from repro.net.packet import Frame
 from repro.sim.clock import transmission_delay
 from repro.obs.registry import register_with_sim
 from repro.sim.monitor import Counter, Gauge, instruments_summary
@@ -77,13 +61,6 @@ class Impairments:
                              f"got {self.reorder_extra_ns!r}")
 
 
-#: Frame-kind key for non-PMNet traffic in the arrival-plan cache.
-_PLAIN_KIND = object()
-
-#: Cache-miss sentinel (``None`` is a valid cached plan: "never extends").
-_NO_PLAN = object()
-
-
 class Channel:
     """One direction of a link: ``source`` port -> ``sink`` port."""
 
@@ -93,13 +70,9 @@ class Channel:
         self.name = name
         self.profile = profile
         self.sink = sink
-        #: ``Port.node`` is never reassigned, so deliveries and plan
-        #: lookups skip the port dereference.
+        #: ``Port.node`` is never reassigned, so deliveries skip the
+        #: port dereference.
         self._sink_node = sink.node
-        #: Whether the sink can extend arrivals at all: a node class
-        #: that keeps the base ``arrival_extension`` never does.
-        self._sink_extends = (type(sink.node).arrival_extension
-                              is not Node.arrival_extension)
         self.impairments = impairments or Impairments()
         self._rng = sim.random.stream(f"channel:{name}")
         self._queue: Deque[Frame] = deque()
@@ -118,46 +91,12 @@ class Channel:
         self.dropped_full_bytes = Counter(f"{name}.dropped_full_bytes")
         self.dropped_loss = Counter(f"{name}.dropped_loss")
         self.bytes_sent = Counter(f"{name}.bytes")
+        #: Always 0 (nothing folds a send); the benchmark reads it.
         self.folded_sends = Counter(f"{name}.folded")
         self.queue_depth_highwater = Gauge(f"{name}.queue_depth")
         register_with_sim(sim, self)
 
     # ------------------------------------------------------------------
-    def _sink_extension(self, frame: Frame):
-        """The receiving node's arrival extension for ``frame``, served
-        from the per-(node, frame-kind) plan cache.
-
-        An extension is a pure function of the frame kind (its
-        classification) — re-walking it on every delivery was
-        measurable at loadgen scale.  A cached plan stores only the
-        static half ``(hops, barrier)``; the per-frame ``args`` are
-        rebuilt as ``(frame, frame.payload)``, which is exactly what
-        every extender passes.  A cache miss queries the node through
-        its instance attribute (so test spies intercept the first
-        delivery of each kind).  Plans are dropped by
-        ``Node.invalidate_arrival_plans`` on failure, recovery,
-        impairment change, and device replacement.
-        """
-        node = self._sink_node
-        payload = frame.payload
-        if (PMNET_UDP_PORT_MIN <= frame.udp_port <= PMNET_UDP_PORT_MAX
-                and isinstance(payload, PMNetPacket)):
-            kind = payload.packet_type
-        else:
-            kind = _PLAIN_KIND
-        plans = node._arrival_plans
-        plan = plans.get(kind, _NO_PLAN)
-        if plan is _NO_PLAN:
-            extension = node.arrival_extension(frame)
-            if extension is None:
-                plans[kind] = None
-                return None
-            hops, callback, _args = extension
-            plans[kind] = plan = (tuple(hops), callback)
-        elif plan is None:
-            return None
-        return plan[0], plan[1], (frame, payload)
-
     def _costs(self, frame: Frame) -> tuple:
         """``(wire_bytes, serialize_ns)`` of ``frame`` on this channel,
         on a miss of the :attr:`_wire_costs` memo."""
@@ -217,17 +156,11 @@ class Channel:
         return False
 
     def _deliver_ext(self, callback, args) -> None:
-        """Barrier slot of an extension-carrying chain: count the wire
-        delivery (the chain subsumed the ``_deliver`` hop) and run the
-        receiving node's barrier callback."""
+        """Count a wire delivery and run ``callback(*args)``.  Kept as a
+        name only for the benchmark's layer map; nothing in ``repro``
+        calls it."""
         self.delivered.value += 1
         callback(*args)
-
-    def on_impairments_changed(self) -> None:
-        """Drop the receiving node's cached arrival plans after a mid-run
-        impairment swap (a chaos fault window opening): the plan cache
-        must never outlive a reconfiguration of the path that feeds it."""
-        self._sink_node.invalidate_arrival_plans()
 
     def _serialized(self, frame: Frame) -> None:
         """Serialization of ``frame`` ended: put it on the wire, then
@@ -237,21 +170,7 @@ class Channel:
         if not (imp.loss_probability > 0.0
                 or imp.duplicate_probability > 0.0
                 or imp.reorder_probability > 0.0):
-            # The delivery may extend through the receiving node: the
-            # chain's push seq lands at this serialize-end instant and
-            # each extension hop re-sequences exactly where the node
-            # would have allocated its own events, so the chain is
-            # heap-order-identical with fewer events.  Impaired copies
-            # never extend.
-            extension = (self._sink_extension(frame) if self._sink_extends
-                         else None)
-            if extension is not None:
-                extra_hops, ext_callback, ext_args = extension
-                self.sim.schedule_deferred(
-                    self._propagation, extra_hops,
-                    self._deliver_ext, ext_callback, ext_args)
-            else:
-                self.sim.schedule(self._propagation, self._deliver, frame)
+            self.sim.schedule(self._propagation, self._deliver, frame)
         else:
             # Draw order per frame: loss(original), duplicate, then per
             # surviving copy a reorder draw and — for the duplicate —

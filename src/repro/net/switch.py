@@ -45,12 +45,7 @@ _SPAN_STAGES = {
 
 
 class Switch(Node):
-    """Forwards every frame toward its destination after a fixed delay.
-
-    A switch never extends inbound chains: ``arrival_extension`` stays
-    the base ``Node`` method, so inbound channels never ask it (see
-    ``Channel._sink_extends``).
-    """
+    """Forwards every frame toward its destination after a fixed delay."""
 
     def __init__(self, sim: "Simulator", name: str,
                  profile: "NetworkProfile") -> None:

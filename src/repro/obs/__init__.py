@@ -7,7 +7,7 @@ one explicit, injected surface:
   (``Counter``, ``Gauge``, :class:`Histogram`) via the
   ``instruments()`` protocol.
 * :class:`SpanRecorder` — request-lifecycle and recovery-replay spans,
-  recorded fold-compatibly and result-neutrally.
+  recorded result-neutrally.
 * Exporters — ``pmnet-repro-metrics/1`` JSON, Prometheus text format,
   and the shared ``pmnet-repro-bench/1`` benchmark envelope.
 """

@@ -8,11 +8,9 @@ replay spans.  The design constraints (both load-bearing):
 
 * **Result-neutral.**  Recording never schedules events, draws
   randomness, or touches component state: it appends a tuple to a list.
-  A run with spans on is byte-identical to the same run with spans off,
-  and the PR 3 folded packet path is unaffected because every hook
-  sits on a callback that executes — at the same virtual instant — in
-  both the folded and unfolded timelines (arrival handlers and
-  end-of-chain callbacks, never the intermediate hops folding elides).
+  A run with spans on is byte-identical to the same run with spans off:
+  every hook sits on a callback that executes anyway, and records
+  ``sim.now``.
 * **Zero-cost-when-off.**  Components resolve the recorder once at
   construction (``spans_for(sim)``); with observability absent or spans
   disabled they hold ``None`` and the hot paths pay one ``is not None``

@@ -5,39 +5,31 @@ Two kinds of "event" exist and are deliberately distinct:
 * :class:`ScheduledCall` — a cancellable handle on a queued call: *at
   time T, invoke this callback with these args*.  Only ``schedule_at``
   builds one; ``schedule`` and ``call_soon`` queue a bare entry and
-  return ``None``, and ``schedule_deferred`` queues a bare *chain*.
+  return ``None``.
 * :class:`SimEvent` — a one-shot synchronization object (in the style of
   simpy events or asyncio futures): processes wait on it; someone succeeds
   or fails it exactly once, waking all waiters with a value or an error.
 
 The queue is the hottest data structure in the simulator.
-:class:`EventQueue` is one binary heap of ``(time, seq, callback, args)``
-tuples.  Two kinds of entry carry ``None`` in the callback slot, and the
-drain tells them apart by the type of the last slot:
+:class:`EventQueue` is one binary heap holding two kinds of entry:
 
+* ``(time, seq, callback, args)`` — a bare call, the common case;
 * ``(time, seq, None, handle)`` — a call that needs a handle: the drain
-  drops it if ``handle.cancelled``, else runs ``handle.callback``;
-* ``(time, seq, None, [defer_ns, callback, args])`` — a *deferred
-  chain* (a ``list``): while ``defer_ns`` is set the drain re-sequences
-  it one hop instead of running it, then runs ``callback(*args)``.  A
-  chain is not cancellable, and nothing but the queue's own hop writes
-  the list after the push.
+  drops it if ``handle.cancelled``, else runs ``handle.callback``.
 
-Most pushes need neither, so most events cost one tuple and no record
+Most pushes need no handle, so most events cost one tuple and no record
 object.  The differential suite (``tests/sim``) checks the kernel
 against a record-per-push ``(time, seq)`` heap kept there as the oracle.
 
-**The ordering contract** (what every fold-identity and determinism
-suite ultimately rests on):
+**The ordering contract** (what every identity and determinism suite
+ultimately rests on):
 
 1. every push allocates a monotonically increasing ``seq``, so the
    execution order is the exact total order by ``(time, seq)``; seqs
    are unique, so heap comparisons never reach the callback slot;
 2. a queued entry is never moved: its ``(time, seq)`` is stable
    between push and pop;
-3. cancelled handles never execute and never count;
-4. a deferred chain re-sequences (fresh seq at its surfacing instant)
-   instead of executing — see :meth:`EventQueue.push_chain`.
+3. cancelled handles never execute and never count.
 """
 
 from __future__ import annotations
@@ -64,8 +56,7 @@ class ScheduledCall:
 
     ``time`` is the call's due time; its heap entry ``(time, seq, None,
     handle)`` orders it.  Only :meth:`Simulator.schedule_at` builds
-    one: deferred chains are bare lists (see
-    :meth:`EventQueue.push_chain`).
+    one.
 
     ``owner`` is the queue currently holding the call (``None`` once
     popped to run): :meth:`cancel` notifies it so the pending count
@@ -109,30 +100,26 @@ class EventQueue:
     """The event scheduler: one binary heap, drained in ``(time, seq)``
     order.
 
-    Entries are ``(time, seq, callback, args)`` tuples, ``(time, seq,
-    None, handle)`` for calls pushed with :meth:`push_handle`, or
-    ``(time, seq, None, chain)`` for chains pushed with
-    :meth:`push_chain`.  Cancelled handles stay in the heap until they
-    are popped or compacted away; ``_cancelled`` counts them, so
-    ``len()`` — the live entries — is ``len(heap) - _cancelled``.
+    Entries are ``(time, seq, callback, args)`` tuples, or ``(time,
+    seq, None, handle)`` for calls pushed with :meth:`push_handle`.
+    Cancelled handles stay in the heap until they are popped or
+    compacted away; ``_cancelled`` counts them, so ``len()`` — the live
+    entries — is ``len(heap) - _cancelled``.
 
     The kernel's run loop pops the heap directly (see
-    :meth:`Simulator.run`) and must hop chains and settle handle
-    entries exactly as :meth:`pop` does; :meth:`pop` is the reference
-    path.
+    :meth:`Simulator.run`) and must settle handle entries exactly as
+    :meth:`pop` does; :meth:`pop` is the reference path.
     """
 
-    __slots__ = ("_heap", "_next_seq", "_cancelled", "compactions", "pops",
-                 "resequences")
+    __slots__ = ("_heap", "_next_seq", "_cancelled", "compactions", "pops")
 
     def __init__(self) -> None:
         self._heap: list = []
-        #: Allocates the tie-breaking seq of every push and hop.
+        #: Allocates the tie-breaking seq of every push.
         self._next_seq = itertools.count().__next__
         self._cancelled = 0
         self.compactions = 0
         self.pops = 0
-        self.resequences = 0
 
     # ------------------------------------------------------------------
     # Insertion
@@ -149,45 +136,6 @@ class EventQueue:
         call = ScheduledCall(time, callback, args, self)
         heapq.heappush(self._heap, (time, self._next_seq(), None, call))
         return call
-
-    def push_chain(self, time: int, defer_ns, callback: Callable[..., None],
-                   args: Tuple[Any, ...] = ()) -> list:
-        """Enqueue a deferred chain: it surfaces at ``time``, then runs
-        ``callback(*args)`` after the ``defer_ns`` hop (or chain of
-        hops, when a tuple).  Returns the chain, ``[defer_ns, callback,
-        args]``.
-
-        Each time the chain surfaces with ``defer_ns`` set, the queue
-        re-sequences it (:meth:`_hop`) instead of running it: a fresh
-        seq *at the surfacing instant*, the same instant the intermediate
-        callback it replaces would have scheduled the next hop.  Both
-        seq allocations therefore happen at the same virtual instants
-        as the unfolded n-event chain, so same-nanosecond tie-breaking
-        is preserved bit for bit; only the intermediate executions
-        disappear.  ``defer_ns`` falsy (``0`` or ``()``) means the next
-        surfacing runs the callback.
-
-        A chain is not cancellable and its owner never writes the list
-        again: only :meth:`_hop` advances it, and its ``(time, seq)``
-        never moves.
-        """
-        chain = [defer_ns, callback, args]
-        heapq.heappush(self._heap, (time, self._next_seq(), None, chain))
-        return chain
-
-    def _hop(self, time: int, chain: list) -> None:
-        """Move a just-popped chain, which surfaced at ``time``, one hop
-        along (see :meth:`push_chain`)."""
-        defer = chain[0]
-        if type(defer) is tuple:
-            delay = defer[0]
-            chain[0] = defer[1] if len(defer) == 2 else defer[1:]
-        else:
-            delay = defer
-            chain[0] = 0
-        heapq.heappush(self._heap, (time + delay, self._next_seq(), None,
-                                    chain))
-        self.resequences += 1
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping and compaction
@@ -207,8 +155,7 @@ class EventQueue:
         untouched."""
         heap = self._heap
         heap[:] = [entry for entry in heap
-                   if entry[2] is not None or type(entry[3]) is list
-                   or not entry[3].cancelled]
+                   if entry[2] is not None or not entry[3].cancelled]
         heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
@@ -229,10 +176,10 @@ class EventQueue:
         """Remove the earliest runnable call and return ``(time,
         callback, args)``.
 
-        Cancelled handles are dropped and deferred chains re-sequenced
-        on the way, exactly as the kernel's run loop does, so stepping
-        and running drain identically.  Raises :class:`IndexError` when
-        nothing is left to run.
+        Cancelled handles are dropped on the way, exactly as the
+        kernel's run loop does, so stepping and running drain
+        identically.  Raises :class:`IndexError` when nothing is left
+        to run.
         """
         heap = self._heap
         while heap:
@@ -240,11 +187,6 @@ class EventQueue:
             self.pops += 1
             if callback is not None:
                 return time, callback, args
-            if type(args) is list:
-                if args[0]:
-                    self._hop(time, args)
-                    continue
-                return time, args[1], args[2]
             if self._settle(args):
                 return time, args.callback, args.args
         raise IndexError("pop from an empty event queue")
@@ -256,8 +198,7 @@ class EventQueue:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if (entry[2] is None and type(entry[3]) is not list
-                    and entry[3].cancelled):
+            if entry[2] is None and entry[3].cancelled:
                 heapq.heappop(heap)
                 self.pops += 1
                 self._cancelled -= 1
@@ -272,7 +213,6 @@ class EventQueue:
             "cancelled_pending": self._cancelled,
             "compactions": self.compactions,
             "pops": self.pops,
-            "resequences": self.resequences,
         }
 
     def __len__(self) -> int:
@@ -327,36 +267,6 @@ class SimEvent:
     def succeed(self, value: Any = None) -> "SimEvent":
         """Trigger the event successfully, waking waiters with ``value``."""
         self._trigger(value, None)
-        return self
-
-    @property
-    def waiter_count(self) -> int:
-        """Callbacks currently registered (0 once triggered)."""
-        return len(self._callbacks)
-
-    def succeed_inline(self, value: Any = None) -> "SimEvent":
-        """Trigger the event and run its single waiter synchronously.
-
-        The whole-request-folded completion barrier: the caller must be
-        executing at the exact ``(time, seq)`` slot where the unfolded
-        path's ``call_soon`` dispatch of that one waiter would run, so
-        invoking the callback inline elides one executed event without
-        moving anything.  Only valid with at most one registered waiter
-        — with more, each waiter gets its own seq slot in the unfolded
-        timeline and inlining would merge them (callers check
-        :attr:`waiter_count` and fall back to :meth:`succeed`).
-        """
-        if self._triggered:
-            raise SimulationError(f"event {self.name!r} triggered twice")
-        if len(self._callbacks) > 1:
-            raise SimulationError(
-                f"event {self.name!r} has {len(self._callbacks)} waiters; "
-                "inline triggering is only seq-identical with one")
-        self._triggered = True
-        self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for callback, args in callbacks:
-            callback(self, *args)
         return self
 
     def fail(self, exception: BaseException) -> "SimEvent":

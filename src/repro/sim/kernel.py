@@ -9,12 +9,12 @@ is bit-for-bit reproducible.
 The scheduling path is the hottest code in the repository: every packet,
 pipeline stage, PM access, and stack crossing becomes at least one event.
 ``schedule`` and ``call_soon`` therefore push a bare ``(time, seq,
-callback, args)`` tuple onto the queue's heap and return nothing;
-``schedule_deferred`` pushes a bare chain list, and only ``schedule_at``
-builds a cancellable :class:`~repro.sim.event.ScheduledCall` (see
-:mod:`repro.sim.event`).  :meth:`Simulator.run` pops the heap in one
-short loop, because a generic ``queue.pop()`` per event costs more than
-the heap work it wraps.
+callback, args)`` tuple onto the queue's heap and return nothing; only
+``schedule_at`` builds a cancellable
+:class:`~repro.sim.event.ScheduledCall` (see :mod:`repro.sim.event`).
+:meth:`Simulator.run` pops the heap in one short loop, because a
+generic ``queue.pop()`` per event costs more than the heap work it
+wraps.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from repro.sim.trace import Tracer
 class Simulator:
     """A deterministic discrete-event simulator with integer-ns time.
 
-    ``schedule``, ``call_soon`` and ``schedule_deferred`` are instance
-    attributes, bound at construction (see :meth:`_bind_scheduling`).
+    ``schedule`` and ``call_soon`` are instance attributes, bound at
+    construction (see :meth:`_bind_scheduling`).
     """
 
     #: The scheduler this kernel drains (reported by benchmark rounds).
@@ -92,8 +92,7 @@ class Simulator:
     # Scheduling primitives
     # ------------------------------------------------------------------
     def _bind_scheduling(self) -> None:
-        """Install the per-instance ``schedule``/``call_soon``/
-        ``schedule_deferred`` closures.
+        """Install the per-instance ``schedule``/``call_soon`` closures.
 
         ``schedule`` and ``call_soon`` run once per event, so each is
         the heap push itself, with the heap and the seq counter captured
@@ -123,45 +122,15 @@ class Simulator:
             events."""
             heappush(heap, (self._now, next_seq(), callback, args))
 
-        def schedule_deferred(delay: int, defer_ns,
-                              callback: Callable[..., None],
-                              *args: Any) -> None:
-            """Fold fixed back-to-back delays into one executed event.
-
-            Equivalent to scheduling an intermediate callback at
-            ``delay`` whose only job is to schedule ``callback(*args)``
-            another ``defer_ns`` later — but the intermediate hop never
-            runs Python: the kernel re-sequences the chain when it
-            surfaces.  Seq numbers are allocated at exactly the same two
-            virtual instants as the unfolded chain, so same-time
-            tie-breaking (and therefore byte-for-byte run
-            reproducibility) is unaffected; only the executed-event
-            count and the intermediate callback's overhead drop.
-            ``defer_ns`` may be a tuple of delays: an n-stage
-            fixed-latency pipeline then collapses to a single executed
-            event, one re-sequencing per intermediate hop.  Use only
-            when every intermediate callback would have had no
-            observable side effect.
-
-            Queues the chain ``[defer_ns, callback, args]``
-            (``EventQueue.push_chain``, inlined) and returns nothing: a
-            chain cannot be cancelled, and only the queue's hop writes
-            it after the push.
-            """
-            # Validated in place: no wrapping tuple or generator per call.
-            if type(defer_ns) is tuple:
-                bad = not defer_ns or min(defer_ns) < 0
-            else:
-                bad = defer_ns < 0
-            if bad or delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay}+{defer_ns}ns into the past")
-            heappush(heap, (self._now + delay, next_seq(), None,
-                            [defer_ns, callback, args]))
-
         self.schedule = schedule
         self.call_soon = call_soon
-        self.schedule_deferred = schedule_deferred
+
+    def schedule_deferred(self, *args: Any) -> None:
+        """Retired: deferred chains are gone, and every stage is its own
+        event.  Kept as a name only for the benchmark's layer map."""
+        raise SimulationError(
+            "schedule_deferred was retired with deferred chains; "
+            "schedule each stage with schedule()")
 
     def schedule_at(self, time: int, callback: Callable[..., None],
                     *args: Any) -> ScheduledCall:
@@ -197,9 +166,9 @@ class Simulator:
         """Execute the single earliest pending event.
 
         Returns ``False`` when the queue is empty, ``True`` otherwise.
-        Cancelled handles are skipped and deferred chains re-sequenced
-        exactly as in :meth:`run` — neither executes nor counts toward
-        ``executed_events`` — so a workload stepped to completion and
+        Cancelled handles are skipped exactly as in :meth:`run` — they
+        neither execute nor count toward ``executed_events`` — so a
+        workload stepped to completion and
         the same workload driven by ``run()`` report identical event
         counts (``tests/sim/test_profiler.py`` guards this).
         """
@@ -221,8 +190,7 @@ class Simulator:
         Returns the simulated time at which execution stopped.  ``until`` is
         inclusive: events scheduled exactly at ``until`` execute.
 
-        The loop pops the heap directly, hops deferred chains as
-        ``EventQueue._hop`` does and settles handle entries as
+        The loop pops the heap directly and settles handle entries as
         ``EventQueue._settle`` does.  One liberty, unobservable: the
         ``until``/budget checks run before cancelled heads are skipped
         (a cancelled handle neither executes nor counts in ``len()``, so
@@ -239,12 +207,10 @@ class Simulator:
         q = self._queue
         heap = q._heap
         heappop = heapq.heappop
-        heappush = heapq.heappush
-        next_seq = q._next_seq
         profiler = self._profiler
         check_until = until is not None
         budget = -1 if max_events is None else max_events
-        executed = dropped = hops = 0
+        executed = dropped = 0
         try:
             while heap:
                 if check_until and heap[0][0] > until:
@@ -255,34 +221,15 @@ class Simulator:
                     break
                 time, _, callback, args = heappop(heap)
                 if callback is None:
-                    if type(args) is list:
-                        # A deferred chain: ``EventQueue._hop`` inlined.
-                        chain = args
-                        defer = chain[0]
-                        if defer:
-                            if type(defer) is tuple:
-                                delay = defer[0]
-                                chain[0] = (defer[1] if len(defer) == 2
-                                            else defer[1:])
-                            else:
-                                delay = defer
-                                chain[0] = 0
-                            heappush(heap, (time + delay, next_seq(), None,
-                                            chain))
-                            hops += 1
-                            continue
-                        callback = chain[1]
-                        args = chain[2]
-                    else:
-                        # A handle entry: ``EventQueue._settle`` inlined.
-                        call = args
-                        if call.cancelled:
-                            q._cancelled -= 1
-                            dropped += 1
-                            continue
-                        call.owner = None
-                        callback = call.callback
-                        args = call.args
+                    # A handle entry: ``EventQueue._settle`` inlined.
+                    call = args
+                    if call.cancelled:
+                        q._cancelled -= 1
+                        dropped += 1
+                        continue
+                    call.owner = None
+                    callback = call.callback
+                    args = call.args
                 self._now = time
                 executed += 1
                 if profiler is not None:
@@ -294,8 +241,7 @@ class Simulator:
                     break
         finally:
             self._running = False
-            q.pops += executed + dropped + hops
-            q.resequences += hops
+            q.pops += executed + dropped
             self.executed_events += executed
         return self._now
 
@@ -308,18 +254,18 @@ class Simulator:
         return len(self._queue)
 
     def kernel_stats(self) -> dict:
-        """Scheduler accounting: heap pops, re-sequencings, compactions,
-        and pending/cancelled counts (see ``EventQueue.stats``).
+        """Scheduler accounting: heap pops, compactions, and
+        pending/cancelled counts (see ``EventQueue.stats``).
 
-        ``lane_pops``/``near_pops``/``far_pops`` are the per-tier
-        counters of the retired tiered queue, kept for readers that
-        look them up by name: every pop is a heap pop, reported as
-        ``far_pops``, and the other two read 0.  Pop and re-sequence
-        counters are written back when :meth:`run` exits.
+        ``resequences`` and ``lane_pops``/``near_pops``/``far_pops``
+        are counters of retired mechanisms (deferred chains, the tiered
+        queue), kept for the benchmark, which reads them by name: every
+        pop is a heap pop, reported as ``far_pops``, and the other three
+        read 0.  The pop counter is written back when :meth:`run` exits.
         """
         stats = self._queue.stats()
-        stats.update(kernel=self.kernel, lane_pops=0, near_pops=0,
-                     far_pops=stats["pops"])
+        stats.update(kernel=self.kernel, resequences=0, lane_pops=0,
+                     near_pops=0, far_pops=stats["pops"])
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

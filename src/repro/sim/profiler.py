@@ -1,12 +1,10 @@
 """Event accounting: who is spending the simulator's events?
 
-The kernel's throughput work (PR 1) made each event cheap; the folded
-fast paths (``net/link.py``, ``core/pmnet_device.py``) make requests
-*need fewer of them*.  This module is the measuring instrument for the
-second axis: an opt-in :class:`EventProfiler` attached to a
-:class:`~repro.sim.kernel.Simulator` attributes every executed event to
-its call site (component class x callback method) so the dominant
-events-per-request costs are visible instead of guessed.
+The kernel's throughput work made each event cheap; this module counts
+how many of them a request needs.  An opt-in :class:`EventProfiler`
+attached to a :class:`~repro.sim.kernel.Simulator` attributes every
+executed event to its call site (component class x callback method) so
+the dominant events-per-request costs are visible instead of guessed.
 
 Attribution is derived from the scheduled callback itself: a bound
 method reports its ``__qualname__`` (e.g. ``Channel._deliver``), which
@@ -19,7 +17,7 @@ The profiler never affects simulation results: it observes executed
 callbacks only, draws no randomness, and schedules nothing.
 
 ``pmnet-repro profile`` uses it to report where the events of one
-Fig 16 stress point go, at either fold level, and adds the garbage
+Fig 16 stress point go, and adds the garbage
 collections the run cost (:func:`gc_collections`): collector time lands
 in whichever callback happened to allocate, so no per-site table can
 show it.
@@ -56,14 +54,13 @@ def format_kernel_stats(stats: Dict[str, object]) -> str:
     """One-line scheduler digest for profile reports.
 
     ``stats`` is :meth:`Simulator.kernel_stats` output: the scheduler
-    name, heap pops, resequences, compaction sweeps and the live
+    name, heap pops, compaction sweeps and the live
     entries still queued.  Complements the per-call-site table: the
     table says *who* spent the events, this line says how much heap
     work served them.
     """
     return (f"scheduler: kernel={stats.get('kernel', '?')} "
             f"pops={stats.get('pops', 0)} "
-            f"resequences={stats.get('resequences', 0)} "
             f"compactions={stats.get('compactions', 0)} "
             f"pending={stats.get('pending', 0)}")
 

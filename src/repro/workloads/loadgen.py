@@ -24,7 +24,7 @@ Two arrival processes:
 Determinism: every draw comes from ``sim.random.stream("loadgen:<i>")``
 — per-shard streams, seeded from the simulator seed — and arrival
 bookkeeping never touches the wall clock, so one seed reproduces the
-exact sample table regardless of worker count, run order, or fold mode.
+exact sample table regardless of worker count or run order.
 """
 
 from __future__ import annotations

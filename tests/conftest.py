@@ -14,43 +14,46 @@ Knobs (environment variables):
 * Tests marked ``slow`` get 5x the budget: they run whole Hypothesis
   crash sweeps and full-scale experiments by design.
 
-Helpers for test modules: :data:`FOLD_LEVELS` and :func:`fold`, which
-builds components at one fold level (``from tests.conftest import
-fold``).
+Helpers for test modules (``from tests.conftest import fingerprint``):
+:func:`fingerprint`, a short digest that pins a large observable, and
+:func:`leave_completed_timers_armed`, the reference timeline for the
+client's timer cancellation.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
-from contextlib import contextmanager
-from typing import Iterator, Optional
 
 import pytest
 
-#: The fold levels every identity suite compares: the unfolded
-#: reference timeline, then the default whole-request fold.
-FOLD_LEVELS = ("none", "whole")
+
+def fingerprint(value: object) -> str:
+    """A short digest of ``repr(value)``: pins an observable too large
+    to spell out (latency samples, timelines, traces)."""
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
 
 
-@contextmanager
-def fold(level: Optional[str]) -> Iterator[None]:
-    """Build components at fold ``level`` (``"none"``/``"whole"``).
+def leave_completed_timers_armed(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Keep a completed request's timeout armed, so it fires as a no-op.
 
-    Sets ``PMNET_FOLD`` for the block and restores it after; components
-    read it at construction, so build inside the block and run after.
-    ``None`` leaves the environment's level in force.
+    ``PMNetClient._complete`` cancels each completed request's timer
+    except the latest-expiring one, which pins the end-of-run clock.
+    This patch hides the timer from that step, which gives the reference
+    timeline the cancellation must not change: every sample, digest and
+    ``final_now`` stays the same, and only the event count moves.
     """
-    previous = os.environ.get("PMNET_FOLD")
-    try:
-        if level is not None:
-            os.environ["PMNET_FOLD"] = level
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PMNET_FOLD", None)
-        else:
-            os.environ["PMNET_FOLD"] = previous
+    from repro.host.client import PMNetClient
+
+    complete = PMNetClient._complete
+
+    def complete_leaving_the_timer_armed(self, state, result, via):
+        state.timer_call = None
+        complete(self, state, result, via)
+
+    monkeypatch.setattr(PMNetClient, "_complete",
+                        complete_leaving_the_timer_armed)
 
 _DEFAULT_TIMEOUT_S = 120
 _SLOW_MULTIPLIER = 5

@@ -126,9 +126,6 @@ class TestLossRepair:
 
         def recover():
             nonlocal recovery
-            # Reservations bypass ``send``; force the unfolded path so
-            # the drop hook sees every frame the device sends.
-            channel._fold = False
             original_send = channel.send
             sent = iter(range(10_000))
 

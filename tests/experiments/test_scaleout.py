@@ -5,8 +5,6 @@ import json
 from repro.experiments import scaleout
 from repro.experiments.deploy import DeploymentSpec
 
-from tests.conftest import FOLD_LEVELS, fold
-
 
 class TestSweepDefinition:
     def test_every_point_is_a_valid_multi_rack_spec(self):
@@ -35,20 +33,35 @@ class TestSweepDefinition:
             assert spec.quick
 
 
+#: The pivot point's summary (quick scale).
+PIVOT_PIN = {
+    "chain_length": 3,
+    "completed": 2400,
+    "digest": "b9322d8ba40ccbb2",
+    "errors": 0,
+    "mean_latency_us": 29.83365287162162,
+    "modeled_users": 12000,
+    "ops_per_second": 4167925.727563535,
+    "p50_us": 29.357,
+    "p99_us": 36.112,
+    "point": "shards=4/chain=3",
+    "shards": 4,
+    "spine_propagation_ns": None,
+}
+
+
 class TestRunPoint:
+    # The test id predates the single request path (it compared the
+    # retired fold levels); the pin is the summary both levels gave.
     def test_pivot_point_is_fold_identical(self):
         spec = next(job for job in scaleout.jobs()
                     if job.point == "shards=4/chain=3")
-        summaries = {}
-        for level in FOLD_LEVELS:
-            with fold(level):
-                summaries[level] = scaleout.run_point(spec)
-        assert summaries["none"]["modeled_users"] >= 10_000
-        assert summaries["none"]["completed"] > 0
-        assert summaries["none"]["errors"] == 0
-        assert summaries["none"]["p99_us"] >= summaries["none"]["p50_us"]
-        assert summaries["whole"] == summaries["none"], (
-            "scale-out point diverged between fold levels")
+        summary = scaleout.run_point(spec)
+        assert summary["modeled_users"] >= 10_000
+        assert summary["completed"] > 0
+        assert summary["errors"] == 0
+        assert summary["p99_us"] >= summary["p50_us"]
+        assert summary == PIVOT_PIN
 
 
 class TestAssembly:

@@ -1,8 +1,8 @@
 """The chaos engine: plan determinism, replay, shrinking, the corpus.
 
 Cases that hold for every plan family (the pinned plan stream, the
-both-fold-level corpus replay, the corpus format, the ``--family``
-flag) live here; the fabric and control families' own invariants live
+pinned corpus replay, the corpus format, the ``--family`` flag) live
+here; the fabric and control families' own invariants live
 in ``test_chaos_fabric.py`` and ``test_chaos_control.py``.
 
 The mutation check is the suite's teeth: it plants a known persistence
@@ -24,6 +24,8 @@ from repro.experiments.jobs import execute_serial
 from repro.experiments.parallel import run_jobs
 from repro.experiments.registry import EXPERIMENTS
 from repro.failure import chaos
+
+from tests.conftest import leave_completed_timers_armed
 
 CORPUS = Path(__file__).parent / "chaos_corpus.txt"
 CORPUS_LINES = chaos.load_corpus(str(CORPUS))
@@ -112,16 +114,13 @@ class TestDeterministicReplay:
         second = chaos.run_plan(plan)
         assert first.to_dict() == second.to_dict()
 
-    def test_fold_identity(self, monkeypatch):
-        plan = chaos.generate_plan(7)
-        folded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = chaos.run_plan(plan)
-        assert unfolded.trace_digest == folded.trace_digest
-        assert unfolded.violations == folded.violations
-        assert unfolded.completions == folded.completions
-        # Folding only merges events; it never changes what happens.
-        assert unfolded.executed_events >= folded.executed_events
+    # The test id predates the single request path (it compared the
+    # retired fold levels); the pin is the replay both levels gave.
+    def test_fold_identity(self):
+        result = chaos.run_plan(chaos.generate_plan(7))
+        assert (result.trace_digest, result.violations, result.completions,
+                result.acknowledged, result.executed_events) == (
+            "47137d56d9fb2d4b", (), 60, 55, 3396)
 
     def test_result_independent_of_prior_runs(self):
         plan = chaos.generate_plan(7)
@@ -137,75 +136,53 @@ class TestDeterministicReplay:
                                       * result.plan.requests_per_client)
 
 
-#: Every corpus line's replay, identical at both fold levels:
-#: ``(family, seed): (trace digest, completions, acknowledged,
-#: executed events at whole, executed events at none)``.
+#: Every corpus line's replay: ``(family, seed): (trace digest,
+#: completions, acknowledged, executed events)``.
 CORPUS_PINS = {
-    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1562, 1726),
-    ("rack", 1): ("6b294615cf812d73", 24, 13, 1063, 1183),
-    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16413, 16562),
-    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 13996, 14150),
-    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 5028, 5734),
-    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 64045, 70989),
-    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 16400, 18997),
-    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4366, 4830),
-    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 138652, 158823),
-    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 8018, 8857),
-    ("control", 0): ("4254075b161a6834", 16, 14, 15788, 17504),
-    ("control", 2): ("723740060c18c139", 28, 26, 11180, 12383),
-    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3560, 3955),
-    ("control", 6): ("2c59ecd291b00687", 28, 28, 4081, 4500),
-    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1589, 1778),
-    ("control", 14): ("12d79e1507326e9b", 54, 54, 15899, 17688),
+    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1708),
+    ("rack", 1): ("6b294615cf812d73", 24, 13, 1163),
+    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16_526),
+    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 14_120),
+    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 5667),
+    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 70_956),
+    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 18_964),
+    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4786),
+    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 158_783),
+    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 8828),
+    ("control", 0): ("4254075b161a6834", 16, 14, 17_492),
+    ("control", 2): ("723740060c18c139", 28, 26, 12_362),
+    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3923),
+    ("control", 6): ("2c59ecd291b00687", 28, 28, 4479),
+    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1769),
+    ("control", 14): ("12d79e1507326e9b", 54, 54, 17_657),
 }
 
 
 class TestWholeFoldReplay:
-    """The whole-request fold under the full chaos battery.
+    """The shipped corpus under the full chaos battery.
 
-    Chaos schedules open impairment windows mid-request (invalidating
-    cached arrival plans), crash devices, servers and whole racks,
-    replace blank boards and migrate sessions, so replaying them with
-    the fold pinned to ``whole`` vs fully unfolded is the strongest
-    identity check in the suite: same trace digest, same R1-R6
-    violation set, same durability-oracle verdict, request for request.
+    Chaos schedules open impairment windows mid-request, crash devices,
+    servers and whole racks, replace blank boards and migrate sessions,
+    so each corpus line's replay is pinned: trace digest, completions,
+    acknowledged writes and executed events, with a clean R1-R6 and
+    durability-oracle verdict.  (The class name predates the single
+    request path: the pins are the values both fold levels gave.)
     """
-
-    @staticmethod
-    def _assert_fold_invisible(plan, monkeypatch):
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = chaos.run_plan(plan)
-        monkeypatch.setenv("PMNET_FOLD", "whole")
-        whole = chaos.run_plan(plan)
-        monkeypatch.delenv("PMNET_FOLD")
-        label = f"seed={plan.seed}"
-        assert whole.trace_digest == unfolded.trace_digest, label
-        assert whole.violations == unfolded.violations, label
-        assert whole.ok == unfolded.ok, label
-        assert whole.completions == unfolded.completions, label
-        assert whole.acknowledged == unfolded.acknowledged, label
-        # Folding only merges events; it never adds any.
-        assert whole.executed_events <= unfolded.executed_events, label
 
     @pytest.mark.parametrize(
         "family, seed", CORPUS_LINES,
         ids=[f"{family}-{seed}" for family, seed in CORPUS_LINES])
-    def test_shipped_corpus_replays_identically(self, family, seed,
-                                                monkeypatch):
+    def test_shipped_corpus_replays_identically(self, family, seed):
         assert (family, seed) in CORPUS_PINS, \
             f"corpus line '{family} {seed}' has no pin in CORPUS_PINS"
-        digest, completions, acknowledged, whole_events, none_events = \
-            CORPUS_PINS[family, seed]
-        plan = chaos.generate_plan(seed, family)
-        for fold, events in (("whole", whole_events), ("none", none_events)):
-            monkeypatch.setenv("PMNET_FOLD", fold)
-            result = chaos.run_plan(plan)
-            label = f"{family} {seed} at {fold}"
-            assert result.ok, f"{label}:\n" + "\n".join(result.violations)
-            assert result.trace_digest == digest, label
-            assert (result.completions, result.acknowledged) == \
-                (completions, acknowledged), label
-            assert result.executed_events == events, label
+        digest, completions, acknowledged, events = CORPUS_PINS[family, seed]
+        result = chaos.run_plan(chaos.generate_plan(seed, family))
+        label = f"{family} {seed}"
+        assert result.ok, f"{label}:\n" + "\n".join(result.violations)
+        assert result.trace_digest == digest, label
+        assert (result.completions, result.acknowledged) == \
+            (completions, acknowledged), label
+        assert result.executed_events == events, label
 
     def test_every_pin_is_a_corpus_line(self):
         assert set(CORPUS_PINS) == set(CORPUS_LINES)
@@ -214,7 +191,20 @@ class TestWholeFoldReplay:
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(1000, 1040))
     def test_fresh_sweep_replays_identically(self, seed, monkeypatch):
-        self._assert_fold_invisible(chaos.generate_plan(seed), monkeypatch)
+        """A fresh plan replays the same with the client's
+        completed-request timers left armed (the reference timeline of
+        the timer cancellation)."""
+        plan = chaos.generate_plan(seed)
+        default = chaos.run_plan(plan)
+        leave_completed_timers_armed(monkeypatch)
+        armed = chaos.run_plan(plan)
+        label = f"seed={seed}"
+        assert armed.trace_digest == default.trace_digest, label
+        assert armed.violations == default.violations, label
+        assert (armed.completions, armed.acknowledged) == \
+            (default.completions, default.acknowledged), label
+        # The cancelled timers are events the default never runs.
+        assert armed.executed_events >= default.executed_events, label
 
 
 def _plant_eager_invalidate(monkeypatch, site="_on_persisted"):

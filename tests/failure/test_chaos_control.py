@@ -8,8 +8,8 @@ a rebalance deliberately overlapping a live outage window, a migration
 scheduled right after recovery replay, and flapping membership that
 migrates the same sessions back and forth.  It draws from its own RNG
 namespace, so the ``rack`` and ``fabric`` families' plans stay
-byte-for-byte untouched.  The both-fold-level replay of its corpus
-lines is pinned in ``test_chaos.py::TestWholeFoldReplay``.
+byte-for-byte untouched.  The replay of its corpus lines is pinned in
+``test_chaos.py::TestWholeFoldReplay``.
 """
 
 import json

@@ -5,7 +5,7 @@ durability oracle, shrinking, the CLI — over spine/leaf deployments
 with cross-rack chains, and adds fabric-only faults (whole-rack
 outages, spine-link impairment windows).  It draws from its own RNG
 namespace, so the ``rack`` family's plans stay byte-for-byte untouched.
-The both-fold-level replay of its corpus lines is pinned in
+The replay of its corpus lines is pinned in
 ``test_chaos.py::TestWholeFoldReplay``.
 """
 

@@ -1,28 +1,29 @@
-"""The folding correctness bar: fold on == fold off, byte for byte.
+"""Single-path pins of the scenarios that held the fold levels to account.
 
-The latency-folded paths (``net/link.py`` device arrival extensions,
-``host/client.py`` timer cancellation and inline completion) claim to
-change only the executed-event count, never a delivery time, a queue
-decision, or an RNG draw.  This file holds that claim to account:
+Every pipeline stage is its own event, so there is no folded timeline
+left to compare.  The scenarios that once compared ``PMNET_FOLD=none``
+with ``whole`` stay, each pinned to the observables both levels gave:
+arrival logs, completion timelines, recovered stores, trace digests and
+the end-of-run clock.  (The module, class and test names predate the
+single request path.)
 
-* a hypothesis property over random star topologies — random frame
-  sizes, send times, and sources, driven through a real ``Switch`` so
-  queueing and forwarding interleave — must produce identical arrival
-  logs with ``PMNET_FOLD`` at ``none`` and ``whole``;
-* a second property with frame sizes and send times quantized so that
-  sends collide with serialization boundaries on the same nanosecond,
-  stressing same-nanosecond tie-breaking;
-* impaired channels must never fold, deterministically;
+* a switch with bursty contending senders, and the same-nanosecond
+  send that must queue behind a pending serialize end;
+* a lossy channel in the same topology;
 * mid-run crashes — a switch failing inside its forwarding window, a
   PMNet device power-cut at swept instants across the request's
   pipeline windows (the Fig 12 scenarios), a chain member power-cut
   inside its ingress and PM-stage windows, a client host dying with a
-  send in flight — must leave every observable identical, because
-  every folded chain ends in a callback that re-checks liveness;
-* a loaded cross-rack chain fabric must produce the same sample digest
-  and trace at every fold level; and
-* a full experiment (including the impaired fig07 loss scenarios) must
-  format byte-identically in both modes.
+  send in flight;
+* a loaded cross-rack chain fabric.
+
+The one optimisation left on the request path is the client's
+cancellation of completed-request timers.  A property over random
+deployments holds it to the same bar: with the timers left armed
+(:func:`tests.conftest.leave_completed_timers_armed`), every latency,
+completion route, store and trace stays the same, and so does the
+end-of-run clock.  The slow tests do the same for every registry
+experiment's report.
 """
 
 import hashlib
@@ -51,12 +52,12 @@ from repro.workloads.loadgen import LoadGenConfig, run_loadgen
 from repro.workloads.pmdk.hashmap import PMHashmap
 from repro.workloads.ycsb import YCSBConfig, make_op_maker
 
-from tests.conftest import FOLD_LEVELS, fold
+from tests.conftest import fingerprint, leave_completed_timers_armed
+
 
 def _set_impairments(channel, impairments):
     """Swap a channel's impairments mid-run, as the chaos engine does."""
     channel.impairments = impairments
-    channel.on_impairments_changed()
 
 
 class _Host(Node):
@@ -68,30 +69,29 @@ class _Host(Node):
         self.arrivals.append((self.sim.now, frame.src, frame.payload))
 
 
-def _run_star(num_hosts, sends, no_fold, loss_seed=None, profile=None,
+def _run_star(num_hosts, sends, loss_seed=None, profile=None,
               fail_switch_at=None):
-    """Build hosts around one switch, replay ``sends``, return arrivals.
+    """Build hosts around one switch, replay ``sends``, return
+    ``(arrivals per host, the star, end-of-run clock)``.
 
     ``sends`` is a list of ``(time_ns, src_index, dst_index, size)``.
     When ``loss_seed`` is set, the uplink of host 0 gets probabilistic
     loss — an impaired channel mixed into the same topology.  When
     ``fail_switch_at`` is set, the switch power-cuts at that instant and
-    recovers 30 µs later, so frames in flight around the crash exercise
-    the revocation path in one mode and the fire-time ``failed`` check
-    in the other.
+    recovers 30 µs later, so frames in flight around the crash meet the
+    fire-time ``failed`` check.
     """
-    with fold("none" if no_fold else "whole"):
-        sim = Simulator(seed=loss_seed or 0)
-        profile = profile if profile is not None else NetworkProfile()
-        topo = Topology(sim, profile)
-        hosts = [topo.add(_Host(sim, f"h{i}")) for i in range(num_hosts)]
-        switch = topo.add(Switch(sim, "sw", profile))
-        for index, host in enumerate(hosts):
-            impair = None
-            if loss_seed is not None and index == 0:
-                impair = Impairments(loss_probability=0.5)
-            topo.connect(host, switch, impairments_ab=impair)
-        topo.compute_routes()
+    sim = Simulator(seed=loss_seed or 0)
+    profile = profile if profile is not None else NetworkProfile()
+    topo = Topology(sim, profile)
+    hosts = [topo.add(_Host(sim, f"h{i}")) for i in range(num_hosts)]
+    switch = topo.add(Switch(sim, "sw", profile))
+    for index, host in enumerate(hosts):
+        impair = None
+        if loss_seed is not None and index == 0:
+            impair = Impairments(loss_probability=0.5)
+        topo.connect(host, switch, impairments_ab=impair)
+    topo.compute_routes()
     for marker, (time, src, dst, size) in enumerate(sends):
         frame = Frame(f"h{src}", f"h{dst % num_hosts}", marker, size)
         sim.schedule(time, hosts[src].ports[0].transmit, frame)
@@ -99,139 +99,56 @@ def _run_star(num_hosts, sends, no_fold, loss_seed=None, profile=None,
         sim.schedule_at(fail_switch_at, switch.fail)
         sim.schedule_at(fail_switch_at + 30_000, switch.recover)
     sim.run()
-    executed = sim.executed_events
-    return [host.arrivals for host in hosts], executed
-
-
-@st.composite
-def _send_plans(draw):
-    num_hosts = draw(st.integers(min_value=2, max_value=5))
-    sends = draw(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=20_000),
-                  st.integers(min_value=0, max_value=num_hosts - 1),
-                  st.integers(min_value=0, max_value=num_hosts - 1),
-                  st.integers(min_value=1, max_value=3_000)),
-        min_size=1, max_size=25))
-    return num_hosts, sends
-
-
-@st.composite
-def _collision_plans(draw):
-    """Send plans engineered to land on serialization boundaries.
-
-    With zero header overhead and a 10 Gb/s line, a 1250-byte frame
-    serializes in exactly 1000 ns; quantizing send times to multiples of
-    100 ns makes sends routinely coincide — on the same nanosecond —
-    with another transmitter's ``_busy_until``, the switch's forwarding
-    instant, and each other.  Every such tie must be broken by event
-    seq numbers exactly as the unfolded path breaks it.
-    """
-    num_hosts = draw(st.integers(min_value=2, max_value=4))
-    sends = draw(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=60).map(
-                      lambda slot: slot * 100),
-                  st.integers(min_value=0, max_value=num_hosts - 1),
-                  st.integers(min_value=0, max_value=num_hosts - 1),
-                  st.just(1250)),
-        min_size=2, max_size=20))
-    return num_hosts, sends
+    return [host.arrivals for host in hosts], hosts, sim.now
 
 
 _COLLISION_PROFILE = NetworkProfile(header_overhead_bytes=0)
-
-
-class TestFoldIdentityProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(plan=_send_plans())
-    def test_random_topologies_deliver_identically(self, plan):
-        num_hosts, sends = plan
-        folded, folded_events = _run_star(num_hosts, sends, no_fold=False)
-        unfolded, unfolded_events = _run_star(num_hosts, sends, no_fold=True)
-        assert folded == unfolded
-        assert folded_events <= unfolded_events
-
-    @settings(max_examples=60, deadline=None)
-    @given(plan=_collision_plans())
-    def test_same_ns_collisions_tie_break_identically(self, plan):
-        num_hosts, sends = plan
-        folded, folded_events = _run_star(
-            num_hosts, sends, no_fold=False, profile=_COLLISION_PROFILE)
-        unfolded, unfolded_events = _run_star(
-            num_hosts, sends, no_fold=True, profile=_COLLISION_PROFILE)
-        assert folded == unfolded
-        assert folded_events <= unfolded_events
-
-    @settings(max_examples=20, deadline=None)
-    @given(plan=_send_plans(), seed=st.integers(min_value=1, max_value=999))
-    def test_impaired_channels_stay_identical(self, plan, seed):
-        num_hosts, sends = plan
-        folded, _ = _run_star(num_hosts, sends, no_fold=False,
-                              loss_seed=seed)
-        unfolded, _ = _run_star(num_hosts, sends, no_fold=True,
-                                loss_seed=seed)
-        assert folded == unfolded
 
 
 class TestFoldBoundaryRegression:
     def test_send_at_exact_serialize_end_queues_behind_pending_record(self):
         # h1's second frame lands at exactly the nanosecond its first
         # frame finishes serializing, via an event whose seq was
-        # allocated *before* the pending folded record's: the unfolded
-        # timeline finds `_transmitting` still True and queues it behind
-        # `_serialized`.  The folded path used to treat `now ==
-        # _busy_until` as a free transmitter and fold, letting h1's
-        # frame overtake h0's contending frame at the switch downlink.
+        # allocated *before* the pending `_serialized`: it finds
+        # `_transmitting` still True and queues behind it.  Treating
+        # `now == busy_until` as a free transmitter once let h1's frame
+        # overtake h0's contending frame at the switch downlink.
         sends = [(4300, 1, 0, 1250), (5300, 1, 0, 1250), (5300, 0, 0, 1250)]
-        folded, folded_events = _run_star(
-            2, sends, no_fold=False, profile=_COLLISION_PROFILE)
-        unfolded, unfolded_events = _run_star(
-            2, sends, no_fold=True, profile=_COLLISION_PROFILE)
-        assert folded == unfolded
-        assert folded_events <= unfolded_events
+        arrivals, _hosts, final_now = _run_star(
+            2, sends, profile=_COLLISION_PROFILE)
         # h0's frame reaches the switch with the earlier seq and must
-        # win the downlink tie in both modes.
-        assert folded[0] == [(6800, "h1", 0), (7800, "h0", 2),
-                             (8800, "h1", 1)]
+        # win the downlink tie.
+        assert arrivals[0] == [(6800, "h1", 0), (7800, "h0", 2),
+                               (8800, "h1", 1)]
+        assert final_now == 8800
 
 
 class TestImpairedNeverFolds:
     def test_lossy_channel_takes_unfolded_path(self):
         sends = [(i * 5_000, 0, 1, 100) for i in range(10)]
-        sim_arrivals, _ = _run_star(2, sends, no_fold=False, loss_seed=7)
-        # Build again to inspect the channel counters directly.
-        with fold("whole"):
-            sim = Simulator(seed=7)
-            profile = NetworkProfile()
-            topo = Topology(sim, profile)
-            src = topo.add(_Host(sim, "h0"))
-            dst = topo.add(_Host(sim, "h1"))
-            switch = topo.add(Switch(sim, "sw", profile))
-            topo.connect(src, switch,
-                         impairments_ab=Impairments(loss_probability=0.5))
-            topo.connect(dst, switch)
-            topo.compute_routes()
-        for i in range(10):
-            sim.schedule(i * 5_000, src.ports[0].transmit,
-                         Frame("h0", "h1", i, 100))
-        sim.run()
-        assert int(src.ports[0].channel.folded_sends) == 0
-        assert int(src.ports[0].channel.dropped_loss) > 0
+        arrivals, hosts, final_now = _run_star(2, sends, loss_seed=7)
+        channel = hosts[0].ports[0].channel
+        assert int(channel.dropped_loss) == 5
+        assert [marker for _t, _src, marker in arrivals[1]] == \
+            [1, 4, 5, 6, 9]
+        assert (fingerprint(arrivals), final_now) == ("a0696935aea10991",
+                                                      45_734)
 
 
-def _device_crash_run(crash_offset_ns, no_fold):
+def _device_crash_run(crash_offset_ns):
     """One client, three updates, PMNet device power-cut mid-request.
 
     ``crash_offset_ns`` is relative to the client stack's send cost, so
     offsets sweep the crash instant across the first request's life:
     still in the client stack, on the wire, inside the device's
     ingress/PM/egress/ACK windows, and after the ACK departs.  Returns
-    every observable a fold could plausibly disturb.
+    every observable a change to the request path could disturb, the
+    end-of-run clock last.
     """
-    with fold("none" if no_fold else "whole"):
-        cfg = SystemConfig().with_clients(1)
-        handler = StructureHandler(PMHashmap())
-        deployment = build(DeploymentSpec(placement="switch"), cfg,
-                           handler=handler)
+    cfg = SystemConfig().with_clients(1)
+    handler = StructureHandler(PMHashmap())
+    deployment = build(DeploymentSpec(placement="switch"), cfg,
+                       handler=handler)
     sim = deployment.sim
     injector = FailureInjector(sim)
     device = deployment.devices[0]
@@ -268,29 +185,29 @@ CHAIN_FABRIC = DeploymentSpec(racks=2, devices_per_rack=2,
                               clients_per_rack=1, placement="switch")
 
 
-def _chain_crash_run(level, member, crash_offset_ns):
+def _chain_crash_run(member, crash_offset_ns):
     """Chain updates with one member power-cut mid-pipeline.
 
     The crash lands ``crash_offset_ns`` after the instant the member
-    receives the first CHAIN_UPDATE of the run (found by an unfolded
-    probe run), so offsets sweep its ingress and PM-stage windows.
-    Returns every observable a fold could plausibly disturb.
+    receives the first CHAIN_UPDATE of the run (found by a probe run),
+    so offsets sweep its ingress and PM-stage windows.  Returns every
+    observable a change to the request path could disturb, the
+    end-of-run clock last.
     """
     from repro.protocol.packet import reset_request_ids
     from repro.protocol.types import PacketType
 
-    def run(level, crash_at):
+    def run(crash_at):
         reset_request_ids()
-        with fold(level):
-            config = SystemConfig(seed=3)
-            handlers = []
+        config = SystemConfig(seed=3)
+        handlers = []
 
-            def handler_factory():
-                handlers.append(StructureHandler(PMHashmap()))
-                return handlers[-1]
+        def handler_factory():
+            handlers.append(StructureHandler(PMHashmap()))
+            return handlers[-1]
 
-            deployment = build(CHAIN_FABRIC, config,
-                               handler_factory=handler_factory)
+        deployment = build(CHAIN_FABRIC, config,
+                           handler_factory=handler_factory)
         sim = deployment.sim
         name = deployment.chains[deployment.server.host.name][member]
         victim = next(device for device in deployment.devices
@@ -331,15 +248,25 @@ def _chain_crash_run(level, member, crash_offset_ns):
         return arrivals, (tuple(timeline), tuple(state),
                           int(victim.acks_sent), sim.now)
 
-    arrivals, _ = run("none", None)
+    arrivals, _ = run(None)
     assert arrivals, f"chain member {member} never saw a CHAIN_UPDATE"
-    return run(level, arrivals[0] + crash_offset_ns)[1]
+    return run(arrivals[0] + crash_offset_ns)[1]
 
 
 class TestCrashIdentity:
-    """Fold on == fold off even when nodes die with folds in flight."""
+    """Nodes that die mid-request: every observable is pinned as
+    ``(fingerprint, end-of-run clock)``."""
 
     SWITCH_SENDS = [(t, 0, 1, 1250) for t in range(0, 15_000, 700)]
+
+    SWITCH_PINS = {
+        500: ("a683096011db3975", 30_500),
+        1137: ("a683096011db3975", 31_137),
+        1300: ("a683096011db3975", 31_300),
+        1437: ("a683096011db3975", 31_437),
+        2100: ("9074a6eb0ea93913", 32_100),
+        12_345: ("a28435a729a9ea28", 42_345),
+    }
 
     @pytest.mark.parametrize("crash_at", [
         500,     # first frame still serializing on the uplink
@@ -350,11 +277,19 @@ class TestCrashIdentity:
         12_345,  # steady-state mid-burst
     ])
     def test_switch_crash_timing_sweep(self, crash_at):
-        folded, _ = _run_star(2, self.SWITCH_SENDS, no_fold=False,
-                              fail_switch_at=crash_at)
-        unfolded, _ = _run_star(2, self.SWITCH_SENDS, no_fold=True,
-                                fail_switch_at=crash_at)
-        assert folded == unfolded
+        arrivals, _hosts, final_now = _run_star(
+            2, self.SWITCH_SENDS, fail_switch_at=crash_at)
+        assert (fingerprint(arrivals), final_now) == \
+            self.SWITCH_PINS[crash_at]
+
+    DEVICE_PINS = {
+        -500: ("3fcc400440232fe6", 2_509_776),
+        800: ("3fcc400440232fe6", 2_509_776),
+        1200: ("3fcc400440232fe6", 2_509_776),
+        1600: ("6d4627c5fd8b7e11", 2_112_079),
+        2400: ("73b1554c9fc0a0e1", 3_010_875),
+        15_000: ("73b1554c9fc0a0e1", 3_010_875),
+    }
 
     @pytest.mark.parametrize("crash_offset_ns", [
         -500,    # request still inside the client stack's send window
@@ -365,9 +300,22 @@ class TestCrashIdentity:
         15_000,  # long after the ACK: crash between requests
     ])
     def test_device_crash_timing_sweep(self, crash_offset_ns):
-        folded = _device_crash_run(crash_offset_ns, no_fold=False)
-        unfolded = _device_crash_run(crash_offset_ns, no_fold=True)
-        assert folded == unfolded
+        observed = _device_crash_run(crash_offset_ns)
+        assert (fingerprint(observed), observed[-1]) == \
+            self.DEVICE_PINS[crash_offset_ns]
+
+    CHAIN_PINS = {
+        (0, 0): ("45aa2eda6bda8191", 2_572_559),
+        (0, 100): ("45aa2eda6bda8191", 2_572_559),
+        (0, 250): ("45aa2eda6bda8191", 2_572_559),
+        (0, 330): ("45aa2eda6bda8191", 2_572_559),
+        (0, 400): ("45aa2eda6bda8191", 2_572_559),
+        (1, 0): ("1ea348c3ef99615b", 2_572_242),
+        (1, 100): ("1ea348c3ef99615b", 2_572_242),
+        (1, 250): ("1ea348c3ef99615b", 2_572_242),
+        (1, 330): ("1ea348c3ef99615b", 2_572_242),
+        (1, 400): ("1ea348c3ef99615b", 2_572_242),
+    }
 
     @pytest.mark.parametrize("member", [0, 1])
     @pytest.mark.parametrize("crash_offset_ns", [
@@ -378,46 +326,40 @@ class TestCrashIdentity:
         400,     # exactly at the log instant
     ])
     def test_chain_member_crash_timing_sweep(self, member, crash_offset_ns):
-        runs = {level: _chain_crash_run(level, member, crash_offset_ns)
-                for level in FOLD_LEVELS}
-        assert runs["whole"] == runs["none"]
+        observed = _chain_crash_run(member, crash_offset_ns)
+        assert (fingerprint(observed), observed[-1]) == \
+            self.CHAIN_PINS[member, crash_offset_ns]
 
     def test_client_crash_scenario_identical(self):
-        with fold("whole"):
-            folded = client_failure_mid_run()
-        with fold("none"):
-            unfolded = client_failure_mid_run()
-        for outcome in (folded, unfolded):
-            assert outcome.durable
-        assert (sorted(folded.acknowledged_updates.items())
-                == sorted(unfolded.acknowledged_updates.items()))
-        assert (sorted(folded.server_state.items())
-                == sorted(unfolded.server_state.items()))
-        assert folded.client_completions == unfolded.client_completions
+        outcome = client_failure_mid_run()
+        assert outcome.durable
+        assert fingerprint((sorted(outcome.acknowledged_updates.items()),
+                            sorted(outcome.server_state.items()),
+                            outcome.client_completions,
+                            outcome.retransmissions)) == "3864b31e31882f6a"
 
 
-def _whole_request_run(level, clients, replication, cache, update_ratio,
-                       seed, impair_window=None, crash_at=None):
-    """One full client->switch->PMNet->server run at a fold level.
+def _whole_request_run(clients, replication, cache, update_ratio, seed,
+                       impair_window=None, crash_at=None):
+    """One full client->switch->PMNet->server run.
 
-    Returns every observable the whole-request fold could plausibly
-    disturb: the per-request latency samples (byte-identity surface),
-    the completion routing, the final store contents, a digest of the
-    full trace, and the drained-queue end time.
+    Returns every observable the client's timer cancellation could
+    plausibly disturb: the per-request latency samples (byte-identity
+    surface), the completion routing, the final store contents, a
+    digest of the full trace, and the drained-queue end time.
     """
     from repro.protocol.packet import reset_request_ids
 
     # Request ids are process-global; reset so the traces of the runs
     # being compared are identical line for line, not just in shape.
     reset_request_ids()
-    with fold(level):
-        cfg = SystemConfig(seed=seed).with_clients(clients)
-        tracer = Tracer(enabled=True)
-        handler = StructureHandler(PMHashmap())
-        deployment = build(DeploymentSpec(placement="switch",
-                                          chain_length=replication,
-                                          enable_cache=cache), cfg,
-                           handler=handler, tracer=tracer)
+    cfg = SystemConfig(seed=seed).with_clients(clients)
+    tracer = Tracer(enabled=True)
+    handler = StructureHandler(PMHashmap())
+    deployment = build(DeploymentSpec(placement="switch",
+                                      chain_length=replication,
+                                      enable_cache=cache), cfg,
+                       handler=handler, tracer=tracer)
     sim = deployment.sim
     if impair_window is not None:
         start, duration = impair_window
@@ -467,58 +409,61 @@ def _whole_request_plans(draw):
 
 
 class TestWholeRequestFoldProperty:
-    """The whole-request fold holds the identity bar end to end.
+    """The client's timer cancellation holds the identity bar end to end.
 
     Random star deployments — client count, replication depth, cache
     on/off — crossed with YCSB mixes and impairment/fault windows must
-    produce byte-identical per-request latencies and trace digests at
-    both fold levels: fully unfolded and whole-request folded.
+    produce byte-identical per-request latencies, trace digests and
+    end-of-run clocks with the completed-request timers cancelled (the
+    default) and left armed to fire as no-ops.
     """
 
     @settings(max_examples=15, deadline=None)
     @given(plan=_whole_request_plans())
     def test_levels_agree_on_random_deployments(self, plan):
-        (clients, replication, cache, update_ratio, seed,
-         impair_window, crash_at) = plan
-        runs = {level: _whole_request_run(level, clients, replication,
-                                          cache, update_ratio, seed,
-                                          impair_window, crash_at)
-                for level in FOLD_LEVELS}
-        assert runs["whole"] == runs["none"]
+        default = _whole_request_run(*plan)
+        with pytest.MonkeyPatch.context() as patch:
+            leave_completed_timers_armed(patch)
+            armed = _whole_request_run(*plan)
+        assert default == armed
 
 
 class TestFabricChainLoadIdentity:
-    """A loaded chain fabric (the benchmark's fabric-chain shape) gives
-    one sample digest and one trace at every fold level.
+    """A loaded chain fabric (the benchmark's fabric-chain shape): its
+    sample digest, trace and end-of-run clock are pinned.
 
-    Seeds 2 and 5 once diverged, when the wire still folded: a channel
-    reservation whose start equalled an unstarted reservation's
-    serialize end was admitted, so its serialize-end seq was drawn at
-    its own slot instead of inside the earlier frame's ``_serialized``,
-    and same-nanosecond ties further downstream broke differently.
+    Seeds 2 and 5 once diverged between fold levels, when the wire
+    still folded: a channel reservation whose start equalled an
+    unstarted reservation's serialize end was admitted, so its
+    serialize-end seq was drawn at its own slot instead of inside the
+    earlier frame's ``_serialized``, and same-nanosecond ties further
+    downstream broke differently.
     """
 
     SPEC = DeploymentSpec(racks=2, spines=1, devices_per_rack=2,
                           servers_per_rack=2, chain_length=3,
                           clients_per_rack=2, placement="switch")
 
+    PINS = {
+        2: ("c054bd3d8ecad3ae", "76fd5fc745fced0a",
+            1_512_549),
+        5: ("2c365b69d06eb848", "2c55081043da9f95",
+            1_512_955),
+    }
+
     @pytest.mark.parametrize("seed", [2, 5])
     def test_fold_levels_give_one_digest(self, seed):
         from repro.protocol.packet import reset_request_ids
 
-        runs = {}
-        for level in FOLD_LEVELS:
-            reset_request_ids()
-            tracer = Tracer(enabled=True)
-            with fold(level):
-                deployment = build(self.SPEC, SystemConfig(seed=seed),
-                                   tracer=tracer)
-            result = run_loadgen(deployment, LoadGenConfig(
-                mode="closed", users=12_000, window=16,
-                total_requests=600))
-            runs[level] = (result.digest(),
-                           [str(record) for record in tracer.records])
-        assert runs["whole"] == runs["none"]
+        reset_request_ids()
+        tracer = Tracer(enabled=True)
+        deployment = build(self.SPEC, SystemConfig(seed=seed),
+                           tracer=tracer)
+        result = run_loadgen(deployment, LoadGenConfig(
+            mode="closed", users=12_000, window=16, total_requests=600))
+        trace = [str(record) for record in tracer.records]
+        assert (result.digest(), fingerprint(trace),
+                deployment.sim.now) == self.PINS[seed]
         assert {"update_logged", "chain_forward", "pmnet_ack",
                 "chain_invalidate"} <= {record.event
                                         for record in tracer.records}
@@ -526,28 +471,23 @@ class TestFabricChainLoadIdentity:
 
 class TestExperimentIdentity:
     @pytest.mark.slow
-    def test_fig07_formats_identically_with_and_without_folding(self,
-                                                                monkeypatch):
+    def test_fig07_formats_identically_with_timers_left_armed(self,
+                                                              monkeypatch):
         # fig07 runs the packet-loss scenarios: impaired channels plus
-        # retransmission storms — the hardest case for fold identity.
+        # retransmission storms, where timers fire for real.
         from repro.experiments import fig07_ordering
 
-        monkeypatch.setenv("PMNET_FOLD", "whole")
-        folded = fig07_ordering.run(quick=True).format()
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = fig07_ordering.run(quick=True).format()
-        assert folded == unfolded
+        default = fig07_ordering.run(quick=True).format()
+        leave_completed_timers_armed(monkeypatch)
+        assert fig07_ordering.run(quick=True).format() == default
 
     @pytest.mark.slow
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
-    def test_every_registry_table_is_fold_level_invariant(self,
-                                                          experiment_id,
-                                                          monkeypatch):
-        """Every experiment's quick report, at every fold level."""
+    def test_every_registry_table_ignores_timer_cancellation(
+            self, experiment_id, monkeypatch):
+        """Every experiment's quick report, with the completed-request
+        timers cancelled and left armed."""
         entry = EXPERIMENTS[experiment_id]
-        reports = {}
-        for level in FOLD_LEVELS:
-            monkeypatch.setenv("PMNET_FOLD", level)
-            reports[level] = entry.run(quick=True)
-        monkeypatch.delenv("PMNET_FOLD")
-        assert reports["whole"] == reports["none"], experiment_id
+        default = entry.run(quick=True)
+        leave_completed_timers_armed(monkeypatch)
+        assert entry.run(quick=True) == default, experiment_id

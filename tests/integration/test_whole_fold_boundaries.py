@@ -1,17 +1,17 @@
-"""Whole-request folding boundary regressions.
+"""Request-path boundary regressions, pinned.
 
-Three edges where the whole-request fold is most likely to cheat:
+Two edges where a shortcut on the request path once risked moving an
+instant (the module name predates the single request path, when these
+held the whole-request fold to account):
 
 * a second request hitting a shared channel at **exactly** the
   nanosecond its transmitter frees — the boundary instant is busy
-  until the pending ``_serialized`` runs, at every level;
-* an impairment window opening **mid-folded-request** — the frames
-  not yet serialized take the impairment draws (here: a loss window
-  that must drop the frame and force a retransmission in every mode);
-* **cache-hit requests must never whole-request fold** — the bypass
-  path's lookup outcome steers mid-pipeline branching, so the device
-  must refuse to extend arrival chains for it.
+  until the pending ``_serialized`` runs;
+* an impairment window opening **mid-request** — the frames not yet
+  serialized take the impairment draws (here: a loss window that must
+  drop the frame and force a retransmission).
 
+Each run's completion timeline, store and end-of-run clock are pinned.
 All runs use jitter-free stacks so the interesting instants are exact,
 not probabilistic.
 """
@@ -19,7 +19,6 @@ not probabilistic.
 from dataclasses import replace
 
 from repro.config import SystemConfig
-from repro.core.mat import MATAction, classify
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.net.link import Impairments
 from repro.protocol.packet import reset_request_ids
@@ -28,11 +27,11 @@ from repro.workloads.handlers import StructureHandler
 from repro.workloads.kv import OpKind, Operation
 from repro.workloads.pmdk.hashmap import PMHashmap
 
-from tests.conftest import FOLD_LEVELS, fold
+from tests.conftest import fingerprint
+
 
 def _set_impairments(channel, impairments):
     channel.impairments = impairments
-    channel.on_impairments_changed()
 
 
 def _jitterless(config):
@@ -43,14 +42,12 @@ def _jitterless(config):
         server_stack=replace(config.server_stack, jitter_sigma=0.0))
 
 
-def _build(level, clients, enable_cache=False, seed=3):
+def _build(clients, seed=3):
     reset_request_ids()
-    with fold(level):
-        cfg = _jitterless(SystemConfig(seed=seed).with_clients(clients))
-        handler = StructureHandler(PMHashmap())
-        deployment = build(DeploymentSpec(placement="switch",
-                                          enable_cache=enable_cache), cfg,
-                           handler=handler)
+    cfg = _jitterless(SystemConfig(seed=seed).with_clients(clients))
+    handler = StructureHandler(PMHashmap())
+    deployment = build(DeploymentSpec(placement="switch"), cfg,
+                       handler=handler)
     return deployment, handler
 
 
@@ -67,7 +64,7 @@ def _shared_uplink(deployment):
 
 def _request_serialize_ns():
     """Measured wire time of one update frame on the shared uplink."""
-    deployment, _handler = _build("none", clients=1)
+    deployment, _handler = _build(clients=1)
     sim = deployment.sim
     channel = _shared_uplink(deployment)
     client = deployment.clients[0]
@@ -87,9 +84,9 @@ def _request_serialize_ns():
     return serialize
 
 
-def _staggered_run(level, offset_ns, requests=2):
+def _staggered_run(offset_ns, requests=2):
     """Two clients; client 1 starts ``offset_ns`` after client 0."""
-    deployment, handler = _build(level, clients=2)
+    deployment, handler = _build(clients=2)
     sim = deployment.sim
     timeline = []
 
@@ -111,6 +108,21 @@ def _staggered_run(level, offset_ns, requests=2):
             sim.now)
 
 
+#: The shared uplink's serialization time of one update frame, and per
+#: start offset (in units of it, halved) the staggered run's
+#: ``(fingerprint, end-of-run clock)``.
+SERIALIZE_NS = 126
+STAGGERED_PINS = {
+    0: ("ffe68c6981e341f9", 1_510_974),
+    1: ("ffe68c6981e341f9", 1_510_974),
+    63: ("ffe68c6981e341f9", 1_510_974),
+    125: ("ffe68c6981e341f9", 1_510_974),
+    126: ("ffe68c6981e341f9", 1_510_974),
+    127: ("ac35c3112a931cc8", 1_510_974),
+    252: ("c8b02355c8693868", 1_510_974),
+}
+
+
 class TestExactBusyUntilArrival:
     def test_arrival_at_busy_until_instant_is_identical(self):
         # With jitter-free stacks the two clients' paths are exact
@@ -118,20 +130,22 @@ class TestExactBusyUntilArrival:
         # uplink serialization time makes client 1's frame reach the
         # shared merge->device channel at exactly the nanosecond client
         # 0's frame finishes serializing, a boundary that must count as
-        # busy at every level.  Sweep the exact
-        # instant plus its neighbours and coarser spacings.
+        # busy.  Sweep the exact instant plus its neighbours and
+        # coarser spacings.
         serialize = _request_serialize_ns()
+        assert serialize == SERIALIZE_NS
         offsets = sorted({0, 1, serialize // 2, serialize - 1, serialize,
                           serialize + 1, 2 * serialize})
+        assert sorted(STAGGERED_PINS) == offsets
         for offset in offsets:
-            runs = {level: _staggered_run(level, offset)
-                    for level in FOLD_LEVELS}
-            assert runs["whole"] == runs["none"], f"offset={offset}"
+            observed = _staggered_run(offset)
+            assert (fingerprint(observed), observed[-1]) == \
+                STAGGERED_PINS[offset], f"offset={offset}"
 
 
-def _impaired_window_run(level, open_at_ns, close_at_ns):
+def _impaired_window_run(open_at_ns, close_at_ns):
     """One client; a total-loss window opens mid-request on its uplink."""
-    deployment, handler = _build(level, clients=1)
+    deployment, handler = _build(clients=1)
     sim = deployment.sim
     client = deployment.clients[0]
     channel = client.host.ports[0].channel
@@ -155,71 +169,30 @@ def _impaired_window_run(level, open_at_ns, close_at_ns):
             int(client.retransmissions), sim.now)
 
 
+#: Per window-open instant: ``(fingerprint, retransmissions,
+#: end-of-run clock)`` of the impaired run.
+IMPAIRED_PINS = {
+    4800: ("0d3f962e65d9ac88", 1, 2_510_974),
+    9663: ("0d3f962e65d9ac88", 1, 2_510_974),
+}
+
+
 class TestImpairmentOpensMidFoldedRequest:
     def test_window_opening_mid_request_revokes_and_replays(self):
         # The first request leaves at t=0: stack send cost, then wire
         # serialization.  Opening a 100 %-loss window inside the stack
-        # window and inside the serialization window (the arrival not
-        # yet extended) must drop the frame and force the same
-        # retransmission on every timeline.
+        # window and inside the serialization window must drop the frame
+        # and force a retransmission.
         serialize = _request_serialize_ns()
         send_ns = SystemConfig().client_stack.send_ns
-        for open_at in (send_ns // 2,                 # mid stack window
-                        send_ns + serialize // 2):    # mid serialization
+        opens = (send_ns // 2,                 # mid stack window
+                 send_ns + serialize // 2)     # mid serialization
+        assert sorted(IMPAIRED_PINS) == sorted(opens)
+        for open_at in opens:
             close_at = send_ns + serialize + 50_000
-            runs = {level: _impaired_window_run(level, open_at, close_at)
-                    for level in FOLD_LEVELS}
-            assert runs["whole"] == runs["none"], f"open_at={open_at}"
+            observed = _impaired_window_run(open_at, close_at)
+            assert (fingerprint(observed), observed[2], observed[-1]) == \
+                IMPAIRED_PINS[open_at], f"open_at={open_at}"
             # The window really did bite: the dropped first attempt
-            # shows up as at least one retransmission in every mode.
-            assert runs["none"][2] >= 1, f"open_at={open_at}"
-
-
-class TestCacheHitNeverWholeFolds:
-    def test_bypass_frames_get_no_arrival_extension(self):
-        results = {}
-        for level in FOLD_LEVELS:
-            deployment, _handler = _build(level, clients=1,
-                                          enable_cache=True)
-            sim = deployment.sim
-            device = deployment.devices[0]
-            client = deployment.clients[0]
-            seen = []
-            original = device.arrival_extension
-
-            def spy(frame, _original=original, _seen=seen):
-                extension = _original(frame)
-                _seen.append((classify(frame), extension is not None))
-                return extension
-
-            device.arrival_extension = spy
-            timeline = []
-
-            def proc():
-                completion = yield client.send_update(
-                    Operation(OpKind.SET, key="hot", value="v1"))
-                timeline.append((sim.now, completion.via,
-                                 completion.result.ok))
-                completion = yield client.bypass(
-                    Operation(OpKind.GET, key="hot"))
-                timeline.append((sim.now, completion.via,
-                                 completion.result.ok))
-
-            deployment.open_all_sessions()
-            process = sim.spawn(proc(), "client")
-            sim.run()
-            assert not process.alive
-            results[level] = tuple(timeline)
-            bypass = [ext for action, ext in seen
-                      if action is MATAction.BYPASS]
-            if level == "whole":
-                # The read reached the device and was refused a fold.
-                assert bypass and not any(bypass)
-                # Control: the update path did extend.
-                assert any(ext for action, ext in seen
-                           if action is MATAction.LOG_AND_FORWARD)
-            else:
-                assert not any(ext for _action, ext in seen)
-        assert results["whole"] == results["none"]
-        # The read was served from the device cache, not the server.
-        assert results["none"][1][1] == "cache"
+            # shows up as at least one retransmission.
+            assert observed[2] >= 1, f"open_at={open_at}"

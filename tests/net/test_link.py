@@ -281,11 +281,12 @@ def _fast_profile():
 
 
 class TestFoldedFastPath:
-    """The wire keeps no folded fast path: at both fold levels every
-    frame takes ``send`` -> ``_serialized`` -> delivery, so the timing
-    the fast path had to reproduce is now the only timing."""
+    """The wire keeps no folded fast path: every frame takes ``send`` ->
+    ``_serialized`` -> delivery, so the timing the fast path had to
+    reproduce is now the only timing.  (The class and test names
+    predate the single request path.)"""
 
-    def test_fast_path_times_match_unfolded(self, monkeypatch):
+    def test_fast_path_times_match_unfolded(self):
         def burst(sim):
             a, b, _link = _pair(sim, _fast_profile())
             for _ in range(4):
@@ -295,11 +296,7 @@ class TestFoldedFastPath:
             sim.run()
             return [t for t, _f in b.arrivals]
 
-        folded = burst(Simulator())
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        unfolded = burst(Simulator())
-        assert folded == unfolded
-        assert folded == [1100, 2100, 3100, 4100, 5100]
+        assert burst(Simulator()) == [1100, 2100, 3100, 4100, 5100]
 
     def test_folded_sends_counted(self):
         # The counter stays for its readers and counts no send.
@@ -349,7 +346,7 @@ class TestReservations:
 
     def test_stacked_reservations_serialize_exactly(self):
         # Both requests are refused; the callers' own sends at 500 and
-        # 1,700 serialize back to back at the unfolded times.
+        # 1,700 serialize back to back.
         sim = Simulator()
         a, b, _link = _pair(sim, _fast_profile())
         channel = a.ports[0].channel
@@ -377,7 +374,7 @@ class TestExactAdmission:
     """Same-nanosecond scenarios that once decided whether ``send_in``
     could reserve.  It refuses every one, and each caller follows the
     contract: on refusal it schedules a plain send at the reservation's
-    start.  The pinned timelines are the unfolded ones at both levels.
+    start.
     """
 
     @staticmethod
@@ -394,8 +391,7 @@ class TestExactAdmission:
         Link(sim, profile, c.add_port(), b.add_port())
         return a.ports[0].channel, c.ports[0].channel, b
 
-    def test_start_at_unstarted_serialize_end_is_refused(self,
-                                                         monkeypatch):
+    def test_start_at_unstarted_serialize_end_is_refused(self):
         # X is sent at 500 and serializes over [500, 1500).  R is sent at
         # exactly 1500 by an event whose seq was taken at t=0, before
         # X's `_serialized` (seq taken at 500): R finds the transmitter
@@ -415,14 +411,11 @@ class TestExactAdmission:
             sim.run()
             return refused, [(t, f.payload) for t, f in b.arrivals]
 
-        refused, folded = scenario(Simulator())
+        refused, arrivals = scenario(Simulator())
         assert refused == ["X", "R"]
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        _refused, unfolded = scenario(Simulator())
-        assert folded == unfolded
-        assert folded == [(1600, "X"), (2600, "C"), (2600, "R")]
+        assert arrivals == [(1600, "X"), (2600, "C"), (2600, "R")]
 
-    def test_no_reservation_before_a_declined_start(self, monkeypatch):
+    def test_no_reservation_before_a_declined_start(self):
         # Y (sent at 200) takes the idle transmitter ahead of X (500);
         # Z, asked for at t=100, is refused too and sent at 3,100.
         def scenario(sim):
@@ -444,14 +437,11 @@ class TestExactAdmission:
             sim.run()
             return z_reserved, [(t, f.payload) for t, f in b.arrivals]
 
-        z_reserved, folded = scenario(Simulator())
+        z_reserved, arrivals = scenario(Simulator())
         assert z_reserved == [False]
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        _z, unfolded = scenario(Simulator())
-        assert folded == unfolded
-        assert folded == [(1300, "Y"), (2300, "X"), (4200, "Z")]
+        assert arrivals == [(1300, "Y"), (2300, "X"), (4200, "Z")]
 
-    def test_no_reservation_before_a_revoked_start(self, monkeypatch):
+    def test_no_reservation_before_a_revoked_start(self):
         # A plain send at t=100 goes ahead of X (sent at 500), and Z,
         # asked for at t=300, is refused and sent at 2,300.
         def scenario(sim):
@@ -472,12 +462,9 @@ class TestExactAdmission:
             sim.run()
             return z_reserved, [(t, f.payload) for t, f in b.arrivals]
 
-        z_reserved, folded = scenario(Simulator())
+        z_reserved, arrivals = scenario(Simulator())
         assert z_reserved == [False]
-        monkeypatch.setenv("PMNET_FOLD", "none")
-        _z, unfolded = scenario(Simulator())
-        assert folded == unfolded
-        assert folded == [(1200, "P"), (2200, "X"), (3400, "Z")]
+        assert arrivals == [(1200, "P"), (2200, "X"), (3400, "Z")]
 
 
 class TestChannelSummary:

@@ -11,7 +11,6 @@ from repro.sim import Simulator
 import pytest
 
 from repro.errors import NetworkError, RoutingError
-from tests.conftest import FOLD_LEVELS, fold
 
 
 class _Host(Node):
@@ -86,16 +85,14 @@ class TestSwitch:
         assert len(b.arrivals) == 1
 
 
-    @pytest.mark.parametrize("level", FOLD_LEVELS)
-    def test_handle_frame_forwards_like_a_channel_delivery(self, level):
+    def test_handle_frame_forwards_like_a_channel_delivery(self):
         # ``receive`` (a channel delivery) and a direct ``handle_frame``
         # share one forwarding path: the same ``_forward`` slot, the
         # same arrival and the same count.  Only the hop count differs —
         # a direct call is not a wire hop.
         def forward(entry):
-            with fold(level):
-                sim = Simulator()
-                _topo, _a, b, sw, link_a, link_b = _wired(sim)
+            sim = Simulator()
+            _topo, _a, b, sw, link_a, link_b = _wired(sim)
             frame = Frame("a", "b", None, 100)
             sim.schedule_at(1_000, getattr(sw, entry), frame,
                             link_a.port_b)
@@ -108,11 +105,9 @@ class TestSwitch:
         assert direct[:3] == delivered[:3]
         assert (delivered[3], direct[3]) == (2, 1)
 
-    @pytest.mark.parametrize("level", FOLD_LEVELS)
-    def test_failed_switch_drops_a_direct_handle_frame(self, level):
-        with fold(level):
-            sim = Simulator()
-            _topo, _a, b, sw, link_a, _lb = _wired(sim)
+    def test_failed_switch_drops_a_direct_handle_frame(self):
+        sim = Simulator()
+        _topo, _a, b, sw, link_a, _lb = _wired(sim)
         sw.fail()
         sw.handle_frame(Frame("a", "b", None, 10), link_a.port_b)
         sim.run()
@@ -125,29 +120,27 @@ class TestEgressBinding:
     a route change must unbind it on every forwarding node."""
 
     @staticmethod
-    def _fabric(level):
+    def _fabric():
         # a -- sw -- dev -- b, with c reachable from both sw and dev.
-        with fold(level):
-            sim = Simulator()
-            config = SystemConfig()
-            topo = Topology(sim, config.network)
-            a = topo.add(_Host(sim, "a"))
-            b = topo.add(_Host(sim, "b"))
-            c = topo.add(_Host(sim, "c"))
-            sw = topo.add(Switch(sim, "sw", config.network))
-            dev = topo.add(PMNetDevice(sim, "dev", config))
-            topo.connect(a, sw)
-            topo.connect(sw, dev)
-            dev_b = topo.connect(dev, b)
-            sw_c = topo.connect(sw, c)
-            dev_c = topo.connect(dev, c)
-            topo.compute_routes()
+        sim = Simulator()
+        config = SystemConfig()
+        topo = Topology(sim, config.network)
+        a = topo.add(_Host(sim, "a"))
+        b = topo.add(_Host(sim, "b"))
+        c = topo.add(_Host(sim, "c"))
+        sw = topo.add(Switch(sim, "sw", config.network))
+        dev = topo.add(PMNetDevice(sim, "dev", config))
+        topo.connect(a, sw)
+        topo.connect(sw, dev)
+        dev_b = topo.connect(dev, b)
+        sw_c = topo.connect(sw, c)
+        dev_c = topo.connect(dev, c)
+        topo.compute_routes()
         return sim, a, b, c, sw, dev, dev_b, sw_c, dev_c
 
-    @pytest.mark.parametrize("level", FOLD_LEVELS)
     @pytest.mark.parametrize("repoint", ["sw", "dev"])
-    def test_set_route_repoints_a_bound_destination(self, level, repoint):
-        sim, a, b, c, sw, dev, dev_b, sw_c, dev_c = self._fabric(level)
+    def test_set_route_repoints_a_bound_destination(self, repoint):
+        sim, a, b, c, sw, dev, dev_b, sw_c, dev_c = self._fabric()
         a.ports[0].transmit(Frame("a", "b", None, 100))
         sim.run()
         assert len(b.arrivals) == 1

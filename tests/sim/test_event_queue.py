@@ -1,8 +1,7 @@
 """Unit tests for the raw event queue (ordering, cancellation, compaction).
 
-Bare entries come from ``push``, cancellable handles from
-``push_handle`` and deferred chains from ``push_chain``; ``pop``
-returns ``(time, callback, args)`` for all three.
+Bare entries come from ``push`` and cancellable handles from
+``push_handle``; ``pop`` returns ``(time, callback, args)`` for both.
 """
 
 import gc
@@ -102,19 +101,6 @@ class TestEventQueue:
 
     def test_peek_empty_returns_none(self, queue):
         assert queue.peek_time() is None
-
-    def test_deferred_handle_resequences_before_running(self, queue):
-        tick, other = _callbacks(2)
-        chain = queue.push_chain(5, (2, 3), tick)
-        assert chain == [(2, 3), tick, ()]
-        queue.push(7, other)
-        # Surfaces at 5, re-sequenced to 7 behind ``other`` (pushed
-        # before that hop allocated its seq), then to 10.
-        assert queue.pop() == (7, other, ())
-        assert queue.pop() == (10, tick, ())
-        assert queue.stats()["resequences"] == 2
-        # Every hop consumed: the chain list was rewritten in place.
-        assert not chain[0]
 
     def test_compaction_purges_dominant_dead_records(self, queue):
         # Cancel-heavy regression guard: the queue must sweep cancelled

@@ -6,12 +6,6 @@ from repro.errors import SimulationError
 from repro.sim import Simulator
 
 
-#: ``schedule_deferred`` arguments the kernel must refuse.
-_BAD_DEFERRED = [(-1, 5), (5, -1), (0, ()), (5, (3, -1)), (-1, (3, 4)),
-                 (0, (-2,))]
-#: ``(defer_ns, landing time)`` for a chain surfacing at t=5.
-_DEFERRED_CHAINS = [(0, 5), (7, 12), ((0, 0), 5), ((2, 3), 10)]
-
 
 class TestScheduling:
     def test_events_run_in_time_order(self):
@@ -44,21 +38,13 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
 
-    @pytest.mark.parametrize("delay, defer", _BAD_DEFERRED)
-    def test_deferred_into_the_past_rejected(self, delay, defer):
+    def test_schedule_deferred_is_retired(self):
+        # Deferred chains are gone; the name stays for the benchmark's
+        # layer map and refuses every call, queueing nothing.
         sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_deferred(delay, defer, lambda: None)
+        with pytest.raises(SimulationError, match="retired"):
+            sim.schedule_deferred(5, 7, lambda: None)
         assert sim.pending_events() == 0
-
-    @pytest.mark.parametrize("defer, expected", _DEFERRED_CHAINS)
-    def test_deferred_chain_lands_at_total_delay(self, defer, expected):
-        sim = Simulator()
-        seen = []
-        sim.schedule_deferred(5, defer, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [expected]
-        assert sim.executed_events == 1
 
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
@@ -231,7 +217,7 @@ class TestFastPath:
 
 
 class TestHandles:
-    """Only ``schedule_at`` and ``schedule_deferred`` build a handle."""
+    """Only ``schedule_at`` builds a handle."""
 
     def test_schedule_and_call_soon_return_none(self):
         sim = Simulator()
@@ -278,19 +264,18 @@ class TestTieredKernel:
         sim = Simulator()
         sim.schedule(10, lambda: sim.call_soon(lambda: None))
         sim.schedule(100_000, lambda: None)
-        sim.schedule_deferred(5, 3, lambda: None)
         sim.schedule_at(7, lambda: None).cancel()
         sim.run()
         stats = sim.kernel_stats()
         assert stats["kernel"] == "heap"
-        assert sim.executed_events == 4
-        # Every pop: four runs, one deferred surfacing, one cancelled.
-        assert stats["pops"] == 6
-        assert stats["resequences"] == 1
+        assert sim.executed_events == 3
+        # Every pop: three runs and one cancelled.
+        assert stats["pops"] == 4
         assert stats["pending"] == 0
-        # The retired per-tier keys: all pops are heap ("far") pops.
-        assert (stats["lane_pops"], stats["near_pops"], stats["far_pops"]) \
-            == (0, 0, 6)
+        # The retired keys: no re-sequences, and all pops are heap
+        # ("far") pops.
+        assert (stats["resequences"], stats["lane_pops"],
+                stats["near_pops"], stats["far_pops"]) == (0, 0, 0, 4)
 
     def test_step_matches_run_semantics(self):
         sim = Simulator()

@@ -1,5 +1,5 @@
 """Event-accounting profiler tests, plus the step()/run() accounting
-contract: cancelled and deferred records are invisible to both."""
+contract: cancelled records are invisible to both."""
 
 import gc
 
@@ -97,7 +97,7 @@ class TestStepRunConsistency:
         sim.schedule(5, comp.tick)
         cancelled = sim.schedule_at(6, comp.tick)
         cancelled.cancel()
-        sim.schedule_deferred(4, 8, comp.tick)  # one deferred hop
+        sim.schedule(12, comp.tick)
         sim.schedule(20, comp.chain, 1)
         return comp
 
@@ -113,14 +113,6 @@ class TestStepRunConsistency:
         assert comp.fired == 1
         assert sim.executed_events == 1
         assert sim.step() is False
-
-    def test_step_resequences_deferred_records(self):
-        sim = Simulator()
-        comp = _Component(sim)
-        sim.schedule_deferred(5, 7, comp.tick)
-        assert sim.step() is True
-        assert sim.now == 12  # surfaced at 5, executed at 5+7
-        assert sim.executed_events == 1
 
     def test_stepped_and_run_workloads_report_identical_counts(self):
         stepped = Simulator()
@@ -145,24 +137,6 @@ class TestStepRunConsistency:
         assert stepped.profiler.counts == ran.profiler.counts
 
 
-class TestDeferredRecords:
-    def test_deferred_hop_is_not_an_executed_event(self):
-        sim = Simulator()
-        comp = _Component(sim)
-        sim.schedule_deferred(5, 7, comp.tick)
-        sim.run()
-        assert comp.fired == 1
-        assert sim.executed_events == 1  # the hop at t=5 never executed
-
-    def test_deferred_chain_collapses_to_one_event(self):
-        sim = Simulator()
-        comp = _Component(sim)
-        sim.schedule_deferred(5, (7, 11, 13), comp.tick)
-        sim.run()
-        assert sim.now == 5 + 7 + 11 + 13
-        assert sim.executed_events == 1
-
-
 class TestKernelStatsLine:
     def test_format_covers_pops_and_sweeps(self):
         from repro.sim.profiler import format_kernel_stats
@@ -171,11 +145,12 @@ class TestKernelStatsLine:
         comp = _Component(sim)
         sim.schedule(10, comp.tick)
         sim.schedule(100_000, comp.tick)
-        sim.schedule_deferred(5, 7, comp.tick)
+        sim.schedule(12, comp.tick)
+        sim.schedule_at(20, comp.tick).cancel()
         sim.run(until=50)
         line = format_kernel_stats(sim.kernel_stats())
-        assert line == ("scheduler: kernel=heap pops=3 resequences=1 "
-                        "compactions=0 pending=1")
+        assert line == ("scheduler: kernel=heap pops=3 compactions=0 "
+                        "pending=1")
 
 
 class TestGcStatsLine:

@@ -6,9 +6,8 @@ caller needs one, one inlined drain loop) only if it is *observably
 identical* to the plain ``(time, seq)`` heap of records in
 ``heap_oracle.py``: same callbacks, same order, same timestamps, same
 counters, under any interleaving of ``schedule`` / ``schedule_at`` /
-``call_soon`` / ``cancel`` (of ``schedule_at`` handles) /
-``schedule_deferred`` (including tuple re-sequencing chains) issued
-from inside running callbacks.  Hypothesis
+``call_soon`` / ``cancel`` (of ``schedule_at`` handles) issued from
+inside running callbacks.  Hypothesis
 generates random scheduling programs; an interpreter executes each
 program on both and the traces must match exactly.
 
@@ -46,21 +45,18 @@ STRIDES = (17, 600, 100_000)
 # ---------------------------------------------------------------------------
 # Program representation: node i carries a list of actions it performs
 # when its callback runs.  Handles (only ``schedule_at`` returns one;
-# ``schedule`` and ``call_soon`` return none, and a deferred chain is
-# not cancellable) are kept per node id so ``cancel`` can target any
-# node previously scheduled with ``schedule_at``, including
-# already-executed or never-scheduled ones (both must be harmless
-# no-ops / misses).
+# ``schedule`` and ``call_soon`` return none) are kept per node id so
+# ``cancel`` can target any node previously scheduled with
+# ``schedule_at``, including already-executed or never-scheduled ones
+# (both must be harmless no-ops / misses).
 # ---------------------------------------------------------------------------
 
 def _actions(num_nodes: int):
     target = st.integers(min_value=0, max_value=num_nodes - 1)
-    chain = st.lists(DELAYS.filter(bool), min_size=1, max_size=3)
     return st.one_of(
         st.tuples(st.just("schedule"), DELAYS, target),
         st.tuples(st.just("schedule_at"), DELAYS, target),
         st.tuples(st.just("call_soon"), target),
-        st.tuples(st.just("deferred"), DELAYS, chain, target),
         st.tuples(st.just("cancel"), target),
     )
 
@@ -100,10 +96,6 @@ def _interpret(program, sim, drive: str):
                     sim.now + action[1], fire, action[2])
             elif kind == "call_soon":
                 sim.call_soon(fire, action[1])
-            elif kind == "deferred":
-                chain = action[2]
-                defer = chain[0] if len(chain) == 1 else tuple(chain)
-                sim.schedule_deferred(action[1], defer, fire, action[3])
             else:  # cancel
                 handle = handles.get(action[1])
                 if handle is not None:

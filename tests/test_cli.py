@@ -94,7 +94,7 @@ class TestProfile:
     def test_prints_call_site_table(self, capsys):
         assert main(["profile", "--clients", "2", "--requests", "5"]) == 0
         out = capsys.readouterr().out
-        assert "fold level 'whole'" in out
+        assert out.startswith("event profile — 2 clients x 5 requests\n")
         assert "Channel._deliver" in out
         assert "TOTAL" in out
         # The scheduler line, then the run's collections per generation.
@@ -119,21 +119,16 @@ class TestProfile:
         assert all(type(count) is int and count >= 0
                    for count in collections.values())
 
-    def test_no_fold_flag_profiles_unfolded_paths(self, capsys):
-        assert main(["profile", "--clients", "2", "--requests", "5",
-                     "--fold", "none"]) == 0
+    def test_header_names_no_fold_level(self, capsys):
+        # Every pipeline stage is its own event: the header names the
+        # run's shape and nothing else, and the per-stage hops show.
+        assert main(["profile", "--clients", "2", "--requests", "5"]) == 0
         out = capsys.readouterr().out
-        assert "fold level 'none'" in out
-        # The per-stage hops only execute on the unfolded paths.
-        assert "Channel._serialized" in out or "Switch._forward" in out
-
-    def test_fold_flag_selects_the_level(self, capsys):
-        assert main(["profile", "--clients", "2", "--requests", "5",
-                     "--fold", "whole"]) == 0
-        out = capsys.readouterr().out
-        assert "fold level 'whole'" in out
-        # Only the whole level completes a single-waiter request inline.
-        assert "PMNetClient._succeed_inline" in out
+        header = out.splitlines()[0]
+        assert header == "event profile — 2 clients x 5 requests"
+        assert "fold" not in out
+        assert "PMNetClient._succeed" in out
+        assert "_succeed_inline" not in out
 
     @pytest.mark.parametrize("top", [3, 12])
     def test_top_sets_the_call_site_rows(self, top, tmp_path, capsys):
@@ -149,20 +144,36 @@ class TestProfile:
         payload = json.loads(report.read_text())["payload"]
         assert len(payload["top_call_sites"]) == top
 
-    @pytest.mark.parametrize("argv", [["--no-fold"], ["--fold", "stage"]])
+    @pytest.mark.parametrize("argv", [["--no-fold"], ["--fold", "stage"],
+                                      ["--fold", "none"],
+                                      ["--fold", "whole"]])
     def test_retired_fold_spellings_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["profile", "--clients", "2", "--requests", "5", *argv])
         assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("knob, value", [("PMNET_FOLD", "stage"),
+                                             ("PMNET_FOLD", "none"),
+                                             ("PMNET_FOLD", "whole"),
                                              ("PMNET_NO_FOLD", "1"),
                                              ("PMNET_KERNEL", "heap")])
     def test_retired_env_knob_fails_loudly(self, knob, value, capsys,
                                            monkeypatch):
         monkeypatch.setenv(knob, value)
         assert main(["profile", "--clients", "2", "--requests", "5"]) == 1
-        assert knob in capsys.readouterr().err
+        assert f"{knob} was retired" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["list"], ["run", "bdp"],
+                                      ["chaos", "--seed", "0"]])
+    def test_retired_fold_knob_stops_every_command(self, argv, capsys,
+                                                   monkeypatch):
+        # Checked before any command runs, even one that builds no
+        # simulator.
+        monkeypatch.setenv("PMNET_FOLD", "whole")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "PMNET_FOLD was retired" in captured.err
+        assert captured.out == ""
 
 
 class TestMetrics:

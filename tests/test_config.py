@@ -180,28 +180,39 @@ class TestCalibration:
 
 
 class TestFoldKnob:
-    @pytest.mark.parametrize("spelling, level", [
-        ("none", 0), ("off", 0), ("0", 0), ("whole", 2), ("2", 2),
-        (" Whole ", 2)])
-    def test_fold_levels(self, monkeypatch, spelling, level):
-        monkeypatch.setenv("PMNET_FOLD", spelling)
-        assert fold_level() == level
+    """``PMNET_FOLD`` is retired: every pipeline stage is its own event.
+    (The class name predates the retirement.)"""
 
-    def test_default_is_whole(self, monkeypatch):
-        monkeypatch.delenv("PMNET_FOLD", raising=False)
-        assert fold_level() == 2
+    @pytest.mark.parametrize("spelling", [
+        "none", "off", "0", "whole", "2", " Whole ", ""])
+    def test_any_fold_value_is_retired(self, monkeypatch, spelling):
+        monkeypatch.setenv("PMNET_FOLD", spelling)
+        with pytest.raises(ConfigurationError,
+                           match="PMNET_FOLD was retired"):
+            Simulator()
 
     @pytest.mark.parametrize("spelling", ["stage", "1", "STAGE"])
     def test_retired_stage_level_fails_loudly(self, monkeypatch, spelling):
         monkeypatch.setenv("PMNET_FOLD", spelling)
-        with pytest.raises(ConfigurationError, match="PMNET_FOLD=stage|"
-                                                     "PMNET_FOLD=1"):
-            fold_level()
+        with pytest.raises(ConfigurationError, match="PMNET_FOLD"):
+            Simulator()
 
     def test_unknown_level_rejected(self, monkeypatch):
         monkeypatch.setenv("PMNET_FOLD", "most")
         with pytest.raises(ConfigurationError, match="PMNET_FOLD"):
-            fold_level()
+            Simulator()
+
+    def test_fold_level_is_a_constant_for_the_benchmark(self, monkeypatch):
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
+        assert fold_level() == 0
+
+    def test_no_fold_message_names_no_live_knob(self, monkeypatch):
+        monkeypatch.delenv("PMNET_FOLD", raising=False)
+        monkeypatch.setenv("PMNET_NO_FOLD", "1")
+        with pytest.raises(ConfigurationError) as error:
+            Simulator()
+        assert "PMNET_NO_FOLD was retired" in str(error.value)
+        assert "PMNET_FOLD=" not in str(error.value)
 
     @pytest.mark.parametrize("knob, value", [
         ("PMNET_KERNEL", "heap"), ("PMNET_KERNEL", "tiered"),
@@ -209,11 +220,9 @@ class TestFoldKnob:
         ("PMNET_KERNEL_HORIZON", "4096")])
     def test_retired_knobs_fail_loudly(self, monkeypatch, knob, value):
         # Set to any value — even the old default — a retired knob
-        # names itself instead of being silently ignored, both where
-        # components read the fold level and where a simulator is built.
+        # names itself instead of being silently ignored, where a
+        # simulator is built.
         monkeypatch.delenv("PMNET_FOLD", raising=False)
         monkeypatch.setenv(knob, value)
-        with pytest.raises(ConfigurationError, match=knob):
-            fold_level()
         with pytest.raises(ConfigurationError, match=knob):
             Simulator()

@@ -2,10 +2,9 @@
 
 The generator's contract is that one seed fixes the *entire* sample
 table — ``(shard, index, latency_ns)`` rows — no matter how the run is
-executed: serially, across 2 or 4 worker processes, in any order
-relative to other runs, or at any fold level.  These tests pin that
-contract, plus the closed/open arrival semantics and the config
-validation surface.
+executed: serially, across 2 or 4 worker processes, or in any order
+relative to other runs.  These tests pin that contract, plus the
+closed/open arrival semantics and the config validation surface.
 """
 
 import time
@@ -26,7 +25,7 @@ from repro.workloads.loadgen import (
     run_loadgen,
 )
 
-from tests.conftest import FOLD_LEVELS, fold
+from tests.conftest import fingerprint
 
 #: Small shapes so the determinism matrix stays fast.
 SMALL_CLOSED = LoadGenConfig(mode="closed", users=300, total_requests=600,
@@ -35,14 +34,32 @@ SMALL_OPEN = LoadGenConfig(mode="open", total_requests=500,
                            mean_interarrival_ns=2_000, window=32,
                            warmup_requests=4)
 
-def _run(config, seed=0, clients=4, level=None):
+def _run(config, seed=0, clients=4):
     reset_request_ids()
-    with fold(level):
-        deployment = build(
-            DeploymentSpec(placement="switch"),
-            SystemConfig(seed=seed).with_clients(clients).with_payload(
-                config.payload_bytes))
+    deployment = build(
+        DeploymentSpec(placement="switch"),
+        SystemConfig(seed=seed).with_clients(clients).with_payload(
+            config.payload_bytes))
     return run_loadgen(deployment, config)
+
+
+#: The small shapes' seed-0 runs: ``(sample table, duration_ns,
+#: errors, end-of-run clock)``, the table as a fingerprint.
+SMALL_PINS = {
+    "closed": ("ab7cd1ee764c9d9b", 121_824, 0, 1_508_991),
+    "open": ("d8fca93ac8fbc7d1", 288_826, 0, 1_511_628),
+}
+
+
+def _pinned_observables(config):
+    reset_request_ids()
+    deployment = build(
+        DeploymentSpec(placement="switch"),
+        SystemConfig(seed=0).with_clients(4).with_payload(
+            config.payload_bytes))
+    result = run_loadgen(deployment, config)
+    return (fingerprint(result.sample_table()), result.duration_ns,
+            result.errors, deployment.sim.now)
 
 
 class TestConfigValidation:
@@ -119,14 +136,13 @@ class TestDeterminism:
         assert first.digest() == second.digest()
         assert first.duration_ns == second.duration_ns
 
-    @pytest.mark.parametrize("config", [SMALL_CLOSED, SMALL_OPEN],
+    # The test id predates the single request path (it compared the
+    # retired fold levels); the pins are the values both levels gave.
+    @pytest.mark.parametrize("config, name", [(SMALL_CLOSED, "closed"),
+                                              (SMALL_OPEN, "open")],
                              ids=["closed", "open"])
-    def test_fold_levels_are_invisible(self, config):
-        runs = {level: _run(config, level=level) for level in FOLD_LEVELS}
-        baseline, whole = runs["none"], runs["whole"]
-        assert whole.sample_table() == baseline.sample_table()
-        assert whole.duration_ns == baseline.duration_ns
-        assert whole.errors == baseline.errors
+    def test_fold_levels_are_invisible(self, config, name):
+        assert _pinned_observables(config) == SMALL_PINS[name]
 
     def test_run_order_is_invisible(self):
         baseline = _run(SMALL_OPEN)
