@@ -426,6 +426,8 @@ class ChaosRunResult:
     trace_events: int
     trace_digest: str
     executed_events: int
+    #: The simulated clock when the run stopped (ns).
+    final_now: int
     spans: int
     instruments: int
 
@@ -447,6 +449,7 @@ class ChaosRunResult:
             "trace_events": self.trace_events,
             "trace_digest": self.trace_digest,
             "executed_events": self.executed_events,
+            "final_now": self.final_now,
             "spans": self.spans,
             "instruments": self.instruments,
             "plan": self.plan.describe(),
@@ -664,6 +667,7 @@ def run_plan(plan: ChaosPlan,
                           trace_events=len(obs.tracer.records),
                           trace_digest=digest,
                           executed_events=sim.executed_events,
+                          final_now=sim.now,
                           spans=len(obs.spans),
                           instruments=len(obs.registry))
 

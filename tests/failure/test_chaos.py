@@ -137,36 +137,35 @@ class TestDeterministicReplay:
 
 
 #: Every corpus line's replay: ``(family, seed): (trace digest,
-#: completions, acknowledged, executed events)``.
+#: completions, acknowledged, executed events, final clock in ns)``.
 CORPUS_PINS = {
-    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1708),
-    ("rack", 1): ("6b294615cf812d73", 24, 13, 1163),
-    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16_526),
-    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 14_120),
-    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 5667),
-    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 70_956),
-    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 18_964),
-    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4786),
-    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 158_783),
-    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 8828),
-    ("control", 0): ("4254075b161a6834", 16, 14, 17_492),
-    ("control", 2): ("723740060c18c139", 28, 26, 12_362),
-    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3923),
-    ("control", 6): ("2c59ecd291b00687", 28, 28, 4479),
-    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1769),
-    ("control", 14): ("12d79e1507326e9b", 54, 54, 17_657),
+    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1708, 3_353_168),
+    ("rack", 1): ("6b294615cf812d73", 24, 13, 1163, 2_659_472),
+    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16_526, 153_010_428),
+    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 14_120, 153_011_511),
+    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 5667, 3_012_293),
+    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 70_956, 153_519_434),
+    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 18_964, 152_198_105),
+    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4786, 3_439_174),
+    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 158_783, 153_495_465),
+    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 8828, 4_516_462),
+    ("control", 0): ("4254075b161a6834", 16, 14, 17_492, 151_892_745),
+    ("control", 2): ("723740060c18c139", 28, 26, 12_362, 151_809_015),
+    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3923, 1_719_382),
+    ("control", 6): ("2c59ecd291b00687", 28, 28, 4479, 151_787_861),
+    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1769, 1_893_532),
+    ("control", 14): ("12d79e1507326e9b", 54, 54, 17_657, 152_037_591),
 }
 
 
-class TestWholeFoldReplay:
+class TestCorpusReplay:
     """The shipped corpus under the full chaos battery.
 
     Chaos schedules open impairment windows mid-request, crash devices,
     servers and whole racks, replace blank boards and migrate sessions,
     so each corpus line's replay is pinned: trace digest, completions,
-    acknowledged writes and executed events, with a clean R1-R6 and
-    durability-oracle verdict.  (The class name predates the single
-    request path: the pins are the values both fold levels gave.)
+    acknowledged writes, executed events and the end-of-run clock, with
+    a clean R1-R6 and durability-oracle verdict.
     """
 
     @pytest.mark.parametrize(
@@ -175,7 +174,8 @@ class TestWholeFoldReplay:
     def test_shipped_corpus_replays_identically(self, family, seed):
         assert (family, seed) in CORPUS_PINS, \
             f"corpus line '{family} {seed}' has no pin in CORPUS_PINS"
-        digest, completions, acknowledged, events = CORPUS_PINS[family, seed]
+        digest, completions, acknowledged, events, final_now = \
+            CORPUS_PINS[family, seed]
         result = chaos.run_plan(chaos.generate_plan(seed, family))
         label = f"{family} {seed}"
         assert result.ok, f"{label}:\n" + "\n".join(result.violations)
@@ -183,6 +183,7 @@ class TestWholeFoldReplay:
         assert (result.completions, result.acknowledged) == \
             (completions, acknowledged), label
         assert result.executed_events == events, label
+        assert result.final_now == final_now, label
 
     def test_every_pin_is_a_corpus_line(self):
         assert set(CORPUS_PINS) == set(CORPUS_LINES)

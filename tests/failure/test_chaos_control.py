@@ -9,7 +9,7 @@ scheduled right after recovery replay, and flapping membership that
 migrates the same sessions back and forth.  It draws from its own RNG
 namespace, so the ``rack`` and ``fabric`` families' plans stay
 byte-for-byte untouched.  The replay of its corpus lines is pinned in
-``test_chaos.py::TestWholeFoldReplay``.
+``test_chaos.py::TestCorpusReplay``.
 """
 
 import json

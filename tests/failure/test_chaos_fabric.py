@@ -6,7 +6,7 @@ with cross-rack chains, and adds fabric-only faults (whole-rack
 outages, spine-link impairment windows).  It draws from its own RNG
 namespace, so the ``rack`` family's plans stay byte-for-byte untouched.
 The replay of its corpus lines is pinned in
-``test_chaos.py::TestWholeFoldReplay``.
+``test_chaos.py::TestCorpusReplay``.
 """
 
 import json

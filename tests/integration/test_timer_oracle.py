@@ -45,23 +45,14 @@ def test_armed_timers_change_no_bench_shape_result(name, monkeypatch):
     assert armed == default
 
 
-def _replay(family: str, seed: int, monkeypatch) -> dict:
+def _replay(family: str, seed: int) -> dict:
     """One corpus line's verdict, trace and end-of-run clock."""
-    built = []
-    build = chaos.build
-
-    def keep(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(chaos, "build", keep)
-        result = chaos.run_plan(chaos.generate_plan(seed, family))
+    result = chaos.run_plan(chaos.generate_plan(seed, family))
     return dict(ok=result.ok, violations=result.violations,
                 trace_digest=result.trace_digest, spans=result.spans,
                 completions=result.completions,
                 acknowledged=result.acknowledged,
-                final_now=built[0].sim.now,
+                final_now=result.final_now,
                 executed_events=result.executed_events)
 
 
@@ -71,9 +62,9 @@ def test_armed_timers_change_no_chaos_replay(family, seed, monkeypatch):
     # ``rack 4`` opens lossy, duplicating windows and ``fabric 1`` adds
     # server and device outages, so timers fire for real beside the
     # cancelled ones.
-    default = _replay(family, seed, monkeypatch)
+    default = _replay(family, seed)
     leave_completed_timers_armed(monkeypatch)
-    armed = _replay(family, seed, monkeypatch)
+    armed = _replay(family, seed)
     assert default["ok"], default["violations"]
     assert default.pop("executed_events") < armed.pop("executed_events")
     assert armed == default
