@@ -8,15 +8,12 @@ in-network replication is compared against (Sec VI-B5).
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.baselines.common import REPLICATE_ACK, REPLICATE_LOG
+from repro.baselines.common import ReplicaWait
 from repro.host.server import PMNetServer
 from repro.net.packet import Frame, RawPayload
 from repro.protocol.types import PacketType
-
-_record_ids = itertools.count(1)
 
 
 class ReplicatingServer(PMNetServer):
@@ -25,44 +22,28 @@ class ReplicatingServer(PMNetServer):
     def __init__(self, *args, replica_hosts: Optional[List[str]] = None,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.replica_hosts = list(replica_hosts or [])
-        self._awaiting: Dict[int, tuple] = {}
+        #: Committed updates' fragments awaiting their replica ACKs.
+        self.replicas = ReplicaWait(self.host, replica_hosts or [],
+                                    self._acknowledge)
 
     def _respond(self, fragments, outcome) -> None:
         first = fragments[0]
         if (first.packet_type is not PacketType.UPDATE_REQ
-                or not self.replica_hosts):
+                or not self.replicas.replica_hosts):
             super()._respond(fragments, outcome)
             return
         # Committed locally already (in _apply); delay the client ACK
         # until every replica has confirmed (Fig 9a, steps 6-8).
-        record_id = next(_record_ids)
-        self._awaiting[record_id] = (fragments, len(self.replica_hosts))
-        for replica in self.replica_hosts:
-            self.host.send_frame(
-                replica,
-                RawPayload((REPLICATE_LOG, record_id, first.payload_bytes),
-                           first.payload_bytes),
-                first.payload_bytes, udp_port=9200)
+        self.replicas.ship(fragments, first.payload_bytes)
+
+    def _acknowledge(self, fragments) -> None:
+        for fragment in fragments:
+            self._send_ack(fragment)
 
     def _handle_raw(self, frame: Frame, payload: RawPayload) -> None:
-        data = payload.data
-        if (isinstance(data, tuple) and len(data) == 3
-                and data[0] == REPLICATE_ACK):
-            entry = self._awaiting.get(data[1])
-            if entry is None:
-                return
-            fragments, remaining = entry
-            remaining -= 1
-            if remaining <= 0:
-                del self._awaiting[data[1]]
-                for fragment in fragments:
-                    self._send_ack(fragment)
-            else:
-                self._awaiting[data[1]] = (fragments, remaining)
-            return
-        super()._handle_raw(frame, payload)
+        if not self.replicas.on_raw(payload.data):
+            super()._handle_raw(frame, payload)
 
     def crash(self) -> None:
-        self._awaiting.clear()
+        self.replicas.clear()
         super().crash()

@@ -11,24 +11,18 @@ critical path again (Fig 18's rightmost column).
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import List, Optional
 
-from repro.baselines.common import REPLICATE_ACK, REPLICATE_LOG
+from repro.baselines.common import ReplicaWait
 from repro.host.server import PMNetServer
 from repro.net.packet import Frame, RawPayload
 from repro.protocol.packet import PMNetPacket
 from repro.protocol.types import PacketType
 from repro.sim.clock import microseconds
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
 #: The busy-polling logging module's fixed per-request cost (no epoll
 #: dispatch: it spins on the socket like the design in [56]).
 LOGGING_MODULE_NS = microseconds(0.9)
-
-_record_ids = itertools.count(1)
 
 
 class ServerLoggingServer(PMNetServer):
@@ -37,9 +31,9 @@ class ServerLoggingServer(PMNetServer):
     def __init__(self, *args, replica_hosts: Optional[List[str]] = None,
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.replica_hosts = list(replica_hosts or [])
-        #: record id -> the original packet awaiting replica ACKs.
-        self._awaiting_replicas: Dict[int, tuple] = {}
+        #: Logged update packets awaiting their replica ACKs.
+        self.replicas = ReplicaWait(self.host, replica_hosts or [],
+                                    self._send_ack)
 
     # ------------------------------------------------------------------
     def _handle_request(self, packet: PMNetPacket) -> None:
@@ -55,34 +49,18 @@ class ServerLoggingServer(PMNetServer):
     def _logged(self, packet: PMNetPacket, epoch: int) -> None:
         if self.host.failed or epoch != self.host.epoch:
             return
-        if not self.replica_hosts:
+        if not self.replicas.replica_hosts:
             self._send_ack(packet)
             return
-        record_id = next(_record_ids)
-        self._awaiting_replicas[record_id] = (packet, len(self.replica_hosts))
-        for replica in self.replica_hosts:
-            self.host.send_frame(
-                replica,
-                RawPayload((REPLICATE_LOG, record_id, packet.payload_bytes),
-                           packet.payload_bytes),
-                packet.payload_bytes, udp_port=9200)
+        self.replicas.ship(packet, packet.payload_bytes)
 
     def _handle_raw(self, frame: Frame, payload: RawPayload) -> None:
-        data = payload.data
-        if (isinstance(data, tuple) and len(data) == 3
-                and data[0] == REPLICATE_ACK):
-            entry = self._awaiting_replicas.get(data[1])
-            if entry is None:
-                return
-            packet, remaining = entry
-            remaining -= 1
-            if remaining <= 0:
-                del self._awaiting_replicas[data[1]]
-                self._send_ack(packet)
-            else:
-                self._awaiting_replicas[data[1]] = (packet, remaining)
-            return
-        super()._handle_raw(frame, payload)
+        if not self.replicas.on_raw(payload.data):
+            super()._handle_raw(frame, payload)
+
+    def crash(self) -> None:
+        self.replicas.clear()
+        super().crash()
 
     # ------------------------------------------------------------------
     def _respond(self, fragments, outcome) -> None:

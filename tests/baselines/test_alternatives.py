@@ -5,6 +5,8 @@ import pytest
 from repro.config import SystemConfig
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
+from repro.sim.clock import milliseconds
+from repro.sim.trace import Tracer
 from repro.workloads.kv import OpKind, Operation
 
 
@@ -124,3 +126,40 @@ class TestServerSideReplication:
         with pytest.raises(ValueError, match="chain_length"):
             build(DeploymentSpec(placement="server-replication",
                                  chain_length=0), SystemConfig())
+
+
+class TestReplicaWaitPowerCut:
+    @pytest.mark.parametrize("placement", ["server-log",
+                                           "server-replication"])
+    def test_no_ack_from_a_wait_the_power_cut_lost(self, placement):
+        """Cut the server's power the instant the replica ACKs and boot
+        the machine 1 ns later: the ACK lands on a host that is up but
+        whose application is not, and the record it answers was lost
+        with the crash, so the server must not acknowledge the client."""
+        tracer = Tracer(enabled=True)
+        deployment = build(DeploymentSpec(placement=placement,
+                                          chain_length=2),
+                           SystemConfig().with_clients(1), tracer=tracer)
+        sim, server = deployment.sim, deployment.server
+        replica = deployment.topology.nodes["replica1"].endpoint
+        acknowledge = replica._acknowledge
+
+        def acknowledge_then_cut_power(*args):
+            acknowledge(*args)
+            server.crash()
+            sim.schedule(1, server.machine_boot)
+
+        replica._acknowledge = acknowledge_then_cut_power
+        client = deployment.clients[0]
+        client.start_session()
+
+        def one_update():
+            yield client.send_update(
+                Operation(OpKind.SET, key="k", value=b"x"), 100)
+
+        sim.spawn(one_update())
+        sim.run(until=milliseconds(1))
+        assert int(replica.records_logged) == 1
+        assert tracer.count(server.host.name, "crash") == 1
+        assert not server.app_ready
+        assert tracer.count(server.host.name, "server_ack") == 0
