@@ -27,8 +27,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
 from repro.control.migrator import SessionMigrator
 from repro.control.placement import PlacementView
 from repro.host.heartbeat import HeartbeatMonitor, MonitorEndpoint
-from repro.host.node import HostNode
-from repro.host.stackmodel import UDP, HostStack
+from repro.host.node import add_host
+from repro.host.stackmodel import UDP
 from repro.obs.registry import register_with_sim
 from repro.sim.clock import microseconds
 from repro.sim.monitor import Counter
@@ -356,13 +356,10 @@ def attach_control_plane(deployment: "Deployment",
     servers = {server.host.name: server for server in deployment.servers}
     monitors: Dict[str, HeartbeatMonitor] = {}
     if heartbeats:
-        stack = HostStack(sim, "control-monitor",
-                          deployment.config.client_stack, UDP)
-        host = HostNode(sim, "control-monitor", stack)
-        deployment.topology.add(host)
         attach_point = (deployment.switches[0] if deployment.switches
                         else deployment.devices[0])
-        deployment.topology.connect(host, attach_point)
+        host = add_host(deployment.topology, "control-monitor",
+                        deployment.config.client_stack, UDP, attach_point)
         deployment.topology.compute_routes()
         endpoint = MonitorEndpoint(host)
         for name in sorted(servers):

@@ -8,7 +8,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.pmnet_device": ("PMNetDevice",),
     "repro.core.recovery": ("ResendEngine",),
     "repro.core.replication": ("NO_PMNET", "SINGLE_LOG",
-                               "ReplicationPolicy", "build_pmnet_chain"),
+                               "ReplicationPolicy"),
 })
 
 __all__ = [
@@ -16,5 +16,5 @@ __all__ = [
     "MATAction", "classify", "pmnet_packet",
     "ReadCache", "CacheState", "CacheLine",
     "ResendEngine",
-    "ReplicationPolicy", "NO_PMNET", "SINGLE_LOG", "build_pmnet_chain",
+    "ReplicationPolicy", "NO_PMNET", "SINGLE_LOG",
 ]

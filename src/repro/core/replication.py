@@ -4,20 +4,14 @@ Replication needs no new data-plane mechanism: placing N PMNet devices in
 series means each one logs the same update-req as it passes through and
 each sends its own PMNet-ACK; the client proceeds once it holds ACKs from
 all N distinct devices, and the single server-ACK invalidates every log
-on its way back.  The helpers here express that policy and build chains.
+on its way back.  :class:`ReplicationPolicy` expresses that policy; the
+chain itself is a deployment path
+(:func:`repro.experiments.deploy.wire_path`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.config import SystemConfig
-    from repro.core.pmnet_device import PMNetDevice
-    from repro.net.topology import Topology
-    from repro.sim.kernel import Simulator
-    from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -47,32 +41,3 @@ class ReplicationPolicy:
 NO_PMNET = ReplicationPolicy(acks_required=0)
 #: Single-log PMNet (the common case).
 SINGLE_LOG = ReplicationPolicy(acks_required=1)
-
-
-def build_pmnet_chain(sim: "Simulator", topology: "Topology",
-                      config: "SystemConfig", count: int,
-                      mode: str = "switch",
-                      enable_cache: bool = False,
-                      name_prefix: str = "pmnet",
-                      tracer: Optional["Tracer"] = None
-                      ) -> List["PMNetDevice"]:
-    """Create ``count`` PMNet devices wired in series.
-
-    Returns the chain ordered client-side first.  The caller connects
-    ``chain[0]`` toward the clients and ``chain[-1]`` toward the server
-    (Fig 9a places the replication switches in series on the path).
-    """
-    from repro.core.pmnet_device import PMNetDevice
-
-    if count <= 0:
-        raise ValueError("a chain needs at least one device")
-    devices = []
-    for index in range(count):
-        device = PMNetDevice(sim, f"{name_prefix}{index + 1}", config,
-                             mode=mode, enable_cache=enable_cache,
-                             tracer=tracer)
-        topology.add(device)
-        devices.append(device)
-    for upstream, downstream in zip(devices, devices[1:]):
-        topology.connect(upstream, downstream)
-    return devices

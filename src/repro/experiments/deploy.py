@@ -20,20 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, check_field_types
 from repro.core.pmnet_device import PMNetDevice
-from repro.core.replication import (
-    NO_PMNET,
-    ReplicationPolicy,
-    build_pmnet_chain,
-)
+from repro.core.replication import ReplicationPolicy
 from repro.host.client import PMNetClient
 from repro.host.handler import IdealHandler, RequestHandler
-from repro.host.node import HostNode
+from repro.host.node import add_host
 from repro.host.server import PMNetServer
-from repro.host.stackmodel import TCP, UDP, HostStack
+from repro.host.stackmodel import TCP, UDP
+from repro.net.device import Node
 from repro.net.switch import Switch
 from repro.net.topology import Topology
 from repro.obs.context import Observability
@@ -239,48 +236,6 @@ class Deployment:
 
 
 # ----------------------------------------------------------------------
-# Shared wiring pieces
-# ----------------------------------------------------------------------
-def _make_server(sim: Simulator, topology: Topology, config: SystemConfig,
-                 handler: Optional[RequestHandler], transport: str,
-                 tracer: Optional[Tracer],
-                 server_class: Callable[..., PMNetServer] = PMNetServer
-                 ) -> PMNetServer:
-    stack = HostStack(sim, "server", config.server_stack, transport)
-    host = HostNode(sim, "server", stack)
-    topology.add(host)
-    if handler is None:
-        handler = IdealHandler(config.server.ideal_handler_ns)
-    return server_class(sim, host, handler, config, tracer=tracer)
-
-
-def _make_clients(sim: Simulator, topology: Topology, config: SystemConfig,
-                  attach_to: object, policy: ReplicationPolicy,
-                  transport: str, tracer: Optional[Tracer],
-                  new_client: Optional[Callable] = None) -> list:
-    """One client host per ``config.num_clients``, linked to ``attach_to``.
-
-    Each gets a :class:`PMNetClient` under ``policy``, unless
-    ``new_client(index, host, allocator)`` builds another client class.
-    """
-    allocator = SessionAllocator()
-    clients = []
-    for index in range(config.num_clients):
-        name = f"client{index}"
-        stack = HostStack(sim, name, config.client_stack, transport)
-        host = HostNode(sim, name, stack)
-        topology.add(host)
-        topology.connect(host, attach_to)  # type: ignore[arg-type]
-        if new_client is not None:
-            clients.append(new_client(index, host, allocator))
-        else:
-            clients.append(PMNetClient(sim, host, config, "server",
-                                       allocator, policy=policy,
-                                       tracer=tracer))
-    return clients
-
-
-# ----------------------------------------------------------------------
 # The one entry point
 # ----------------------------------------------------------------------
 def build(spec: DeploymentSpec, config: SystemConfig,
@@ -293,6 +248,19 @@ def build(spec: DeploymentSpec, config: SystemConfig,
     ``handler`` serves single-server shapes; multi-server shapes take a
     ``handler_factory`` (each shard gets its own instance).  An
     inconsistent ``config`` raises :class:`ConfigurationError`.
+
+    Every single-rack shape is one path (:func:`wire_path`); the
+    placement picks only its nodes, the server class and, for
+    ``"client-log"``, the client.  ``"none"`` is the paper's
+    Client-Server baseline and ``"switch"`` puts ``chain_length`` PMNet
+    switches in series behind the merge switch (Sec VI-A1, Fig 9a);
+    ``"nic"`` puts one device at the server as its bump-in-the-wire NIC.
+    The alternative designs keep ``chain_length`` log copies:
+    ``"client-log"`` logs at each client plus its next
+    ``chain_length - 1`` peer clients (Fig 17a); ``"server-log"``
+    acknowledges from the server's early write log (Fig 17b) and
+    ``"server-replication"`` after commit (Fig 21), each waiting on
+    ``chain_length - 1`` replica servers on the ToR.
     """
     config.validate()
     if handler is not None and handler_factory is not None:
@@ -309,62 +277,34 @@ def build(spec: DeploymentSpec, config: SystemConfig,
             attach_control_plane(deployment,
                                  period_ns=spec.control_period_ns)
         return deployment
-    if spec.servers_per_rack > 1:
-        return _build_single_rack_sharded(spec, config, handler_factory,
-                                          handler, tracer, obs)
-    if handler is None and handler_factory is not None:
-        handler = handler_factory()
-    if spec.placement == "nic":
-        return _build_nic(spec, config, handler, tracer, obs)
-    if spec.placement == "switch":
-        return _build_tor_chain(spec, config, handler, tracer, obs)
-    return _build_baseline(spec, config, handler, tracer, obs)
-
-
-def _build_baseline(spec: DeploymentSpec, config: SystemConfig,
-                    handler: Optional[RequestHandler],
-                    tracer: Optional[Tracer],
-                    obs: Optional[Observability]) -> Deployment:
-    """The device-free designs: clients - ToR - server.
-
-    ``"none"`` is the paper's Client-Server baseline.  The alternative
-    designs keep ``chain_length`` log copies: ``"client-log"`` logs at
-    each client plus its next ``chain_length - 1`` peer clients (Fig
-    17a); ``"server-log"`` acknowledges from the server's early write
-    log (Fig 17b) and ``"server-replication"`` after commit (Fig 21),
-    each waiting on ``chain_length - 1`` replica servers on the ToR.
-    """
+    if spec.servers_per_rack > 1 and handler is not None:
+        raise ValueError("sharded shapes need a handler_factory, each "
+                         "server gets its own handler instance")
     copies = spec.chain_length
     if spec.placement == "client-log" and copies > config.num_clients:
         raise ValueError(
             f"chain_length {copies} needs more log copies than the "
             f"{config.num_clients} clients can hold")
     sim = Simulator(seed=config.seed, obs=obs)
-    topology = Topology(sim, config.network)
-    switch = Switch(sim, "tor", config.network)
-    topology.add(switch)
+    path: List[Node] = [Switch(sim, "merge" if spec.placement == "switch"
+                               else "tor", config.network)]
+    if spec.placement in ("switch", "nic"):
+        names = ([f"pmnet{index}" for index in range(1, copies + 1)]
+                 if spec.placement == "switch" else ["pmnet-nic"])
+        path += [PMNetDevice(sim, name, config, mode=spec.placement,
+                             enable_cache=spec.enable_cache, tracer=tracer)
+                 for name in names]
     server_class: Callable[..., PMNetServer] = PMNetServer
-    replica_hosts: List[str] = []
-    if spec.placement in ("server-log", "server-replication"):
-        from repro.baselines.common import ReplicaLogger
-        from repro.baselines.replication import ReplicatingServer
+    new_client = None
+    if spec.placement == "server-log":
         from repro.baselines.server_logging import ServerLoggingServer
 
-        replica_hosts = [f"replica{index}" for index in range(1, copies)]
-        server_class = partial(
-            ServerLoggingServer if spec.placement == "server-log"
-            else ReplicatingServer, replica_hosts=replica_hosts)
-    server = _make_server(sim, topology, config, handler, spec.transport,
-                          tracer, server_class)
-    topology.connect(switch, server.host)
-    for name in replica_hosts:
-        stack = HostStack(sim, name, config.server_stack, spec.transport)
-        host = HostNode(sim, name, stack)
-        topology.add(host)
-        topology.connect(host, switch)
-        ReplicaLogger(sim, host)
-    new_client = None
-    if spec.placement == "client-log":
+        server_class = ServerLoggingServer
+    elif spec.placement == "server-replication":
+        from repro.baselines.replication import ReplicatingServer
+
+        server_class = ReplicatingServer
+    elif spec.placement == "client-log":
         from repro.baselines.client_logging import ClientLoggingClient
 
         def new_client(index, host, allocator):
@@ -372,119 +312,96 @@ def _build_baseline(spec: DeploymentSpec, config: SystemConfig,
                      for offset in range(1, copies)]
             return ClientLoggingClient(sim, host, config, "server",
                                        allocator, peers=peers)
-    clients = _make_clients(sim, topology, config, switch, NO_PMNET,
-                            spec.transport, tracer, new_client)
-    topology.compute_routes()
-    return Deployment(sim=sim, config=config, topology=topology,
-                      clients=clients, server=server, switches=[switch],
-                      tracer=tracer, obs=obs, spec=spec)
+    return wire_path(sim, config, path, spec, server_class, new_client,
+                     handler_factory if handler is None else lambda: handler,
+                     tracer=tracer)
 
 
-def _build_tor_chain(spec: DeploymentSpec, config: SystemConfig,
-                     handler: Optional[RequestHandler],
-                     tracer: Optional[Tracer],
-                     obs: Optional[Observability]) -> Deployment:
-    """PMNet in the ToR switch position (Sec VI-A1); ``chain_length > 1``
-    places that many PMNet switches in series (Fig 9a) and makes every
-    client wait for all of their ACKs."""
-    sim = Simulator(seed=config.seed, obs=obs)
-    topology = Topology(sim, config.network)
-    merge = Switch(sim, "merge", config.network)
-    topology.add(merge)
-    chain = build_pmnet_chain(sim, topology, config, spec.chain_length,
-                              mode="switch", enable_cache=spec.enable_cache,
-                              tracer=tracer)
-    topology.connect(merge, chain[0])
-    server = _make_server(sim, topology, config, handler, spec.transport,
-                          tracer)
-    topology.connect(chain[-1], server.host)
-    policy = ReplicationPolicy(acks_required=spec.chain_length)
-    clients = _make_clients(sim, topology, config, merge, policy,
-                            spec.transport, tracer)
-    topology.compute_routes()
-    return Deployment(sim=sim, config=config, topology=topology,
-                      clients=clients, server=server, devices=chain,
-                      switches=[merge], tracer=tracer, obs=obs, spec=spec)
+def wire_path(sim: Simulator, config: SystemConfig, path: Sequence[Node],
+              spec: Optional[DeploymentSpec] = None,
+              server_class: Callable[..., PMNetServer] = PMNetServer,
+              new_client: Optional[Callable] = None,
+              handler_factory: Optional[Callable[[], RequestHandler]] = None,
+              acks_required: Optional[int] = None,
+              tracer: Optional[Tracer] = None) -> Deployment:
+    """Lay out ``clients -> path[0] -> ... -> path[-1] -> server(s)``.
 
+    ``path`` holds switches and PMNet devices, clients side first; the
+    clients (and the replica servers of ``"server-log"`` and
+    ``"server-replication"``) hang off ``path[0]``, and
+    ``spec.servers_per_rack`` servers off ``path[-1]`` — over a
+    ``spec.nic_wire_ns`` board trace when that is a NIC-mode device.
+    Each client is a :class:`PMNetClient` (a
+    :class:`~repro.host.sharded.ShardedClient` over several servers)
+    unless ``new_client(index, host, allocator)`` builds another kind;
+    its policy waits for ``acks_required`` device ACKs, by default one
+    per PMNet device on the path.  Each server gets a
+    ``handler_factory()`` (default an :class:`IdealHandler`).
 
-def _build_nic(spec: DeploymentSpec, config: SystemConfig,
-               handler: Optional[RequestHandler],
-               tracer: Optional[Tracer],
-               obs: Optional[Observability]) -> Deployment:
-    """PMNet as the server's bump-in-the-wire NIC (Sec VI-A1): the
-    device sits right next to the host, so its link to the server has
-    near-zero propagation delay."""
-    sim = Simulator(seed=config.seed, obs=obs)
-    topology = Topology(sim, config.network)
-    tor = Switch(sim, "tor", config.network)
-    topology.add(tor)
-    nic = PMNetDevice(sim, "pmnet-nic", config, mode="nic",
-                      enable_cache=spec.enable_cache, tracer=tracer)
-    topology.add(nic)
-    topology.connect(tor, nic)
-    server = _make_server(sim, topology, config, handler, spec.transport,
-                          tracer)
-    # The NIC-to-host hop is a short board-level wire.
-    short_wire = replace(config.network, propagation_ns=spec.nic_wire_ns)
-    topology.connect(nic, server.host, profile=short_wire)
-    clients = _make_clients(sim, topology, config, tor,
-                            ReplicationPolicy(acks_required=1),
-                            spec.transport, tracer)
-    topology.compute_routes()
-    return Deployment(sim=sim, config=config, topology=topology,
-                      clients=clients, server=server, devices=[nic],
-                      switches=[tor], tracer=tracer, obs=obs, spec=spec)
-
-
-def _build_single_rack_sharded(spec: DeploymentSpec, config: SystemConfig,
-                               handler_factory,
-                               handler: Optional[RequestHandler],
-                               tracer: Optional[Tracer],
-                               obs: Optional[Observability]) -> Deployment:
-    """A sharded store: N servers behind one PMNet ToR switch.
-
-    Each client is a :class:`~repro.host.sharded.ShardedClient` with one
-    session (and ordered update stream) per shard; the single PMNet
-    device logs traffic for every shard and replays each server's
-    entries only to that server on recovery.
+    The order is fixed, because chaos plans pick impairment channels by
+    index into ``topology.links``: nodes are added path first, then
+    servers, replicas and clients; path links run from the first PMNet
+    device towards the servers, then from ``path[0]`` up to that
+    device; then each server's link (device to host), each replica's
+    and each client's (host to ``path[0]``).
     """
-    from repro.host.sharded import ShardedClient
-
-    if handler is not None:
-        raise ValueError("sharded shapes need a handler_factory, each "
-                         "server gets its own handler instance")
-    sim = Simulator(seed=config.seed, obs=obs)
+    shape = spec if spec is not None else DeploymentSpec()
     topology = Topology(sim, config.network)
-    merge = Switch(sim, "merge", config.network)
-    topology.add(merge)
-    device = PMNetDevice(sim, "pmnet1", config, mode="switch",
-                         tracer=tracer)
-    topology.add(device)
-    topology.connect(merge, device)
+    for node in path:
+        topology.add(node)
+    devices = [node for node in path if isinstance(node, PMNetDevice)]
+    first = path.index(devices[0]) if devices else 0
+    for index in [*range(first, len(path) - 1), *range(first)]:
+        topology.connect(path[index], path[index + 1])
+    edge, last = path[0], path[-1]
+    board_trace = (replace(config.network, propagation_ns=shape.nic_wire_ns)
+                   if isinstance(last, PMNetDevice) and last.mode == "nic"
+                   else None)
+    replica_hosts: List[str] = []
+    if shape.placement in ("server-log", "server-replication"):
+        replica_hosts = [f"replica{index}"
+                         for index in range(1, shape.chain_length)]
+        server_class = partial(server_class, replica_hosts=replica_hosts)
     servers: List[PMNetServer] = []
-    for index in range(spec.servers_per_rack):
-        name = f"server{index}" if index else "server"
-        stack = HostStack(sim, name, config.server_stack, spec.transport)
-        host = HostNode(sim, name, stack)
-        topology.add(host)
-        topology.connect(device, host)
-        shard_handler = (handler_factory() if handler_factory is not None
-                         else IdealHandler(config.server.ideal_handler_ns))
-        servers.append(PMNetServer(sim, host, shard_handler, config,
-                                   tracer=tracer))
+    for index in range(shape.servers_per_rack):
+        host = add_host(topology, f"server{index}" if index else "server",
+                        config.server_stack, shape.transport, last,
+                        inbound=True, profile=board_trace)
+        handler = (handler_factory() if handler_factory is not None
+                   else IdealHandler(config.server.ideal_handler_ns))
+        servers.append(server_class(sim, host, handler, config,
+                                    tracer=tracer))
+    if replica_hosts:
+        from repro.baselines.common import ReplicaLogger
+
+        for name in replica_hosts:
+            ReplicaLogger(sim, add_host(topology, name, config.server_stack,
+                                        shape.transport, edge))
+    policy = ReplicationPolicy(acks_required=len(devices)
+                               if acks_required is None else acks_required)
+    if new_client is None:
+        client_class: Callable = PMNetClient
+        target: object = servers[0].host.name
+        if len(servers) > 1:
+            from repro.host.sharded import ShardedClient
+
+            client_class = ShardedClient
+            target = [server.host.name for server in servers]
+
+        def new_client(index, host, allocator):
+            return client_class(sim, host, config, target, allocator,
+                                policy=policy, tracer=tracer)
     allocator = SessionAllocator()
-    clients = []
-    server_names = [server.host.name for server in servers]
-    for index in range(config.num_clients):
-        name = f"client{index}"
-        stack = HostStack(sim, name, config.client_stack, spec.transport)
-        host = HostNode(sim, name, stack)
-        topology.add(host)
-        topology.connect(host, merge)
-        clients.append(ShardedClient(sim, host, config, server_names,
-                                     allocator, tracer=tracer))
+    clients = [new_client(index,
+                          add_host(topology, f"client{index}",
+                                   config.client_stack, shape.transport,
+                                   edge),
+                          allocator)
+               for index in range(config.num_clients)]
     topology.compute_routes()
     return Deployment(sim=sim, config=config, topology=topology,
-                      clients=clients, server=servers[0],
-                      devices=[device], switches=[merge], tracer=tracer,
-                      obs=obs, extra_servers=servers[1:], spec=spec)
+                      clients=clients, server=servers[0], devices=devices,
+                      switches=[node for node in path
+                                if not isinstance(node, PMNetDevice)],
+                      tracer=tracer, obs=sim.obs,
+                      extra_servers=servers[1:], spec=spec)

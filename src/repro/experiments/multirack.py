@@ -21,15 +21,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.report import format_table
 from repro.config import SystemConfig
 from repro.core.pmnet_device import PMNetDevice
-from repro.core.replication import ReplicationPolicy
 from repro.experiments.common import Scale
-from repro.experiments.deploy import Deployment, _make_clients, _make_server
+from repro.experiments.deploy import Deployment, wire_path
 from repro.experiments.jobs import JobResult, JobSpec, execute_serial
-from repro.host.stackmodel import UDP
 from repro.net.switch import Switch
-from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
-from repro.sim.trace import Tracer
 
 
 @dataclass
@@ -50,10 +46,7 @@ class MultirackResult:
 
 def build_two_rack(config: SystemConfig,
                    handler=None,
-                   acks_required: int = 2,
-                   enable_cache: bool = False,
-                   transport: str = UDP,
-                   tracer: Optional[Tracer] = None) -> Deployment:
+                   acks_required: int = 2) -> Deployment:
     """Clients and server in different racks, PMNet at both ToRs.
 
     ``acks_required`` is the client's persistence policy: 2 (default)
@@ -63,27 +56,13 @@ def build_two_rack(config: SystemConfig,
     if acks_required not in (1, 2):
         raise ValueError("two-rack placement offers 1 or 2 log copies")
     sim = Simulator(seed=config.seed)
-    topology = Topology(sim, config.network)
-    client_tor = PMNetDevice(sim, "pmnet-client-tor", config, mode="switch",
-                             enable_cache=enable_cache, tracer=tracer)
-    topology.add(client_tor)
-    core = Switch(sim, "core", config.network)
-    topology.add(core)
-    server_tor = PMNetDevice(sim, "pmnet-server-tor", config, mode="switch",
-                             enable_cache=enable_cache, tracer=tracer)
-    topology.add(server_tor)
-    topology.connect(client_tor, core)
-    topology.connect(core, server_tor)
-    server = _make_server(sim, topology, config, handler, transport, tracer)
-    topology.connect(server_tor, server.host)
-    clients = _make_clients(sim, topology, config, client_tor,
-                            ReplicationPolicy(acks_required=acks_required),
-                            transport, tracer)
-    topology.compute_routes()
-    return Deployment(sim=sim, config=config, topology=topology,
-                      clients=clients, server=server,
-                      devices=[client_tor, server_tor], switches=[core],
-                      tracer=tracer)
+    path = [PMNetDevice(sim, "pmnet-client-tor", config, mode="switch"),
+            Switch(sim, "core", config.network),
+            PMNetDevice(sim, "pmnet-server-tor", config, mode="switch")]
+    return wire_path(sim, config, path,
+                     handler_factory=(None if handler is None
+                                      else lambda: handler),
+                     acks_required=acks_required)
 
 
 #: (placement label, acks_required) points, in execution order.

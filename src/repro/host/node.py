@@ -12,14 +12,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional, Protocol
 
 from repro.errors import NetworkError
+from repro.host.stackmodel import HostStack
 from repro.net.device import Node, Port
 from repro.net.packet import Frame
 from repro.obs.registry import register_with_sim
 from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.host.stackmodel import HostStack
+    from repro.config import NetworkProfile, StackProfile
     from repro.net.link import Channel
+    from repro.net.topology import Topology
     from repro.sim.kernel import Simulator
 
 
@@ -116,3 +118,23 @@ class HostNode(Node):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "FAILED" if self.failed else "up"
         return f"<HostNode {self.name} {state}>"
+
+
+def add_host(topology: "Topology", name: str, stack: "StackProfile",
+             transport: str, peer: Node, inbound: bool = False,
+             profile: Optional["NetworkProfile"] = None) -> HostNode:
+    """Stand up host ``name`` on ``topology`` and link it to ``peer``.
+
+    The link runs host -> ``peer``, or ``peer`` -> host when ``inbound``;
+    a link's direction names its channels, and chaos plans pick channels
+    by index into ``topology.links``.  ``profile`` overrides the link's
+    network profile.
+    """
+    sim = topology.sim
+    host = HostNode(sim, name, HostStack(sim, name, stack, transport))
+    topology.add(host)
+    if inbound:
+        topology.connect(peer, host, profile=profile)
+    else:
+        topology.connect(host, peer, profile=profile)
+    return host

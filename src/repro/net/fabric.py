@@ -33,10 +33,9 @@ from repro.core.hashring import HashRing
 from repro.core.pmnet_device import PMNetDevice
 from repro.core.replication import SINGLE_LOG
 from repro.host.handler import IdealHandler
-from repro.host.node import HostNode
+from repro.host.node import add_host
 from repro.host.server import PMNetServer
 from repro.host.sharded import RingClient
-from repro.host.stackmodel import HostStack
 from repro.net.switch import Switch
 from repro.net.topology import Topology
 from repro.protocol.session import SessionAllocator
@@ -165,11 +164,8 @@ def build_fabric(spec: "DeploymentSpec", config: "SystemConfig",
         rack_servers: List[PMNetServer] = []
         for server_index in range(spec.servers_per_rack):
             name = f"server-r{rack_index}s{server_index}"
-            stack = HostStack(sim, name, config.server_stack,
-                              spec.transport)
-            host = HostNode(sim, name, stack)
-            topology.add(host)
-            topology.connect(rack_devices[0], host)
+            host = add_host(topology, name, config.server_stack,
+                            spec.transport, rack_devices[0], inbound=True)
             shard_handler = (handler_factory()
                              if handler_factory is not None
                              else IdealHandler(config.server.ideal_handler_ns))
@@ -196,11 +192,8 @@ def build_fabric(spec: "DeploymentSpec", config: "SystemConfig",
         leaf_switch = topology.nodes[leaves[rack_index].leaf]
         for client_index in range(clients_per_rack):
             name = f"client-r{rack_index}c{client_index}"
-            stack = HostStack(sim, name, config.client_stack,
-                              spec.transport)
-            host = HostNode(sim, name, stack)
-            topology.add(host)
-            topology.connect(host, leaf_switch)
+            host = add_host(topology, name, config.client_stack,
+                            spec.transport, leaf_switch)
             clients.append(RingClient(sim, host, config, ring, chains,
                                       allocator, policy=SINGLE_LOG,
                                       tracer=tracer, placement=placement))
