@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.baselines.common import REPLICATE_ACK, REPLICATE_LOG
 from repro.errors import SessionError
@@ -26,6 +26,7 @@ from repro.protocol.session import Session, SessionAllocator
 from repro.protocol.types import PacketType
 from repro.sim.event import SimEvent
 from repro.sim.monitor import Counter
+from repro.sim.trace import Tracer
 from repro.workloads.kv import Operation, Result
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,6 +42,9 @@ class _UpdateState:
     local_done: bool = False
     acks_needed: int = 0
     acks_received: int = 0
+    #: The first packet forwarded to the server: its ids name the
+    #: request in the trace.
+    first: Optional[PMNetPacket] = None
 
     @property
     def satisfied(self) -> bool:
@@ -53,7 +57,8 @@ class ClientLoggingClient:
     def __init__(self, sim: "Simulator", host: HostNode,
                  config: "SystemConfig", server: str,
                  allocator: SessionAllocator,
-                 peers: Optional[List[str]] = None) -> None:
+                 peers: Optional[List[str]] = None,
+                 tracer: Optional[Tracer] = None) -> None:
         self.sim = sim
         self.host = host
         self.config = config
@@ -61,10 +66,12 @@ class ClientLoggingClient:
         self.allocator = allocator
         #: Peer client machines holding log replicas (empty = no repl).
         self.peers = list(peers or [])
+        self.tracer = tracer if tracer is not None else sim.tracer
         host.bind(self)
         self.session: Optional[Session] = None
         self._updates: Dict[int, _UpdateState] = {}
-        self._reads: Dict[int, SimEvent] = {}
+        #: request id -> (completion, first packet) of a pending read.
+        self._reads: Dict[int, Tuple[SimEvent, PMNetPacket]] = {}
         self._mtu_payload = max_fragment_payload(
             config.network.mtu_bytes, config.network.header_overhead_bytes)
         self.logged_locally = Counter(f"{host.name}.logged_locally")
@@ -99,7 +106,7 @@ class ClientLoggingClient:
                 peer, RawPayload((REPLICATE_LOG, record_id, size), size),
                 size, udp_port=9200)
         # Off the critical path: the request still goes to the server.
-        self._forward(PacketType.UPDATE_REQ, op, size)
+        state.first = self._forward(PacketType.UPDATE_REQ, op, size)[0]
         return state.completion
 
     def bypass(self, op: Operation,
@@ -109,7 +116,7 @@ class ClientLoggingClient:
             else self.config.payload_bytes
         packets = self._forward(PacketType.BYPASS_REQ, op, size)
         completion = self.sim.event(f"cl-read{packets[0].request_id}")
-        self._reads[packets[0].request_id] = completion
+        self._reads[packets[0].request_id] = (completion, packets[0])
         return completion
 
     def _forward(self, packet_type: PacketType, op: Operation,
@@ -119,6 +126,13 @@ class ClientLoggingClient:
                 f"client {self.host.name}: start_session() first")
         packets = fragment_request(self.session, packet_type, op, size,
                                    self._mtu_payload)
+        if self.tracer.enabled:
+            first = packets[0]
+            self.tracer.emit(self.sim.now, self.host.name, "request_sent",
+                             req=first.request_id, session=first.session_id,
+                             seq=first.seq_num,
+                             update=packet_type is PacketType.UPDATE_REQ,
+                             fragments=len(packets))
         for packet in packets:
             self.host.send_frame(self.server, packet, packet.wire_bytes,
                                  51000 + packet.session_id % 1000)
@@ -136,8 +150,19 @@ class ClientLoggingClient:
     def _maybe_complete(self, record_id: int, state: _UpdateState) -> None:
         if state.satisfied and not state.completion.triggered:
             del self._updates[record_id]
+            self._trace_completed(state.first, "client-log", True, True)
             state.completion.succeed(
                 Completion(result=Result(ok=True), via="client-log"))
+
+    def _trace_completed(self, first: PMNetPacket, via: str, update: bool,
+                         ok: bool) -> None:
+        """The record :class:`~repro.host.client.PMNetClient` emits when
+        a request completes."""
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.host.name, "completed",
+                             req=first.request_id, session=first.session_id,
+                             seq=first.seq_num, via=via, update=update,
+                             ok=ok)
 
     # ------------------------------------------------------------------
     def on_frame(self, frame: Frame) -> None:
@@ -159,10 +184,12 @@ class ClientLoggingClient:
             return
         if isinstance(payload, PMNetPacket):
             if payload.packet_type is PacketType.SERVER_RESP:
-                completion = self._reads.pop(payload.request_id, None)
-                if completion is not None and not completion.triggered:
+                read = self._reads.pop(payload.request_id, None)
+                if read is not None and not read[0].triggered:
+                    completion, first = read
                     result = payload.payload if isinstance(
                         payload.payload, Result) else Result(ok=True)
+                    self._trace_completed(first, "server", False, result.ok)
                     completion.succeed(Completion(result=result,
                                                   via="server"))
             # SERVER_ACKs for forwarded updates invalidate the local log;

@@ -311,7 +311,7 @@ def build(spec: DeploymentSpec, config: SystemConfig,
             peers = [f"client{(index + offset) % config.num_clients}"
                      for offset in range(1, copies)]
             return ClientLoggingClient(sim, host, config, "server",
-                                       allocator, peers=peers)
+                                       allocator, peers=peers, tracer=tracer)
     return wire_path(sim, config, path, spec, server_class, new_client,
                      handler_factory if handler is None else lambda: handler,
                      tracer=tracer)

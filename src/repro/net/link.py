@@ -10,12 +10,27 @@ A :class:`Link` is full duplex: it is built from two independent directed
   dedicated random stream so experiments can inject packet loss exactly
   where the paper's Fig 7 scenarios need it.
 
-Every frame takes one path: :meth:`Channel.send` either drops it (the
-queue is full), queues it behind the frame being serialized, or — the
-transmitter idle — starts serializing it at once; ``_serialized`` puts
-it on the wire at the serialize end, allocating the delivery event's seq
-at that instant, and starts the next queued frame; ``_deliver`` hands
-it to the receiving node.
+A frame costs one heap entry per hop.  :meth:`Channel.commit` (and
+:meth:`Channel.send`, a commit at the current instant) decides the
+frame's whole passage when it is handed over: it starts when the
+transmitter frees up (``busy_until``), or at once if idle, and its
+delivery, ``_deliver``, is pushed once at start + serialization +
+propagation.  Nothing is revoked and no event marks a serialize end.
+
+The queue is the frames committed but not yet started.  A deque holds
+the start instant of each frame that had to wait, and a commit at
+instant ``at`` first drops the ones at or before ``at``: what is left is
+the occupancy drop-tail and the depth gauge read.  A switch commits one
+forwarding delay ahead, so its channel's queue is counted as of the end
+of that window.
+
+An impaired channel keeps one serialize-end event per frame,
+``_draw_impairments``, so its draws come in the same order as ever; the
+frame carries the :class:`Impairments` in force at its commit.  An
+unimpaired channel draws nothing.
+
+The seq of a delivery is taken at commit, so two deliveries in the same
+nanosecond run in commit order, not serialize-end order.
 """
 
 from __future__ import annotations
@@ -61,6 +76,24 @@ class Impairments:
                              f"got {self.reorder_extra_ns!r}")
 
 
+class _DepthGauge(Gauge):
+    """A channel's queue-depth gauge.  Its level is read from the
+    channel when asked (nothing runs when a queued frame starts); the
+    channel raises its high-water mark at each commit."""
+
+    __slots__ = ("_channel",)
+
+    def __init__(self, name: str, channel: "Channel") -> None:
+        # ``Gauge.__init__`` would assign the level, which is read-only.
+        self.name = name
+        self.highwater = 0
+        self._channel = channel
+
+    @property
+    def value(self) -> int:  # type: ignore[override]
+        return self._channel.queue_depth
+
+
 class Channel:
     """One direction of a link: ``source`` port -> ``sink`` port."""
 
@@ -75,10 +108,12 @@ class Channel:
         self._sink_node = sink.node
         self.impairments = impairments or Impairments()
         self._rng = sim.random.stream(f"channel:{name}")
-        self._queue: Deque[Frame] = deque()
-        #: A frame is being serialized (its ``_serialized`` is pending);
-        #: the queue holds only frames waiting behind it.
-        self._transmitting = False
+        #: When the transmitter frees up: the serialize end of the last
+        #: committed frame.
+        self._busy_until = 0
+        #: Start instants of committed frames, oldest first; those still
+        #: ahead of the clock are the frames waiting in the queue.
+        self._starts: Deque[int] = deque()
         # The profile is frozen: hold the per-frame constants directly.
         self._propagation = profile.propagation_ns
         self._overhead = profile.header_overhead_bytes
@@ -93,7 +128,7 @@ class Channel:
         self.bytes_sent = Counter(f"{name}.bytes")
         #: Always 0 (nothing folds a send); the benchmark reads it.
         self.folded_sends = Counter(f"{name}.folded")
-        self.queue_depth_highwater = Gauge(f"{name}.queue_depth")
+        self.queue_depth_highwater = _DepthGauge(f"{name}.queue_depth", self)
         register_with_sim(sim, self)
 
     # ------------------------------------------------------------------
@@ -107,43 +142,49 @@ class Channel:
         return costs
 
     def send(self, frame: Frame) -> None:
-        """Transmit a frame: start serializing it at once when the
-        transmitter is idle, else queue it behind, drop-tail when the
-        queue is full."""
-        if not self._transmitting and self._capacity > 0:
-            # Idle, so the queue is empty and the gauge reads 0, and
-            # there is room: the frame is queued and dequeued in the
-            # same instant, which leaves the gauge at 0 with a
-            # high-water mark of at least 1.  (A zero-capacity channel
-            # has no room even now: it takes the drop below.)
-            gauge = self.queue_depth_highwater
-            if not gauge.highwater:
-                gauge.highwater = 1
-            wire_bytes, serialize = (
-                self._wire_costs.get(frame.payload_bytes)
-                or self._costs(frame))
-            self.bytes_sent.value += wire_bytes
-            self._transmitting = True
-            # The transmitter is busy for the serialization time, then
-            # the frame flies for the propagation delay while the next
-            # one starts.
-            self.sim.schedule(serialize, self._serialized, frame)
-            return
-        queue = self._queue
-        depth = len(queue)
-        if depth >= self._capacity:
+        """Transmit ``frame`` now (see :meth:`commit`)."""
+        self.commit(frame, self.sim.now)
+
+    def commit(self, frame: Frame, at: int) -> None:
+        """Hand ``frame`` to the transmitter at instant ``at`` (now or
+        later): drop it if the frames waiting at ``at`` fill the queue,
+        else start it at ``max(at, busy_until)`` and push its delivery.
+
+        A channel's commit instants never decrease: its one sender
+        commits either now or a fixed lead ahead.
+        """
+        now = self.sim.now
+        starts = self._starts
+        while starts and starts[0] <= at:
+            starts.popleft()
+        waiting = len(starts)
+        if waiting >= self._capacity:
             self.dropped_full.increment()
             self.dropped_full_bytes.increment(
                 frame.wire_size(self._overhead))
             return
-        queue.append(frame)
-        # The queue-depth gauge, bumped in place (a length is never
-        # negative, so ``Gauge.update``'s guard has nothing to catch).
-        depth += 1
+        # The depth this frame saw, itself included: 1 into an idle
+        # transmitter, which takes it in the instant it is queued.
         gauge = self.queue_depth_highwater
-        gauge.value = depth
-        if depth > gauge.highwater:
-            gauge.highwater = depth
+        if waiting >= gauge.highwater:
+            gauge.highwater = waiting + 1
+        wire_bytes, serialize = (
+            self._wire_costs.get(frame.payload_bytes) or self._costs(frame))
+        self.bytes_sent.value += wire_bytes
+        start = self._busy_until
+        if start > at:
+            starts.append(start)
+        else:
+            start = at
+        end = self._busy_until = start + serialize
+        imp = self.impairments
+        if not (imp.loss_probability > 0.0
+                or imp.duplicate_probability > 0.0
+                or imp.reorder_probability > 0.0):
+            self.sim.schedule(end + self._propagation - now,
+                              self._deliver, frame)
+        else:
+            self.sim.schedule(end - now, self._draw_impairments, frame, imp)
 
     def send_in(self, pre_delay_ns: int, frame: Frame,
                 on_revoke: Optional[Callable[[Frame], None]] = None) -> bool:
@@ -162,43 +203,26 @@ class Channel:
         self.delivered.value += 1
         callback(*args)
 
-    def _serialized(self, frame: Frame) -> None:
-        """Serialization of ``frame`` ended: put it on the wire, then
-        start the next queued frame."""
-        self._transmitting = False
-        imp = self.impairments
-        if not (imp.loss_probability > 0.0
-                or imp.duplicate_probability > 0.0
-                or imp.reorder_probability > 0.0):
-            self.sim.schedule(self._propagation, self._deliver, frame)
-        else:
-            # Draw order per frame: loss(original), duplicate, then per
-            # surviving copy a reorder draw and — for the duplicate —
-            # its own loss draw.  Each copy is an independent wire
-            # traversal, so each gets independent loss and reorder
-            # draws (sharing the original's draws made duplicate+loss
-            # and duplicate+reorder unreachable); duplication is decided
-            # once per frame, so a duplicate cannot spawn further
-            # duplicates.  All draws come from the channel's dedicated
-            # stream, keeping runs seeded.
-            rng = self._rng
-            lost = rng.random() < imp.loss_probability
-            duplicated = rng.random() < imp.duplicate_probability
-            self._launch_copy(frame, lost, imp, rng)
-            if duplicated:
-                self._launch_copy(frame, rng.random() < imp.loss_probability,
-                                  imp, rng)
-        # Start the next queued frame, if any.
-        queue = self._queue
-        if queue:
-            head = queue.popleft()
-            self.queue_depth_highwater.value = len(queue)
-            wire_bytes, serialize = (
-                self._wire_costs.get(head.payload_bytes)
-                or self._costs(head))
-            self.bytes_sent.value += wire_bytes
-            self._transmitting = True
-            self.sim.schedule(serialize, self._serialized, head)
+    def _draw_impairments(self, frame: Frame, imp: Impairments) -> None:
+        """Serialization of an impaired frame ended: put it on the wire
+        under ``imp``, the impairments in force at its commit.
+
+        Draw order per frame: loss(original), duplicate, then per
+        surviving copy a reorder draw and — for the duplicate — its own
+        loss draw.  Each copy is an independent wire traversal, so each
+        gets independent loss and reorder draws (sharing the original's
+        draws made duplicate+loss and duplicate+reorder unreachable);
+        duplication is decided once per frame, so a duplicate cannot
+        spawn further duplicates.  All draws come from the channel's
+        dedicated stream, keeping runs seeded.
+        """
+        rng = self._rng
+        lost = rng.random() < imp.loss_probability
+        duplicated = rng.random() < imp.duplicate_probability
+        self._launch_copy(frame, lost, imp, rng)
+        if duplicated:
+            self._launch_copy(frame, rng.random() < imp.loss_probability,
+                              imp, rng)
 
     def _launch_copy(self, frame: Frame, lost: bool,
                      imp: Impairments, rng) -> None:
@@ -217,8 +241,13 @@ class Channel:
 
     @property
     def queue_depth(self) -> int:
-        """Frames waiting behind the one being serialized."""
-        return len(self._queue)
+        """Frames waiting behind the one being serialized, as of now or
+        of the latest commit instant, whichever is later."""
+        starts = self._starts
+        now = self.sim.now
+        while starts and starts[0] <= now:
+            starts.popleft()
+        return len(starts)
 
     def instruments(self) -> tuple:
         """This channel's typed instruments (the explicit registration

@@ -5,14 +5,20 @@ places between the clients and the FPGA (Sec VI-A1): a fixed forwarding
 delay plus whatever queueing the output links impose.
 
 :meth:`Switch.receive` overrides ``Node.receive``: it does the failed
-check, the hop count and the span milestone itself and schedules
-``_forward`` one forwarding delay later (:meth:`Switch.handle_frame`
-runs the same code for direct callers, without counting a hop).
-``_forward`` re-checks ``failed`` and sends straight into the channel
-the forwarding table has bound for the destination
+check, the hop count and the span milestone itself, resolves the egress
+channel the forwarding table has bound for the destination
 (:attr:`ForwardingTable.bound`, filled on first use by
-:meth:`ForwardingTable.egress` and cleared by every route change),
-falling back to :meth:`ForwardingTable.transmit` on a miss.
+:meth:`ForwardingTable.egress` and cleared by every route change), and
+commits the frame to it one forwarding delay ahead
+(:meth:`~repro.net.link.Channel.commit`).  The frame's next delivery is
+pushed in that same call, so a switch hop adds no heap entry of its
+own.  :meth:`Switch.handle_frame` runs the same code for direct
+callers, without counting a hop.
+
+Liveness is checked on arrival only: a frame a live switch has received
+leaves it even if the switch fails inside its forwarding window.
+Nothing fails a plain switch today: the failure injector and the chaos
+faults fail only devices and servers.
 """
 
 from __future__ import annotations
@@ -69,25 +75,22 @@ class Switch(Node):
         if self.failed:
             return  # a dead switch is a black hole
         frame.hops += hop
+        now = self.sim.now
         if self._spans is not None:
             packet = frame.payload
             stage = _SPAN_STAGES.get(getattr(packet, "packet_type", None))
             if stage is not None:
-                self._spans.record(packet.request_id, stage, self.sim.now)
-        self.sim.schedule(self._forward_ns, self._forward, frame)
+                self._spans.record(packet.request_id, stage, now)
+        table = self.table
+        channel = table.bound.get(frame.dst) or table.egress(frame.dst)
+        if channel is None:
+            # The route's port is not connected: the port raises.
+            table.lookup(frame.dst).transmit(frame)
+        # Hot path: bumped in place (an increment of 1 cannot fail).
+        self.forwarded.value += 1
+        channel.commit(frame, now + self._forward_ns)
 
     def handle_frame(self, frame: Frame, in_port: Port) -> None:
         """Forward ``frame`` exactly as a channel delivery would, without
         counting a hop; a failed switch drops it."""
         self.receive(frame, in_port, 0)
-
-    def _forward(self, frame: Frame) -> None:
-        if self.failed:
-            return
-        # Hot path: bumped in place (an increment of 1 cannot fail).
-        self.forwarded.value += 1
-        channel = self.table.bound.get(frame.dst)
-        if channel is None:
-            self.table.transmit(frame.dst, frame)
-        else:
-            channel.send(frame)

@@ -31,7 +31,7 @@ LOADGEN = LoadGenConfig(mode="closed", users=2_000, total_requests=400,
                         window=16, warmup_requests=4)
 
 #: The bare run's observables (seed 13).
-BARE_PIN = {"samples": "0e903d7953ee3b45", "trace": "6bd1a7c7cca97cef",
+BARE_PIN = {"samples": "0e903d7953ee3b45", "trace": "fecc6138a9072a5c",
             "completed": 400, "final_now": 1_511_445}
 
 
@@ -74,9 +74,7 @@ class TestControlIdentity:
 
     def test_identity_holds_across_the_matrix(self):
         """The bare run is pinned, and the idle plane's samples are the
-        bare run's — one equality class for the whole matrix.  (The id
-        predates the single request path: the matrix had a fold-level
-        axis, and the pin is the value both levels gave.)"""
+        bare run's — one equality class for the whole matrix."""
         assert _observables("none") == BARE_PIN
         assert _observables("idle")["samples"] == BARE_PIN["samples"]
 

@@ -180,21 +180,21 @@ def _observables(make) -> dict:
 BASELINE_PINS = {
     ("client-log", 1): {
         "trace_digest":
-            "e9b1b003663483c0817a2eb0ff07455b06dd9025f0b5409a006a80b5945b7a58",
+            "13d2f10aeca691d8a282a9c7daf50712fa5c7914e74d7d9cb829af418277c1e6",
         "samples_digest":
             "a86c79f61bf9a80371d0cf5fa0f414bc83c57c3cf2ce655f8aa7071c6af0428b",
         "final_now": 696572,
-        "executed_events": 834,
+        "executed_events": 582,
         "nodes": "tor server client0 client1 client2",
         "links": "tor->server client0->tor client1->tor client2->tor",
     },
     ("client-log", 3): {
         "trace_digest":
-            "b89b444306b3672890eae66293ec83765347ec58203ac870068668b605687c03",
+            "f17b1cd1e11599a3284e4505611b9fda262b5d76ec72a778f9adb78a56539ac0",
         "samples_digest":
             "463410186a203b2ff3ce712fd059322986d569608af24e16c777bdbb56a2a51c",
         "final_now": 784366,
-        "executed_events": 1224,
+        "executed_events": 816,
         "nodes": "tor server client0 client1 client2",
         "links": "tor->server client0->tor client1->tor client2->tor",
     },
@@ -204,7 +204,7 @@ BASELINE_PINS = {
         "samples_digest":
             "ea3b1457c9cf5d1ea43eb3ac2146b615b7ea1db32b376f37520ae9dc30186df6",
         "final_now": 1739617,
-        "executed_events": 879,
+        "executed_events": 627,
         "nodes": "tor server client0 client1 client2",
         "links": "tor->server client0->tor client1->tor client2->tor",
     },
@@ -214,7 +214,7 @@ BASELINE_PINS = {
         "samples_digest":
             "bf824c9a36daba299b22f5f0809ae9d6eb0233a5a67b1b8a204408f882701a85",
         "final_now": 1999598,
-        "executed_events": 1269,
+        "executed_events": 861,
         "nodes": "tor server replica1 replica2 client0 client1 client2",
         "links": (
             "tor->server replica1->tor replica2->tor client0->tor "
@@ -226,7 +226,7 @@ BASELINE_PINS = {
         "samples_digest":
             "a369b650e72d6f298c69fcf5efddba4eda3da48bdf6379c88f962e8742b9fa91",
         "final_now": 2389390,
-        "executed_events": 1256,
+        "executed_events": 848,
         "nodes": "tor server replica1 replica2 client0 client1 client2",
         "links": (
             "tor->server replica1->tor replica2->tor client0->tor "
@@ -241,6 +241,28 @@ class TestBaselinePlacements:
         observed = _observables(_built(DeploymentSpec(
             placement=placement, chain_length=copies)))
         assert observed == BASELINE_PINS[(placement, copies)]
+
+    def test_client_log_clients_trace_issue_and_completion(self):
+        # A client-log client records what a PMNet client records: one
+        # ``request_sent`` and one ``completed`` per request.
+        config = SystemConfig(seed=9).quick_scale().with_clients(2)
+        tracer = Tracer(enabled=True)
+        deployment = _built(DeploymentSpec(placement="client-log"))(
+            config, tracer)
+
+        def updates(index, request_index, rng):
+            return Operation(OpKind.SET, key=(index, request_index),
+                             value=request_index), 100
+
+        run_closed_loop(deployment, updates, requests_per_client=6)
+        clients = [client.host.name for client in deployment.clients]
+        records = [record for record in tracer.records
+                   if record.component in clients]
+        assert len(records) == 2 * 6 * 2
+        assert {(record.event, record.details["via"]
+                 if record.event == "completed" else None)
+                for record in records} == {("request_sent", None),
+                                           ("completed", "client-log")}
 
 
 #: The PMNet design points, the client-server baseline, the sharded
@@ -270,7 +292,7 @@ SHAPE_PINS = {
         "samples_digest":
             "944bb8f92d354207fd41b41561779d575b0a7f7f1ae3d46177af2fc674970b2f",
         "final_now": 2073979,
-        "executed_events": 866,
+        "executed_events": 614,
         "nodes": "tor server client0 client1 client2",
         "links": "tor->server client0->tor client1->tor client2->tor",
     },
@@ -280,7 +302,7 @@ SHAPE_PINS = {
         "samples_digest":
             "ca36d2a9ad7fdb0d2d8ceb3f72ab893182916afdc897c5b78eb30260ba973cc2",
         "final_now": 1669056,
-        "executed_events": 1320,
+        "executed_events": 945,
         "nodes": "merge pmnet1 server client0 client1 client2",
         "links": (
             "merge->pmnet1 pmnet1->server client0->merge client1->merge "
@@ -292,7 +314,7 @@ SHAPE_PINS = {
         "samples_digest":
             "af2bde5f823dbccbb961b8b92911d186c47d35dfcd9d55a57696067eac21cde1",
         "final_now": 1732326,
-        "executed_events": 2384,
+        "executed_events": 1724,
         "nodes": "merge pmnet1 pmnet2 pmnet3 server client0 client1 client2",
         "links": (
             "pmnet1->pmnet2 pmnet2->pmnet3 merge->pmnet1 pmnet3->server "
@@ -304,7 +326,7 @@ SHAPE_PINS = {
         "samples_digest":
             "c79c280a4533f373c4667e62a485df4b7f60f91dc5892c1ca197327927bfa7b0",
         "final_now": 1645040,
-        "executed_events": 1250,
+        "executed_events": 889,
         "nodes": "merge pmnet1 server client0 client1 client2",
         "links": (
             "merge->pmnet1 pmnet1->server client0->merge client1->merge "
@@ -316,7 +338,7 @@ SHAPE_PINS = {
         "samples_digest":
             "d0c8c3749db308d9d2a613475a718cddc95223fcab80174b6faaff3a28bc830c",
         "final_now": 1684977,
-        "executed_events": 2202,
+        "executed_events": 1584,
         "nodes": "merge pmnet1 pmnet2 pmnet3 server client0 client1 client2",
         "links": (
             "pmnet1->pmnet2 pmnet2->pmnet3 merge->pmnet1 pmnet3->server "
@@ -328,7 +350,7 @@ SHAPE_PINS = {
         "samples_digest":
             "2175c600e14e40d95852d1435cf3b424c7383ca9dd8aa359eaa71005c11b3d7c",
         "final_now": 1825059,
-        "executed_events": 1320,
+        "executed_events": 945,
         "nodes": "merge pmnet1 server client0 client1 client2",
         "links": (
             "merge->pmnet1 pmnet1->server client0->merge client1->merge "
@@ -340,7 +362,7 @@ SHAPE_PINS = {
         "samples_digest":
             "a92c0ce5e842cf8368afa7120933252db5a6ef31d63815db74010879e5275f65",
         "final_now": 1667456,
-        "executed_events": 1320,
+        "executed_events": 945,
         "nodes": "tor pmnet-nic server client0 client1 client2",
         "links": (
             "tor->pmnet-nic pmnet-nic->server client0->tor client1->tor "
@@ -352,7 +374,7 @@ SHAPE_PINS = {
         "samples_digest":
             "d4669737043e5f79990a38ccd70ab55473718dcb13fe02543dc7d306f6fb3bcb",
         "final_now": 1680181,
-        "executed_events": 1366,
+        "executed_events": 991,
         "nodes": "merge pmnet1 server server1 server2 client0 client1 client2",
         "links": (
             "merge->pmnet1 pmnet1->server pmnet1->server1 pmnet1->server2 "
@@ -364,7 +386,7 @@ SHAPE_PINS = {
         "samples_digest":
             "6d79d09d7d1a49e07edaa8fe2e2eb0de5dec0d4683151722576025d08db9fc40",
         "final_now": 1697218,
-        "executed_events": 1787,
+        "executed_events": 1302,
         "nodes": "pmnet-client-tor core pmnet-server-tor server client0 client1 client2",
         "links": (
             "pmnet-client-tor->core core->pmnet-server-tor "

@@ -52,7 +52,7 @@ from repro.workloads.pmdk import PMBTree
 from tests.conftest import fingerprint
 
 #: ``executed_events`` of the 32-client x 20-request seed-0 run.
-EXACT_EVENTS = 29685
+EXACT_EVENTS = 20885
 #: Its update latency samples (a :func:`fingerprint`) and end-of-run
 #: clock.
 EXACT_SAMPLES = "03ef150151098aa5"
@@ -74,9 +74,7 @@ def test_executed_events_are_exact():
     assert _stress_run(False)[0] == EXACT_EVENTS
 
 
-# The test id predates the single request path (it compared the retired
-# fold levels); the pin is the samples both levels gave.
-def test_latency_samples_are_identical_across_fold_levels():
+def test_latency_samples_and_end_clock_are_exact():
     _events, samples, final_now = _stress_run(False)
     assert len(samples) == 32 * 20
     assert (fingerprint(samples), final_now) == (EXACT_SAMPLES,
@@ -89,7 +87,7 @@ def test_spans_move_no_event_and_no_sample():
 
 
 def test_loadgen_leg_is_exact():
-    """10^4 modeled users, 12,000 completions at 35.46 events each."""
+    """10^4 modeled users, 12,000 completions at 24.41 events each."""
     deployment = build(DeploymentSpec(placement="switch"),
                        SystemConfig(seed=0).with_payload(1000))
     # window=8 keeps total in-flight at 512 (64 shards), under the ~1.2k
@@ -100,7 +98,7 @@ def test_loadgen_leg_is_exact():
     assert (result.modeled_users, result.completed,
             deployment.sim.executed_events, result.digest(),
             deployment.sim.now) == (
-        10_000, 12_000, 425_482, "f1edbf2c742b1da8", 3_008_374)
+        10_000, 12_000, 292_932, "3772897c28b21d68", 3_008_374)
 
 
 #: The benchmark's ``fabric-chain`` deployment and closed loop.
@@ -113,9 +111,9 @@ FABRIC_CHAIN_LOAD = LoadGenConfig(mode="closed", users=12_000,
                                   zipf_theta=0.9, population=10_000)
 
 #: Sim seed 3.
-FABRIC_CHAIN_EXACT = dict(executed_events=33505, forwarded=5245,
-                          delivered=8620, digest="156a71247eb12cd1",
-                          samples="5de3e149550be5ff", final_now=1_513_049)
+FABRIC_CHAIN_EXACT = dict(executed_events=19642, forwarded=5245,
+                          delivered=8620, digest="17ef67971115f0f7",
+                          samples="f4dccacb2f584064", final_now=1_513_049)
 
 
 def _fabric_chain_shape() -> dict:
@@ -169,15 +167,15 @@ BENCH_SHAPES = {
 
 #: Sim seed 3.
 BENCH_SHAPE_EXACT = {
-    "rack-update": dict(completed=375, digest="4c5ccbe2f243ad67",
-                        samples="b2c7c3c9b5900e83", final_now=1_509_438,
-                        executed_events=13382),
+    "rack-update": dict(completed=375, digest="fcc21bf5f9f5fa70",
+                        samples="818353f70ea72422", final_now=1_509_438,
+                        executed_events=9238),
     "rack-read-cache": dict(completed=375, digest="8bc3ac77e94a11dc",
                             samples="bc681c0504b9886f",
-                            final_now=3_078_870, executed_events=8994),
-    "fabric-failover": dict(completed=2_400, digest="95654eec433cb63d",
-                            samples="dece828e51252dd4",
-                            final_now=3_009_753, executed_events=200_050),
+                            final_now=3_078_870, executed_events=6189),
+    "fabric-failover": dict(completed=2_400, digest="26a60da8a5de7675",
+                            samples="3cc05d2128bcd7d2",
+                            final_now=3_009_753, executed_events=114_028),
 }
 
 

@@ -37,13 +37,13 @@ class TestSweepDefinition:
 PIVOT_PIN = {
     "chain_length": 3,
     "completed": 2400,
-    "digest": "b9322d8ba40ccbb2",
+    "digest": "760484fcc4c781e7",
     "errors": 0,
-    "mean_latency_us": 29.83365287162162,
+    "mean_latency_us": 29.812109375,
     "modeled_users": 12000,
-    "ops_per_second": 4167925.727563535,
-    "p50_us": 29.357,
-    "p99_us": 36.112,
+    "ops_per_second": 4182744.089259759,
+    "p50_us": 29.322,
+    "p99_us": 36.178,
     "point": "shards=4/chain=3",
     "shards": 4,
     "spine_propagation_ns": None,
@@ -51,9 +51,7 @@ PIVOT_PIN = {
 
 
 class TestRunPoint:
-    # The test id predates the single request path (it compared the
-    # retired fold levels); the pin is the summary both levels gave.
-    def test_pivot_point_is_fold_identical(self):
+    def test_pivot_point_summary_is_pinned(self):
         spec = next(job for job in scaleout.jobs()
                     if job.point == "shards=4/chain=3")
         summary = scaleout.run_point(spec)

@@ -114,13 +114,11 @@ class TestDeterministicReplay:
         second = chaos.run_plan(plan)
         assert first.to_dict() == second.to_dict()
 
-    # The test id predates the single request path (it compared the
-    # retired fold levels); the pin is the replay both levels gave.
-    def test_fold_identity(self):
+    def test_replay_is_pinned(self):
         result = chaos.run_plan(chaos.generate_plan(7))
         assert (result.trace_digest, result.violations, result.completions,
                 result.acknowledged, result.executed_events) == (
-            "47137d56d9fb2d4b", (), 60, 55, 3396)
+            "47137d56d9fb2d4b", (), 60, 55, 2421)
 
     def test_result_independent_of_prior_runs(self):
         plan = chaos.generate_plan(7)
@@ -139,22 +137,22 @@ class TestDeterministicReplay:
 #: Every corpus line's replay: ``(family, seed): (trace digest,
 #: completions, acknowledged, executed events, final clock in ns)``.
 CORPUS_PINS = {
-    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1708, 3_353_168),
-    ("rack", 1): ("6b294615cf812d73", 24, 13, 1163, 2_659_472),
-    ("rack", 2): ("639c8c7ae15641da", 44, 23, 16_526, 153_010_428),
-    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 14_120, 153_011_511),
-    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 5667, 3_012_293),
-    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 70_956, 153_519_434),
-    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 18_964, 152_198_105),
-    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 4786, 3_439_174),
-    ("fabric", 5): ("21eccb229deaa8b6", 72, 68, 158_783, 153_495_465),
-    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 8828, 4_516_462),
-    ("control", 0): ("4254075b161a6834", 16, 14, 17_492, 151_892_745),
-    ("control", 2): ("723740060c18c139", 28, 26, 12_362, 151_809_015),
-    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 3923, 1_719_382),
-    ("control", 6): ("2c59ecd291b00687", 28, 28, 4479, 151_787_861),
-    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1769, 1_893_532),
-    ("control", 14): ("12d79e1507326e9b", 54, 54, 17_657, 152_037_591),
+    ("rack", 0): ("9153b0eb9c443236", 24, 13, 1235, 3_353_168),
+    ("rack", 1): ("6b294615cf812d73", 24, 13, 836, 2_659_472),
+    ("rack", 2): ("639c8c7ae15641da", 44, 23, 11_007, 153_010_428),
+    ("rack", 3): ("08a893b73f4ac18d", 34, 31, 9593, 153_011_511),
+    ("rack", 4): ("395a07a13dd3ad28", 72, 62, 4052, 3_012_293),
+    ("fabric", 0): ("bfda37b094a2e11a", 78, 78, 39_267, 153_519_434),
+    ("fabric", 1): ("d7f7b87f6514e352", 48, 48, 12_291, 152_198_105),
+    ("fabric", 3): ("2ab7b472ce287dfb", 60, 60, 2805, 3_439_174),
+    ("fabric", 5): ("7f477b88eb28b526", 72, 68, 95_126, 153_495_465),
+    ("fabric", 7): ("87094c6cd99f98c3", 78, 78, 4960, 4_516_462),
+    ("control", 0): ("4254075b161a6834", 16, 14, 9790, 151_892_745),
+    ("control", 2): ("723740060c18c139", 28, 26, 7001, 151_809_015),
+    ("control", 4): ("c26f34373dc9b0fd", 39, 36, 2233, 1_719_382),
+    ("control", 6): ("2c59ecd291b00687", 28, 28, 2682, 151_787_861),
+    ("control", 10): ("ed2f4e27be259e33", 18, 18, 1083, 1_893_532),
+    ("control", 14): ("12d79e1507326e9b", 54, 54, 9825, 152_037_591),
 }
 
 

@@ -1,20 +1,20 @@
-"""Single-path pins of the scenarios that held the fold levels to account.
+"""Pins of the request-path scenarios that once compared fold levels.
 
-Every pipeline stage is its own event, so there is no folded timeline
-left to compare.  The scenarios that once compared ``PMNET_FOLD=none``
-with ``whole`` stay, each pinned to the observables both levels gave:
+Every pipeline stage is its own event and every wire hop one heap
+entry, so there is one timeline.  The scenarios that once compared
+``PMNET_FOLD=none`` with ``whole`` stay, each pinned to its observables:
 arrival logs, completion timelines, recovered stores, trace digests and
-the end-of-run clock.  (The module, class and test names predate the
-single request path.)
+the end-of-run clock.
 
-* a switch with bursty contending senders, and the same-nanosecond
-  send that must queue behind a pending serialize end;
+* a switch with bursty contending senders, and two frames that reach
+  it in the same nanosecond, which leave in the order they were
+  committed to their uplinks;
 * a lossy channel in the same topology;
-* mid-run crashes — a switch failing inside its forwarding window, a
-  PMNet device power-cut at swept instants across the request's
-  pipeline windows (the Fig 12 scenarios), a chain member power-cut
-  inside its ingress and PM-stage windows, a client host dying with a
-  send in flight;
+* mid-run crashes — a switch failing before and inside its forwarding
+  window, a PMNet device power-cut at swept instants across the
+  request's pipeline windows (the Fig 12 scenarios), a chain member
+  power-cut at each event of its CHAIN_UPDATE handling, a client host
+  dying with a send in flight;
 * a loaded cross-rack chain fabric.
 
 The one optimisation left on the request path is the client's
@@ -78,8 +78,8 @@ def _run_star(num_hosts, sends, loss_seed=None, profile=None,
     When ``loss_seed`` is set, the uplink of host 0 gets probabilistic
     loss — an impaired channel mixed into the same topology.  When
     ``fail_switch_at`` is set, the switch power-cuts at that instant and
-    recovers 30 µs later, so frames in flight around the crash meet the
-    fire-time ``failed`` check.
+    recovers 30 µs later, so frames in flight around the crash meet its
+    arrival-time ``failed`` check.
     """
     sim = Simulator(seed=loss_seed or 0)
     profile = profile if profile is not None else NetworkProfile()
@@ -105,21 +105,19 @@ def _run_star(num_hosts, sends, loss_seed=None, profile=None,
 _COLLISION_PROFILE = NetworkProfile(header_overhead_bytes=0)
 
 
-class TestFoldBoundaryRegression:
-    def test_send_at_exact_serialize_end_queues_behind_pending_record(self):
-        # h1's second frame lands at exactly the nanosecond its first
-        # frame finishes serializing, via an event whose seq was
-        # allocated *before* the pending `_serialized`: it finds
-        # `_transmitting` still True and queues behind it.  Treating
-        # `now == busy_until` as a free transmitter once let h1's frame
-        # overtake h0's contending frame at the switch downlink.
+class TestSameInstantTies:
+    def test_downlink_tie_follows_uplink_commit_order(self):
+        # h1's second frame is sent at exactly the nanosecond its first
+        # frame finishes serializing, so it starts at once; h0's frame
+        # is sent in the same nanosecond, after it.  Both reach the
+        # switch at 6400 ns.  A delivery's seq is taken at commit, so
+        # h1's frame, committed first, arrives first and wins the
+        # downlink.
         sends = [(4300, 1, 0, 1250), (5300, 1, 0, 1250), (5300, 0, 0, 1250)]
         arrivals, _hosts, final_now = _run_star(
             2, sends, profile=_COLLISION_PROFILE)
-        # h0's frame reaches the switch with the earlier seq and must
-        # win the downlink tie.
-        assert arrivals[0] == [(6800, "h1", 0), (7800, "h0", 2),
-                               (8800, "h1", 1)]
+        assert arrivals[0] == [(6800, "h1", 0), (7800, "h1", 1),
+                               (8800, "h0", 2)]
         assert final_now == 8800
 
 
@@ -185,14 +183,35 @@ CHAIN_FABRIC = DeploymentSpec(racks=2, devices_per_rack=2,
                               clients_per_rack=1, placement="switch")
 
 
+#: The member callbacks that handle a CHAIN_UPDATE, one event each, and
+#: how each finds the packet in its arguments: the wire arrival, the
+#: ingress end, the log write, the persist completion and the forward
+#: to the next member.
+_CHAIN_STAGES = {
+    "handle_frame": lambda frame, _port: frame.payload,
+    "_after_ingress": lambda frame: frame.payload,
+    "_log_chain_update": lambda _frame, packet: packet,
+    "_on_chain_persisted": lambda entry: entry.packet,
+    "_transmit_packet": lambda packet, _dst: packet,
+}
+
+
+def _chain_event_offsets(member):
+    """``(offset, stage)`` of every event of the member's handling of the
+    run's first CHAIN_UPDATE, offsets from its wire arrival (a probe run
+    without a crash)."""
+    return _chain_crash_run(member, None)
+
+
 def _chain_crash_run(member, crash_offset_ns):
     """Chain updates with one member power-cut mid-pipeline.
 
     The crash lands ``crash_offset_ns`` after the instant the member
     receives the first CHAIN_UPDATE of the run (found by a probe run),
-    so offsets sweep its ingress and PM-stage windows.  Returns every
+    so offsets sweep the events of its handling.  Returns every
     observable a change to the request path could disturb, the
-    end-of-run clock last.
+    end-of-run clock last; with ``crash_offset_ns=None``, the probe's
+    :func:`_chain_event_offsets` instead.
     """
     from repro.protocol.packet import reset_request_ids
     from repro.protocol.types import PacketType
@@ -212,17 +231,25 @@ def _chain_crash_run(member, crash_offset_ns):
         name = deployment.chains[deployment.server.host.name][member]
         victim = next(device for device in deployment.devices
                       if device.name == name)
-        arrivals = []
+        stages = []
         if crash_at is None:
-            handle_frame = victim.handle_frame
+            first = []
 
-            def probe(frame, in_port):
-                if (getattr(frame.payload, "packet_type", None)
-                        is PacketType.CHAIN_UPDATE):
-                    arrivals.append(sim.now)
-                handle_frame(frame, in_port)
+            def probe(stage, packet_of, callback):
+                def recorded(*args):
+                    packet = packet_of(*args)
+                    if (getattr(packet, "packet_type", None)
+                            is PacketType.CHAIN_UPDATE):
+                        if not first:
+                            first.append(packet.request_id)
+                        if packet.request_id == first[0]:
+                            stages.append((sim.now, stage))
+                    callback(*args)
+                return recorded
 
-            victim.handle_frame = probe
+            for stage, packet_of in _CHAIN_STAGES.items():
+                setattr(victim, stage, probe(stage, packet_of,
+                                             getattr(victim, stage)))
         else:
             injector = FailureInjector(sim)
             record = injector.crash_device_at(victim, crash_at)
@@ -245,12 +272,15 @@ def _chain_crash_run(member, crash_offset_ns):
         assert all(not process.alive for process in processes)
         state = sorted((key, value) for handler in handlers
                        for key, value in handler.structure.items())
-        return arrivals, (tuple(timeline), tuple(state),
-                          int(victim.acks_sent), sim.now)
+        return stages, (tuple(timeline), tuple(state),
+                        int(victim.acks_sent), sim.now)
 
-    arrivals, _ = run(None)
-    assert arrivals, f"chain member {member} never saw a CHAIN_UPDATE"
-    return run(arrivals[0] + crash_offset_ns)[1]
+    stages, _ = run(None)
+    assert stages, f"chain member {member} never saw a CHAIN_UPDATE"
+    arrival = stages[0][0]
+    if crash_offset_ns is None:
+        return [(time - arrival, stage) for time, stage in stages]
+    return run(arrival + crash_offset_ns)[1]
 
 
 class TestCrashIdentity:
@@ -262,17 +292,17 @@ class TestCrashIdentity:
     SWITCH_PINS = {
         500: ("a683096011db3975", 30_500),
         1137: ("a683096011db3975", 31_137),
-        1300: ("a683096011db3975", 31_300),
-        1437: ("a683096011db3975", 31_437),
+        1300: ("9074a6eb0ea93913", 31_300),
+        1437: ("9074a6eb0ea93913", 31_437),
         2100: ("9074a6eb0ea93913", 32_100),
         12_345: ("a28435a729a9ea28", 42_345),
     }
 
     @pytest.mark.parametrize("crash_at", [
         500,     # first frame still serializing on the uplink
-        1137,    # exactly at the switch's arrival instant
-        1300,    # inside the forwarding window
-        1437,    # exactly at the forwarding instant
+        1137,    # the switch's arrival instant: dead on arrival
+        1300,    # inside the forwarding window: the frame still leaves
+        1437,    # the end of the forwarding window
         2100,    # downlink serialization underway
         12_345,  # steady-state mid-burst
     ])
@@ -304,31 +334,67 @@ class TestCrashIdentity:
         assert (fingerprint(observed), observed[-1]) == \
             self.DEVICE_PINS[crash_offset_ns]
 
+    #: Every event of a member's CHAIN_UPDATE handling, as an offset
+    #: from its wire arrival.  A crash at an event's instant runs before
+    #: it (the crash was scheduled first), so the event meets a dead
+    #: member.
+    CHAIN_EVENTS = [(0, "handle_frame"), (250, "_after_ingress"),
+                    (400, "_log_chain_update"),
+                    (717, "_on_chain_persisted"),
+                    (1300, "_transmit_packet")]
+
     CHAIN_PINS = {
         (0, 0): ("45aa2eda6bda8191", 2_572_559),
         (0, 100): ("45aa2eda6bda8191", 2_572_559),
         (0, 250): ("45aa2eda6bda8191", 2_572_559),
         (0, 330): ("45aa2eda6bda8191", 2_572_559),
         (0, 400): ("45aa2eda6bda8191", 2_572_559),
+        (0, 717): ("45aa2eda6bda8191", 2_572_559),
+        (0, 1300): ("120f4ceca3891187", 2_572_242),
+        (0, 1301): ("1ab247346871369e", 3_015_740),
         (1, 0): ("1ea348c3ef99615b", 2_572_242),
         (1, 100): ("1ea348c3ef99615b", 2_572_242),
         (1, 250): ("1ea348c3ef99615b", 2_572_242),
         (1, 330): ("1ea348c3ef99615b", 2_572_242),
         (1, 400): ("1ea348c3ef99615b", 2_572_242),
+        (1, 717): ("1ea348c3ef99615b", 2_572_242),
+        (1, 1300): ("c7ddc2ad8fc6ce86", 2_571_925),
+        (1, 1301): ("4f44d1c49d0ce422", 3_015_740),
     }
 
     @pytest.mark.parametrize("member", [0, 1])
     @pytest.mark.parametrize("crash_offset_ns", [
-        0,       # the wire-arrival instant
+        0,       # the wire arrival
         100,     # inside ingress
-        250,     # exactly at the ingress -> PM-stage boundary
+        250,     # the ingress end
         330,     # inside the PM stage
-        400,     # exactly at the log instant
+        400,     # the log write
+        717,     # the persist completion
+        1300,    # the forward to the next member
+        1301,    # just after the forward
     ])
     def test_chain_member_crash_timing_sweep(self, member, crash_offset_ns):
         observed = _chain_crash_run(member, crash_offset_ns)
         assert (fingerprint(observed), observed[-1]) == \
             self.CHAIN_PINS[member, crash_offset_ns]
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_chain_sweep_has_an_offset_at_every_event(self, member):
+        assert _chain_event_offsets(member) == self.CHAIN_EVENTS
+        swept = {offset for offset, _stage in self.CHAIN_EVENTS}
+        assert swept <= {offset for pinned_member, offset in self.CHAIN_PINS
+                         if pinned_member == member}
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_chain_crash_outcomes_split_at_persist_and_forward(self,
+                                                               member):
+        # A crash up to the persist completion loses the copy; one at
+        # the forward keeps a durable copy that never left; one after
+        # the forward loses nothing in flight.  Three outcomes.
+        offsets = [offset for offset, _stage in self.CHAIN_EVENTS] + [1301]
+        outcomes = [self.CHAIN_PINS[member, offset] for offset in offsets]
+        assert len(set(outcomes)) == 3
+        assert len(set(outcomes[:4])) == 1
 
     def test_client_crash_scenario_identical(self):
         outcome = client_failure_mid_run()
@@ -432,12 +498,9 @@ class TestFabricChainLoadIdentity:
     """A loaded chain fabric (the benchmark's fabric-chain shape): its
     sample digest, trace and end-of-run clock are pinned.
 
-    Seeds 2 and 5 once diverged between fold levels, when the wire
-    still folded: a channel reservation whose start equalled an
-    unstarted reservation's serialize end was admitted, so its
-    serialize-end seq was drawn at its own slot instead of inside the
-    earlier frame's ``_serialized``, and same-nanosecond ties further
-    downstream broke differently.
+    Seeds 2 and 5 are the seeds whose same-nanosecond ties once broke
+    differently between fold levels, so they are the ones that show a
+    change of tie order first.
     """
 
     SPEC = DeploymentSpec(racks=2, spines=1, devices_per_rack=2,
@@ -445,14 +508,14 @@ class TestFabricChainLoadIdentity:
                           clients_per_rack=2, placement="switch")
 
     PINS = {
-        2: ("c054bd3d8ecad3ae", "76fd5fc745fced0a",
+        2: ("5363de2ecfe3e716", "0175574b0cf5db7d",
             1_512_549),
-        5: ("2c365b69d06eb848", "2c55081043da9f95",
+        5: ("760419adca9f6d64", "6d33ae82a5ad861a",
             1_512_955),
     }
 
     @pytest.mark.parametrize("seed", [2, 5])
-    def test_fold_levels_give_one_digest(self, seed):
+    def test_loaded_chain_fabric_is_pinned(self, seed):
         from repro.protocol.packet import reset_request_ids
 
         reset_request_ids()

@@ -30,8 +30,8 @@ SHAPES = {**BENCH_SHAPES,
 
 #: Executed events with every timer left armed (sim seed 3): each
 #: completed request's timer runs as one no-op event.
-ARMED_EVENTS = {"rack-update": 13_749, "rack-read-cache": 9361,
-                "fabric-chain": 33_864, "fabric-failover": 202_414}
+ARMED_EVENTS = {"rack-update": 9605, "rack-read-cache": 6556,
+                "fabric-chain": 20_001, "fabric-failover": 116_392}
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))

@@ -5,11 +5,11 @@ instant (the module name predates the single request path, when these
 held the whole-request fold to account):
 
 * a second request hitting a shared channel at **exactly** the
-  nanosecond its transmitter frees — the boundary instant is busy
-  until the pending ``_serialized`` runs;
-* an impairment window opening **mid-request** — the frames not yet
-  serialized take the impairment draws (here: a loss window that must
-  drop the frame and force a retransmission).
+  nanosecond its transmitter frees — a frame committed at that instant
+  starts at once;
+* an impairment window opening **mid-request** — the frames committed
+  after it opens take the impairment draws (here: a loss window that
+  must drop the frame and force a retransmission).
 
 Each run's completion timeline, store and end-of-run clock are pinned.
 All runs use jitter-free stacks so the interesting instants are exact,

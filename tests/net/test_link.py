@@ -52,8 +52,7 @@ class TestTiming:
 
     def test_send_at_serialize_end_queues_behind_it(self):
         # B queues while A serializes.  C is sent at exactly A's
-        # serialize end, by an event scheduled after A's `_serialized`:
-        # that callback has already started B, so C queues behind it.
+        # serialize end, the instant B starts: it starts when B ends.
         sim = Simulator()
         a, b, _link = _pair(sim, _fast_profile())
         channel = a.ports[0].channel
@@ -63,6 +62,54 @@ class TestTiming:
         sim.run()
         assert [(t, f.payload) for t, f in b.arrivals] == [
             (1100, "A"), (2100, "B"), (3100, "C")]
+
+    def test_idle_transmitter_starts_at_once(self):
+        # After the first frame's serialize end the transmitter is idle
+        # again: a frame sent later starts at its send instant.
+        sim = Simulator()
+        a, b, _link = _pair(sim, _fast_profile())
+        channel = a.ports[0].channel
+        channel.send(Frame("a", "b", "A", 1250))
+        sim.schedule(1_000, channel.send, Frame("a", "b", "B", 1250))
+        sim.schedule(5_000, channel.send, Frame("a", "b", "C", 1250))
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (1100, "A"), (2100, "B"), (6100, "C")]
+
+    def test_send_mid_burst_starts_after_the_burst(self):
+        sim = Simulator()
+        a, b, _link = _pair(sim, _fast_profile())
+        for _ in range(4):
+            a.ports[0].transmit(Frame("a", "b", None, 1250))
+        sim.schedule(2_500, a.ports[0].transmit,
+                     Frame("a", "b", None, 1250))
+        sim.run()
+        assert [t for t, _f in b.arrivals] == [1100, 2100, 3100, 4100, 5100]
+
+    def test_queued_frames_start_in_commit_order(self):
+        # Y (sent at 200) takes the idle transmitter; X (500) and P
+        # (600) queue behind it in send order; Z (3,000) finds the
+        # transmitter still busy with P and starts when P ends.
+        sim = Simulator()
+        a, b, _link = _pair(sim, _fast_profile())
+        channel = a.ports[0].channel
+        for payload, at in (("X", 500), ("Y", 200), ("P", 600),
+                            ("Z", 3_000)):
+            sim.schedule(at, channel.send, Frame("a", "b", payload, 1250))
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (1300, "Y"), (2300, "X"), (3300, "P"), (4300, "Z")]
+
+    def test_one_heap_entry_per_frame(self):
+        # Three frames, three deliveries: no event marks a serialize end.
+        sim = Simulator()
+        a, b, _link = _pair(sim, _fast_profile())
+        for _ in range(3):
+            a.ports[0].transmit(Frame("a", "b", None, 1250))
+        assert sim.pending_events() == 3
+        sim.run()
+        assert sim.executed_events == 3
+        assert len(b.arrivals) == 3
 
     def test_duplex_is_independent(self):
         sim = Simulator()
@@ -118,6 +165,69 @@ class TestQueueing:
         sim.run()
         assert (gauge.value, gauge.highwater) == (0, 1)
         assert len(b.arrivals) == 1
+
+    def test_committed_unstarted_frames_fill_the_queue(self):
+        # Capacity 2.  At t=0 the first frame starts, the next two wait
+        # and the fourth is dropped.  At 1,000 the second has started:
+        # one frame waits, so one more fits and the next is dropped.
+        sim = Simulator()
+        profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=100,
+                                 header_overhead_bytes=0,
+                                 queue_capacity_packets=2)
+        a, b, link = _pair(sim, profile)
+        channel = link.forward
+        for index in range(4):
+            channel.send(Frame("a", "b", index, 1250))
+        assert int(channel.dropped_full) == 1
+        assert channel.queue_depth == 2
+        for index in (4, 5):
+            sim.schedule(1_000, channel.send, Frame("a", "b", index, 1250))
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (1100, 0), (2100, 1), (3100, 2), (4100, 4)]
+        assert int(channel.dropped_full) == 2
+
+    def test_frames_committed_ahead_count_from_their_commit(self):
+        # A sender that commits ahead (as a switch does, one forwarding
+        # delay out): at t=0 three frames are committed at 500.  The
+        # first starts at 500, the second waits behind it, and with
+        # capacity 1 the third is dropped at once.
+        sim = Simulator()
+        profile = NetworkProfile(bandwidth_bps=10e9, propagation_ns=100,
+                                 header_overhead_bytes=0,
+                                 queue_capacity_packets=1)
+        a, b, link = _pair(sim, profile)
+        channel = link.forward
+        for index in range(3):
+            channel.commit(Frame("a", "b", index, 1250), 500)
+        assert int(channel.dropped_full) == 1
+        assert channel.queue_depth == 1
+        assert channel.queue_depth_highwater.highwater == 1
+        # Committed at 1,600, after the first frame ended and the second
+        # started at 1,500: nothing waits, so it fits.
+        channel.commit(Frame("a", "b", 3, 1250), 1_600)
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (1600, 0), (2600, 1), (3600, 3)]
+        assert int(channel.dropped_full) == 1
+
+    def test_depth_gauge_reads_the_queue_live(self):
+        # Nothing runs when a queued frame starts: the gauge's level is
+        # read from the channel, and its mark is the deepest commit.
+        sim = Simulator()
+        a, _b, link = _pair(sim, _fast_profile())
+        channel = link.forward
+        for _ in range(5):
+            channel.send(Frame("a", "b", None, 1250))
+        gauge = channel.queue_depth_highwater
+        assert (gauge.value, gauge.highwater) == (4, 4)
+        sim.run(until=2_500)  # frames 3 and 4 start at 3,000 and 4,000
+        assert (channel.queue_depth, gauge.value) == (2, 2)
+        assert int(gauge) == 2
+        sim.run()
+        assert (gauge.value, gauge.highwater) == (0, 4)
+        with pytest.raises(AttributeError):
+            gauge.value = 3
 
 
 class TestImpairments:
@@ -240,6 +350,22 @@ class TestImpairments:
         assert len(b.arrivals) == expected_delivered
         assert int(link.forward.dropped_loss) == expected_dropped
 
+    @pytest.mark.parametrize("field, value", [
+        ("loss_probability", 1.5),
+        ("loss_probability", -0.1),
+        ("duplicate_probability", -0.1),
+        ("duplicate_probability", 1.01),
+        ("reorder_probability", 2.0),
+        ("reorder_probability", float("nan")),
+        ("reorder_extra_ns", -5),
+    ])
+    def test_out_of_range_input_rejected_at_construction(self, field, value):
+        # A negative probability used to switch its impairment off
+        # silently; a negative extra delay failed only at the first
+        # reordered frame.
+        with pytest.raises(ValueError, match=field):
+            Impairments(**{field: value})
+
     def test_failed_node_blackholes(self):
         sim = Simulator()
         a, b, _link = _pair(sim)
@@ -263,59 +389,46 @@ def _fast_profile():
                           header_overhead_bytes=0)
 
 
-    @pytest.mark.parametrize("field, value", [
-        ("loss_probability", 1.5),
-        ("loss_probability", -0.1),
-        ("duplicate_probability", -0.1),
-        ("duplicate_probability", 1.01),
-        ("reorder_probability", 2.0),
-        ("reorder_probability", float("nan")),
-        ("reorder_extra_ns", -5),
-    ])
-    def test_out_of_range_input_rejected_at_construction(self, field, value):
-        # A negative probability used to switch its impairment off
-        # silently; a negative extra delay failed only at the first
-        # reordered frame.
-        with pytest.raises(ValueError, match=field):
-            Impairments(**{field: value})
+class TestImpairmentWindows:
+    """A frame gets the impairments in force when it is committed, and
+    an impaired frame draws at its serialize end, in the stream's
+    order.  Windows open and close the way the chaos engine swaps them:
+    by replacing ``Channel.impairments``."""
 
+    @staticmethod
+    def _swap(channel, impairments):
+        channel.impairments = impairments
 
-class TestFoldedFastPath:
-    """The wire keeps no folded fast path: every frame takes ``send`` ->
-    ``_serialized`` -> delivery, so the timing the fast path had to
-    reproduce is now the only timing.  (The class and test names
-    predate the single request path.)"""
-
-    def test_fast_path_times_match_unfolded(self):
-        def burst(sim):
-            a, b, _link = _pair(sim, _fast_profile())
-            for _ in range(4):
-                a.ports[0].transmit(Frame("a", "b", None, 1250))
-            sim.schedule(2_500, a.ports[0].transmit,
-                         Frame("a", "b", None, 1250))
-            sim.run()
-            return [t for t, _f in b.arrivals]
-
-        assert burst(Simulator()) == [1100, 2100, 3100, 4100, 5100]
-
-    def test_folded_sends_counted(self):
-        # The counter stays for its readers and counts no send.
+    def test_frame_committed_1ns_before_a_window_is_not_impaired(self):
+        # Committed at 999, serializing until 1,999: the loss window
+        # that opens at 1,000 does not touch it.  The frame committed
+        # at 1,000 is lost, although it only starts at 1,999.
         sim = Simulator()
         a, b, link = _pair(sim, _fast_profile())
-        a.ports[0].transmit(Frame("a", "b", None, 10))
+        channel = link.forward
+        sim.schedule_at(1_000, self._swap, channel,
+                        Impairments(loss_probability=1.0))
+        sim.schedule(999, channel.send, Frame("a", "b", "before", 1250))
+        sim.schedule(1_000, channel.send, Frame("a", "b", "inside", 1250))
         sim.run()
-        assert len(b.arrivals) == 1
-        assert int(link.forward.folded_sends) == 0
+        assert [(t, f.payload) for t, f in b.arrivals] == [(2099, "before")]
+        assert int(channel.dropped_loss) == 1
 
-    def test_impaired_channel_never_folds(self):
+    def test_frame_committed_inside_a_window_is_impaired_after_it(self):
+        # The window closes at 500; a frame committed at 499 serializes
+        # until 1,499 and is still lost.  The next frame, committed at
+        # 500, is not.
         sim = Simulator()
-        a, b, link = _pair(sim, loss_probability=1.0)
-        a.ports[0].transmit(Frame("a", "b", None, 10))
+        a, b, link = _pair(sim, _fast_profile(), loss_probability=1.0)
+        channel = link.forward
+        sim.schedule_at(500, self._swap, channel, Impairments())
+        sim.schedule(499, channel.send, Frame("a", "b", "inside", 1250))
+        sim.schedule(500, channel.send, Frame("a", "b", "after", 1250))
         sim.run()
-        assert int(link.forward.folded_sends) == 0
-        assert b.arrivals == []
+        assert [(t, f.payload) for t, f in b.arrivals] == [(2599, "after")]
+        assert int(channel.dropped_loss) == 1
 
-    def test_impairments_checked_per_send_not_cached(self):
+    def test_impairments_read_at_each_commit(self):
         sim = Simulator()
         a, b, link = _pair(sim, _fast_profile())
         a.ports[0].transmit(Frame("a", "b", None, 10))
@@ -326,6 +439,40 @@ class TestFoldedFastPath:
         sim.run()
         assert int(link.forward.dropped_loss) == 1
         assert len(b.arrivals) == 1
+
+    def test_unimpaired_channel_draws_nothing(self):
+        sim = Simulator()
+        a, b, link = _pair(sim, _fast_profile())
+        state = link.forward._rng.getstate()
+        for _ in range(3):
+            a.ports[0].transmit(Frame("a", "b", None, 1250))
+        sim.run()
+        assert len(b.arrivals) == 3
+        assert link.forward._rng.getstate() == state
+
+
+class TestSameInstantTies:
+    """A delivery's seq is taken when its frame is committed, so two
+    deliveries in the same nanosecond run in commit order."""
+
+    def test_delivery_seq_is_taken_at_commit(self):
+        # Sources ``a`` and ``c`` each wired to sink ``b``.  X is sent
+        # at 500 and serializes until 1,500; R (on X's channel) and C
+        # (on c's) are sent at 1,500 by events scheduled at t=0, R
+        # first.  Both land at 2,600, R first, because R was committed
+        # first — even though R had to wait for X's serialize end.
+        sim = Simulator()
+        profile = _fast_profile()
+        a, b, c = _Sink(sim, "a"), _Sink(sim, "b"), _Sink(sim, "c")
+        Link(sim, profile, a.add_port(), b.add_port())
+        Link(sim, profile, c.add_port(), b.add_port())
+        ab, cb = a.ports[0].channel, c.ports[0].channel
+        sim.schedule(500, ab.send, Frame("a", "b", "X", 1250))
+        sim.schedule(1_500, ab.send, Frame("a", "b", "R", 1250))
+        sim.schedule(1_500, cb.send, Frame("c", "b", "C", 1250))
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (1600, "X"), (2600, "R"), (2600, "C")]
 
 
 class TestReservations:
@@ -370,103 +517,6 @@ class TestReservations:
         assert [t for t, _f in b.arrivals] == [1000]
 
 
-class TestExactAdmission:
-    """Same-nanosecond scenarios that once decided whether ``send_in``
-    could reserve.  It refuses every one, and each caller follows the
-    contract: on refusal it schedules a plain send at the reservation's
-    start.
-    """
-
-    @staticmethod
-    def _reserve_or_send(sim, channel, lead, frame):
-        if not channel.send_in(lead, frame):
-            sim.schedule(lead, channel.send, frame)
-
-    @staticmethod
-    def _two_into_one(sim):
-        """Sources ``a`` and ``c`` each wired to sink ``b``."""
-        profile = _fast_profile()
-        a, b, c = _Sink(sim, "a"), _Sink(sim, "b"), _Sink(sim, "c")
-        Link(sim, profile, a.add_port(), b.add_port())
-        Link(sim, profile, c.add_port(), b.add_port())
-        return a.ports[0].channel, c.ports[0].channel, b
-
-    def test_start_at_unstarted_serialize_end_is_refused(self):
-        # X is sent at 500 and serializes over [500, 1500).  R is sent at
-        # exactly 1500 by an event whose seq was taken at t=0, before
-        # X's `_serialized` (seq taken at 500): R finds the transmitter
-        # busy, queues, and takes its serialize-end seq inside
-        # `_serialized`.  C, sent at 1500 on a second channel, lands on
-        # the sink in the same nanosecond as R, so the two seqs decide
-        # the arrival order.
-        def scenario(sim):
-            ab, cb, b = self._two_into_one(sim)
-            refused = []
-            for payload, lead in (("X", 500), ("R", 1_500)):
-                frame = Frame("a", "b", payload, 1250)
-                if not ab.send_in(lead, frame):
-                    refused.append(payload)
-                    sim.schedule(lead, ab.send, frame)
-            sim.schedule(1_500, cb.send, Frame("c", "b", "C", 1250))
-            sim.run()
-            return refused, [(t, f.payload) for t, f in b.arrivals]
-
-        refused, arrivals = scenario(Simulator())
-        assert refused == ["X", "R"]
-        assert arrivals == [(1600, "X"), (2600, "C"), (2600, "R")]
-
-    def test_no_reservation_before_a_declined_start(self):
-        # Y (sent at 200) takes the idle transmitter ahead of X (500);
-        # Z, asked for at t=100, is refused too and sent at 3,100.
-        def scenario(sim):
-            a, b, _link = _pair(sim, _fast_profile())
-            channel = a.ports[0].channel
-            self._reserve_or_send(sim, channel, 500,
-                                  Frame("a", "b", "X", 1250))
-            assert channel.send_in(200, Frame("a", "b", "Y", 1250)) is False
-            sim.schedule(200, channel.send, Frame("a", "b", "Y", 1250))
-            z_reserved = []
-
-            def attempt_z():
-                frame = Frame("a", "b", "Z", 1250)
-                z_reserved.append(channel.send_in(3_000, frame))
-                if not z_reserved[-1]:
-                    sim.schedule(3_000, channel.send, frame)
-
-            sim.schedule(100, attempt_z)
-            sim.run()
-            return z_reserved, [(t, f.payload) for t, f in b.arrivals]
-
-        z_reserved, arrivals = scenario(Simulator())
-        assert z_reserved == [False]
-        assert arrivals == [(1300, "Y"), (2300, "X"), (4200, "Z")]
-
-    def test_no_reservation_before_a_revoked_start(self):
-        # A plain send at t=100 goes ahead of X (sent at 500), and Z,
-        # asked for at t=300, is refused and sent at 2,300.
-        def scenario(sim):
-            a, b, _link = _pair(sim, _fast_profile())
-            channel = a.ports[0].channel
-            self._reserve_or_send(sim, channel, 500,
-                                  Frame("a", "b", "X", 1250))
-            sim.schedule(100, channel.send, Frame("a", "b", "P", 1250))
-            z_reserved = []
-
-            def attempt_z():
-                frame = Frame("a", "b", "Z", 1250)
-                z_reserved.append(channel.send_in(2_000, frame))
-                if not z_reserved[-1]:
-                    sim.schedule(2_000, channel.send, frame)
-
-            sim.schedule(300, attempt_z)
-            sim.run()
-            return z_reserved, [(t, f.payload) for t, f in b.arrivals]
-
-        z_reserved, arrivals = scenario(Simulator())
-        assert z_reserved == [False]
-        assert arrivals == [(1200, "P"), (2200, "X"), (3400, "Z")]
-
-
 class TestChannelSummary:
     def test_queue_depth_highwater_in_summary(self):
         sim = Simulator()
@@ -493,3 +543,16 @@ class TestChannelSummary:
         summary = link.forward.summary()
         assert summary["dropped_full"] == 2
         assert summary["dropped_full_bytes"] == 2 * (100 + 46)
+
+    def test_folded_sends_stays_zero(self):
+        # The counter stays for the benchmark's readers and counts no
+        # send, impaired or not.
+        sim = Simulator()
+        a, b, link = _pair(sim, _fast_profile())
+        _c, d, lossy = _pair(sim, _fast_profile(), loss_probability=1.0)
+        a.ports[0].transmit(Frame("a", "b", None, 10))
+        lossy.port_a.transmit(Frame("a", "b", None, 10))
+        sim.run()
+        assert len(b.arrivals) == 1 and d.arrivals == []
+        assert int(link.forward.folded_sends) == 0
+        assert int(lossy.forward.folded_sends) == 0

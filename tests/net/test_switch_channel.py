@@ -60,18 +60,84 @@ class TestSwitch:
         sim.run()
         assert b.arrivals == []
 
-    def test_crash_inside_forward_window_drops_frame(self):
+    def test_crash_before_ingress_drops_frame(self):
         # The frame reaches the switch at 1137 ns (1037 serialize + 100
-        # wire); the forwarding window runs to 1437 ns.  A crash at
-        # 1300 ns lands inside it: `_forward`'s failed check drops the
-        # frame before it is counted.
+        # wire).  A crash 1 ns earlier finds it still on the wire: the
+        # dead switch drops it on arrival.
+        sim = Simulator()
+        _topo, a, b, sw, _la, _lb = _wired(sim)
+        a.ports[0].transmit(Frame("a", "b", None, 1250))
+        sim.schedule_at(1136, sw.fail)
+        sim.run()
+        assert b.arrivals == []
+        assert int(sw.forwarded) == 0
+
+    def test_crash_inside_forward_window_still_forwards(self):
+        # Liveness is checked on arrival: the frame the live switch
+        # received at 1137 ns was committed to the egress channel then,
+        # so a crash at 1300 ns, inside the forwarding window that runs
+        # to 1437 ns, does not stop it.
         sim = Simulator()
         _topo, a, b, sw, _la, _lb = _wired(sim)
         a.ports[0].transmit(Frame("a", "b", None, 1250))
         sim.schedule_at(1300, sw.fail)
         sim.run()
+        assert [time for time, _frame in b.arrivals] == [
+            1137 + 300 + 1037 + 100]
+        assert int(sw.forwarded) == 1
+
+    def test_forwarded_counts_at_commit(self):
+        # Counted on arrival, when the frame is committed one
+        # forwarding delay ahead, not when the window ends.
+        sim = Simulator()
+        _topo, a, b, sw, _la, link_b = _wired(sim)
+        a.ports[0].transmit(Frame("a", "b", None, 1250))
+        sim.run(until=1_200)
+        assert int(sw.forwarded) == 1
+        assert int(link_b.forward.bytes_sent) == 1250 + 46
         assert b.arrivals == []
+        sim.run()
+        assert len(b.arrivals) == 1
+
+    def test_unconnected_route_raises(self):
+        sim = Simulator()
+        _topo, a, _b, sw, _la, _lb = _wired(sim)
+        sw.table.set_route("b", sw.add_port())
+        a.ports[0].transmit(Frame("a", "b", None, 10))
+        with pytest.raises(NetworkError, match="not connected"):
+            sim.run()
         assert int(sw.forwarded) == 0
+
+    def test_committed_ahead_frames_fill_the_egress_queue(self):
+        # a and c each send three back-to-back frames at t=0 into one
+        # switch whose egress to b holds one waiting frame.  Pairs
+        # arrive at 1137, 2174 and 3211 ns and are committed 300 ns
+        # ahead.  At 2174 a's second frame is committed to start at
+        # 3511, after c's first; so c's second, committed right after
+        # it, finds the queue full and is dropped at once, before the
+        # forwarding window ends.  The same happens at 3211.
+        sim = Simulator()
+        profile = NetworkProfile()
+        topo = Topology(sim, profile)
+        a = topo.add(_Host(sim, "a"))
+        c = topo.add(_Host(sim, "c"))
+        b = topo.add(_Host(sim, "b"))
+        sw = topo.add(Switch(sim, "sw", profile))
+        topo.connect(a, sw)
+        topo.connect(c, sw)
+        egress = topo.connect(sw, b, profile=NetworkProfile(
+            queue_capacity_packets=1)).forward
+        topo.compute_routes()
+        for index in range(3):
+            a.ports[0].transmit(Frame("a", "b", f"a{index}", 1250))
+            c.ports[0].transmit(Frame("c", "b", f"c{index}", 1250))
+        sim.run(until=2_174)
+        assert int(egress.dropped_full) == 1
+        sim.run()
+        assert [(t, f.payload) for t, f in b.arrivals] == [
+            (2574, "a0"), (3611, "c0"), (4648, "a1"), (5685, "a2")]
+        assert int(egress.dropped_full) == 2
+        assert int(sw.forwarded) == 6
 
     def test_recovered_switch_forwards_again(self):
         sim = Simulator()
@@ -87,9 +153,9 @@ class TestSwitch:
 
     def test_handle_frame_forwards_like_a_channel_delivery(self):
         # ``receive`` (a channel delivery) and a direct ``handle_frame``
-        # share one forwarding path: the same ``_forward`` slot, the
-        # same arrival and the same count.  Only the hop count differs —
-        # a direct call is not a wire hop.
+        # share one forwarding path: the same commit, the same arrival
+        # and the same count.  Only the hop count differs — a direct
+        # call is not a wire hop.
         def forward(entry):
             sim = Simulator()
             _topo, _a, b, sw, link_a, link_b = _wired(sim)
@@ -174,6 +240,8 @@ class TestChannelCounters:
             a.ports[0].transmit(Frame("a", "b", None, 1000))
         # One serializing, three queued.
         assert link_a.forward.queue_depth == 3
+        gauge = link_a.forward.queue_depth_highwater
+        assert (gauge.value, gauge.highwater) == (3, 3)
 
 
 class TestForwardingTable:

@@ -46,7 +46,7 @@ def _run(config, seed=0, clients=4):
 #: The small shapes' seed-0 runs: ``(sample table, duration_ns,
 #: errors, end-of-run clock)``, the table as a fingerprint.
 SMALL_PINS = {
-    "closed": ("ab7cd1ee764c9d9b", 121_824, 0, 1_508_991),
+    "closed": ("f19c80ef17de5e52", 122_162, 0, 1_508_991),
     "open": ("d8fca93ac8fbc7d1", 288_826, 0, 1_511_628),
 }
 
@@ -136,12 +136,10 @@ class TestDeterminism:
         assert first.digest() == second.digest()
         assert first.duration_ns == second.duration_ns
 
-    # The test id predates the single request path (it compared the
-    # retired fold levels); the pins are the values both levels gave.
     @pytest.mark.parametrize("config, name", [(SMALL_CLOSED, "closed"),
                                               (SMALL_OPEN, "open")],
                              ids=["closed", "open"])
-    def test_fold_levels_are_invisible(self, config, name):
+    def test_samples_and_clocks_are_pinned(self, config, name):
         assert _pinned_observables(config) == SMALL_PINS[name]
 
     def test_run_order_is_invisible(self):
