@@ -111,8 +111,8 @@ class Channel:
         #: When the transmitter frees up: the serialize end of the last
         #: committed frame.
         self._busy_until = 0
-        #: Start instants of committed frames, oldest first; those still
-        #: ahead of the clock are the frames waiting in the queue.
+        #: Start instants of the committed frames that had to wait,
+        #: oldest first; those not yet reached are the queue.
         self._starts: Deque[int] = deque()
         # The profile is frozen: hold the per-frame constants directly.
         self._propagation = profile.propagation_ns
