@@ -515,7 +515,7 @@ class TestFabricChainLoadIdentity:
     }
 
     @pytest.mark.parametrize("seed", [2, 5])
-    def test_loaded_chain_fabric_is_pinned(self, seed):
+    def test_loaded_chain_is_pinned(self, seed):
         from repro.protocol.packet import reset_request_ids
 
         reset_request_ids()
