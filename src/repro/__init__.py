@@ -39,8 +39,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                      "baseline_rtt_estimate", "pmnet_rtt_estimate"),
     "repro.core.pmnet_device": ("PMNetDevice",),
     "repro.core.cache": ("ReadCache",),
-    "repro.core.replication": ("NO_PMNET", "SINGLE_LOG",
-                               "ReplicationPolicy"),
     "repro.errors": ("ReproError",),
     "repro.experiments.deploy": ("Deployment", "DeploymentSpec", "build"),
     "repro.experiments.driver": ("run_closed_loop", "run_sessions"),
@@ -57,8 +55,7 @@ __all__ = [
     "SystemConfig", "DEFAULT_CONFIG",
     "baseline_rtt_estimate", "pmnet_rtt_estimate",
     "Simulator",
-    "PMNetDevice", "ReadCache", "ReplicationPolicy", "SINGLE_LOG",
-    "NO_PMNET",
+    "PMNetDevice", "ReadCache",
     "PMNetClient", "PMNetServer", "RequestHandler", "IdealHandler",
     "Deployment", "DeploymentSpec", "build",
     "run_closed_loop", "run_sessions",

@@ -1,16 +1,17 @@
 """Shared pieces of the alternative-design baselines (Fig 17).
 
-Both client-side and server-side logging replicate their logs to peer
-machines; :class:`ReplicaLogger` is the endpoint running on such a peer:
-it charges a persistent log write and answers with an acknowledgement.
-The servers that wait on replicas (server-side logging and server-side
-replication) share :class:`ReplicaWait`.
+Every baseline ships its log records to copy holders and acknowledges
+only once all of them have answered: the servers of server-side logging
+and server-side replication wait on replica servers, a client-side
+logging client on its peer clients.  :class:`ReplicaWait` is that wait;
+:class:`ReplicaLogger` is the endpoint answering it on a copy holder: it
+charges a persistent log write and answers with an acknowledgement.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.host.node import HostNode
 from repro.net.packet import Frame, RawPayload
@@ -24,17 +25,20 @@ if TYPE_CHECKING:  # pragma: no cover
 REPLICATE_LOG = "replicate_log"
 REPLICATE_ACK = "replicate_ack"
 
-#: Applying a replicated record: PM write + bookkeeping.
+#: Applying a replicated record on a replica server: PM write +
+#: bookkeeping.
 REPLICA_APPLY_NS = microseconds(1.2)
 
 
 class ReplicaLogger:
-    """A peer machine that persists replicated log records and ACKs."""
+    """Persists replicated log records on ``host`` and ACKs each one
+    ``apply_ns`` after it arrives."""
 
-    def __init__(self, sim: "Simulator", host: HostNode) -> None:
+    def __init__(self, sim: "Simulator", host: HostNode,
+                 apply_ns: int) -> None:
         self.sim = sim
         self.host = host
-        host.bind(self)
+        self.apply_ns = apply_ns
         self.records_logged = Counter(f"{host.name}.replica_logged")
 
     def on_frame(self, frame: Frame) -> None:
@@ -45,9 +49,8 @@ class ReplicaLogger:
         if not (isinstance(data, tuple) and len(data) == 3
                 and data[0] == REPLICATE_LOG):
             return
-        _tag, record_id, record_bytes = data
-        self.sim.schedule(REPLICA_APPLY_NS, self._acknowledge, frame.src,
-                          record_id, frame.udp_port)
+        self.sim.schedule(self.apply_ns, self._acknowledge, frame.src,
+                          data[1], frame.udp_port)
 
     def _acknowledge(self, origin: str, record_id: int,
                      udp_port: int) -> None:
@@ -59,13 +62,15 @@ class ReplicaLogger:
 
 
 class ReplicaWait:
-    """A server's wait on its replicas.
+    """A host's wait on the copy holders of its log records.
 
-    :meth:`ship` sends a record to every replica host; once each has
-    answered, ``on_replicated(value)`` runs.  The wait is volatile: a
-    power cut loses it, so the server's ``crash`` must :meth:`clear` it,
-    or an ACK arriving after the machine reboots would release a record
-    the crash lost.
+    :meth:`ship` sends a record to every replica host; once each of them
+    (and each name in its ``held_by``) has confirmed it,
+    ``on_replicated(value)`` runs — at once when there is nobody to wait
+    on.  Confirmations are kept per holder, so a duplicated ACK counts
+    once.  The wait is volatile: a power cut loses it, so a server's
+    ``crash`` must :meth:`clear` it, or an ACK arriving after the
+    machine reboots would release a record the crash lost.
     """
 
     def __init__(self, host: HostNode, replica_hosts: List[str],
@@ -73,33 +78,47 @@ class ReplicaWait:
         self.host = host
         self.replica_hosts = list(replica_hosts)
         self.on_replicated = on_replicated
-        #: record id -> (value to release, replica ACKs still missing).
-        self._pending: Dict[int, Tuple[object, int]] = {}
+        #: record id -> (value to release, holders still to confirm).
+        self._pending: Dict[int, Tuple[object, Set[str]]] = {}
         self._record_ids = itertools.count(1)
 
-    def ship(self, value: object, payload_bytes: int) -> None:
+    def ship(self, value: object, payload_bytes: int,
+             held_by: Iterable[str] = ()) -> int:
+        """Send ``value``'s record to the replicas; its record id.
+
+        ``held_by`` names further holders the caller will
+        :meth:`confirm` itself (a client's own log)."""
         record_id = next(self._record_ids)
-        self._pending[record_id] = (value, len(self.replica_hosts))
+        missing = {*self.replica_hosts, *held_by}
+        if not missing:
+            self.on_replicated(value)
+            return record_id
+        self._pending[record_id] = (value, missing)
         for replica in self.replica_hosts:
             self.host.send_frame(
                 replica,
                 RawPayload((REPLICATE_LOG, record_id, payload_bytes),
                            payload_bytes),
                 payload_bytes, udp_port=9200)
+        return record_id
+
+    def confirm(self, record_id: int, holder: str) -> None:
+        """``holder`` holds record ``record_id``."""
+        entry = self._pending.get(record_id)
+        if entry is None:
+            return
+        value, missing = entry
+        missing.discard(holder)
+        if not missing:
+            del self._pending[record_id]
+            self.on_replicated(value)
 
     def on_raw(self, data: object) -> bool:
-        """Count one ``REPLICATE_ACK``; whether ``data`` was one."""
+        """Take one ``REPLICATE_ACK``; whether ``data`` was one."""
         if not (isinstance(data, tuple) and len(data) == 3
                 and data[0] == REPLICATE_ACK):
             return False
-        entry = self._pending.get(data[1])
-        if entry is not None:
-            value, remaining = entry
-            if remaining <= 1:
-                del self._pending[data[1]]
-                self.on_replicated(value)
-            else:
-                self._pending[data[1]] = (value, remaining - 1)
+        self.confirm(data[1], data[2])
         return True
 
     def clear(self) -> None:

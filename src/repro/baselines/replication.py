@@ -13,6 +13,7 @@ from typing import List, Optional
 from repro.baselines.common import ReplicaWait
 from repro.host.server import PMNetServer
 from repro.net.packet import Frame, RawPayload
+from repro.protocol.packet import PMNetPacket
 from repro.protocol.types import PacketType
 
 
@@ -28,13 +29,18 @@ class ReplicatingServer(PMNetServer):
 
     def _respond(self, fragments, outcome) -> None:
         first = fragments[0]
-        if (first.packet_type is not PacketType.UPDATE_REQ
-                or not self.replicas.replica_hosts):
+        if first.packet_type is not PacketType.UPDATE_REQ:
             super()._respond(fragments, outcome)
             return
         # Committed locally already (in _apply); delay the client ACK
         # until every replica has confirmed (Fig 9a, steps 6-8).
         self.replicas.ship(fragments, first.payload_bytes)
+
+    def _makeup_ack(self, packet: PMNetPacket) -> None:
+        # A retransmission is committed but its replicas may not hold it
+        # (they may have been down): confirm them again before the ACK.
+        self.makeup_acks.increment()
+        self.replicas.ship([packet], packet.payload_bytes)
 
     def _acknowledge(self, fragments) -> None:
         for fragment in fragments:

@@ -49,10 +49,11 @@ class ServerLoggingServer(PMNetServer):
     def _logged(self, packet: PMNetPacket, epoch: int) -> None:
         if self.host.failed or epoch != self.host.epoch:
             return
-        if not self.replicas.replica_hosts:
-            self._send_ack(packet)
-            return
         self.replicas.ship(packet, packet.payload_bytes)
+
+    def _makeup_ack(self, packet: PMNetPacket) -> None:
+        """No make-up ACK: the logging module acknowledges every update,
+        retransmissions included, once its replicas hold it."""
 
     def _handle_raw(self, frame: Frame, payload: RawPayload) -> None:
         if not self.replicas.on_raw(payload.data):

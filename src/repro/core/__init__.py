@@ -1,4 +1,4 @@
-"""PMNet core: the device, its MAT pipeline, cache, replication, recovery."""
+"""PMNet core: the device, its MAT pipeline, cache, recovery."""
 
 from repro._lazy import lazy_exports
 
@@ -7,8 +7,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.mat": ("MATAction", "classify", "pmnet_packet"),
     "repro.core.pmnet_device": ("PMNetDevice",),
     "repro.core.recovery": ("ResendEngine",),
-    "repro.core.replication": ("NO_PMNET", "SINGLE_LOG",
-                               "ReplicationPolicy"),
 })
 
 __all__ = [
@@ -16,5 +14,4 @@ __all__ = [
     "MATAction", "classify", "pmnet_packet",
     "ReadCache", "CacheState", "CacheLine",
     "ResendEngine",
-    "ReplicationPolicy", "NO_PMNET", "SINGLE_LOG",
 ]

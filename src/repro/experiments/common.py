@@ -1,15 +1,11 @@
-"""Shared experiment plumbing: sizes, design points, result helpers."""
+"""Shared experiment plumbing: run sizes."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
 
 from repro.config import QUICK_SCALE_CLIENTS, SystemConfig
-from repro.experiments.deploy import DeploymentSpec, build
-from repro.experiments.driver import OpMaker, RunStats, run_closed_loop
-from repro.host.handler import RequestHandler
 
 
 @dataclass(frozen=True)
@@ -53,24 +49,3 @@ class Scale:
         """Size ``config`` for this scale (client count only)."""
         return config.with_clients(self.clients)
 
-
-#: The paper's three design points (Sec VI-A4) as deployment specs.
-DESIGN_POINTS: Dict[str, DeploymentSpec] = {
-    "client-server": DeploymentSpec(placement="none"),
-    "pmnet-switch": DeploymentSpec(placement="switch"),
-    "pmnet-nic": DeploymentSpec(placement="nic"),
-}
-
-
-def run_design_point(design: str, config: SystemConfig, op_maker: OpMaker,
-                     scale: Scale,
-                     handler: Optional[RequestHandler] = None,
-                     transport: str = "udp",
-                     **spec_overrides) -> RunStats:
-    """Build one design point, drive it closed-loop, return its stats."""
-    spec = replace(DESIGN_POINTS[design], transport=transport,
-                   **spec_overrides)
-    deployment = build(spec, scale.apply(config), handler=handler)
-    return run_closed_loop(deployment, op_maker,
-                           requests_per_client=scale.requests_per_client,
-                           warmup_requests=scale.warmup)

@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, check_field_types
 from repro.core.pmnet_device import PMNetDevice
-from repro.core.replication import ReplicationPolicy
 from repro.host.client import PMNetClient
 from repro.host.handler import IdealHandler, RequestHandler
 from repro.host.node import add_host
@@ -334,9 +333,15 @@ def wire_path(sim: Simulator, config: SystemConfig, path: Sequence[Node],
     Each client is a :class:`PMNetClient` (a
     :class:`~repro.host.sharded.ShardedClient` over several servers)
     unless ``new_client(index, host, allocator)`` builds another kind;
-    its policy waits for ``acks_required`` device ACKs, by default one
-    per PMNet device on the path.  Each server gets a
-    ``handler_factory()`` (default an :class:`IdealHandler`).
+    it waits for ``acks_required`` device ACKs, by default one per PMNet
+    device on the path.  Each server gets a ``handler_factory()``
+    (default an :class:`IdealHandler`).
+
+    In-network replication (Sec IV-C, Fig 9) is such a path with N
+    PMNet devices in series: each logs the same update-req as it passes
+    and sends its own PMNet-ACK, the client proceeds once it holds ACKs
+    from ``acks_required`` distinct devices (0 waits for the server),
+    and the single server-ACK invalidates every log on its way back.
 
     The order is fixed, because chaos plans pick impairment channels by
     index into ``topology.links``: nodes are added path first, then
@@ -372,13 +377,14 @@ def wire_path(sim: Simulator, config: SystemConfig, path: Sequence[Node],
         servers.append(server_class(sim, host, handler, config,
                                     tracer=tracer))
     if replica_hosts:
-        from repro.baselines.common import ReplicaLogger
+        from repro.baselines.common import REPLICA_APPLY_NS, ReplicaLogger
 
         for name in replica_hosts:
-            ReplicaLogger(sim, add_host(topology, name, config.server_stack,
-                                        shape.transport, edge))
-    policy = ReplicationPolicy(acks_required=len(devices)
-                               if acks_required is None else acks_required)
+            host = add_host(topology, name, config.server_stack,
+                            shape.transport, edge)
+            host.bind(ReplicaLogger(sim, host, REPLICA_APPLY_NS))
+    if acks_required is None:
+        acks_required = len(devices)
     if new_client is None:
         client_class: Callable = PMNetClient
         target: object = servers[0].host.name
@@ -390,7 +396,8 @@ def wire_path(sim: Simulator, config: SystemConfig, path: Sequence[Node],
 
         def new_client(index, host, allocator):
             return client_class(sim, host, config, target, allocator,
-                                policy=policy, tracer=tracer)
+                                acks_required=acks_required,
+                                tracer=tracer)
     allocator = SessionAllocator()
     clients = [new_client(index,
                           add_host(topology, f"client{index}",

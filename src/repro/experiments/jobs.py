@@ -120,8 +120,3 @@ def execute_serial(specs: Sequence[JobSpec],
 def values(results: Sequence[JobResult]) -> List[Any]:
     """The payloads of a result list, in spec order."""
     return [result.value for result in results]
-
-
-def by_point(results: Sequence[JobResult]) -> Dict[str, Any]:
-    """Payloads keyed by point label (for order-insensitive assembly)."""
-    return {result.spec.point: result.value for result in results}

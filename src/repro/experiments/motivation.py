@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.report import format_table
 from repro.config import SystemConfig
-from repro.core.replication import NO_PMNET
 from repro.experiments.common import Scale
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
@@ -83,7 +82,7 @@ def _run_async_baseline(config: SystemConfig, requests: int,
         client.host.endpoint = None
         replacement = AsyncPMNetClient(
             sim, client.host, config, "server", client.allocator,
-            policy=NO_PMNET, window=window)
+            acks_required=0, window=window)
         async_clients.append(replacement)
 
     def producer(index, client):

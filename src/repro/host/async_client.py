@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.core.replication import ReplicationPolicy, SINGLE_LOG
 from repro.host.client import PMNetClient
 from repro.host.node import HostNode
 from repro.protocol.session import SessionAllocator
@@ -43,13 +42,13 @@ class AsyncPMNetClient(PMNetClient):
     def __init__(self, sim: "Simulator", host: HostNode,
                  config: "SystemConfig", server: str,
                  allocator: SessionAllocator,
-                 policy: ReplicationPolicy = SINGLE_LOG,
+                 acks_required: int = 1,
                  window: int = 16,
                  tracer: Optional[Tracer] = None) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         super().__init__(sim, host, config, server, allocator,
-                         policy=policy, tracer=tracer)
+                         acks_required=acks_required, tracer=tracer)
         self.window = window
         self._in_flight = 0
         self._backlog: Deque[tuple] = deque()

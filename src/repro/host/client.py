@@ -4,9 +4,9 @@
 ``start_session`` / ``end_session`` / ``send_update`` / ``bypass`` —
 over the simulated fabric.  ``send_update`` returns an event that
 succeeds once the request is *persistent*: either every fragment holds
-PMNet-ACKs from the required number of distinct devices (the replication
-policy), or the server itself acknowledged.  ``bypass`` completes on the
-server's (or in-network cache's) response.
+PMNet-ACKs from ``acks_required`` distinct devices, or the server itself
+acknowledged.  ``bypass`` completes on the server's (or in-network
+cache's) response.
 
 The library also implements the reliability half of the protocol: it
 retransmits unacknowledged fragments after a timeout and answers the
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.core.replication import ReplicationPolicy, SINGLE_LOG
 from repro.errors import SessionError
 from repro.host.node import HostNode
 from repro.net.packet import Frame
@@ -77,7 +76,7 @@ class PMNetClient:
     def __init__(self, sim: "Simulator", host: HostNode,
                  config: "SystemConfig", server: str,
                  allocator: SessionAllocator,
-                 policy: ReplicationPolicy = SINGLE_LOG,
+                 acks_required: int = 1,
                  max_retries: Optional[int] = None,
                  tracer: Optional[Tracer] = None,
                  bind: bool = True,
@@ -88,7 +87,11 @@ class PMNetClient:
         self.config = config
         self.server = server
         self.allocator = allocator
-        self.policy = policy
+        if acks_required < 0:
+            raise ValueError("acks_required must be >= 0")
+        #: Distinct PMNet devices whose ACKs make an update fragment
+        #: persistent; 0 waits for the server's word alone.
+        self.acks_required = acks_required
         self.max_retries = max_retries
         #: Replication chain for updates (device names, head first, tail
         #: last).  When set, updates go out as CHAIN_UPDATEs addressed to
@@ -238,8 +241,7 @@ class PMNetClient:
     def _fragment_persistent(self, state: _PendingRequest, index: int) -> bool:
         if state.server_acked[index]:
             return True
-        return (self.policy.uses_pmnet
-                and self.policy.satisfied_by(len(state.pmnet_origins[index])))
+        return 0 < self.acks_required <= len(state.pmnet_origins[index])
 
     def _check_update_completion(self, state: _PendingRequest,
                                  via: str) -> None:

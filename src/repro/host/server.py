@@ -152,11 +152,7 @@ class PMNetServer:
         sid = packet.session_id
         expected = self.reorder.expected_seq(sid)
         if packet.seq_num < expected:
-            # Below the applied horizon (Sec IV-E1 case 3): already
-            # committed — send a make-up server-ACK so stale log entries
-            # get invalidated.
-            self.makeup_acks.increment()
-            self._send_ack(packet)
+            self._makeup_ack(packet)
             return
         deliverable = self.reorder.push(packet)
         for ready in deliverable:
@@ -167,6 +163,13 @@ class PMNetServer:
             self._arm_gap_timer(sid, packet)
         elif sid in self._gap_timers:
             del self._gap_timers[sid]
+
+    def _makeup_ack(self, packet: PMNetPacket) -> None:
+        """Below the applied horizon (Sec IV-E1 case 3): already
+        committed — send a make-up server-ACK so stale log entries get
+        invalidated."""
+        self.makeup_acks.increment()
+        self._send_ack(packet)
 
     def _dispatch(self, fragments: List[PMNetPacket]) -> None:
         """Charge the application wakeup, then queue for a worker.

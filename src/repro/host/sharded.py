@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.control.placement import PlacementView
 from repro.core.hashring import HashRing
-from repro.core.replication import ReplicationPolicy, SINGLE_LOG
 from repro.protocol.crc import crc32
 from repro.errors import SessionError
 from repro.host.client import PMNetClient
@@ -41,7 +40,7 @@ class ShardedClient:
     def __init__(self, sim: "Simulator", host: HostNode,
                  config: "SystemConfig", servers: List[str],
                  allocator: SessionAllocator,
-                 policy: ReplicationPolicy = SINGLE_LOG,
+                 acks_required: int = 1,
                  tracer: Optional[Tracer] = None) -> None:
         if not servers:
             raise SessionError("a sharded client needs at least one server")
@@ -51,7 +50,8 @@ class ShardedClient:
         host.bind(self)
         self._subclients: List[PMNetClient] = [
             PMNetClient(sim, host, config, server, allocator,
-                        policy=policy, tracer=tracer, bind=False,
+                        acks_required=acks_required, tracer=tracer,
+                        bind=False,
                         instrument_scope=f"{host.name}:{server}")
             for server in self.servers]
         self._by_session: Dict[int, PMNetClient] = {}
@@ -137,7 +137,7 @@ class RingClient(ShardedClient):
                  config: "SystemConfig", ring: HashRing,
                  chains: Mapping[str, Tuple[str, ...]],
                  allocator: SessionAllocator,
-                 policy: ReplicationPolicy = SINGLE_LOG,
+                 acks_required: int = 1,
                  tracer: Optional[Tracer] = None,
                  placement: Optional[PlacementView] = None) -> None:
         if not isinstance(ring, HashRing):
@@ -155,7 +155,8 @@ class RingClient(ShardedClient):
         host.bind(self)
         self._subclients = [
             PMNetClient(sim, host, config, server, allocator,
-                        policy=policy, tracer=tracer, bind=False,
+                        acks_required=acks_required, tracer=tracer,
+                        bind=False,
                         chain=self.chains.get(server, ()),
                         instrument_scope=f"{host.name}:{server}")
             for server in self.servers]

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.control.placement import PlacementView
 from repro.core.hashring import HashRing
 from repro.core.pmnet_device import PMNetDevice
-from repro.core.replication import SINGLE_LOG
 from repro.host.handler import IdealHandler
 from repro.host.node import add_host
 from repro.host.server import PMNetServer
@@ -195,8 +194,8 @@ def build_fabric(spec: "DeploymentSpec", config: "SystemConfig",
             host = add_host(topology, name, config.client_stack,
                             spec.transport, leaf_switch)
             clients.append(RingClient(sim, host, config, ring, chains,
-                                      allocator, policy=SINGLE_LOG,
-                                      tracer=tracer, placement=placement))
+                                      allocator, tracer=tracer,
+                                      placement=placement))
             racks[rack_index].clients.append(name)
     topology.compute_routes()
 

@@ -88,10 +88,6 @@ class ReorderBuffer:
         table after a crash (buffered packets were volatile and are gone)."""
         self._sessions[session_id] = _SessionState(expected_seq=expected_seq)
 
-    def buffered_count(self, session_id: int) -> int:
-        state = self._sessions.get(session_id)
-        return len(state.pending) if state else 0
-
     def sessions(self) -> List[int]:
         return sorted(self._sessions)
 

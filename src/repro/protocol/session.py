@@ -59,11 +59,6 @@ class Session:
         self._next_read_seq += 1
         return seq
 
-    @property
-    def sent_count(self) -> int:
-        """How many update sequence numbers have been handed out."""
-        return self._next_seq
-
     def close(self) -> None:
         self.closed = True
 

@@ -5,7 +5,8 @@ import pytest
 from repro.config import SystemConfig
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.experiments.driver import run_closed_loop
-from repro.sim.clock import milliseconds
+from repro.net.link import Impairments
+from repro.sim.clock import microseconds, milliseconds
 from repro.sim.trace import Tracer
 from repro.workloads.kv import OpKind, Operation
 
@@ -163,3 +164,68 @@ class TestReplicaWaitPowerCut:
         assert tracer.count(server.host.name, "crash") == 1
         assert not server.app_ready
         assert tracer.count(server.host.name, "server_ack") == 0
+
+
+def _start_one_update(deployment):
+    """Spawn one update from the first client; the list its completion
+    lands in."""
+    client = deployment.clients[0]
+    client.start_session()
+    done = []
+
+    def one_update():
+        done.append((yield client.send_update(
+            Operation(OpKind.SET, key="k", value=b"x"), 100)))
+
+    deployment.sim.spawn(one_update())
+    return done
+
+
+def _channel(deployment, name):
+    return next(link.forward for link in deployment.topology.links
+                if link.forward.name == name)
+
+
+class TestReplicaWaitCountsReplicas:
+    @pytest.mark.parametrize("placement,answering,silent", [
+        ("client-log", "client1", "client2"),
+        ("server-log", "replica1", "replica2"),
+        ("server-replication", "replica1", "replica2"),
+    ])
+    def test_a_duplicated_ack_does_not_stand_in_for_a_missing_copy(
+            self, placement, answering, silent):
+        """One copy holder answers twice (its uplink duplicates every
+        frame) and the other is down: two ACKs arrive but one copy is
+        missing, so the client must not be acknowledged."""
+        deployment = build(DeploymentSpec(placement=placement,
+                                          chain_length=3),
+                           SystemConfig().with_clients(3))
+        _channel(deployment, f"{answering}->tor").impairments = \
+            Impairments(duplicate_probability=1.0)
+        deployment.topology.nodes[silent].fail()
+        done = _start_one_update(deployment)
+        deployment.sim.run(until=microseconds(900))
+        assert done == []
+
+
+class TestMakeupAckWaitsOnReplicas:
+    @pytest.mark.parametrize("placement", ["server-log",
+                                           "server-replication"])
+    def test_a_retransmission_is_acked_only_once_every_replica_holds_it(
+            self, placement):
+        """With a replica down, the client's retransmission falls below
+        the server's applied horizon; its make-up ACK must still wait on
+        every replica, so the update completes only once the replica is
+        back."""
+        deployment = build(DeploymentSpec(placement=placement,
+                                          chain_length=3),
+                           SystemConfig().with_clients(1))
+        replica = deployment.topology.nodes["replica2"]
+        replica.fail()
+        done = _start_one_update(deployment)
+        deployment.sim.run(until=milliseconds(10))
+        assert done == []
+        assert int(deployment.server.processed) == 1
+        replica.recover()
+        deployment.sim.run(until=milliseconds(20))
+        assert [completion.via for completion in done] == ["server"]

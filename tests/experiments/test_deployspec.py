@@ -220,6 +220,16 @@ BASELINE_PINS = {
             "tor->server replica1->tor replica2->tor client0->tor "
             "client1->tor client2->tor"),
     },
+    ("server-replication", 1): {
+        "trace_digest":
+            "e6344c4d3b23b6e839ecf5b3e218ea87ffd001e5e1ad91f0348b770c9f5fc8ac",
+        "samples_digest":
+            "944bb8f92d354207fd41b41561779d575b0a7f7f1ae3d46177af2fc674970b2f",
+        "final_now": 2073979,
+        "executed_events": 614,
+        "nodes": "tor server client0 client1 client2",
+        "links": "tor->server client0->tor client1->tor client2->tor",
+    },
     ("server-replication", 3): {
         "trace_digest":
             "71b7f8c2e6f499979cd19aec8d43e1c5e8f7b676b2a662b0265db57845adf415",

@@ -3,22 +3,19 @@
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.replication import NO_PMNET, SINGLE_LOG
 from repro.experiments.deploy import DeploymentSpec, build
 from repro.host.async_client import AsyncPMNetClient
 from repro.workloads.kv import OpKind, Operation
 
 
-def _async_deployment(placement, window=8, policy=None):
+def _async_deployment(placement, window=8):
     config = SystemConfig().with_clients(1)
     deployment = build(DeploymentSpec(placement=placement), config)
     base = deployment.clients[0]
     base.host.endpoint = None
     client = AsyncPMNetClient(
         deployment.sim, base.host, config, "server", base.allocator,
-        policy=policy if policy is not None else
-        (SINGLE_LOG if deployment.devices else NO_PMNET),
-        window=window)
+        acks_required=len(deployment.devices), window=window)
     return deployment, client
 
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.replication import NO_PMNET, ReplicationPolicy
 from repro.errors import SessionError
 from repro.experiments.deploy import DeploymentSpec, build
+from repro.host.client import PMNetClient
 from repro.net.link import Impairments
 from repro.workloads.kv import OpKind, Operation
 
@@ -133,14 +133,18 @@ class TestLossRecovery:
 
 class TestReplicationPolicy:
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ReplicationPolicy(acks_required=-1)
+        deployment = build(DeploymentSpec(placement="switch"),
+                           SystemConfig().with_clients(1))
+        client = deployment.clients[0]
+        with pytest.raises(ValueError, match="acks_required"):
+            PMNetClient(deployment.sim, client.host, deployment.config,
+                        "server", client.allocator, acks_required=-1)
 
     def test_no_pmnet_waits_for_server(self):
         deployment = build(DeploymentSpec(placement="switch"),
                            SystemConfig().with_clients(1))
-        # Force the baseline policy even though a device is present.
-        deployment.clients[0].policy = NO_PMNET
+        # Wait for the server even though a device is present.
+        deployment.clients[0].acks_required = 0
         completion = _drive_one(deployment,
                                 Operation(OpKind.SET, key="k", value="v"))
         assert completion.via == "server"

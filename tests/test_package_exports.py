@@ -38,7 +38,7 @@ UNUSED_BY_A_RACK_RUN = (
 
 #: ``repro`` modules loaded by the probe below.  A package ``__init__``
 #: that imports its submodules eagerly raises it (to 84 if all do).
-RACK_RUN_MODULES = 52
+RACK_RUN_MODULES = 51
 
 FOOTPRINT_PROBE = """
 import json, sys
